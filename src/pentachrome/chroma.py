@@ -15,9 +15,7 @@ import json
 from functools import lru_cache
 from itertools import permutations
 
-import numpy as np
-
-from .polytope import PolytopeModel, positions
+from .polytope import PolytopeModel, _fmt
 from .symmetry import ColourSymmetry
 
 Colouring = tuple[int, ...]
@@ -34,19 +32,22 @@ class PropagationError(RuntimeError):
 
 def check_colouring(c) -> Colouring:
     """Validate shape and colour range; returns the colouring as a tuple."""
-    c = tuple(c)
+    try:
+        c = tuple(c)
+    except TypeError:
+        raise ValueError(f"colouring must be a sequence of 20 colours, not {c!r}") from None
     if len(c) != 20:
         raise ValueError(f"colouring must assign 20 vertices, got {len(c)}")
     for v, x in enumerate(c):
-        if not isinstance(x, int) or x not in COLOURS:
+        # bool is a subclass of int, but True is not colour 1
+        if type(x) is not int or x not in COLOURS:
             raise ValueError(f"vertex {v} has colour {x!r}, expected 1..5")
     return c
 
 
 def is_valid(model: PolytopeModel, c) -> bool:
     """True iff every face carries all five colours."""
-    c = check_colouring(c)
-    return all(len({c[v] for v in f}) == 5 for f in model.faces)
+    return first_violated_face(model, c) is None
 
 
 def first_violated_face(model: PolytopeModel, c) -> int | None:
@@ -55,6 +56,16 @@ def first_violated_face(model: PolytopeModel, c) -> int | None:
         if len({c[v] for v in f}) != 5:
             return fid
     return None
+
+
+def check_rainbow(model: PolytopeModel, c) -> Colouring:
+    """The full check made once at each public entry: 20 colours in 1..5
+    and every face rainbow.  Returns the colouring as a tuple; raises
+    ValueError otherwise."""
+    c = check_colouring(c)
+    if not is_valid(model, c):
+        raise ValueError("colouring is not face-rainbow")
+    return c
 
 
 def colour_classes(c: Colouring) -> dict[int, frozenset[int]]:
@@ -221,16 +232,17 @@ def seed_colourings(model: PolytopeModel) -> tuple[Colouring, Colouring]:
 # ---------------------------------------------------------------------------
 # the colour-group action
 
+def _act(g: ColourSymmetry, c: Colouring, model: PolytopeModel) -> Colouring:
+    """`act` on a colouring already known to be valid."""
+    if g.sign == -1:
+        return tuple(g.perm[c[a] - 1] for a in model.antipode)
+    return tuple(g.perm[x - 1] for x in c)
+
+
 def act(g: ColourSymmetry, c: Colouring, model: PolytopeModel) -> Colouring:
     """Apply a colour symmetry: relabel colours, then for sign -1 take each
     vertex's colour from its antipode."""
-    c = check_colouring(c)
-    if not is_valid(model, c):
-        raise ValueError("colouring is not face-rainbow")
-    relabelled = [g.perm[x - 1] for x in c]
-    if g.sign == -1:
-        relabelled = [relabelled[model.antipode[v]] for v in range(20)]
-    return tuple(relabelled)
+    return _act(g, check_rainbow(model, c), model)
 
 
 def _check_subgroup(H) -> list[ColourSymmetry]:
@@ -248,45 +260,36 @@ def _check_subgroup(H) -> list[ColourSymmetry]:
 def orbit_partition(colourings, H, model: PolytopeModel) -> tuple[tuple[Colouring, ...], ...]:
     """Partition colourings into orbits of the subgroup H.
 
-    Computed by explicit union-find over images of the action, so the orbit
-    count formula is something this function's callers can check, not an
-    assumption baked in.
+    Sweeps the sorted pool: a colouring not yet placed is the smallest
+    member of its orbit, and its image set under H is that orbit.  H acts
+    only on these smallest members, once per colouring in all when the
+    action is free.  An image outside the pool raises, so the orbit count
+    formula is something this function's callers can check, not an
+    assumption baked in.  Orbits come out sorted, in order of their
+    smallest member.
     """
     elems = _check_subgroup(H)
-    pool = [check_colouring(c) for c in colourings]
-    index = {c: i for i, c in enumerate(pool)}
-    if len(index) != len(pool):
+    pool = sorted(check_rainbow(model, c) for c in colourings)
+    members = set(pool)
+    if len(members) != len(pool):
         raise ValueError("duplicate colourings in input")
 
-    parent = list(range(len(pool)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, c in enumerate(pool):
-        for g in elems:
-            img = act(g, c, model)
-            j = index.get(img)
-            if j is None:
-                raise ValueError("subgroup action leaves the given colouring set")
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-
-    orbits: dict[int, list[Colouring]] = {}
-    for i, c in enumerate(pool):
-        orbits.setdefault(find(i), []).append(c)
-    return tuple(
-        tuple(sorted(orbit))
-        for orbit in sorted(orbits.values(), key=lambda o: min(o))
-    )
+    placed: set[Colouring] = set()
+    orbits = []
+    for c in pool:
+        if c in placed:
+            continue
+        orbit = {_act(g, c, model) for g in elems}
+        if not orbit <= members:
+            raise ValueError("subgroup action leaves the given colouring set")
+        placed |= orbit
+        orbits.append(tuple(sorted(orbit)))
+    return tuple(orbits)
 
 
 def stabilizer(c: Colouring, H, model: PolytopeModel) -> list[ColourSymmetry]:
-    return [g for g in sorted(set(H)) if act(g, c, model) == c]
+    c = check_rainbow(model, c)
+    return [g for g in sorted(set(H)) if _act(g, c, model) == c]
 
 
 # ---------------------------------------------------------------------------
@@ -297,25 +300,17 @@ def _turn_table(model: PolytopeModel) -> dict:
     """For each directed edge (u, w): the left and right outgoing edges at w.
 
     Left is the candidate whose direction has positive component along
-    (incoming direction x outward normal at w).
+    (incoming direction x outward normal at w).  Faces run counterclockwise
+    seen from outside, so that is read off the orientation alone: on the
+    face that traverses u -> w -> x, right is x and left is w's third
+    neighbour.  Each directed edge lies on exactly one oriented face.
     """
-    pos = positions(model)
     table = {}
-    for u in range(20):
-        for w in model.adjacency[u]:
-            d = pos[w] - pos[u]
-            d = d / np.linalg.norm(d)
-            ref = np.cross(d, pos[w])
-            scored = []
-            for x in model.adjacency[w]:
-                if x == u:
-                    continue
-                e = pos[x] - pos[w]
-                scored.append((float(e / np.linalg.norm(e) @ ref), x))
-            scored.sort()
-            # the two candidates must fall on opposite sides
-            assert scored[0][0] < -1e-6 and scored[1][0] > 1e-6
-            table[(u, w)] = {LEFT: scored[1][1], RIGHT: scored[0][1]}
+    for f in model.faces:
+        for i in range(5):
+            u, w, x = f[i - 2], f[i - 1], f[i]
+            (left,) = set(model.adjacency[w]) - {u, x}
+            table[(u, w)] = {LEFT: left, RIGHT: x}
     return table
 
 
@@ -360,9 +355,7 @@ def zigzag_trace(model: PolytopeModel, c: Colouring, v: int, handedness: str) ->
     colouring) this set is the colour class of v.  The set is independent
     of the outgoing edge, so the walk leaves along the lowest-id neighbour.
     """
-    c = check_colouring(c)
-    if not is_valid(model, c):
-        raise ValueError("colouring is not face-rainbow")
+    check_rainbow(model, c)
     walk = zigzag_walk(model, v, min(model.adjacency[v]), handedness)
     return frozenset(walk[::3])
 
@@ -428,9 +421,7 @@ def face_parity_signature(model: PolytopeModel, c: Colouring):
     from outside).  For a valid colouring all 12 parities agree and the 12
     orders are pairwise distinct.
     """
-    c = check_colouring(c)
-    if not is_valid(model, c):
-        raise ValueError("colouring is not face-rainbow")
+    c = check_rainbow(model, c)
     out = []
     for fid, f in enumerate(model.faces):
         order = canonical_cycle(tuple(c[v] for v in f))
@@ -480,7 +471,7 @@ def colouring_from_json(text: str) -> Colouring:
     doc = json.loads(text)
     if not isinstance(doc, dict) or doc.get("labelling") != LABELLING:
         raise ValueError(f"expected a colouring document with labelling {LABELLING!r}")
-    return check_colouring(doc["colours"])
+    return check_colouring(doc.get("colours"))
 
 
 def enumeration_to_json(colourings) -> str:
@@ -503,7 +494,7 @@ def colouring_to_off(model: PolytopeModel, c: Colouring) -> str:
     lines = ["COFF", "20 12 30"]
     for v in model.vertices:
         r, g, b = _PALETTE[c[v.id] - 1]
-        coords = " ".join(format(x, ".17g") for x in v.position)
+        coords = " ".join(_fmt(x) for x in v.position)
         lines.append(f"{coords} {r} {g} {b} 255")
     for f in model.faces:
         lines.append("5 " + " ".join(str(v) for v in f))

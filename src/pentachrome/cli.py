@@ -15,9 +15,7 @@ import sys
 from . import chroma, verify
 from . import compound as compound_mod
 from .polytope import build_polytope, model_to_json, model_to_off
-from .symmetry import ColourSymmetry, generate_subgroup, named_subgroup
-
-NAMED_SUBGROUPS = ("trivial", "C2", "S5", "A5", "A5xC2", "S5xC2")
+from .symmetry import NAMED_SUBGROUPS, ColourSymmetry, generate_subgroup, named_subgroup
 
 _CYCLES_RE = re.compile(r"(\s*\(\s*\d+(?:[\s,]+\d+)*\s*\)\s*)+")
 
@@ -71,6 +69,18 @@ def parse_subgroup_spec(text: str) -> frozenset[ColourSymmetry]:
 
 def _colouring_digits(c) -> str:
     return "".join(str(x) for x in c)
+
+
+def _load_colouring(path):
+    """The colouring in a JSON file, or None after a one-line error on stderr."""
+    try:
+        with open(path) as fh:
+            return chroma.colouring_from_json(fh.read())
+    except OSError as exc:
+        print(f"cannot read {path}: {exc}", file=sys.stderr)
+    except ValueError as exc:  # json.JSONDecodeError included
+        print(f"malformed colouring file: {exc}", file=sys.stderr)
+    return None
 
 
 def cmd_verify(args) -> int:
@@ -134,14 +144,8 @@ def cmd_orbits(args, subgroup) -> int:
 
 def cmd_classify(args) -> int:
     model = build_polytope()
-    try:
-        with open(args.infile) as fh:
-            c = chroma.colouring_from_json(fh.read())
-    except OSError as exc:
-        print(f"cannot read {args.infile}: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, json.JSONDecodeError) as exc:
-        print(f"malformed colouring file: {exc}", file=sys.stderr)
+    c = _load_colouring(args.infile)
+    if c is None:
         return 1
 
     if not chroma.is_valid(model, c):
@@ -198,14 +202,8 @@ def cmd_export(args) -> int:
             else compound_mod.compound_to_json(comp)
         )
     else:  # colouring
-        try:
-            with open(args.infile) as fh:
-                c = chroma.colouring_from_json(fh.read())
-        except OSError as exc:
-            print(f"cannot read {args.infile}: {exc}", file=sys.stderr)
-            return 1
-        except (ValueError, json.JSONDecodeError) as exc:
-            print(f"malformed colouring file: {exc}", file=sys.stderr)
+        c = _load_colouring(args.infile)
+        if c is None:
             return 1
         text = chroma.colouring_to_off(model, c) if fmt == "off" else chroma.colouring_to_json(c)
     try:

@@ -11,7 +11,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .polytope import TOL, PolytopeModel, positions
+from .polytope import TOL, PolytopeModel, _fmt, positions
 from . import chroma
 
 TETRA_EDGE = math.sqrt(8.0 / 3.0)
@@ -108,11 +108,10 @@ def classify_colouring(model: PolytopeModel, c) -> tuple[Compound, dict[int, Tet
     Raises ValueError if the colouring is invalid or the classes are not
     the tetrahedra of a single compound.
     """
-    if not chroma.is_valid(model, c):
-        raise ValueError("colouring is not face-rainbow")
+    c = chroma.check_rainbow(model, c)
     classes = {
         colour: tuple(sorted(vs))
-        for colour, vs in chroma.colour_classes(tuple(c)).items()
+        for colour, vs in chroma.colour_classes(c).items()
     }
     class_set = set(classes.values())
     for comp in compounds(model):
@@ -172,19 +171,6 @@ def spread_subsets(model: PolytopeModel) -> SpreadReport:
 # ---------------------------------------------------------------------------
 # serialization
 
-_PALETTE = (
-    (230, 230, 230),
-    (240, 200, 40),
-    (200, 40, 40),
-    (40, 80, 200),
-    (30, 30, 30),
-)
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def compound_to_off(model: PolytopeModel, comp: Compound) -> str:
     """OFF mesh of a compound: 20 vertices, 4 coloured triangles per
     tetrahedron, faces oriented outward from each tetrahedron's centre."""
@@ -194,7 +180,7 @@ def compound_to_off(model: PolytopeModel, comp: Compound) -> str:
         lines.append(" ".join(_fmt(x) for x in v.position))
     for i, tet in enumerate(comp.tetrahedra):
         centre = pos[list(tet)].mean(axis=0)
-        r, g, b = _PALETTE[i]
+        r, g, b = chroma._PALETTE[i]
         for tri in combinations(tet, 3):
             a, bb, cc = tri
             normal = np.cross(pos[bb] - pos[a], pos[cc] - pos[a])

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -76,25 +77,31 @@ def perm_order(p: Perm) -> int:
     return order
 
 
-def close_under_composition(generators) -> frozenset:
-    """Closure of a set of permutations (finite, so inverses come free)."""
+def _closure(generators, identity, product) -> frozenset:
+    """The identity and generators closed under product (finite, so
+    inverses come free)."""
     gens = list(generators)
-    if not gens:
-        return frozenset()
-    n = len(gens[0])
-    group = {identity_perm(n)}
+    group = {identity}
     frontier = [g for g in gens if g not in group]
     group.update(frontier)
     while frontier:
         fresh = []
         for g in frontier:
             for h in gens:
-                for prod in (compose(g, h), compose(h, g)):
+                for prod in (product(g, h), product(h, g)):
                     if prod not in group:
                         group.add(prod)
                         fresh.append(prod)
         frontier = fresh
     return frozenset(group)
+
+
+def close_under_composition(generators) -> frozenset:
+    """Closure of a set of permutations; empty for no generators."""
+    gens = list(generators)
+    if not gens:
+        return frozenset()
+    return _closure(gens, identity_perm(len(gens[0])), compose)
 
 
 # ---------------------------------------------------------------------------
@@ -247,21 +254,9 @@ COLOUR_SWAP = ColourSymmetry((1, 2, 3, 4, 5), -1)
 
 def generate_subgroup(generators) -> frozenset[ColourSymmetry]:
     """Closure of colour symmetries under composition and inverse."""
-    group = {COLOUR_IDENTITY}
-    gens = [g for g in generators]
-    frontier = [g for g in gens if g not in group]
-    group.update(frontier)
-    while frontier:
-        fresh = []
-        for g in frontier:
-            for h in gens:
-                for prod in (g * h, h * g):
-                    if prod not in group:
-                        group.add(prod)
-                        fresh.append(prod)
-        frontier = fresh
+    group = _closure(generators, COLOUR_IDENTITY, operator.mul)
     assert 240 % len(group) == 0
-    return frozenset(group)
+    return group
 
 
 def colour_group() -> frozenset[ColourSymmetry]:
@@ -290,6 +285,7 @@ _SUBGROUP_BUILDERS = {
     ),
     "S5xC2": colour_group,
 }
+NAMED_SUBGROUPS = tuple(_SUBGROUP_BUILDERS)
 
 
 def named_subgroup(name: str) -> frozenset[ColourSymmetry]:

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from pentachrome import chroma
@@ -33,6 +34,7 @@ from pentachrome.chroma import (
     zigzag_trace,
     zigzag_walk,
 )
+from pentachrome.polytope import positions
 from pentachrome.symmetry import (
     COLOUR_IDENTITY,
     COLOUR_SWAP,
@@ -57,6 +59,10 @@ def test_malformed_colourings_rejected(model):
         is_valid(model, (1,) * 19 + (6,))
     with pytest.raises(ValueError):
         is_valid(model, (0,) + (1,) * 19)
+    with pytest.raises(ValueError):
+        is_valid(model, (True,) + (2,) * 19)
+    with pytest.raises(ValueError):
+        is_valid(model, None)
 
 
 def test_seed_colourings_valid(model):
@@ -209,6 +215,20 @@ def test_a5_orbits_are_parity_times_compound(model, colourings):
 
 # ---------------------------------------------------------------------------
 # P1: zigzag traces
+
+def test_turn_table_matches_geometric_rule(model):
+    # README: "left" at w is the outgoing edge with positive component along
+    # (incoming direction x outward normal at w); the table reads it off the
+    # face orientation instead
+    pos = positions(model)
+    table = chroma._turn_table(model)
+    assert set(table) == {(u, w) for u in range(20) for w in model.adjacency[u]}
+    for (u, w), turn in table.items():
+        ref = np.cross(pos[w] - pos[u], pos[w])
+        side = {x: float((pos[x] - pos[w]) @ ref) for x in model.adjacency[w] if x != u}
+        assert side[turn[LEFT]] > 1e-6
+        assert side[turn[RIGHT]] < -1e-6
+
 
 def test_zigzag_walk_closes_after_twelve_edges(model):
     for v in (0, 7, 13):

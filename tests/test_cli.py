@@ -168,9 +168,17 @@ def test_classify_missing_file(capsys, tmp_path):
     assert "absent.json" in err
 
 
-def test_classify_malformed_json(capsys, tmp_path):
+MALFORMED = [
+    "{not json",
+    '{"labelling": "canonical-v1"}',
+    '{"labelling": "canonical-v1", "colours": null}',
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED, ids=["not-json", "no-colours", "null-colours"])
+def test_classify_malformed_json(capsys, tmp_path, text):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
+    path.write_text(text)
     code, _, err = run_cli(capsys, "classify", "--in", str(path))
     assert code == 1
     assert "malformed" in err
@@ -219,6 +227,16 @@ def test_export_colouring_off(capsys, tmp_path, model):
     lines = dst.read_text().splitlines()
     assert lines[0] == "COFF"
     assert lines[1] == "20 12 30"
+
+
+def test_export_colouring_malformed(capsys, tmp_path):
+    src = tmp_path / "in.json"
+    src.write_text(MALFORMED[1])
+    code, _, err = run_cli(capsys, "export", "--what", "colouring", "--format", "json",
+                           "--in", str(src), "--out", str(tmp_path / "out.json"))
+    assert code == 1
+    assert err.startswith("malformed colouring file: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_export_colouring_requires_input(capsys, tmp_path):
