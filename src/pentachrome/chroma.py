@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import permutations
 
 from .polytope import PolytopeModel, _fmt
-from .symmetry import ColourSymmetry
+from .symmetry import COLOUR_IDENTITY, ColourSymmetry, generate_subgroup, perm_parity
 
 Colouring = tuple[int, ...]
 
@@ -245,16 +245,20 @@ def act(g: ColourSymmetry, c: Colouring, model: PolytopeModel) -> Colouring:
     return _act(g, check_rainbow(model, c), model)
 
 
-def _check_subgroup(H) -> list[ColourSymmetry]:
-    elems = sorted(set(H))
-    if ColourSymmetry((1, 2, 3, 4, 5), 1) not in elems:
+def _check_subgroup(H) -> set[ColourSymmetry]:
+    """H as a set, if it is the group its own elements generate.  Each
+    generator, taken greedily, at least doubles the closure: at most 7."""
+    members = set(H)
+    if COLOUR_IDENTITY not in members:
         raise ValueError("subgroup must contain the identity")
-    members = set(elems)
-    for g in elems:
-        for h in elems:
-            if g * h not in members:
+    gens, closure = [], {COLOUR_IDENTITY}
+    for g in sorted(members):
+        if g not in closure:
+            gens.append(g)
+            closure = generate_subgroup(gens)
+            if not closure <= members:
                 raise ValueError("generator set is not closed under composition")
-    return elems
+    return members
 
 
 def orbit_partition(colourings, H, model: PolytopeModel) -> tuple[tuple[Colouring, ...], ...]:
@@ -289,7 +293,7 @@ def orbit_partition(colourings, H, model: PolytopeModel) -> tuple[tuple[Colourin
 
 def stabilizer(c: Colouring, H, model: PolytopeModel) -> list[ColourSymmetry]:
     c = check_rainbow(model, c)
-    return [g for g in sorted(set(H)) if _act(g, c, model) == c]
+    return sorted({g for g in H if _act(g, c, model) == c})
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +357,8 @@ def zigzag_trace(model: PolytopeModel, c: Colouring, v: int, handedness: str) ->
 
     For exactly one handedness (fixed by the chirality class of the
     colouring) this set is the colour class of v.  The set is independent
-    of the outgoing edge, so the walk leaves along the lowest-id neighbour.
+    of the outgoing edge and of the colouring, so the walk leaves along the
+    lowest-id neighbour.
     """
     check_rainbow(model, c)
     walk = zigzag_walk(model, v, min(model.adjacency[v]), handedness)
@@ -385,21 +390,7 @@ def cyclic_order_parity(order) -> int:
     order = tuple(order)
     if sorted(order) != [1, 2, 3, 4, 5]:
         raise ValueError(f"not a colour cycle: {order!r}")
-    canon = canonical_cycle(order)
-    images = tuple(x - 1 for x in canon)
-    swaps = 0
-    seen = [False] * 5
-    for s in range(5):
-        if seen[s]:
-            continue
-        length = 0
-        w = s
-        while not seen[w]:
-            seen[w] = True
-            w = images[w]
-            length += 1
-        swaps += length - 1
-    return 1 if swaps % 2 == 0 else -1
+    return perm_parity(tuple(x - 1 for x in canonical_cycle(order)))
 
 
 def canonical_cycle(order) -> tuple[int, ...]:

@@ -64,9 +64,6 @@ class PolytopeModel:
     icosa_faces: tuple[tuple[int, int, int], ...]
     dual_faces: tuple[int, ...]
 
-    def position(self, v: int) -> tuple[float, float, float]:
-        return self.vertices[v].position
-
 
 def _raw_coordinates() -> np.ndarray:
     """The 20 classical dodecahedron vertices, normalised to the unit sphere."""

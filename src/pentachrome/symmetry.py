@@ -65,8 +65,17 @@ def perm_cycles(p: Perm) -> list[tuple[int, ...]]:
 
 
 def perm_parity(p: Perm) -> int:
-    """+1 for even, -1 for odd, computed from the cycle type."""
-    swaps = sum(len(c) - 1 for c in perm_cycles(p))
+    """+1 for even, -1 for odd: the parity of n minus the number of cycles."""
+    seen = [False] * len(p)
+    swaps = len(p)
+    for v in range(len(p)):
+        if seen[v]:
+            continue
+        swaps -= 1
+        w = v
+        while not seen[w]:
+            seen[w] = True
+            w = p[w]
     return 1 if swaps % 2 == 0 else -1
 
 
@@ -227,9 +236,6 @@ class ColourSymmetry:
             raise ValueError(f"not a colour permutation: {self.perm!r}")
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1: {self.sign!r}")
-
-    def apply(self, colour: int) -> int:
-        return self.perm[colour - 1]
 
     def __mul__(self, other: "ColourSymmetry") -> "ColourSymmetry":
         """self after other."""

@@ -200,6 +200,23 @@ def test_orbit_partition_rejects_non_subgroup(model, colourings):
         orbit_partition(colourings, no_identity, model)
 
 
+@pytest.mark.parametrize("name", ["S5", "A5", "A5xC2", "S5xC2"])
+def test_orbit_partition_rejects_subgroup_minus_one(model, colourings, name):
+    # C2 is left out: C2 minus its swap is the trivial group, a subgroup
+    H = named_subgroup(name)
+    for g in random.Random(name).sample(sorted(H - {COLOUR_IDENTITY}), 3):
+        with pytest.raises(ValueError):
+            orbit_partition(colourings, H - {g}, model)
+
+
+@pytest.mark.parametrize("name", ["C2", "S5", "A5", "A5xC2"])
+def test_orbit_partition_rejects_subgroup_plus_one(model, colourings, name):
+    H = named_subgroup(name)
+    for g in random.Random(name).sample(sorted(colour_group() - H), 3):
+        with pytest.raises(ValueError):
+            orbit_partition(colourings, H | {g}, model)
+
+
 def test_a5_orbits_are_parity_times_compound(model, colourings):
     orbits = orbit_partition(colourings, named_subgroup("A5"), model)
     invariants = []

@@ -1,10 +1,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pentachrome import chroma
 from pentachrome.cli import main, parse_subgroup_spec
-from pentachrome.symmetry import COLOUR_IDENTITY, COLOUR_SWAP
+from pentachrome.symmetry import COLOUR_IDENTITY, COLOUR_SWAP, NAMED_SUBGROUPS
 
 
 def run_cli(capsys, *args):
@@ -37,6 +39,33 @@ def test_parse_rejects_garbage():
     for bad in ("garbage(((", "(1 2)", "(1 6),+1", "(1 1),+1", "(1 2),+2", "(1 2)(2 3),+1"):
         with pytest.raises(ValueError):
             parse_subgroup_spec(bad)
+
+
+# some cycles repeat an entry or leave 1..5, so some specs are malformed
+_CYCLE = st.one_of(
+    st.lists(st.integers(1, 5), min_size=2, max_size=5, unique=True),
+    st.lists(st.integers(0, 6), min_size=1, max_size=3),
+).map(lambda xs: "(" + " ".join(map(str, xs)) + ")")
+_GENERATOR = st.builds(
+    lambda cycles, sign: f"{''.join(cycles) or 'id'},{sign}",
+    st.lists(_CYCLE, max_size=2),
+    st.sampled_from(["+1", "-1", "+2"]),
+)
+_SPEC = st.one_of(
+    st.sampled_from(NAMED_SUBGROUPS),
+    st.lists(_GENERATOR, min_size=1, max_size=3).map("; ".join),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(spec=_SPEC)
+def test_parsed_spec_is_a_subgroup_or_rejected(model, colourings, spec):
+    try:
+        H = parse_subgroup_spec(spec)
+    except ValueError:
+        return
+    orbits = chroma.orbit_partition(colourings, H, model)
+    assert len(orbits) * len(H) == 240
 
 
 # ---------------------------------------------------------------------------
