@@ -185,9 +185,11 @@ def frame_completions(model: PolytopeModel, pole: int, triple) -> tuple[Colourin
 
     first_face = model.faces[model.vertex_faces[0][0]]
     open_vs = sorted(v for v in first_face if not base[v])
-    assert len(open_vs) == 2
+    if len(open_vs) != 2:
+        raise AssertionError(f"frame leaves {len(open_vs)} open vertices on the first face")
     missing = sorted(set(COLOURS) - {base[v] for v in first_face if base[v]})
-    assert len(missing) == 2
+    if len(missing) != 2:
+        raise AssertionError(f"frame leaves {len(missing)} colours for the first face")
 
     results = []
     for pair in (missing, missing[::-1]):
@@ -200,7 +202,8 @@ def frame_completions(model: PolytopeModel, pole: int, triple) -> tuple[Colourin
         if not is_valid(model, done):
             raise PropagationError("propagation produced an invalid colouring")
         results.append(done)
-    assert results[0] != results[1]
+    if results[0] == results[1]:
+        raise AssertionError("both branches of a frame gave the same colouring")
     return results[0], results[1]
 
 
@@ -210,7 +213,8 @@ def enumerate_by_propagation(model: PolytopeModel) -> tuple[Colouring, ...]:
     for pole, triple in colour_frames():
         out.extend(frame_completions(model, pole, triple))
     out.sort()
-    assert len(out) == len(set(out)), "frames produced a duplicate colouring"
+    if len(out) != len(set(out)):
+        raise AssertionError("frames produced a duplicate colouring")
     return tuple(out)
 
 
@@ -225,7 +229,8 @@ def seed_colourings(model: PolytopeModel) -> tuple[Colouring, Colouring]:
     a, b = frame_completions(model, 1, (2, 3, 4))
     if parity_class(model, a) != 1:
         a, b = b, a
-    assert parity_class(model, a) == 1 and parity_class(model, b) == -1
+    if not (parity_class(model, a) == 1 and parity_class(model, b) == -1):
+        raise AssertionError("the seeds do not have opposite parities")
     return a, b
 
 
@@ -348,7 +353,8 @@ def zigzag_walk(model: PolytopeModel, start: int, first: int, handedness: str) -
         i += 1
         if (prev, cur) == (start, first) and (i - 1) % 6 == 0:
             break
-        assert i <= 60, "zigzag walk failed to close"
+        if i > 60:
+            raise AssertionError("zigzag walk failed to close")
     return tuple(seq[:-1])
 
 
@@ -372,7 +378,8 @@ def working_handedness(model: PolytopeModel, c: Colouring) -> str:
         h for h in (LEFT, RIGHT)
         if zigzag_trace(model, c, 0, h) == classes[c[0]]
     ]
-    assert len(hits) == 1, "exactly one handedness must reproduce the class"
+    if len(hits) != 1:
+        raise AssertionError("exactly one handedness must reproduce the class")
     return hits[0]
 
 
@@ -423,7 +430,8 @@ def face_parity_signature(model: PolytopeModel, c: Colouring):
 def parity_class(model: PolytopeModel, c: Colouring) -> int:
     """The shared parity of all 12 face cyclic orders (+1 even, -1 odd)."""
     parities = {p for _, _, p in face_parity_signature(model, c)}
-    assert len(parities) == 1, "face parities are not uniform"
+    if len(parities) != 1:
+        raise AssertionError("face parities are not uniform")
     return parities.pop()
 
 

@@ -9,9 +9,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-import numpy as np
-
-from .polytope import TOL, PolytopeModel, _fmt, positions
+from .polytope import TOL, PolytopeModel, _fmt, centroid, cross, dot, norm, positions, sub
 from . import chroma
 
 TETRA_EDGE = math.sqrt(8.0 / 3.0)
@@ -34,7 +32,7 @@ def is_regular_tetrahedron(model: PolytopeModel, members) -> bool:
     """All six pairwise distances equal the inscribed-tetrahedron edge."""
     pos = positions(model)
     return all(
-        abs(float(np.linalg.norm(pos[a] - pos[b])) - TETRA_EDGE) < TOL
+        abs(norm(sub(pos[a], pos[b])) - TETRA_EDGE) < TOL
         for a, b in combinations(sorted(members), 2)
     )
 
@@ -47,10 +45,10 @@ def inscribed_tetrahedra(model: PolytopeModel) -> tuple[Tetra, ...]:
     among the vertices at tetrahedron-edge distance from it.
     """
     pos = positions(model)
-    far = []
-    for v in range(20):
-        d = np.linalg.norm(pos - pos[v], axis=1)
-        far.append([u for u in range(20) if abs(float(d[u]) - TETRA_EDGE) < TOL])
+    far = [
+        [u for u in range(20) if abs(norm(sub(pos[u], pos[v])) - TETRA_EDGE) < TOL]
+        for v in range(20)
+    ]
     found = set()
     for v in range(20):
         for trio in combinations(far[v], 3):
@@ -60,9 +58,11 @@ def inscribed_tetrahedra(model: PolytopeModel) -> tuple[Tetra, ...]:
             if is_regular_tetrahedron(model, members):
                 found.add(members)
     tets = tuple(sorted(found))
-    assert len(tets) == 10, f"expected 10 tetrahedra, found {len(tets)}"
+    if len(tets) != 10:
+        raise AssertionError(f"expected 10 tetrahedra, found {len(tets)}")
     for v in range(20):
-        assert sum(v in t for t in tets) == 2
+        if sum(v in t for t in tets) != 2:
+            raise AssertionError(f"vertex {v} is not on exactly 2 tetrahedra")
     return tets
 
 
@@ -79,7 +79,8 @@ def compounds(model: PolytopeModel) -> tuple[Compound, Compound]:
 
     def extend(chosen: list[Tetra], covered: frozenset[int]) -> None:
         if len(chosen) == 5:
-            assert covered == frozenset(range(20))
+            if covered != frozenset(range(20)):
+                raise AssertionError("five disjoint tetrahedra miss a vertex")
             partitions.append(tuple(sorted(chosen)))
             return
         v = min(set(range(20)) - covered)
@@ -140,15 +141,14 @@ def spread_subsets(model: PolytopeModel) -> SpreadReport:
     """
     pos = positions(model)
     threshold = TETRA_EDGE - TOL
-    dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
-    ok = dist >= threshold
+    ok = [[norm(sub(p, q)) >= threshold for q in pos] for p in pos]
 
     survivors = []
     checked = 0
     for quad in combinations(range(20), 4):
         checked += 1
         a, b, c, d = quad
-        if ok[a, b] and ok[a, c] and ok[a, d] and ok[b, c] and ok[b, d] and ok[c, d]:
+        if ok[a][b] and ok[a][c] and ok[a][d] and ok[b][c] and ok[b][d] and ok[c][d]:
             survivors.append(quad)
 
     extension = False
@@ -156,7 +156,7 @@ def spread_subsets(model: PolytopeModel) -> SpreadReport:
         for e in range(20):
             if e in quad:
                 continue
-            if all(ok[e, v] for v in quad):
+            if all(ok[e][v] for v in quad):
                 extension = True
 
     return SpreadReport(
@@ -179,12 +179,12 @@ def compound_to_off(model: PolytopeModel, comp: Compound) -> str:
     for v in model.vertices:
         lines.append(" ".join(_fmt(x) for x in v.position))
     for i, tet in enumerate(comp.tetrahedra):
-        centre = pos[list(tet)].mean(axis=0)
+        centre = centroid([pos[v] for v in tet])
         r, g, b = chroma._PALETTE[i]
         for tri in combinations(tet, 3):
             a, bb, cc = tri
-            normal = np.cross(pos[bb] - pos[a], pos[cc] - pos[a])
-            if float(normal @ (pos[a] - centre)) < 0.0:
+            normal = cross(sub(pos[bb], pos[a]), sub(pos[cc], pos[a]))
+            if dot(normal, sub(pos[a], centre)) < 0.0:
                 tri = (a, cc, bb)
             lines.append("3 " + " ".join(str(v) for v in tri) + f" {r} {g} {b}")
     return "\n".join(lines) + "\n"

@@ -18,8 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from fractions import Fraction
 
 TOL = 1e-9
 
@@ -65,7 +64,64 @@ class PolytopeModel:
     dual_faces: tuple[int, ...]
 
 
-def _raw_coordinates() -> np.ndarray:
+# ---------------------------------------------------------------------------
+# geometry on 3-tuples of floats
+
+Vec = tuple[float, float, float]
+Mat = tuple[Vec, Vec, Vec]  # rows
+
+
+def dot(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def cross(a, b) -> Vec:
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def add(a, b) -> Vec:
+    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+
+
+def sub(a, b) -> Vec:
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def norm(a) -> float:
+    return math.sqrt(dot(a, a))
+
+
+def centroid(points) -> Vec:
+    xs, ys, zs = zip(*points)
+    n = len(xs)
+    return (sum(xs) / n, sum(ys) / n, sum(zs) / n)
+
+
+def det3(m) -> float:
+    return dot(m[0], cross(m[1], m[2]))
+
+
+def inv3(m) -> Mat:
+    """Inverse of a 3x3 matrix: the adjugate's columns are the row cross
+    products."""
+    d = det3(m)
+    cols = (cross(m[1], m[2]), cross(m[2], m[0]), cross(m[0], m[1]))
+    return tuple(tuple(c[i] / d for c in cols) for i in range(3))
+
+
+def fma(a: float, b: float, c: float) -> float:
+    """a * b + c with a single rounding (exact rational, then rounded)."""
+    return float(Fraction(a) * Fraction(b) + Fraction(c))
+
+
+# ---------------------------------------------------------------------------
+# the canonical embedding
+
+def _raw_coordinates() -> tuple[Vec, ...]:
     """The 20 classical dodecahedron vertices, normalised to the unit sphere."""
     p = _PHI
     q = 1.0 / _PHI
@@ -79,34 +135,49 @@ def _raw_coordinates() -> np.ndarray:
             pts.append((0.0, sa * q, sb * p))
             pts.append((sa * q, sb * p, 0.0))
             pts.append((sb * p, 0.0, sa * q))
-    arr = np.array(pts, dtype=float)
-    assert arr.shape == (20, 3)
-    return arr / math.sqrt(3.0)
+    s = math.sqrt(3.0)
+    return tuple((x / s, y / s, z / s) for x, y, z in pts)
 
 
-def _pole_rotation() -> np.ndarray:
-    """Rotation taking (1,1,1)/sqrt(3) onto (0,0,1) along the shortest arc."""
-    u = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
-    v = np.array([0.0, 0.0, 1.0])
-    w = np.cross(u, v)
-    c = float(u @ v)
-    k = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
-    r = np.eye(3) + k + (k @ k) * ((1.0 - c) / float(w @ w))
-    assert np.allclose(r @ r.T, np.eye(3), atol=TOL)
-    assert np.allclose(r @ u, v, atol=TOL)
+def _pole_rotation() -> Mat:
+    """Rotation taking (1,1,1)/sqrt(3) onto (0,0,1) along the shortest arc:
+    I + K + K^2 (1 - u.v) / |w|^2, with K the cross-product matrix of w = u x v."""
+    s = math.sqrt(3.0)
+    u = (1.0 / s, 1.0 / s, 1.0 / s)
+    w = cross(u, (0.0, 0.0, 1.0))
+    k = ((0.0, -w[2], w[1]), (w[2], 0.0, -w[0]), (-w[1], w[0], 0.0))
+    f = (1.0 - u[2]) / dot(w, w)
+    r = tuple(
+        tuple(
+            (1.0 if i == j else 0.0) + k[i][j] + dot(k[i], (k[0][j], k[1][j], k[2][j])) * f
+            for j in range(3)
+        )
+        for i in range(3)
+    )
+    if any(abs(dot(r[i], r[j]) - (i == j)) >= TOL for i in range(3) for j in range(3)):
+        raise AssertionError("pole rotation is not orthogonal")
+    if norm(sub(tuple(dot(row, u) for row in r), (0.0, 0.0, 1.0))) >= TOL:
+        raise AssertionError("pole rotation misses the north pole")
     return r
 
 
-def _band_partition(pos: np.ndarray) -> list[list[int]]:
+def _rotate(r: Mat, p: Vec) -> Vec:
+    """r applied to p, each coordinate as the fused chain
+    fma(p2, r2, fma(p1, r1, p0 * r0)): this rounding fixes the exported bytes."""
+    return tuple(fma(p[2], row[2], fma(p[1], row[1], p[0] * row[0])) for row in r)
+
+
+def _band_partition(pos) -> list[list[int]]:
     """Group vertex indices into latitude bands, top to bottom."""
-    order = sorted(range(20), key=lambda i: -pos[i, 2])
+    order = sorted(range(20), key=lambda i: -pos[i][2])
     bands: list[list[int]] = [[order[0]]]
     for i in order[1:]:
-        if abs(pos[i, 2] - pos[bands[-1][0], 2]) < 1e-6:
+        if abs(pos[i][2] - pos[bands[-1][0]][2]) < 1e-6:
             bands[-1].append(i)
         else:
             bands.append([i])
-    assert [len(b) for b in bands] == list(BAND_SIZES), "latitude bands malformed"
+    if [len(b) for b in bands] != list(BAND_SIZES):
+        raise AssertionError("latitude bands malformed")
     return bands
 
 
@@ -140,18 +211,17 @@ def _face_cycles(adj: list[set[int]]) -> list[tuple[int, ...]]:
     return sorted(found)
 
 
-def _orient_outward(cycle: tuple[int, ...], pos: np.ndarray) -> tuple[int, ...]:
+def _orient_outward(cycle: tuple[int, ...], pos) -> tuple[int, ...]:
     """Orient a face cycle counterclockwise as seen from outside the sphere."""
-    pts = pos[list(cycle)]
-    normal = np.zeros(3)
+    pts = [pos[v] for v in cycle]
+    normal = (0.0, 0.0, 0.0)
     for i in range(5):
-        normal += np.cross(pts[i], pts[(i + 1) % 5])
-    centre = pts.mean(axis=0)
+        normal = add(normal, cross(pts[i], pts[(i + 1) % 5]))
     # coplanarity: all vertices at the same offset along the face normal
-    unit = normal / np.linalg.norm(normal)
-    offsets = pts @ unit
-    assert offsets.max() - offsets.min() < TOL, "face vertices not coplanar"
-    if float(normal @ centre) < 0.0:
+    offsets = [dot(p, normal) / norm(normal) for p in pts]
+    if max(offsets) - min(offsets) >= TOL:
+        raise AssertionError("face vertices not coplanar")
+    if dot(normal, centroid(pts)) < 0.0:
         cycle = (cycle[0],) + tuple(reversed(cycle[1:]))
     return cycle
 
@@ -162,9 +232,10 @@ def build_polytope() -> PolytopeModel:
     Deterministic: every call yields identical data.  Any internal
     inconsistency raises rather than returning a partial model.
     """
-    pos = _raw_coordinates() @ _pole_rotation().T
-    norms = np.linalg.norm(pos, axis=1)
-    assert np.all(np.abs(norms - 1.0) < TOL), "vertices not on the unit sphere"
+    r = _pole_rotation()
+    pos = [_rotate(r, p) for p in _raw_coordinates()]
+    if not all(abs(norm(p) - 1.0) < TOL for p in pos):
+        raise AssertionError("vertices not on the unit sphere")
 
     bands = _band_partition(pos)
     ids_in_order: list[int] = []
@@ -173,49 +244,56 @@ def build_polytope() -> PolytopeModel:
         raw_ids.sort(key=lambda i: _azimuth(pos[i]))
         ids_in_order.extend(raw_ids)
         latitudes.extend([band] * len(raw_ids))
-    pos = pos[ids_in_order]
-    assert np.linalg.norm(pos[0] - np.array([0.0, 0.0, 1.0])) < TOL
+    pos = [pos[i] for i in ids_in_order]
+    if norm(sub(pos[0], (0.0, 0.0, 1.0))) >= TOL:
+        raise AssertionError("vertex 0 is not the north pole")
 
-    vertices = tuple(
-        Vertex(i, (float(pos[i, 0]), float(pos[i, 1]), float(pos[i, 2])), latitudes[i])
-        for i in range(20)
-    )
+    vertices = tuple(Vertex(i, pos[i], latitudes[i]) for i in range(20))
 
     # adjacency: the 3 vertices at minimal distance
-    d2 = np.sum((pos[:, None, :] - pos[None, :, :]) ** 2, axis=2)
-    np.fill_diagonal(d2, np.inf)
-    edge2 = d2.min()
-    adj = [set(np.flatnonzero(d2[v] < edge2 + TOL).tolist()) for v in range(20)]
-    assert all(len(a) == 3 for a in adj), "graph is not 3-regular"
+    d2 = [[dot(sub(p, q), sub(p, q)) for q in pos] for p in pos]
+    edge2 = min(d2[v][u] for v in range(20) for u in range(20) if u != v)
+    adj = [{u for u in range(20) if u != v and d2[v][u] < edge2 + TOL} for v in range(20)]
+    if not all(len(a) == 3 for a in adj):
+        raise AssertionError("graph is not 3-regular")
     edges = tuple(sorted((v, u) for v in range(20) for u in adj[v] if v < u))
-    assert len(edges) == 30
+    if len(edges) != 30:
+        raise AssertionError(f"expected 30 edges, found {len(edges)}")
 
     cycles = _face_cycles(adj)
-    assert len(cycles) == 12, f"expected 12 pentagonal faces, found {len(cycles)}"
+    if len(cycles) != 12:
+        raise AssertionError(f"expected 12 pentagonal faces, found {len(cycles)}")
     faces = tuple(sorted(_orient_outward(c, pos) for c in cycles))
 
     # every directed edge appears in exactly one oriented face, so the two
     # faces sharing an edge traverse it in opposite directions
     directed = [(f[i], f[(i + 1) % 5]) for f in faces for i in range(5)]
-    assert len(directed) == len(set(directed)) == 60
-    assert set(directed) == {(u, v) for u, v in edges} | {(v, u) for u, v in edges}
+    if not (
+        len(directed) == len(set(directed)) == 60
+        and set(directed) == {(u, v) for u, v in edges} | {(v, u) for u, v in edges}
+    ):
+        raise AssertionError("faces do not traverse each edge once in each direction")
 
     antipode = []
     for v in range(20):
-        m = np.flatnonzero(np.linalg.norm(pos + pos[v], axis=1) < TOL)
-        assert m.size == 1, "antipodal vertex not found"
-        antipode.append(int(m[0]))
-    assert all(antipode[antipode[v]] == v and antipode[v] != v for v in range(20))
+        m = [u for u in range(20) if norm(add(pos[u], pos[v])) < TOL]
+        if len(m) != 1:
+            raise AssertionError("antipodal vertex not found")
+        antipode.append(m[0])
+    if not all(antipode[antipode[v]] == v and antipode[v] != v for v in range(20)):
+        raise AssertionError("antipode is not a fixed-point-free involution")
 
     vf: list[list[int]] = [[] for _ in range(20)]
     for fid, f in enumerate(faces):
         for v in f:
             vf[v].append(fid)
-    assert all(len(x) == 3 for x in vf)
+    if not all(len(x) == 3 for x in vf):
+        raise AssertionError("a vertex does not lie on exactly 3 faces")
     vertex_faces = tuple(tuple(sorted(x)) for x in vf)
 
     icosa_faces = tuple(sorted(vertex_faces))
-    assert len(set(icosa_faces)) == 20
+    if len(set(icosa_faces)) != 20:
+        raise AssertionError("two vertices share their face triple")
     by_triple = {t: v for v, t in enumerate(vertex_faces)}
     dual_faces = tuple(by_triple[t] for t in icosa_faces)
 
@@ -231,8 +309,8 @@ def build_polytope() -> PolytopeModel:
     )
 
 
-def positions(model: PolytopeModel) -> np.ndarray:
-    return np.array([v.position for v in model.vertices])
+def positions(model: PolytopeModel) -> tuple[Vec, ...]:
+    return tuple(v.position for v in model.vertices)
 
 
 def _check_vertex_id(v: int) -> None:
@@ -256,7 +334,7 @@ def distance_spectrum(model: PolytopeModel) -> tuple[tuple[float, int], ...]:
     groups: list[list] = []
     for i in range(20):
         for j in range(i + 1, 20):
-            d = float(np.linalg.norm(pos[i] - pos[j]))
+            d = norm(sub(pos[i], pos[j]))
             for g in groups:
                 if abs(g[0] - d) <= TOL:
                     g[1] += 1

@@ -17,9 +17,9 @@ import operator
 from dataclasses import dataclass
 from itertools import permutations
 
-import numpy as np
-
-from .polytope import TOL, PolytopeModel, positions
+from .polytope import (
+    TOL, Mat, PolytopeModel, centroid, det3, dot, inv3, norm, positions, sub,
+)
 
 Perm = tuple[int, ...]
 
@@ -116,11 +116,15 @@ def close_under_composition(generators) -> frozenset:
 # ---------------------------------------------------------------------------
 # rotations of the dodecahedron
 
-def _axis_rotation(axis, angle: float) -> np.ndarray:
-    a = np.asarray(axis, dtype=float)
-    a = a / np.linalg.norm(a)
-    k = np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
-    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
+def _axis_rotation(axis, angle: float) -> Mat:
+    """Rodrigues: cos I + sin K + (1 - cos) a a^T for the unit axis a."""
+    a = tuple(float(x) / norm(axis) for x in axis)
+    c, s = math.cos(angle), math.sin(angle)
+    k = ((0.0, -a[2], a[1]), (a[2], 0.0, -a[0]), (-a[1], a[0], 0.0))
+    return tuple(
+        tuple((c if i == j else 0.0) + s * k[i][j] + (1.0 - c) * a[i] * a[j] for j in range(3))
+        for i in range(3)
+    )
 
 
 def rotation_permutation(model: PolytopeModel, axis, angle: float) -> Perm:
@@ -130,11 +134,12 @@ def rotation_permutation(model: PolytopeModel, axis, angle: float) -> Perm:
     tolerance (i.e. the rotation is not a symmetry).
     """
     pos = positions(model)
-    rotated = pos @ _axis_rotation(axis, angle).T
+    r = _axis_rotation(axis, angle)
     images = []
-    for v in range(20):
-        d = np.linalg.norm(pos - rotated[v], axis=1)
-        w = int(np.argmin(d))
+    for p in pos:
+        rotated = tuple(dot(row, p) for row in r)
+        d = [norm(sub(q, rotated)) for q in pos]
+        w = min(range(20), key=d.__getitem__)
         if d[w] >= TOL:
             raise ValueError("rotation is not a symmetry of the vertex set")
         images.append(w)
@@ -152,10 +157,11 @@ def rotation_group(model: PolytopeModel) -> tuple[Perm, ...]:
     """
     r3 = rotation_permutation(model, (0.0, 0.0, 1.0), 2.0 * math.pi / 3.0)
     face = model.faces[model.vertex_faces[0][0]]
-    centre = positions(model)[list(face)].mean(axis=0)
+    centre = centroid([model.vertices[v].position for v in face])
     r5 = rotation_permutation(model, centre, 2.0 * math.pi / 5.0)
     group = close_under_composition([r3, r5])
-    assert len(group) == 60, f"rotation group has {len(group)} elements"
+    if len(group) != 60:
+        raise AssertionError(f"rotation group has {len(group)} elements")
     return tuple(sorted(group))
 
 
@@ -165,31 +171,39 @@ def full_group(model: PolytopeModel) -> tuple[Perm, ...]:
     inv = model.antipode
     mirrored = [compose(inv, g) for g in rot]
     group = set(rot) | set(mirrored)
-    assert len(group) == 120, f"full group has {len(group)} elements"
+    if len(group) != 120:
+        raise AssertionError(f"full group has {len(group)} elements")
     return tuple(sorted(group))
 
 
-def realization_matrix(model: PolytopeModel, p: Perm) -> np.ndarray:
-    """The orthogonal 3x3 matrix taking every vertex position to its image.
+def realization_matrix(model: PolytopeModel, p: Perm) -> Mat:
+    """The orthogonal 3x3 matrix (rows) taking every vertex position to its image.
 
-    Raises if p is not induced by a linear isometry of the coordinates.
+    It maps the basis of vertices 0, 1, 4 onto their images, so it is
+    image @ inv(base) with those vertices as the columns.  Raises if p is not
+    induced by a linear isometry of the coordinates.
     """
     pos = positions(model)
-    base = pos[[0, 1, 4]].T
-    assert abs(np.linalg.det(base)) > TOL
-    image = pos[[p[0], p[1], p[4]]].T
-    mat = image @ np.linalg.inv(base)
-    if not np.allclose(mat @ mat.T, np.eye(3), atol=1e-8):
+    base = tuple(zip(pos[0], pos[1], pos[4]))
+    if abs(det3(base)) <= TOL:
+        raise AssertionError("vertices 0, 1, 4 are not a basis")
+    image = tuple(zip(pos[p[0]], pos[p[1]], pos[p[4]]))
+    cols = tuple(zip(*inv3(base)))
+    mat = tuple(tuple(dot(row, col) for col in cols) for row in image)
+    if any(abs(dot(mat[i], mat[j]) - (i == j)) > 1e-8 for i in range(3) for j in range(3)):
         raise ValueError("permutation is not realized by an orthogonal map")
-    if not np.allclose(pos @ mat.T, pos[list(p)], atol=1e-8):
-        raise ValueError("matrix does not map all vertices to their images")
+    for v in range(20):
+        mapped = tuple(dot(row, pos[v]) for row in mat)
+        if max(abs(x) for x in sub(mapped, pos[p[v]])) > 1e-8:
+            raise ValueError("matrix does not map all vertices to their images")
     return mat
 
 
 def spatial_determinant(model: PolytopeModel, p: Perm) -> int:
     """+1 for rotations, -1 for orientation-reversing symmetries."""
-    det = float(np.linalg.det(realization_matrix(model, p)))
-    assert abs(abs(det) - 1.0) < 1e-8
+    det = det3(realization_matrix(model, p))
+    if abs(abs(det) - 1.0) >= 1e-8:
+        raise AssertionError(f"determinant {det} is not +-1")
     return 1 if det > 0 else -1
 
 
@@ -208,7 +222,8 @@ def tetra_action(model: PolytopeModel, g: Perm, tetrahedra) -> Perm:
             raise ValueError("symmetry does not stabilize the compound")
         images.append(tets.index(img))
     p = tuple(images)
-    assert is_permutation(p, 5)
+    if not is_permutation(p, 5):
+        raise AssertionError("tetrahedra images are not a permutation")
     return p
 
 
@@ -261,7 +276,8 @@ COLOUR_SWAP = ColourSymmetry((1, 2, 3, 4, 5), -1)
 def generate_subgroup(generators) -> frozenset[ColourSymmetry]:
     """Closure of colour symmetries under composition and inverse."""
     group = _closure(generators, COLOUR_IDENTITY, operator.mul)
-    assert 240 % len(group) == 0
+    if 240 % len(group):
+        raise AssertionError(f"group order {len(group)} does not divide 240")
     return group
 
 

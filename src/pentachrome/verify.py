@@ -2,8 +2,9 @@
 
 Each check re-measures a fact about the built model or the enumerated
 colourings and reports the measured value, so a failure names exactly what
-broke.  The whole battery takes about 0.26 s (0.25-0.28 s in-process on
-a 2-CPU container, Python 3.11).
+broke.  The whole battery takes about 0.26 s in-process (medians of 15
+runs 0.23-0.31 s on a 2-CPU container, Python 3.11); a fresh
+`pentachrome verify` process takes about 0.45 s.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import chroma, symmetry
 from . import compound as compound_mod
 from .polytope import (
@@ -22,10 +21,13 @@ from .polytope import (
     BANDS,
     TOL,
     PolytopeModel,
+    add,
     distance_spectrum,
     model_to_json,
     model_to_off,
+    norm,
     positions,
+    sub,
 )
 
 
@@ -58,13 +60,13 @@ def _polytope_checks(model: PolytopeModel) -> list[Check]:
     ) and all(len(set(f)) == 5 for f in model.faces)
     out.append(Check("faces are 5-cycles in the edge set", face_cycles_ok, ""))
 
-    norms = np.linalg.norm(pos, axis=1)
+    radial = [abs(norm(p) - 1.0) for p in pos]
     out.append(Check(
         "vertices on the unit sphere",
-        bool(np.all(np.abs(norms - 1.0) < TOL)),
-        f"max |r-1| = {float(np.max(np.abs(norms - 1.0))):.2e}",
+        max(radial) < TOL,
+        f"max |r-1| = {max(radial):.2e}",
     ))
-    d0 = float(np.linalg.norm(pos[0] - np.array([0.0, 0.0, 1.0])))
+    d0 = norm(sub(pos[0], (0.0, 0.0, 1.0)))
     out.append(Check("vertex 0 at the north pole", d0 < TOL, f"offset {d0:.2e}"))
 
     sizes = Counter(v.latitude for v in model.vertices)
@@ -72,7 +74,7 @@ def _polytope_checks(model: PolytopeModel) -> list[Check]:
     out.append(Check("latitude band sizes", got == BAND_SIZES, f"{got}"))
 
     anti_ok = all(
-        np.linalg.norm(pos[model.antipode[v]] + pos[v]) < TOL
+        norm(add(pos[model.antipode[v]], pos[v])) < TOL
         and model.antipode[model.antipode[v]] == v
         and model.antipode[v] != v
         for v in range(20)
@@ -85,7 +87,7 @@ def _polytope_checks(model: PolytopeModel) -> list[Check]:
     bands_ok = all(band_of[model.antipode[v]] == swap[band_of[v]] for v in range(20))
     out.append(Check("antipode exchanges bands (C3=-C2, C4=-C1)", bands_ok, ""))
 
-    anti_dist = [float(np.linalg.norm(pos[v] - pos[model.antipode[v]])) for v in range(20)]
+    anti_dist = [norm(sub(pos[v], pos[model.antipode[v]])) for v in range(20)]
     out.append(Check(
         "antipodal distance 2",
         all(abs(d - 2.0) < TOL for d in anti_dist),
@@ -256,7 +258,7 @@ def _compound_checks(model: PolytopeModel, all_c) -> list[Check]:
     spectrum = distance_spectrum(model)
     pos = positions(model)
     common = {
-        round(float(np.linalg.norm(pos[a] - pos[b])), 9)
+        round(norm(sub(pos[a], pos[b])), 9)
         for t in tets for a in t for b in t if a < b
     }
     out.append(Check(

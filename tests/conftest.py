@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import pentachrome
 from pentachrome import chroma, symmetry
 from pentachrome.polytope import build_polytope
 
@@ -22,3 +29,19 @@ def rotations(model):
 @pytest.fixture(scope="session")
 def full_symmetries(model):
     return symmetry.full_group(model)
+
+
+@pytest.fixture(scope="session")
+def run_python():
+    """Run code in a fresh interpreter that imports this copy of pentachrome."""
+    src = str(Path(pentachrome.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def run(code, *args, flags=()):
+        return subprocess.run(
+            [sys.executable, *flags, "-c", textwrap.dedent(code), *args],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    return run

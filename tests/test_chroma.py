@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pentachrome import chroma
 from pentachrome import compound as compound_mod
@@ -151,6 +153,16 @@ def test_act_is_an_action(model, colourings):
         assert act(g, act(h, c, model), model) == act(g * h, c, model)
 
 
+_G = sorted(colour_group())
+
+
+@settings(max_examples=50, deadline=None)
+@given(g=st.sampled_from(_G), h=st.sampled_from(_G), i=st.integers(0, 239))
+def test_act_is_a_homomorphism(model, colourings, g, h, i):
+    c = colourings[i]
+    assert act(g * h, c, model) == act(g, act(h, c, model), model)
+
+
 def test_act_preserves_validity(model, colourings):
     rng = random.Random(3)
     pool = sorted(colour_group())
@@ -237,7 +249,7 @@ def test_turn_table_matches_geometric_rule(model):
     # README: "left" at w is the outgoing edge with positive component along
     # (incoming direction x outward normal at w); the table reads it off the
     # face orientation instead
-    pos = positions(model)
+    pos = np.array(positions(model))
     table = chroma._turn_table(model)
     assert set(table) == {(u, w) for u in range(20) for w in model.adjacency[u]}
     for (u, w), turn in table.items():

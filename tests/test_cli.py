@@ -286,3 +286,23 @@ def test_unknown_command_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# start-up cost
+
+def test_cli_runs_without_numpy(run_python, tmp_path):
+    proc = run_python("""
+        import sys
+
+        from pentachrome.cli import main
+
+        out = sys.argv[1]
+        if main(["verify"]) != 0:
+            raise SystemExit("verify failed")
+        if main(["export", "--what", "compound-A", "--format", "off", "--out", out]) != 0:
+            raise SystemExit("export failed")
+        print("numpy imported:", "numpy" in sys.modules)
+    """, str(tmp_path / "compound-A.off"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "numpy imported: False"

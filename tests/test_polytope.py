@@ -10,9 +10,11 @@ from pentachrome.polytope import (
     BAND_SIZES,
     BANDS,
     TOL,
+    _raw_coordinates,
     build_polytope,
     distance_spectrum,
     dual_face_of,
+    fma,
     model_to_json,
     model_to_off,
     neighbours,
@@ -92,7 +94,7 @@ def test_each_edge_on_two_faces_opposite_senses(model):
 
 
 def test_faces_counterclockwise_from_outside(model):
-    pos = positions(model)
+    pos = np.array(positions(model))
     for f in model.faces:
         pts = pos[list(f)]
         normal = sum(np.cross(pts[i], pts[(i + 1) % 5]) for i in range(5))
@@ -100,7 +102,7 @@ def test_faces_counterclockwise_from_outside(model):
 
 
 def test_antipode_structure(model):
-    pos = positions(model)
+    pos = np.array(positions(model))
     for v in range(20):
         a = model.antipode[v]
         assert a != v
@@ -201,3 +203,47 @@ def test_json_round_trip(model):
     assert [tuple(f) for f in doc["faces"]] == list(model.faces)
     assert tuple(doc["antipode"]) == model.antipode
     assert model_to_json(model) == model_to_json(build_polytope())
+
+
+# ---------------------------------------------------------------------------
+# the pure-Python geometry against numpy
+
+def test_positions_match_numpy_rotation(model):
+    # the pole rotation rebuilt with numpy (Rodrigues on u x v) and applied
+    # to the raw coordinates as one matrix product
+    u = np.ones(3) / math.sqrt(3.0)
+    w = np.cross(u, [0.0, 0.0, 1.0])
+    k = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
+    r = np.eye(3) + k + (k @ k) * ((1.0 - u[2]) / float(w @ w))
+    rotated = np.array(_raw_coordinates()) @ r.T
+    pos = np.array(positions(model))
+    match = [int(np.argmin(np.linalg.norm(rotated - p, axis=1))) for p in pos]
+    assert sorted(match) == list(range(20))
+    assert np.abs(rotated[match] - pos).max() <= 1e-15
+
+
+def test_fma_rounds_once():
+    a = 1.0 + 2.0**-27
+    c = -(1.0 + 2.0**-26)
+    assert a * a + c == 0.0  # a*a = 1 + 2**-26 + 2**-54 loses its last term
+    assert fma(a, a, c) == 2.0**-54
+
+
+def test_invariant_checks_survive_python_O(run_python):
+    # under -O a bare assert would let a vertex off the sphere through
+    proc = run_python("""
+        from pentachrome import polytope
+
+        if __debug__:
+            raise SystemExit("not running under -O")
+        raw = polytope._raw_coordinates()
+        polytope._raw_coordinates = lambda: (tuple(1.01 * x for x in raw[0]),) + raw[1:]
+        try:
+            polytope.build_polytope()
+        except AssertionError as exc:
+            print(exc)
+        else:
+            raise SystemExit("build_polytope accepted a vertex off the sphere")
+    """, flags=["-O"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "vertices not on the unit sphere"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pentachrome import compound as compound_mod
+from pentachrome.polytope import positions
 from pentachrome.symmetry import (
     COLOUR_IDENTITY,
     COLOUR_SWAP,
@@ -158,8 +159,16 @@ def test_realization_matrix_is_orthogonal(model, rotations):
     import numpy as np
 
     for p in list(rotations)[:10]:
-        mat = realization_matrix(model, p)
+        mat = np.array(realization_matrix(model, p))
         assert np.allclose(mat @ mat.T, np.eye(3), atol=1e-9)
+
+
+def test_realization_matrix_matches_numpy(model, full_symmetries):
+    pos = np.array(positions(model))
+    inv_base = np.linalg.inv(pos[[0, 1, 4]].T)
+    for p in full_symmetries:
+        want = pos[[p[0], p[1], p[4]]].T @ inv_base
+        assert np.abs(np.array(realization_matrix(model, p)) - want).max() <= 1e-12
 
 
 def test_tetra_action_identity(model):
