@@ -12,10 +12,9 @@ forces everything else.  The two must produce identical sets.
 from __future__ import annotations
 
 import json
-from functools import lru_cache
 from itertools import permutations
 
-from .polytope import PolytopeModel, _fmt
+from .polytope import PolytopeModel, _check_id, _fmt
 from .symmetry import COLOUR_IDENTITY, ColourSymmetry, generate_subgroup, perm_parity
 
 Colouring = tuple[int, ...]
@@ -304,31 +303,6 @@ def stabilizer(c: Colouring, H, model: PolytopeModel) -> list[ColourSymmetry]:
 # ---------------------------------------------------------------------------
 # zigzag walks (property P1)
 
-@lru_cache(maxsize=4)
-def _turn_table(model: PolytopeModel) -> dict:
-    """For each directed edge (u, w): the left and right outgoing edges at w.
-
-    Left is the candidate whose direction has positive component along
-    (incoming direction x outward normal at w).  Faces run counterclockwise
-    seen from outside, so that is read off the orientation alone: on the
-    face that traverses u -> w -> x, right is x and left is w's third
-    neighbour.  Each directed edge lies on exactly one oriented face.
-    """
-    table = {}
-    for f in model.faces:
-        for i in range(5):
-            u, w, x = f[i - 2], f[i - 1], f[i]
-            (left,) = set(model.adjacency[w]) - {u, x}
-            table[(u, w)] = {LEFT: left, RIGHT: x}
-    return table
-
-
-def _check_handedness(handedness: str) -> str:
-    if handedness not in (LEFT, RIGHT):
-        raise ValueError(f"handedness must be 'left' or 'right': {handedness!r}")
-    return handedness
-
-
 def zigzag_walk(model: PolytopeModel, start: int, first: int, handedness: str) -> tuple[int, ...]:
     """The closed zigzag walk from ``start`` leaving along the edge to ``first``.
 
@@ -337,17 +311,19 @@ def zigzag_walk(model: PolytopeModel, start: int, first: int, handedness: str) -
     sides, which closes the walk after 12 edges.  Returns the vertex
     sequence with both endpoints equal to ``start``.
     """
-    handedness = _check_handedness(handedness)
-    other = RIGHT if handedness == LEFT else LEFT
-    word = (handedness, other, handedness, handedness, other, other)
-    table = _turn_table(model)
+    _check_id(start, 20, "vertex")
+    _check_id(first, 20, "vertex")
     if first not in model.adjacency[start]:
         raise ValueError(f"{first} is not a neighbour of {start}")
+    if handedness not in (LEFT, RIGHT):
+        raise ValueError(f"handedness must be 'left' or 'right': {handedness!r}")
+    side = (LEFT, RIGHT).index(handedness)  # into model.turns' (left, right) pairs
+    word = (side, 1 - side, side, side, 1 - side, 1 - side)
     seq = [start, first]
     prev, cur = start, first
     i = 1
     while True:
-        nxt = table[(prev, cur)][word[(i - 1) % 6]]
+        nxt = model.turns[prev][cur][word[(i - 1) % 6]]
         seq.append(nxt)
         prev, cur = cur, nxt
         i += 1
@@ -367,6 +343,7 @@ def zigzag_trace(model: PolytopeModel, c: Colouring, v: int, handedness: str) ->
     lowest-id neighbour.
     """
     check_rainbow(model, c)
+    _check_id(v, 20, "vertex")
     walk = zigzag_walk(model, v, min(model.adjacency[v]), handedness)
     return frozenset(walk[::3])
 
@@ -437,11 +414,8 @@ def parity_class(model: PolytopeModel, c: Colouring) -> int:
 
 def opposite_face(model: PolytopeModel, fid: int) -> int:
     """The face antipodal to fid."""
-    target = frozenset(model.antipode[v] for v in model.faces[fid])
-    for gid, g in enumerate(model.faces):
-        if frozenset(g) == target:
-            return gid
-    raise AssertionError("no antipodal face found")
+    _check_id(fid, 12, "face")
+    return model.opposite_faces[fid]
 
 
 def antipodal_rule_holds(model: PolytopeModel, c: Colouring) -> bool:
@@ -467,7 +441,10 @@ def colouring_to_json(c: Colouring) -> str:
 
 
 def colouring_from_json(text: str) -> Colouring:
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("colouring document is nested too deeply") from None
     if not isinstance(doc, dict) or doc.get("labelling") != LABELLING:
         raise ValueError(f"expected a colouring document with labelling {LABELLING!r}")
     return check_colouring(doc.get("colours"))

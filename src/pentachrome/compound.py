@@ -6,15 +6,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
-from .polytope import TOL, PolytopeModel, _fmt, centroid, cross, dot, norm, positions, sub
+from .polytope import TOL, PolytopeModel, Tetra, _fmt, centroid, cross, dot, norm, positions, sub
 from . import chroma
 
 TETRA_EDGE = math.sqrt(8.0 / 3.0)
-
-Tetra = tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -24,82 +21,21 @@ class Compound:
     label: str  # "A" or "B"
     tetrahedra: tuple[Tetra, ...]
 
-    def vertex_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(t) for t in self.tetrahedra)
 
-
-def is_regular_tetrahedron(model: PolytopeModel, members) -> bool:
-    """All six pairwise distances equal the inscribed-tetrahedron edge."""
-    pos = positions(model)
-    return all(
-        abs(norm(sub(pos[a], pos[b])) - TETRA_EDGE) < TOL
-        for a, b in combinations(sorted(members), 2)
-    )
-
-
-@lru_cache(maxsize=2)
 def inscribed_tetrahedra(model: PolytopeModel) -> tuple[Tetra, ...]:
-    """The regular tetrahedra with vertices among the dodecahedron's.
-
-    Built from the tetrahedron-distance graph: for each vertex, triangles
-    among the vertices at tetrahedron-edge distance from it.
-    """
-    pos = positions(model)
-    far = [
-        [u for u in range(20) if abs(norm(sub(pos[u], pos[v])) - TETRA_EDGE) < TOL]
-        for v in range(20)
-    ]
-    found = set()
-    for v in range(20):
-        for trio in combinations(far[v], 3):
-            members = tuple(sorted((v,) + trio))
-            if members in found:
-                continue
-            if is_regular_tetrahedron(model, members):
-                found.add(members)
-    tets = tuple(sorted(found))
-    if len(tets) != 10:
-        raise AssertionError(f"expected 10 tetrahedra, found {len(tets)}")
-    for v in range(20):
-        if sum(v in t for t in tets) != 2:
-            raise AssertionError(f"vertex {v} is not on exactly 2 tetrahedra")
-    return tets
+    """The 10 regular tetrahedra with vertices among the dodecahedron's,
+    as sorted 4-tuples (derived by `build_polytope`)."""
+    return model.tetrahedra
 
 
-@lru_cache(maxsize=2)
 def compounds(model: PolytopeModel) -> tuple[Compound, Compound]:
     """The two compounds of five vertex-disjoint tetrahedra.
 
     Compound A is the one whose tetrahedron at vertex 0 has the
-    lexicographically smaller member tuple.  Raises if the ten tetrahedra
-    do not split into exactly two such partitions.
+    lexicographically smaller member tuple.
     """
-    tets = inscribed_tetrahedra(model)
-    partitions: list[tuple[Tetra, ...]] = []
-
-    def extend(chosen: list[Tetra], covered: frozenset[int]) -> None:
-        if len(chosen) == 5:
-            if covered != frozenset(range(20)):
-                raise AssertionError("five disjoint tetrahedra miss a vertex")
-            partitions.append(tuple(sorted(chosen)))
-            return
-        v = min(set(range(20)) - covered)
-        for t in tets:
-            if v in t and not (set(t) & covered):
-                extend(chosen + [t], covered | frozenset(t))
-
-    extend([], frozenset())
-    if len(partitions) != 2:
-        raise AssertionError(f"expected 2 compounds, found {len(partitions)}")
-
-    def tetra_at_zero(p):
-        return next(t for t in p if 0 in t)
-
-    partitions.sort(key=tetra_at_zero)
-    return (
-        Compound("A", partitions[0]),
-        Compound("B", partitions[1]),
-    )
+    tets_a, tets_b = model.compounds
+    return Compound("A", tets_a), Compound("B", tets_b)
 
 
 def classify_colouring(model: PolytopeModel, c) -> tuple[Compound, dict[int, Tetra]]:

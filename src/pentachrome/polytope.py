@@ -6,11 +6,14 @@ sphere and rotated so that one vertex lands exactly on the north pole
 19 the south pole, and the four latitude bands between them (C1, C2, C3, C4)
 are numbered top to bottom, each band ordered by azimuth.
 
-All combinatorial structure (edges, faces, antipode, dual icosahedron) is
-derived from the coordinates once, validated, and frozen as integer tuples,
-so every downstream enumeration is exact.  Faces are stored counterclockwise
-as seen from outside the sphere, rotated so the smallest vertex id comes
-first.
+All combinatorial structure is derived from the coordinates once, in
+`build_polytope`, validated, and frozen as integer tuples on the model, so
+every downstream enumeration is exact: edges, faces, the antipode, the dual
+icosahedron, the zigzag turn table, the opposite faces, the 10 inscribed
+tetrahedra and the two compounds of five.  The model stays immutable and
+hashable, and no other module keeps derived state.  Faces are stored
+counterclockwise as seen from outside the sphere, rotated so the smallest
+vertex id comes first.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 TOL = 1e-9
 
@@ -32,6 +36,9 @@ BANDS = (NORTH_POLE, C1, C2, C3, C4, SOUTH_POLE)
 BAND_SIZES = (1, 3, 6, 6, 3, 1)
 
 _PHI = (1.0 + math.sqrt(5.0)) / 2.0
+
+
+Tetra = tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -52,6 +59,14 @@ class PolytopeModel:
     (icosahedron vertex i is the centre of dodecahedron face i);
     ``dual_faces[k]`` is the dodecahedron vertex corresponding to
     icosahedron face k.
+
+    ``turns[u][w]`` is the (left, right) pair of outgoing edges at w for
+    the directed edge u -> w, and None where uw is not an edge.
+    ``opposite_faces[f]`` is the face antipodal to face f.  ``tetrahedra``
+    are the 10 inscribed regular tetrahedra as sorted 4-tuples, and
+    ``compounds`` the two partitions of the vertices into five of them:
+    compound A first, the one whose tetrahedron at vertex 0 is the
+    lexicographically smaller.
     """
 
     vertices: tuple[Vertex, ...]
@@ -62,6 +77,10 @@ class PolytopeModel:
     vertex_faces: tuple[tuple[int, int, int], ...]
     icosa_faces: tuple[tuple[int, int, int], ...]
     dual_faces: tuple[int, ...]
+    turns: tuple[tuple[tuple[int, int] | None, ...], ...]
+    opposite_faces: tuple[int, ...]
+    tetrahedra: tuple[Tetra, ...]
+    compounds: tuple[tuple[Tetra, ...], tuple[Tetra, ...]]
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +245,29 @@ def _orient_outward(cycle: tuple[int, ...], pos) -> tuple[int, ...]:
     return cycle
 
 
+def _compounds(tets) -> tuple[tuple[Tetra, ...], tuple[Tetra, ...]]:
+    """The two partitions of the vertices into five disjoint tetrahedra,
+    ordered by their tetrahedron at vertex 0."""
+    partitions: list[tuple[Tetra, ...]] = []
+
+    def extend(chosen: list[Tetra], covered: frozenset[int]) -> None:
+        if len(chosen) == 5:
+            if covered != frozenset(range(20)):
+                raise AssertionError("five disjoint tetrahedra miss a vertex")
+            partitions.append(tuple(sorted(chosen)))
+            return
+        v = min(set(range(20)) - covered)
+        for t in tets:
+            if v in t and not (set(t) & covered):
+                extend(chosen + [t], covered | frozenset(t))
+
+    extend([], frozenset())
+    if len(partitions) != 2:
+        raise AssertionError(f"expected 2 compounds, found {len(partitions)}")
+    partitions.sort(key=lambda p: next(t for t in p if 0 in t))
+    return partitions[0], partitions[1]
+
+
 def build_polytope() -> PolytopeModel:
     """Construct the canonical dodecahedron model.
 
@@ -283,6 +325,36 @@ def build_polytope() -> PolytopeModel:
     if not all(antipode[antipode[v]] == v and antipode[v] != v for v in range(20)):
         raise AssertionError("antipode is not a fixed-point-free involution")
 
+    face_ids = {frozenset(f): fid for fid, f in enumerate(faces)}
+    opposite_faces = tuple(face_ids.get(frozenset(antipode[v] for v in f)) for f in faces)
+    if None in opposite_faces:
+        raise AssertionError("no antipodal face found")
+
+    # at the end of u -> w, left is the edge with positive component along
+    # (u -> w) x (outward normal at w); as faces run counterclockwise seen
+    # from outside, on the face traversing u -> w -> x right is x and left
+    # is w's third neighbour
+    turns = [[None] * 20 for _ in range(20)]
+    for f in faces:
+        for i in range(5):
+            u, w, x = f[i - 2], f[i - 1], f[i]
+            (left,) = adj[w] - {u, x}
+            turns[u][w] = (left, x)
+
+    # inscribed regular tetrahedra: 4-cliques of the pairs at squared distance 8/3
+    far = [{u for u in range(20) if abs(d2[v][u] - 8.0 / 3.0) < TOL} for v in range(20)]
+    tetrahedra = tuple(sorted({
+        tuple(sorted((v, a, b, c)))
+        for v in range(20)
+        for a, b, c in combinations(far[v], 3)
+        if b in far[a] and c in far[a] and c in far[b]
+    }))
+    if len(tetrahedra) != 10:
+        raise AssertionError(f"expected 10 tetrahedra, found {len(tetrahedra)}")
+    for v in range(20):
+        if sum(v in t for t in tetrahedra) != 2:
+            raise AssertionError(f"vertex {v} is not on exactly 2 tetrahedra")
+
     vf: list[list[int]] = [[] for _ in range(20)]
     for fid, f in enumerate(faces):
         for v in f:
@@ -306,6 +378,10 @@ def build_polytope() -> PolytopeModel:
         vertex_faces=vertex_faces,
         icosa_faces=icosa_faces,
         dual_faces=dual_faces,
+        turns=tuple(tuple(row) for row in turns),
+        opposite_faces=opposite_faces,
+        tetrahedra=tetrahedra,
+        compounds=_compounds(tetrahedra),
     )
 
 
@@ -313,14 +389,15 @@ def positions(model: PolytopeModel) -> tuple[Vec, ...]:
     return tuple(v.position for v in model.vertices)
 
 
-def _check_vertex_id(v: int) -> None:
-    if not isinstance(v, int) or not 0 <= v <= 19:
-        raise ValueError(f"vertex id out of range: {v!r}")
+def _check_id(x: int, count: int, kind: str) -> None:
+    # bool is a subclass of int, but True is not id 1
+    if type(x) is not int or not 0 <= x < count:
+        raise ValueError(f"{kind} id out of range: {x!r}")
 
 
 def neighbours(model: PolytopeModel, v: int) -> frozenset[int]:
     """The 3 vertices joined to v by an edge."""
-    _check_vertex_id(v)
+    _check_id(v, 20, "vertex")
     return frozenset(model.adjacency[v])
 
 
@@ -346,8 +423,7 @@ def distance_spectrum(model: PolytopeModel) -> tuple[tuple[float, int], ...]:
 
 def dual_face_of(model: PolytopeModel, icosa_face: int) -> int:
     """The dodecahedron vertex corresponding to a face of the dual icosahedron."""
-    if not isinstance(icosa_face, int) or not 0 <= icosa_face <= 19:
-        raise ValueError(f"icosahedron face id out of range: {icosa_face!r}")
+    _check_id(icosa_face, 20, "icosahedron face")
     return model.dual_faces[icosa_face]
 
 

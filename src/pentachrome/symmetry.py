@@ -11,7 +11,6 @@ lexicographically on image tuples so set equality is bit-exact.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -225,11 +224,6 @@ def tetra_action(model: PolytopeModel, g: Perm, tetrahedra) -> Perm:
     if not is_permutation(p, 5):
         raise AssertionError("tetrahedra images are not a permutation")
     return p
-
-
-def group_to_json(group) -> str:
-    """JSON dump of a permutation group: a list of 20-image arrays."""
-    return json.dumps([list(p) for p in sorted(group)], separators=(",", ":")) + "\n"
 
 
 # ---------------------------------------------------------------------------

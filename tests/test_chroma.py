@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from pentachrome import chroma
 from pentachrome import compound as compound_mod
 from pentachrome.chroma import (
+    LABELLING,
     LEFT,
     RIGHT,
     PropagationError,
@@ -36,7 +38,7 @@ from pentachrome.chroma import (
     zigzag_trace,
     zigzag_walk,
 )
-from pentachrome.polytope import positions
+from pentachrome.polytope import dual_face_of, positions
 from pentachrome.symmetry import (
     COLOUR_IDENTITY,
     COLOUR_SWAP,
@@ -250,13 +252,18 @@ def test_turn_table_matches_geometric_rule(model):
     # (incoming direction x outward normal at w); the table reads it off the
     # face orientation instead
     pos = np.array(positions(model))
-    table = chroma._turn_table(model)
+    table = {
+        (u, w): turn
+        for u, row in enumerate(model.turns)
+        for w, turn in enumerate(row)
+        if turn is not None
+    }
     assert set(table) == {(u, w) for u in range(20) for w in model.adjacency[u]}
-    for (u, w), turn in table.items():
+    for (u, w), (left, right) in table.items():
         ref = np.cross(pos[w] - pos[u], pos[w])
         side = {x: float((pos[x] - pos[w]) @ ref) for x in model.adjacency[w] if x != u}
-        assert side[turn[LEFT]] > 1e-6
-        assert side[turn[RIGHT]] < -1e-6
+        assert side[left] > 1e-6
+        assert side[right] < -1e-6
 
 
 def test_zigzag_walk_closes_after_twelve_edges(model):
@@ -316,6 +323,20 @@ def test_seed_handedness_and_pole_trace(model):
 def test_zigzag_rejects_bad_handedness(model, colourings):
     with pytest.raises(ValueError):
         zigzag_trace(model, colourings[0], 0, "widdershins")
+
+
+@pytest.mark.parametrize("bad", [20, -1, True])
+def test_id_entry_points_reject_bad_ids(model, colourings, bad):
+    calls = (
+        lambda: zigzag_walk(model, bad, 0, LEFT),
+        lambda: zigzag_walk(model, 0, bad, LEFT),
+        lambda: zigzag_trace(model, colourings[0], bad, LEFT),
+        lambda: dual_face_of(model, bad),
+        lambda: opposite_face(model, bad),
+    )
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +429,56 @@ def test_colouring_json_round_trip(colourings):
 def test_colouring_json_rejects_unknown_labelling():
     with pytest.raises(ValueError):
         colouring_from_json('{"labelling": "other", "colours": []}')
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 7) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_MUTATIONS = ("none", "entry", "length", "wrap-entry", "nest", "colours", "labelling", "document", "text")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    c=st.lists(st.integers(1, 5), min_size=20, max_size=20).map(tuple),
+    kind=st.sampled_from(_MUTATIONS),
+    data=st.data(),
+)
+def test_mutated_colouring_documents_raise_only_value_error(c, kind, data):
+    doc = {"labelling": LABELLING, "colours": list(c)}
+    i = data.draw(st.integers(0, 19))
+    if kind == "entry":  # wrong types, bools, out-of-range colours
+        doc["colours"][i] = data.draw(_JSON)
+    elif kind == "length":
+        doc["colours"] = (list(c) * 2)[: data.draw(st.integers(0, 40))]
+    elif kind == "wrap-entry":
+        doc["colours"][i] = [c[i]]
+    elif kind == "colours":
+        doc["colours"] = data.draw(_JSON)
+    elif kind == "labelling":
+        if data.draw(st.booleans()):
+            del doc["labelling"]
+        else:
+            doc["labelling"] = data.draw(_JSON)
+    elif kind == "document":
+        doc = data.draw(_JSON | st.just([doc]))
+    text = json.dumps(doc)
+    if kind == "nest":  # 3000 is deeper than the decoder's recursion limit
+        depth = data.draw(st.sampled_from([1, 2, 3000]))
+        text = f'{{"labelling": "{LABELLING}", "colours": {"[" * depth}{list(c)}{"]" * depth}}}'
+    elif kind == "text":
+        text = text[: data.draw(st.integers(0, len(text) - 1))]
+
+    if kind == "none":
+        assert colouring_from_json(text) == c
+        return
+    try:
+        got = colouring_from_json(text)
+    except ValueError:
+        return
+    # a mutation that still reads as a colouring round-trips like one
+    assert colouring_from_json(colouring_to_json(got)) == got
 
 
 def test_enumeration_export_stable(model, colourings):

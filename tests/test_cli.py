@@ -201,10 +201,13 @@ MALFORMED = [
     "{not json",
     '{"labelling": "canonical-v1"}',
     '{"labelling": "canonical-v1", "colours": null}',
+    '{"labelling": "canonical-v1", "colours": ' + "[" * 100_000 + "]" * 100_000 + "}",
 ]
 
 
-@pytest.mark.parametrize("text", MALFORMED, ids=["not-json", "no-colours", "null-colours"])
+@pytest.mark.parametrize(
+    "text", MALFORMED, ids=["not-json", "no-colours", "null-colours", "deep-nesting"]
+)
 def test_classify_malformed_json(capsys, tmp_path, text):
     path = tmp_path / "bad.json"
     path.write_text(text)

@@ -12,7 +12,6 @@ from pentachrome.compound import (
     compound_to_off,
     compounds,
     inscribed_tetrahedra,
-    is_regular_tetrahedron,
     spread_subsets,
 )
 from pentachrome.polytope import distance_spectrum
@@ -45,8 +44,10 @@ def test_every_vertex_in_exactly_two(model):
 def test_common_edge_is_third_smallest_distance(model):
     spectrum = distance_spectrum(model)
     assert abs(TETRA_EDGE - spectrum[2][0]) < 1e-9
+    pts = [v.position for v in model.vertices]
     for t in inscribed_tetrahedra(model):
-        assert is_regular_tetrahedron(model, t)
+        for a, b in combinations(t, 2):
+            assert abs(math.dist(pts[a], pts[b]) - TETRA_EDGE) < 1e-9
 
 
 def test_two_compounds_partition_the_tetrahedra(model):
@@ -57,7 +58,7 @@ def test_two_compounds_partition_the_tetrahedra(model):
         assert len(comp.tetrahedra) == 5
         members = [v for t in comp.tetrahedra for v in t]
         assert sorted(members) == list(range(20))
-        sets = comp.vertex_sets()
+        sets = [frozenset(t) for t in comp.tetrahedra]
         assert all(not (s & t) for i, s in enumerate(sets) for t in sets[i + 1:])
     assert set(comp_a.tetrahedra) | set(comp_b.tetrahedra) == set(
         inscribed_tetrahedra(model)

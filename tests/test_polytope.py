@@ -32,6 +32,7 @@ def test_counts(model):
 def test_construction_deterministic(model):
     again = build_polytope()
     assert again == model
+    assert hash(again) == hash(model)
 
 
 def test_vertices_on_unit_sphere(model):
@@ -72,6 +73,8 @@ def test_neighbours_rejects_bad_id(model):
         neighbours(model, 20)
     with pytest.raises(ValueError):
         neighbours(model, -1)
+    with pytest.raises(ValueError):
+        neighbours(model, True)
 
 
 def test_faces_are_pentagon_cycles(model):
@@ -121,6 +124,14 @@ def test_antipode_exchanges_bands(model):
 
 def test_antipode_of_pole_is_south_pole(model):
     assert model.antipode[0] == 19
+
+
+def test_opposite_faces_are_antipodal_images(model):
+    opposite = model.opposite_faces
+    for f in range(12):
+        assert opposite[f] != f
+        assert opposite[opposite[f]] == f
+        assert set(model.faces[opposite[f]]) == {model.antipode[v] for v in model.faces[f]}
 
 
 def test_distance_spectrum_multiplicities(model):
