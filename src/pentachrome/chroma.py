@@ -2,6 +2,10 @@
 orbit partitioning, zigzag traces and cyclic-order parities.
 
 A colouring is a plain tuple of 20 colours in {1..5}, indexed by vertex id.
+Tuples are the public type; where the colour action runs in bulk
+(`stabilizer`, `orbit_partition`) a valid colouring is held as 20 bytes,
+so relabelling is one `bytes.translate` and the antipodal half one
+`itemgetter` gather.
 Two independent enumerators are provided: a brute-force backtracking search
 (`enumerate_colourings`) and a constraint-propagation replay
 (`enumerate_by_propagation`) that fixes the colours of the north pole and
@@ -13,9 +17,12 @@ from __future__ import annotations
 
 import json
 from itertools import permutations
+from operator import itemgetter
 
 from .polytope import PolytopeModel, _check_id, _fmt
-from .symmetry import COLOUR_IDENTITY, ColourSymmetry, generate_subgroup, perm_parity
+from .symmetry import (
+    COLOUR_IDENTITY, ColourSymmetry, _check_symmetries, generate_subgroup, perm_parity,
+)
 
 Colouring = tuple[int, ...]
 
@@ -23,6 +30,7 @@ COLOURS = (1, 2, 3, 4, 5)
 LEFT = "left"
 RIGHT = "right"
 LABELLING = "canonical-v1"
+_ALL = sum(1 << x for x in COLOURS)  # a face bitmask holding every colour
 
 
 class PropagationError(RuntimeError):
@@ -51,8 +59,8 @@ def is_valid(model: PolytopeModel, c) -> bool:
 
 def first_violated_face(model: PolytopeModel, c) -> int | None:
     c = check_colouring(c)
-    for fid, f in enumerate(model.faces):
-        if len({c[v] for v in f}) != 5:
+    for fid, (a, b, d, e, f) in enumerate(model.faces):
+        if len({c[a], c[b], c[d], c[e], c[f]}) != 5:
             return fid
     return None
 
@@ -132,20 +140,29 @@ def colour_frames():
 def _propagate(model: PolytopeModel, col: list[int]) -> None:
     """Run singles propagation to a fixpoint, in place.
 
-    Candidate colours for a vertex are those not yet used on any face
-    through it.  Assigns forced vertices (single candidate) and forced
-    face slots (a missing colour with a single possible vertex on that
-    face).  Raises PropagationError on contradiction.
+    Each face keeps a bitmask of the colours on it (bit x for colour x), and
+    a vertex's candidates are the colours on none of its three faces.
+    Assigns forced vertices (a single candidate) and forced face slots (a
+    missing colour with a single possible vertex on that face).  Raises
+    PropagationError on contradiction, or if the fixpoint leaves a vertex
+    uncoloured.
     """
     faces = model.faces
     vertex_faces = model.vertex_faces
+    used = [0] * 12
+    for fid, f in enumerate(faces):
+        for v in f:
+            used[fid] |= 1 << col[v]
+        used[fid] &= _ALL  # bit 0 came from the uncoloured vertices
 
-    def candidates(v: int) -> set[int]:
-        used = set()
+    def candidates(v: int) -> int:
+        f0, f1, f2 = vertex_faces[v]
+        return _ALL & ~(used[f0] | used[f1] | used[f2])
+
+    def assign(v: int, colour: int) -> None:
+        col[v] = colour
         for f in vertex_faces[v]:
-            used.update(col[u] for u in faces[f])
-        used.discard(0)
-        return set(COLOURS) - used
+            used[f] |= 1 << colour
 
     changed = True
     while changed:
@@ -156,20 +173,26 @@ def _propagate(model: PolytopeModel, col: list[int]) -> None:
             cand = candidates(v)
             if not cand:
                 raise PropagationError(f"no colour left for vertex {v}")
-            if len(cand) == 1:
-                col[v] = cand.pop()
+            if not cand & (cand - 1):
+                assign(v, cand.bit_length() - 1)
                 changed = True
-        for f in faces:
-            present = [col[v] for v in f if col[v]]
-            if len(present) != len(set(present)):
+        for fid, f in enumerate(faces):
+            open_vs = [v for v in f if not col[v]]
+            if used[fid].bit_count() != 5 - len(open_vs):
                 raise PropagationError("face carries a colour twice")
-            for missing in set(COLOURS) - set(present):
-                slots = [v for v in f if not col[v] and missing in candidates(v)]
+            missing = _ALL & ~used[fid]
+            for colour in COLOURS:
+                bit = 1 << colour
+                if not missing & bit:
+                    continue
+                slots = [v for v in open_vs if not col[v] and candidates(v) & bit]
                 if not slots:
                     raise PropagationError("missing colour has no slot on face")
-                if len(slots) == 1 and not col[slots[0]]:
-                    col[slots[0]] = missing
+                if len(slots) == 1:
+                    assign(slots[0], colour)
                     changed = True
+    if 0 in col:
+        raise PropagationError("propagation stalled before completion")
 
 
 def frame_completions(model: PolytopeModel, pole: int, triple) -> tuple[Colouring, Colouring]:
@@ -195,8 +218,6 @@ def frame_completions(model: PolytopeModel, pole: int, triple) -> tuple[Colourin
         col = list(base)
         col[open_vs[0]], col[open_vs[1]] = pair
         _propagate(model, col)
-        if 0 in col:
-            raise PropagationError("propagation stalled before completion")
         done = tuple(col)
         if not is_valid(model, done):
             raise PropagationError("propagation produced an invalid colouring")
@@ -236,23 +257,32 @@ def seed_colourings(model: PolytopeModel) -> tuple[Colouring, Colouring]:
 # ---------------------------------------------------------------------------
 # the colour-group action
 
+# bytes.translate tables, one per colour permutation: byte x -> perm[x-1]
+_RELABEL = {p: bytes.maketrans(b"\1\2\3\4\5", bytes(p)) for p in permutations(COLOURS)}
+
+
+def _mirror(c, model: PolytopeModel) -> bytes:
+    """The antipodal half of sign -1: each vertex takes its antipode's colour."""
+    return bytes(itemgetter(*model.antipode)(c))
+
+
 def _act(g: ColourSymmetry, c: Colouring, model: PolytopeModel) -> Colouring:
     """`act` on a colouring already known to be valid."""
-    if g.sign == -1:
-        return tuple(g.perm[c[a] - 1] for a in model.antipode)
-    return tuple(g.perm[x - 1] for x in c)
+    b = _mirror(c, model) if g.sign == -1 else bytes(c)
+    return tuple(b.translate(_RELABEL[g.perm]))
 
 
 def act(g: ColourSymmetry, c: Colouring, model: PolytopeModel) -> Colouring:
     """Apply a colour symmetry: relabel colours, then for sign -1 take each
     vertex's colour from its antipode."""
+    _check_symmetries([g])
     return _act(g, check_rainbow(model, c), model)
 
 
 def _check_subgroup(H) -> set[ColourSymmetry]:
     """H as a set, if it is the group its own elements generate.  Each
     generator, taken greedily, at least doubles the closure: at most 7."""
-    members = set(H)
+    members = set(_check_symmetries(H))
     if COLOUR_IDENTITY not in members:
         raise ValueError("subgroup must contain the identity")
     gens, closure = [], {COLOUR_IDENTITY}
@@ -274,30 +304,40 @@ def orbit_partition(colourings, H, model: PolytopeModel) -> tuple[tuple[Colourin
     action is free.  An image outside the pool raises, so the orbit count
     formula is something this function's callers can check, not an
     assumption baked in.  Orbits come out sorted, in order of their
-    smallest member.
+    smallest member.  The sweep runs on 20-byte colourings, which sort
+    exactly like the tuples.
     """
     elems = _check_subgroup(H)
-    pool = sorted(check_rainbow(model, c) for c in colourings)
+    pool = sorted(bytes(check_rainbow(model, c)) for c in colourings)
     members = set(pool)
     if len(members) != len(pool):
         raise ValueError("duplicate colourings in input")
 
-    placed: set[Colouring] = set()
+    placed: set[bytes] = set()
     orbits = []
-    for c in pool:
-        if c in placed:
+    for b in pool:
+        if b in placed:
             continue
-        orbit = {_act(g, c, model) for g in elems}
+        relabel, relabel_mirrored = b.translate, _mirror(b, model).translate
+        orbit = {
+            (relabel_mirrored if g.sign == -1 else relabel)(_RELABEL[g.perm]) for g in elems
+        }
         if not orbit <= members:
             raise ValueError("subgroup action leaves the given colouring set")
         placed |= orbit
-        orbits.append(tuple(sorted(orbit)))
+        orbits.append(tuple(tuple(o) for o in sorted(orbit)))
     return tuple(orbits)
 
 
 def stabilizer(c: Colouring, H, model: PolytopeModel) -> list[ColourSymmetry]:
+    """The elements of H that fix c; every element is applied."""
     c = check_rainbow(model, c)
-    return sorted({g for g in H if _act(g, c, model) == c})
+    b = bytes(c)
+    relabel, relabel_mirrored = b.translate, _mirror(c, model).translate
+    return sorted({
+        g for g in _check_symmetries(H)
+        if (relabel_mirrored if g.sign == -1 else relabel)(_RELABEL[g.perm]) == b
+    })
 
 
 # ---------------------------------------------------------------------------

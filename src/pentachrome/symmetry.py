@@ -229,6 +229,9 @@ def tetra_action(model: PolytopeModel, g: Perm, tetrahedra) -> Perm:
 # ---------------------------------------------------------------------------
 # the colour-side group: permutations of {1..5} with a sign
 
+_FIVE_INTS = (int,) * 5
+
+
 @dataclass(frozen=True, order=True)
 class ColourSymmetry:
     """A colour permutation together with a sign.
@@ -241,9 +244,12 @@ class ColourSymmetry:
     sign: int = 1
 
     def __post_init__(self):
-        if sorted(self.perm) != [1, 2, 3, 4, 5]:
-            raise ValueError(f"not a colour permutation: {self.perm!r}")
-        if self.sign not in (1, -1):
+        # bool is a subclass of int, but True is neither colour 1 nor sign +1
+        perm = self.perm
+        if not (type(perm) is tuple and tuple(map(type, perm)) == _FIVE_INTS
+                and sorted(perm) == [1, 2, 3, 4, 5]):
+            raise ValueError(f"not a colour permutation: {perm!r}")
+        if type(self.sign) is not int or self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1: {self.sign!r}")
 
     def __mul__(self, other: "ColourSymmetry") -> "ColourSymmetry":
@@ -267,9 +273,22 @@ COLOUR_IDENTITY = ColourSymmetry((1, 2, 3, 4, 5), 1)
 COLOUR_SWAP = ColourSymmetry((1, 2, 3, 4, 5), -1)
 
 
+def _check_symmetries(elements) -> list[ColourSymmetry]:
+    """The elements as a list, if they are an iterable of ColourSymmetry;
+    raises ValueError otherwise."""
+    try:
+        elems = list(elements)
+    except TypeError:
+        raise ValueError(f"expected colour symmetries, not {elements!r}") from None
+    for g in elems:
+        if not isinstance(g, ColourSymmetry):
+            raise ValueError(f"not a colour symmetry: {g!r}")
+    return elems
+
+
 def generate_subgroup(generators) -> frozenset[ColourSymmetry]:
     """Closure of colour symmetries under composition and inverse."""
-    group = _closure(generators, COLOUR_IDENTITY, operator.mul)
+    group = _closure(_check_symmetries(generators), COLOUR_IDENTITY, operator.mul)
     if 240 % len(group):
         raise AssertionError(f"group order {len(group)} does not divide 240")
     return group

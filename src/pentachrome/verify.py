@@ -2,9 +2,9 @@
 
 Each check re-measures a fact about the built model or the enumerated
 colourings and reports the measured value, so a failure names exactly what
-broke.  The whole battery takes about 0.26 s in-process (medians of 15
-runs 0.23-0.31 s on a 2-CPU container, Python 3.11); a fresh
-`pentachrome verify` process takes about 0.45 s.
+broke.  The whole battery takes about 0.19 s in-process (two sets of 15
+cold runs, medians 0.18 and 0.19 s, on a 2-CPU container, Python 3.11); a
+fresh `pentachrome verify` process takes about 0.27 s (median of 11).
 """
 
 from __future__ import annotations

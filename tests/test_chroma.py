@@ -44,6 +44,7 @@ from pentachrome.symmetry import (
     COLOUR_SWAP,
     ColourSymmetry,
     colour_group,
+    generate_subgroup,
     named_subgroup,
 )
 
@@ -123,6 +124,18 @@ def test_propagation_detects_contradiction(model):
         chroma._propagate(model, col)
 
 
+def test_propagation_raises_on_empty_vertex_or_stall(model, colourings):
+    # a neighbour of vertex 0 takes vertex 0's colour, so vertex 0 has none left
+    col = list(colourings[0])
+    col[model.adjacency[0][0]] = col[0]
+    col[0] = 0
+    with pytest.raises(PropagationError, match="no colour left for vertex 0"):
+        chroma._propagate(model, col)
+    # with nothing coloured, nothing is forced
+    with pytest.raises(PropagationError, match="propagation stalled"):
+        chroma._propagate(model, [0] * 20)
+
+
 def test_seeds_are_frame_completions(model):
     seed_a, seed_b = seed_colourings(model)
     assert set(frame_completions(model, 1, (2, 3, 4))) == {seed_a, seed_b}
@@ -163,6 +176,29 @@ _G = sorted(colour_group())
 def test_act_is_a_homomorphism(model, colourings, g, h, i):
     c = colourings[i]
     assert act(g * h, c, model) == act(g, act(h, c, model), model)
+
+
+def test_act_matches_definition(model, colourings):
+    # the definition, written out here: relabel colour x as perm[x-1], and for
+    # sign -1 read each vertex's colour at its antipode
+    anti = model.antipode
+    for g in _G:
+        for c in colourings:
+            want = tuple(g.perm[c[anti[v] if g.sign == -1 else v] - 1] for v in range(20))
+            assert act(g, c, model) == want
+
+
+@pytest.mark.parametrize("bad", [None, [1], "S5"], ids=["None", "int-list", "string"])
+def test_non_group_elements_rejected(model, colourings, bad):
+    c = colourings[0]
+    with pytest.raises(ValueError):
+        generate_subgroup(bad)
+    with pytest.raises(ValueError):
+        act(bad, c, model)
+    with pytest.raises(ValueError):
+        stabilizer(c, bad, model)
+    with pytest.raises(ValueError):
+        orbit_partition([c], bad, model)
 
 
 def test_act_preserves_validity(model, colourings):

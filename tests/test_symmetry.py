@@ -206,6 +206,20 @@ def test_colour_symmetry_validation():
         ColourSymmetry((1, 2, 3, 4, 5), 0)
 
 
+@pytest.mark.parametrize("perm,sign", [
+    ((1, 2, 3, 4, 5), True),
+    ((True, 2, 3, 4, 5), 1),
+    ((1.0, 2, 3, 4, 5), 1),
+    ((1, 2, 3, 4, 5), 1.0),
+    ([1, 2, 3, 4, 5], 1),
+    (None, 1),
+], ids=["sign-True", "perm-True", "perm-float", "sign-float", "perm-list", "perm-None"])
+def test_colour_symmetry_rejects_non_int_entries(perm, sign):
+    # bool is a subclass of int, and True == 1, but True is no colour or sign
+    with pytest.raises(ValueError):
+        ColourSymmetry(perm, sign)
+
+
 def test_colour_symmetry_group_axioms():
     rng = random.Random(90125)
     pool = sorted(colour_group())
