@@ -76,6 +76,8 @@ def check_rainbow(model: PolytopeModel, c) -> Colouring:
 
 
 def colour_classes(c: Colouring) -> dict[int, frozenset[int]]:
+    """colour -> the vertices carrying it; c must be 20 colours in 1..5."""
+    c = check_colouring(c)
     return {
         colour: frozenset(v for v in range(20) if c[v] == colour)
         for colour in COLOURS
@@ -491,7 +493,7 @@ def colouring_from_json(text: str) -> Colouring:
 
 
 def enumeration_to_json(colourings) -> str:
-    docs = [{"labelling": LABELLING, "colours": list(c)} for c in colourings]
+    docs = [{"labelling": LABELLING, "colours": list(check_colouring(c))} for c in colourings]
     return json.dumps(docs, separators=(",", ":")) + "\n"
 
 

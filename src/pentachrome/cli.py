@@ -17,7 +17,9 @@ from . import compound as compound_mod
 from .polytope import build_polytope, model_to_json, model_to_off
 from .symmetry import NAMED_SUBGROUPS, ColourSymmetry, generate_subgroup, named_subgroup
 
-_CYCLES_RE = re.compile(r"(\s*\(\s*\d+(?:[\s,]+\d+)*\s*\)\s*)+")
+# the text is stripped, so only the space after a cycle is matched; a leading
+# \s* too lets cycles split the spaces between them and backtrack exponentially
+_CYCLES_RE = re.compile(r"(?:\(\s*\d+(?:[\s,]+\d+)*\s*\)\s*)+")
 
 
 def _parse_colour_perm(text: str) -> tuple[int, int, int, int, int]:

@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .polytope import TOL, PolytopeModel, Tetra, _fmt, centroid, cross, dot, norm, positions, sub
+from .polytope import _TETRA_EDGE2, PolytopeModel, Tetra, _fmt, det3
 from . import chroma
 
 TETRA_EDGE = math.sqrt(8.0 / 3.0)
@@ -46,10 +46,7 @@ def classify_colouring(model: PolytopeModel, c) -> tuple[Compound, dict[int, Tet
     the tetrahedra of a single compound.
     """
     c = chroma.check_rainbow(model, c)
-    classes = {
-        colour: tuple(sorted(vs))
-        for colour, vs in chroma.colour_classes(c).items()
-    }
+    classes = {colour: tuple(v for v in range(20) if c[v] == colour) for colour in chroma.COLOURS}
     class_set = set(classes.values())
     for comp in compounds(model):
         if class_set == set(comp.tetrahedra):
@@ -61,7 +58,7 @@ def classify_colouring(model: PolytopeModel, c) -> tuple[Compound, dict[int, Tet
 class SpreadReport:
     """Result of the brute-force scan for well-spread vertex subsets."""
 
-    threshold: float
+    threshold: float  # the tetrahedron edge; the scan itself is exact
     max_size: int
     maximal_subsets: tuple[Tetra, ...]
     four_subsets_checked: int
@@ -71,35 +68,24 @@ class SpreadReport:
 def spread_subsets(model: PolytopeModel) -> SpreadReport:
     """Scan all 4-subsets whose pairwise distances reach the tetrahedron edge.
 
-    Checks every C(20,4) subset against the threshold and then tries to
-    extend each survivor by a fifth vertex; no extension can succeed, so
-    well-spread subsets have at most four vertices.
+    Checks every C(20,4) subset against the threshold, comparing exact
+    squared distances with the tetrahedron's, and then tries to extend each
+    survivor by a fifth vertex; no extension can succeed, so well-spread
+    subsets have at most four vertices.
     """
-    pos = positions(model)
-    threshold = TETRA_EDGE - TOL
-    ok = [[norm(sub(p, q)) >= threshold for q in pos] for p in pos]
+    ok = [[(d - _TETRA_EDGE2).sign() >= 0 for d in row] for row in model.squared_distances]
 
-    survivors = []
-    checked = 0
-    for quad in combinations(range(20), 4):
-        checked += 1
-        a, b, c, d = quad
-        if ok[a][b] and ok[a][c] and ok[a][d] and ok[b][c] and ok[b][d] and ok[c][d]:
-            survivors.append(quad)
-
-    extension = False
-    for quad in survivors:
-        for e in range(20):
-            if e in quad:
-                continue
-            if all(ok[e][v] for v in quad):
-                extension = True
-
+    quads = list(combinations(range(20), 4))
+    survivors = tuple(
+        (a, b, c, d) for a, b, c, d in quads
+        if ok[a][b] and ok[a][c] and ok[a][d] and ok[b][c] and ok[b][d] and ok[c][d]
+    )
+    extension = any(all(ok[e][v] for v in q) for q in survivors for e in range(20) if e not in q)
     return SpreadReport(
-        threshold=threshold,
+        threshold=TETRA_EDGE,
         max_size=5 if extension else (4 if survivors else 3),
-        maximal_subsets=tuple(survivors),
-        four_subsets_checked=checked,
+        maximal_subsets=survivors,
+        four_subsets_checked=len(quads),
         five_extension_possible=extension,
     )
 
@@ -109,18 +95,18 @@ def spread_subsets(model: PolytopeModel) -> SpreadReport:
 
 def compound_to_off(model: PolytopeModel, comp: Compound) -> str:
     """OFF mesh of a compound: 20 vertices, 4 coloured triangles per
-    tetrahedron, faces oriented outward from each tetrahedron's centre."""
-    pos = positions(model)
+    tetrahedron, faces oriented outward from each tetrahedron's centre.
+    That centre is the origin, so triangle abc faces outward iff the exact
+    det(a, b, c) is positive."""
+    x = model.exact_positions
     lines = ["OFF", "20 20 30"]
     for v in model.vertices:
-        lines.append(" ".join(_fmt(x) for x in v.position))
+        lines.append(" ".join(_fmt(c) for c in v.position))
     for i, tet in enumerate(comp.tetrahedra):
-        centre = centroid([pos[v] for v in tet])
         r, g, b = chroma._PALETTE[i]
         for tri in combinations(tet, 3):
             a, bb, cc = tri
-            normal = cross(sub(pos[bb], pos[a]), sub(pos[cc], pos[a]))
-            if dot(normal, sub(pos[a], centre)) < 0.0:
+            if det3((x[a], x[bb], x[cc])).sign() < 0:
                 tri = (a, cc, bb)
             lines.append("3 " + " ".join(str(v) for v in tri) + f" {r} {g} {b}")
     return "\n".join(lines) + "\n"

@@ -6,12 +6,13 @@ sphere and rotated so that one vertex lands exactly on the north pole
 19 the south pole, and the four latitude bands between them (C1, C2, C3, C4)
 are numbered top to bottom, each band ordered by azimuth.
 
-All combinatorial structure is derived from the coordinates once, in
-`build_polytope`, validated, and frozen as integer tuples on the model, so
-every downstream enumeration is exact: edges, faces, the antipode, the dual
-icosahedron, the zigzag turn table, the opposite faces, the 10 inscribed
-tetrahedra and the two compounds of five.  The model stays immutable and
-hashable, and no other module keeps derived state.  Faces are stored
+All combinatorial structure is derived once, in `build_polytope`, from the
+raw coordinates held exactly in Z[phi], by equality and exact sign tests
+with no tolerance, validated, and frozen as integer tuples on the model:
+edges, faces, the antipode, the dual icosahedron, the zigzag turn table,
+the opposite faces, the 10 inscribed tetrahedra and the two compounds of
+five.  Floats are only the exported embedding.  The model stays immutable
+and hashable, and no other module keeps derived state.  Faces are stored
 counterclockwise as seen from outside the sphere, rotated so the smallest
 vertex id comes first.
 """
@@ -22,6 +23,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations
 
 TOL = 1e-9
@@ -38,7 +40,50 @@ BAND_SIZES = (1, 3, 6, 6, 3, 1)
 _PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 
+class ZPhi(tuple):
+    """a + b*phi for integers a, b, held as the pair (a, b); phi^2 = phi + 1.
+
+    Equal and hashable as that pair.  Tuple order is not the real order:
+    compare through `sign`.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int = 0):
+        return tuple.__new__(cls, (a, b))
+
+    def __add__(self, other):
+        return tuple.__new__(ZPhi, (self[0] + other[0], self[1] + other[1]))
+
+    def __sub__(self, other):
+        return tuple.__new__(ZPhi, (self[0] - other[0], self[1] - other[1]))
+
+    def __neg__(self):
+        return tuple.__new__(ZPhi, (-self[0], -self[1]))
+
+    def __mul__(self, other):
+        (a, b), (c, d) = self, other
+        bd = b * d
+        return tuple.__new__(ZPhi, (a * c + bd, a * d + b * c + bd))
+
+    # not tuple repetition: an int factor raises in __mul__
+    __rmul__ = __mul__
+
+    def sign(self) -> int:
+        """-1, 0 or +1.  a + b*phi = (s + b*sqrt(5)) / 2 with s = 2a + b
+        takes the sign of its larger term, and s^2 == 5b^2 only at 0."""
+        s, b = 2 * self[0] + self[1], self[1]
+        larger = s if s * s > 5 * b * b else b
+        return (larger > 0) - (larger < 0)
+
+
+# sorts Z[phi] values ascending by their real value
+_exact_key = cmp_to_key(lambda x, y: (x - y).sign())
+
+ExactVec = tuple[ZPhi, ZPhi, ZPhi]
 Tetra = tuple[int, int, int, int]
+
+_TETRA_EDGE2 = ZPhi(8)
 
 
 @dataclass(frozen=True)
@@ -67,6 +112,10 @@ class PolytopeModel:
     ``compounds`` the two partitions of the vertices into five of them:
     compound A first, the one whose tetrahedron at vertex 0 is the
     lexicographically smaller.
+
+    ``exact_positions[v]`` is vertex v's raw coordinate triple in Z[phi]
+    (circumradius sqrt(3), not rotated), and ``squared_distances[u][v]``
+    the exact squared distance between u and v.
     """
 
     vertices: tuple[Vertex, ...]
@@ -81,10 +130,12 @@ class PolytopeModel:
     opposite_faces: tuple[int, ...]
     tetrahedra: tuple[Tetra, ...]
     compounds: tuple[tuple[Tetra, ...], tuple[Tetra, ...]]
+    exact_positions: tuple[ExactVec, ...]
+    squared_distances: tuple[tuple[ZPhi, ...], ...]
 
 
 # ---------------------------------------------------------------------------
-# geometry on 3-tuples of floats
+# geometry on 3-tuples, of floats or of ZPhi (sums and products only)
 
 Vec = tuple[float, float, float]
 Mat = tuple[Vec, Vec, Vec]  # rows
@@ -114,22 +165,8 @@ def norm(a) -> float:
     return math.sqrt(dot(a, a))
 
 
-def centroid(points) -> Vec:
-    xs, ys, zs = zip(*points)
-    n = len(xs)
-    return (sum(xs) / n, sum(ys) / n, sum(zs) / n)
-
-
 def det3(m) -> float:
     return dot(m[0], cross(m[1], m[2]))
-
-
-def inv3(m) -> Mat:
-    """Inverse of a 3x3 matrix: the adjugate's columns are the row cross
-    products."""
-    d = det3(m)
-    cols = (cross(m[1], m[2]), cross(m[2], m[0]), cross(m[0], m[1]))
-    return tuple(tuple(c[i] / d for c in cols) for i in range(3))
 
 
 def fma(a: float, b: float, c: float) -> float:
@@ -140,22 +177,24 @@ def fma(a: float, b: float, c: float) -> float:
 # ---------------------------------------------------------------------------
 # the canonical embedding
 
-def _raw_coordinates() -> tuple[Vec, ...]:
-    """The 20 classical dodecahedron vertices, normalised to the unit sphere."""
-    p = _PHI
-    q = 1.0 / _PHI
-    pts = []
-    for sx in (1, -1):
-        for sy in (1, -1):
-            for sz in (1, -1):
-                pts.append((sx, sy, sz))
+def _exact_coordinates() -> tuple[ExactVec, ...]:
+    """The 20 classical dodecahedron vertices in Z[phi]: (+-1, +-1, +-1)
+    and the cyclic shifts of (0, +-1/phi, +-phi), with 1/phi = phi - 1."""
+    pts = [(ZPhi(sx), ZPhi(sy), ZPhi(sz)) for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)]
+    zero = ZPhi(0)
     for sa in (1, -1):
         for sb in (1, -1):
-            pts.append((0.0, sa * q, sb * p))
-            pts.append((sa * q, sb * p, 0.0))
-            pts.append((sb * p, 0.0, sa * q))
+            q, p = ZPhi(-sa, sa), ZPhi(0, sb)
+            pts += [(zero, q, p), (q, p, zero), (p, zero, q)]
+    return tuple(pts)
+
+
+def _raw_coordinates() -> tuple[Vec, ...]:
+    """The exact vertices as floats, normalised to the unit sphere; each
+    entry is +- one of the four magnitudes 0, 1, phi and 1/phi."""
+    f = {ZPhi(0): 0.0, ZPhi(1): 1.0, ZPhi(0, 1): _PHI, ZPhi(-1, 1): 1.0 / _PHI}
     s = math.sqrt(3.0)
-    return tuple((x / s, y / s, z / s) for x, y, z in pts)
+    return tuple(tuple((f[x] if x in f else -f[-x]) / s for x in p) for p in _exact_coordinates())
 
 
 def _pole_rotation() -> Mat:
@@ -186,15 +225,13 @@ def _rotate(r: Mat, p: Vec) -> Vec:
     return tuple(fma(p[2], row[2], fma(p[1], row[1], p[0] * row[0])) for row in r)
 
 
-def _band_partition(pos) -> list[list[int]]:
-    """Group vertex indices into latitude bands, top to bottom."""
-    order = sorted(range(20), key=lambda i: -pos[i][2])
-    bands: list[list[int]] = [[order[0]]]
-    for i in order[1:]:
-        if abs(pos[i][2] - pos[bands[-1][0]][2]) < 1e-6:
-            bands[-1].append(i)
-        else:
-            bands.append([i])
+def _band_partition(exact) -> list[list[int]]:
+    """Group vertex indices into latitude bands, top to bottom.  The pole
+    axis is (1, 1, 1), so a vertex's height is its exact x + y + z."""
+    by_height: dict[ZPhi, list[int]] = {}
+    for i, (x, y, z) in enumerate(exact):
+        by_height.setdefault(x + y + z, []).append(i)
+    bands = [by_height[h] for h in sorted(by_height, key=_exact_key, reverse=True)]
     if [len(b) for b in bands] != list(BAND_SIZES):
         raise AssertionError("latitude bands malformed")
     return bands
@@ -230,17 +267,16 @@ def _face_cycles(adj: list[set[int]]) -> list[tuple[int, ...]]:
     return sorted(found)
 
 
-def _orient_outward(cycle: tuple[int, ...], pos) -> tuple[int, ...]:
-    """Orient a face cycle counterclockwise as seen from outside the sphere."""
-    pts = [pos[v] for v in cycle]
-    normal = (0.0, 0.0, 0.0)
-    for i in range(5):
-        normal = add(normal, cross(pts[i], pts[(i + 1) % 5]))
-    # coplanarity: all vertices at the same offset along the face normal
-    offsets = [dot(p, normal) / norm(normal) for p in pts]
-    if max(offsets) - min(offsets) >= TOL:
+def _orient_outward(cycle: tuple[int, ...], exact) -> tuple[int, ...]:
+    """Orient a face cycle counterclockwise as seen from outside the sphere:
+    all five vertices have one exact offset along the normal of the first
+    three (coplanarity), positive iff the cycle already runs that way."""
+    pts = [exact[v] for v in cycle]
+    normal = cross(sub(pts[1], pts[0]), sub(pts[2], pts[0]))
+    offsets = {dot(p, normal) for p in pts}
+    if len(offsets) != 1:
         raise AssertionError("face vertices not coplanar")
-    if dot(normal, centroid(pts)) < 0.0:
+    if offsets.pop().sign() < 0:
         cycle = (cycle[0],) + tuple(reversed(cycle[1:]))
     return cycle
 
@@ -278,8 +314,9 @@ def build_polytope() -> PolytopeModel:
     pos = [_rotate(r, p) for p in _raw_coordinates()]
     if not all(abs(norm(p) - 1.0) < TOL for p in pos):
         raise AssertionError("vertices not on the unit sphere")
+    exact = _exact_coordinates()
 
-    bands = _band_partition(pos)
+    bands = _band_partition(exact)
     ids_in_order: list[int] = []
     latitudes: list[str] = []
     for band, raw_ids in zip(BANDS, bands):
@@ -287,15 +324,19 @@ def build_polytope() -> PolytopeModel:
         ids_in_order.extend(raw_ids)
         latitudes.extend([band] * len(raw_ids))
     pos = [pos[i] for i in ids_in_order]
+    exact = tuple(exact[i] for i in ids_in_order)
     if norm(sub(pos[0], (0.0, 0.0, 1.0))) >= TOL:
         raise AssertionError("vertex 0 is not the north pole")
 
     vertices = tuple(Vertex(i, pos[i], latitudes[i]) for i in range(20))
 
-    # adjacency: the 3 vertices at minimal distance
-    d2 = [[dot(sub(p, q), sub(p, q)) for q in pos] for p in pos]
-    edge2 = min(d2[v][u] for v in range(20) for u in range(20) if u != v)
-    adj = [{u for u in range(20) if u != v and d2[v][u] < edge2 + TOL} for v in range(20)]
+    # adjacency: the 3 vertices at the minimal exact squared distance
+    d2 = [[ZPhi(0)] * 20 for _ in range(20)]
+    for u, v in combinations(range(20), 2):
+        d = sub(exact[u], exact[v])
+        d2[u][v] = d2[v][u] = dot(d, d)
+    edge2 = min({d2[v][u] for v in range(20) for u in range(v)}, key=_exact_key)
+    adj = [{u for u in range(20) if d2[v][u] == edge2} for v in range(20)]
     if not all(len(a) == 3 for a in adj):
         raise AssertionError("graph is not 3-regular")
     edges = tuple(sorted((v, u) for v in range(20) for u in adj[v] if v < u))
@@ -305,7 +346,7 @@ def build_polytope() -> PolytopeModel:
     cycles = _face_cycles(adj)
     if len(cycles) != 12:
         raise AssertionError(f"expected 12 pentagonal faces, found {len(cycles)}")
-    faces = tuple(sorted(_orient_outward(c, pos) for c in cycles))
+    faces = tuple(sorted(_orient_outward(c, exact) for c in cycles))
 
     # every directed edge appears in exactly one oriented face, so the two
     # faces sharing an edge traverse it in opposite directions
@@ -316,12 +357,10 @@ def build_polytope() -> PolytopeModel:
     ):
         raise AssertionError("faces do not traverse each edge once in each direction")
 
-    antipode = []
-    for v in range(20):
-        m = [u for u in range(20) if norm(add(pos[u], pos[v])) < TOL]
-        if len(m) != 1:
-            raise AssertionError("antipodal vertex not found")
-        antipode.append(m[0])
+    index = {p: v for v, p in enumerate(exact)}
+    antipode = [index.get(tuple(-x for x in p)) for p in exact]
+    if None in antipode:
+        raise AssertionError("antipodal vertex not found")
     if not all(antipode[antipode[v]] == v and antipode[v] != v for v in range(20)):
         raise AssertionError("antipode is not a fixed-point-free involution")
 
@@ -341,8 +380,9 @@ def build_polytope() -> PolytopeModel:
             (left,) = adj[w] - {u, x}
             turns[u][w] = (left, x)
 
-    # inscribed regular tetrahedra: 4-cliques of the pairs at squared distance 8/3
-    far = [{u for u in range(20) if abs(d2[v][u] - 8.0 / 3.0) < TOL} for v in range(20)]
+    # inscribed regular tetrahedra: 4-cliques of the pairs at squared distance
+    # 8, the tetrahedron edge at circumradius sqrt(3)
+    far = [{u for u in range(20) if d2[v][u] == _TETRA_EDGE2} for v in range(20)]
     tetrahedra = tuple(sorted({
         tuple(sorted((v, a, b, c)))
         for v in range(20)
@@ -382,6 +422,8 @@ def build_polytope() -> PolytopeModel:
         opposite_faces=opposite_faces,
         tetrahedra=tetrahedra,
         compounds=_compounds(tetrahedra),
+        exact_positions=exact,
+        squared_distances=tuple(tuple(row) for row in d2),
     )
 
 
@@ -404,21 +446,18 @@ def neighbours(model: PolytopeModel, v: int) -> frozenset[int]:
 def distance_spectrum(model: PolytopeModel) -> tuple[tuple[float, int], ...]:
     """All distinct pairwise vertex distances with multiplicities.
 
-    Distances equal within TOL are merged; the result is sorted ascending
-    and the multiplicities sum to C(20,2) = 190.
+    Pairs are grouped by exact squared distance; each class reports the
+    float distance of its first pair.  The result is sorted ascending and
+    the multiplicities sum to C(20,2) = 190.
     """
     pos = positions(model)
-    groups: list[list] = []
-    for i in range(20):
-        for j in range(i + 1, 20):
-            d = norm(sub(pos[i], pos[j]))
-            for g in groups:
-                if abs(g[0] - d) <= TOL:
-                    g[1] += 1
-                    break
-            else:
-                groups.append([d, 1])
-    return tuple(sorted((d, c) for d, c in groups))
+    groups: dict[ZPhi, list] = {}
+    for i, j in combinations(range(20), 2):
+        d2 = model.squared_distances[i][j]
+        if d2 not in groups:
+            groups[d2] = [norm(sub(pos[i], pos[j])), 0]
+        groups[d2][1] += 1
+    return tuple(sorted((d, c) for d, c in groups.values()))
 
 
 def dual_face_of(model: PolytopeModel, icosa_face: int) -> int:

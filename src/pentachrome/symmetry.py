@@ -2,11 +2,12 @@
 the colour-side group.
 
 Vertex permutations are plain tuples of 20 images.  The rotation group (60
-elements) is generated from two explicit rotations realized as orthogonal
-matrices and converted to permutations by nearest-vertex matching, which is
-self-validating: the matching must be a bijection within tolerance.  The
-full group adds the central inversion.  Groups are returned sorted
-lexicographically on image tuples so set equality is bit-exact.
+elements) is closed from two rotations given as matrices over Z[phi]/2,
+which act on the model's exact coordinates and map each vertex to the
+vertex equal to its image; a generator that misses the vertex set raises.
+The full group adds the central inversion.  A symmetry's spatial
+determinant is the sign of an exact determinant.  Groups are returned
+sorted lexicographically on image tuples so set equality is bit-exact.
 """
 
 from __future__ import annotations
@@ -16,9 +17,7 @@ import operator
 from dataclasses import dataclass
 from itertools import permutations
 
-from .polytope import (
-    TOL, Mat, PolytopeModel, centroid, det3, dot, inv3, norm, positions, sub,
-)
+from .polytope import PolytopeModel, ZPhi, det3, dot
 
 Perm = tuple[int, ...]
 
@@ -31,7 +30,16 @@ def identity_perm(n: int = 20) -> Perm:
 
 
 def is_permutation(p, n: int) -> bool:
-    return len(p) == n and sorted(p) == list(range(n))
+    # bool is a subclass of int, but True is not the id 1
+    return len(p) == n and all(type(x) is int for x in p) and sorted(p) == list(range(n))
+
+
+def _check_vertex_perm(p) -> Perm:
+    """p as a tuple, if it is a permutation of the 20 vertex ids; raises
+    ValueError otherwise."""
+    if not (isinstance(p, (tuple, list)) and is_permutation(p, 20)):
+        raise ValueError(f"not a permutation of the 20 vertex ids: {p!r}")
+    return tuple(p)
 
 
 def compose(p: Perm, q: Perm) -> Perm:
@@ -115,50 +123,30 @@ def close_under_composition(generators) -> frozenset:
 # ---------------------------------------------------------------------------
 # rotations of the dodecahedron
 
-def _axis_rotation(axis, angle: float) -> Mat:
-    """Rodrigues: cos I + sin K + (1 - cos) a a^T for the unit axis a."""
-    a = tuple(float(x) / norm(axis) for x in axis)
-    c, s = math.cos(angle), math.sin(angle)
-    k = ((0.0, -a[2], a[1]), (a[2], 0.0, -a[0]), (-a[1], a[0], 0.0))
-    return tuple(
-        tuple((c if i == j else 0.0) + s * k[i][j] + (1.0 - c) * a[i] * a[j] for j in range(3))
-        for i in range(3)
-    )
-
-
-def rotation_permutation(model: PolytopeModel, axis, angle: float) -> Perm:
-    """Vertex permutation induced by the rotation about axis by angle.
-
-    Raises if the rotated vertex set does not match the vertex set within
-    tolerance (i.e. the rotation is not a symmetry).
-    """
-    pos = positions(model)
-    r = _axis_rotation(axis, angle)
-    images = []
-    for p in pos:
-        rotated = tuple(dot(row, p) for row in r)
-        d = [norm(sub(q, rotated)) for q in pos]
-        w = min(range(20), key=d.__getitem__)
-        if d[w] >= TOL:
-            raise ValueError("rotation is not a symmetry of the vertex set")
-        images.append(w)
-    p = tuple(images)
-    if not is_permutation(p, 20):
-        raise ValueError("rotation does not induce a bijection on vertices")
-    return p
+# twice the two generating rotations of the raw coordinates, so every entry
+# lies in Z[phi]: the cyclic shift (x, y, z) -> (y, z, x), of order 3 about
+# vertex 0, and 1/2 [[1, -phi, 1/phi], [phi, 1/phi, -1], [1/phi, 1, phi]],
+# of order 5; (a, b) is a + b phi
+_GENERATORS_DOUBLED = tuple(tuple(tuple(ZPhi(*e) for e in row) for row in rows) for rows in (
+    (((0, 0), (2, 0), (0, 0)), ((0, 0), (0, 0), (2, 0)), ((2, 0), (0, 0), (0, 0))),
+    (((1, 0), (0, -1), (-1, 1)), ((0, 1), (-1, 1), (-1, 0)), ((-1, 1), (1, 0), (0, 1))),
+))
 
 
 def rotation_group(model: PolytopeModel) -> tuple[Perm, ...]:
     """The 60 orientation-preserving symmetries as vertex permutations.
 
-    Generated by an order-3 rotation about the vertex-0 axis and an order-5
-    rotation about the axis through the centre of the first face at vertex 0.
+    Closed from the order-3 and order-5 generators, each applied to the
+    exact coordinates and matched to vertices by equality.
     """
-    r3 = rotation_permutation(model, (0.0, 0.0, 1.0), 2.0 * math.pi / 3.0)
-    face = model.faces[model.vertex_faces[0][0]]
-    centre = centroid([model.vertices[v].position for v in face])
-    r5 = rotation_permutation(model, centre, 2.0 * math.pi / 5.0)
-    group = close_under_composition([r3, r5])
+    exact = model.exact_positions
+    doubled = {tuple(x + x for x in p): v for v, p in enumerate(exact)}
+    try:
+        gens = [tuple(doubled[tuple(dot(row, p) for row in rows)] for p in exact)
+                for rows in _GENERATORS_DOUBLED]
+    except KeyError:
+        raise AssertionError("a generator is not a symmetry of the vertex set") from None
+    group = close_under_composition(gens)
     if len(group) != 60:
         raise AssertionError(f"rotation group has {len(group)} elements")
     return tuple(sorted(group))
@@ -175,44 +163,33 @@ def full_group(model: PolytopeModel) -> tuple[Perm, ...]:
     return tuple(sorted(group))
 
 
-def realization_matrix(model: PolytopeModel, p: Perm) -> Mat:
-    """The orthogonal 3x3 matrix (rows) taking every vertex position to its image.
-
-    It maps the basis of vertices 0, 1, 4 onto their images, so it is
-    image @ inv(base) with those vertices as the columns.  Raises if p is not
-    induced by a linear isometry of the coordinates.
-    """
-    pos = positions(model)
-    base = tuple(zip(pos[0], pos[1], pos[4]))
-    if abs(det3(base)) <= TOL:
-        raise AssertionError("vertices 0, 1, 4 are not a basis")
-    image = tuple(zip(pos[p[0]], pos[p[1]], pos[p[4]]))
-    cols = tuple(zip(*inv3(base)))
-    mat = tuple(tuple(dot(row, col) for col in cols) for row in image)
-    if any(abs(dot(mat[i], mat[j]) - (i == j)) > 1e-8 for i in range(3) for j in range(3)):
-        raise ValueError("permutation is not realized by an orthogonal map")
-    for v in range(20):
-        mapped = tuple(dot(row, pos[v]) for row in mat)
-        if max(abs(x) for x in sub(mapped, pos[p[v]])) > 1e-8:
-            raise ValueError("matrix does not map all vertices to their images")
-    return mat
-
-
 def spatial_determinant(model: PolytopeModel, p: Perm) -> int:
-    """+1 for rotations, -1 for orientation-reversing symmetries."""
-    det = det3(realization_matrix(model, p))
-    if abs(abs(det) - 1.0) >= 1e-8:
-        raise AssertionError(f"determinant {det} is not +-1")
-    return 1 if det > 0 else -1
+    """+1 for rotations, -1 for orientation-reversing symmetries.
+
+    p must be a vertex permutation keeping every exact squared distance, or
+    ValueError is raised; then an orthogonal map M realizes it, and det M
+    has the sign of det(images of 0, 1, 4) times that of det(0, 1, 4).
+    """
+    p = _check_vertex_perm(p)
+    d2, image = model.squared_distances, operator.itemgetter(*p)
+    if any(image(d2[p[u]]) != d2[u] for u in range(20)):
+        raise ValueError("permutation does not keep the vertex distances")
+    x = model.exact_positions
+    base = det3((x[0], x[1], x[4])).sign()
+    if base == 0:
+        raise AssertionError("vertices 0, 1, 4 are not a basis")
+    return det3((x[p[0]], x[p[1]], x[p[4]])).sign() * base
 
 
 def tetra_action(model: PolytopeModel, g: Perm, tetrahedra) -> Perm:
     """The permutation a symmetry induces on the 5 tetrahedra of a compound.
 
     ``tetrahedra`` is an ordered sequence of five 4-tuples of vertex ids.
-    Returns images as a 5-tuple on indices 0..4.  Raises if g does not map
-    the compound to itself setwise.
+    Returns images as a 5-tuple on indices 0..4.  Raises ValueError if g
+    is not a vertex permutation or does not map the compound to itself
+    setwise.
     """
+    g = _check_vertex_perm(g)
     tets = [frozenset(t) for t in tetrahedra]
     images = []
     for t in tets:
@@ -220,10 +197,8 @@ def tetra_action(model: PolytopeModel, g: Perm, tetrahedra) -> Perm:
         if img not in tets:
             raise ValueError("symmetry does not stabilize the compound")
         images.append(tets.index(img))
-    p = tuple(images)
-    if not is_permutation(p, 5):
-        raise AssertionError("tetrahedra images are not a permutation")
-    return p
+    # g is a bijection, so distinct tetrahedra have distinct images
+    return tuple(images)
 
 
 # ---------------------------------------------------------------------------
@@ -304,20 +279,9 @@ def colour_group() -> frozenset[ColourSymmetry]:
 _SUBGROUP_BUILDERS = {
     "trivial": lambda: frozenset({COLOUR_IDENTITY}),
     "C2": lambda: frozenset({COLOUR_IDENTITY, COLOUR_SWAP}),
-    "S5": lambda: frozenset(
-        ColourSymmetry(p, 1) for p in permutations((1, 2, 3, 4, 5))
-    ),
-    "A5": lambda: frozenset(
-        ColourSymmetry(p, 1)
-        for p in permutations((1, 2, 3, 4, 5))
-        if ColourSymmetry(p, 1).parity() == 1
-    ),
-    "A5xC2": lambda: frozenset(
-        ColourSymmetry(p, s)
-        for p in permutations((1, 2, 3, 4, 5))
-        for s in (1, -1)
-        if ColourSymmetry(p, 1).parity() == 1
-    ),
+    "S5": lambda: frozenset(g for g in colour_group() if g.sign == 1),
+    "A5": lambda: frozenset(g for g in colour_group() if g.sign == 1 and g.parity() == 1),
+    "A5xC2": lambda: frozenset(g for g in colour_group() if g.parity() == 1),
     "S5xC2": colour_group,
 }
 NAMED_SUBGROUPS = tuple(_SUBGROUP_BUILDERS)

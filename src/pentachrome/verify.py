@@ -2,9 +2,10 @@
 
 Each check re-measures a fact about the built model or the enumerated
 colourings and reports the measured value, so a failure names exactly what
-broke.  The whole battery takes about 0.19 s in-process (two sets of 15
-cold runs, medians 0.18 and 0.19 s, on a 2-CPU container, Python 3.11); a
-fresh `pentachrome verify` process takes about 0.27 s (median of 11).
+broke.  The whole battery takes about 0.2 s in-process (two sets of 15
+cold runs, medians 0.19 and 0.23 s, on a shared 2-CPU container, Python
+3.11); a fresh `pentachrome verify` process takes about 0.35 s (median of
+11).
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ from pentachrome.chroma import (
     cyclic_order_parity,
     enumerate_by_propagation,
     enumerate_colourings,
+    enumeration_to_json,
     face_parity_signature,
     first_violated_face,
     frame_completions,
@@ -46,6 +47,7 @@ from pentachrome.symmetry import (
     colour_group,
     generate_subgroup,
     named_subgroup,
+    tetra_action,
 )
 
 
@@ -211,6 +213,18 @@ def test_act_preserves_validity(model, colourings):
 def test_act_rejects_invalid_colouring(model):
     with pytest.raises(ValueError):
         act(COLOUR_SWAP, tuple([1] * 20), model)
+
+
+@pytest.mark.parametrize("bad", [None, (1, 2, 3), (0,) * 20], ids=["None", "short", "zeros"])
+@pytest.mark.parametrize("call", [
+    lambda model, x: working_handedness(model, x),
+    lambda model, x: colour_classes(x),
+    lambda model, x: enumeration_to_json([x]),
+    lambda model, x: tetra_action(model, x, compound_mod.compounds(model)[0].tetrahedra),
+], ids=["working_handedness", "colour_classes", "enumeration_to_json", "tetra_action"])
+def test_entry_points_reject_malformed_input(model, call, bad):
+    with pytest.raises(ValueError):
+        call(model, bad)
 
 
 def test_orbit_of_any_colouring_is_everything(model, colourings):

@@ -5,11 +5,14 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pentachrome.polytope import (
     BAND_SIZES,
     BANDS,
     TOL,
+    ZPhi,
     _raw_coordinates,
     build_polytope,
     distance_spectrum,
@@ -214,6 +217,85 @@ def test_json_round_trip(model):
     assert [tuple(f) for f in doc["faces"]] == list(model.faces)
     assert tuple(doc["antipode"]) == model.antipode
     assert model_to_json(model) == model_to_json(build_polytope())
+
+
+# ---------------------------------------------------------------------------
+# the exact route against the float route
+
+_PHI = (1.0 + math.sqrt(5.0)) / 2.0
+_ZPHI = st.builds(ZPhi, st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_ZPHI, y=_ZPHI, z=_ZPHI)
+def test_zphi_sign_and_ring_laws(x, y, z):
+    # a nonzero a + b phi times its conjugate a + b (1 - phi) is a nonzero
+    # integer, and the conjugate stays below 2e6 here, so |a + b phi| > 5e-7,
+    # far above the float error: the float sign is reliable on this range
+    value = x[0] + x[1] * _PHI
+    assert x.sign() == (value > 0) - (value < 0)
+    assert (x * y).sign() == x.sign() * y.sign()
+    assert x * (y + z) == x * y + x * z
+    assert (x + y) * z == x * z + y * z
+    assert x - y == x + -y
+
+
+def test_zphi_sign_near_zero():
+    # F(n+1) - F(n) phi = (1 - phi)^n, of sign (-1)^n and size phi^-n
+    fib = [0, 1]
+    while fib[-1] < 10**12:
+        fib.append(fib[-1] + fib[-2])
+    for n in range(1, len(fib) - 1):
+        assert ZPhi(fib[n + 1], -fib[n]).sign() == (-1) ** n
+        assert ZPhi(-fib[n + 1], fib[n]).sign() == -((-1) ** n)
+    assert ZPhi(0).sign() == 0
+
+
+def test_zphi_rejects_an_int_factor():
+    with pytest.raises(TypeError):
+        2 * ZPhi(1, 1)  # not tuple repetition
+
+
+def test_exact_derivation_matches_float_route(model):
+    # adjacency, antipode, bands and tetrahedra rebuilt from the exported
+    # float positions with a tolerance must equal the exact derivation
+    pos = np.array(positions(model))
+    dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
+    edge = dist[dist > 1e-9].min()
+    adjacency = [tuple(np.flatnonzero(np.abs(row - edge) < 1e-9)) for row in dist]
+    assert adjacency == [tuple(a) for a in model.adjacency]
+
+    sums = np.linalg.norm(pos[:, None, :] + pos[None, :, :], axis=2)
+    assert (sums.min(axis=1) < 1e-9).all()
+    assert tuple(int(a) for a in sums.argmin(axis=1)) == model.antipode
+
+    heights = sorted(range(20), key=lambda v: -pos[v, 2])
+    bands = [[heights[0]]]
+    for v in heights[1:]:
+        if abs(pos[v, 2] - pos[bands[-1][0], 2]) < 1e-6:
+            bands[-1].append(v)
+        else:
+            bands.append([v])
+    assert [sorted(b) for b in bands] == [
+        [v.id for v in model.vertices if v.latitude == band] for band in BANDS
+    ]
+
+    tetra_edge = math.sqrt(8.0 / 3.0)
+    tetrahedra = tuple(
+        q for q in combinations(range(20), 4)
+        if all(abs(dist[a, b] - tetra_edge) < 1e-9 for a, b in combinations(q, 2))
+    )
+    assert tetrahedra == model.tetrahedra
+
+
+def test_squared_distances_are_exact_classes(model):
+    classes = Counter(
+        model.squared_distances[u][v] for u, v in combinations(range(20), 2)
+    )
+    # 8 - 4 phi, 4, 8, 4 + 4 phi and 12 at circumradius sqrt(3)
+    assert classes == {ZPhi(8, -4): 30, ZPhi(4): 60, ZPhi(8): 60, ZPhi(4, 4): 30, ZPhi(12): 10}
+    for p in model.exact_positions:
+        assert sum((x * x for x in p), ZPhi(0)) == ZPhi(3)
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,30 @@ from pentachrome.symmetry import (
     named_subgroup,
     perm_order,
     perm_parity,
-    realization_matrix,
-    rotation_permutation,
     spatial_determinant,
     tetra_action,
 )
+
+
+def axis_rotation(axis, angle):
+    """Rodrigues: cos I + sin K + (1 - cos) a a^T for the unit axis a."""
+    a = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    k = np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
+    c, s = math.cos(angle), math.sin(angle)
+    return c * np.eye(3) + s * k + (1.0 - c) * np.outer(a, a)
+
+
+def rotation_permutation(model, axis, angle):
+    """Float reference route: the vertex permutation of a rotation about axis
+    by angle, by nearest-vertex matching on the exported positions.  Raises
+    unless every rotated vertex is within 1e-9 of a vertex, bijectively."""
+    pos = np.array(positions(model))
+    rotated = pos @ axis_rotation(axis, angle).T
+    dist = np.linalg.norm(rotated[:, None, :] - pos[None, :, :], axis=2)
+    p = tuple(int(w) for w in dist.argmin(axis=1))
+    if dist.min(axis=1).max() >= 1e-9 or sorted(p) != list(range(20)):
+        raise ValueError("rotation is not a symmetry of the vertex set")
+    return p
 
 
 def graph_automorphisms(adjacency):
@@ -90,7 +109,8 @@ def test_full_group_equals_graph_automorphisms(model, full_symmetries):
 
 
 def test_generator_independence(model, rotations):
-    # a different generator pair must build the same group
+    # a different generator pair, matched by the float reference route,
+    # must build the same group as the exact generators
     r3 = rotation_permutation(model, model.vertices[7].position, 2.0 * math.pi / 3.0)
     face = model.faces[model.vertex_faces[19][-1]]
     centre = np.mean([model.vertices[v].position for v in face], axis=0)
@@ -147,20 +167,27 @@ def test_compose_invert_axioms(rotations):
         assert invert(p) in members
 
 
-def test_realization_matrix_is_orthogonal(model, rotations):
-    import numpy as np
-
-    for p in list(rotations)[:10]:
-        mat = np.array(realization_matrix(model, p))
-        assert np.allclose(mat @ mat.T, np.eye(3), atol=1e-9)
-
-
-def test_realization_matrix_matches_numpy(model, full_symmetries):
+def test_spatial_determinant_matches_numpy_determinant(model, full_symmetries):
+    # float route: the matrix taking vertices 0, 1, 4 to their images is
+    # orthogonal, maps every vertex to its image, and has determinant +-1
     pos = np.array(positions(model))
     inv_base = np.linalg.inv(pos[[0, 1, 4]].T)
     for p in full_symmetries:
-        want = pos[[p[0], p[1], p[4]]].T @ inv_base
-        assert np.abs(np.array(realization_matrix(model, p)) - want).max() <= 1e-12
+        mat = pos[[p[0], p[1], p[4]]].T @ inv_base
+        assert np.allclose(mat @ mat.T, np.eye(3), atol=1e-9)
+        assert np.allclose(pos @ mat.T, pos[list(p)], atol=1e-9)
+        assert spatial_determinant(model, p) == round(np.linalg.det(mat))
+
+
+@pytest.mark.parametrize("p", [
+    None,
+    (0, 1, 2),
+    "12345" * 4,
+    (1, 0) + tuple(range(2, 20)),
+], ids=["None", "short", "str", "transposition"])
+def test_spatial_determinant_rejects_non_symmetries(model, p):
+    with pytest.raises(ValueError):
+        spatial_determinant(model, p)
 
 
 def test_tetra_action_identity(model):
