@@ -21,7 +21,7 @@ from operator import itemgetter
 
 from .polytope import PolytopeModel, _check_id, _fmt
 from .symmetry import (
-    COLOUR_IDENTITY, ColourSymmetry, _check_symmetries, generate_subgroup, perm_parity,
+    ColourSymmetry, _check_subgroup, _check_symmetries, perm_parity,
 )
 
 Colouring = tuple[int, ...]
@@ -58,7 +58,11 @@ def is_valid(model: PolytopeModel, c) -> bool:
 
 
 def first_violated_face(model: PolytopeModel, c) -> int | None:
-    c = check_colouring(c)
+    return _first_violated_face(model, check_colouring(c))
+
+
+def _first_violated_face(model: PolytopeModel, c: Colouring) -> int | None:
+    """`first_violated_face` on a colouring already known to be 20 colours."""
     for fid, (a, b, d, e, f) in enumerate(model.faces):
         if len({c[a], c[b], c[d], c[e], c[f]}) != 5:
             return fid
@@ -70,7 +74,7 @@ def check_rainbow(model: PolytopeModel, c) -> Colouring:
     and every face rainbow.  Returns the colouring as a tuple; raises
     ValueError otherwise."""
     c = check_colouring(c)
-    if not is_valid(model, c):
+    if _first_violated_face(model, c) is not None:
         raise ValueError("colouring is not face-rainbow")
     return c
 
@@ -281,22 +285,6 @@ def act(g: ColourSymmetry, c: Colouring, model: PolytopeModel) -> Colouring:
     return _act(g, check_rainbow(model, c), model)
 
 
-def _check_subgroup(H) -> set[ColourSymmetry]:
-    """H as a set, if it is the group its own elements generate.  Each
-    generator, taken greedily, at least doubles the closure: at most 7."""
-    members = set(_check_symmetries(H))
-    if COLOUR_IDENTITY not in members:
-        raise ValueError("subgroup must contain the identity")
-    gens, closure = [], {COLOUR_IDENTITY}
-    for g in sorted(members):
-        if g not in closure:
-            gens.append(g)
-            closure = generate_subgroup(gens)
-            if not closure <= members:
-                raise ValueError("generator set is not closed under composition")
-    return members
-
-
 def orbit_partition(colourings, H, model: PolytopeModel) -> tuple[tuple[Colouring, ...], ...]:
     """Partition colourings into orbits of the subgroup H.
 
@@ -309,7 +297,7 @@ def orbit_partition(colourings, H, model: PolytopeModel) -> tuple[tuple[Colourin
     smallest member.  The sweep runs on 20-byte colourings, which sort
     exactly like the tuples.
     """
-    elems = _check_subgroup(H)
+    pairs = _check_subgroup(H)
     pool = sorted(bytes(check_rainbow(model, c)) for c in colourings)
     members = set(pool)
     if len(members) != len(pool):
@@ -322,7 +310,7 @@ def orbit_partition(colourings, H, model: PolytopeModel) -> tuple[tuple[Colourin
             continue
         relabel, relabel_mirrored = b.translate, _mirror(b, model).translate
         orbit = {
-            (relabel_mirrored if g.sign == -1 else relabel)(_RELABEL[g.perm]) for g in elems
+            (relabel_mirrored if sign == -1 else relabel)(_RELABEL[perm]) for perm, sign in pairs
         }
         if not orbit <= members:
             raise ValueError("subgroup action leaves the given colouring set")
@@ -386,17 +374,20 @@ def zigzag_trace(model: PolytopeModel, c: Colouring, v: int, handedness: str) ->
     """
     check_rainbow(model, c)
     _check_id(v, 20, "vertex")
+    return _checkpoints(model, v, handedness)
+
+
+def _checkpoints(model: PolytopeModel, v: int, handedness: str) -> frozenset[int]:
+    """`zigzag_trace` without the colouring, which the set does not depend on."""
     walk = zigzag_walk(model, v, min(model.adjacency[v]), handedness)
     return frozenset(walk[::3])
 
 
 def working_handedness(model: PolytopeModel, c: Colouring) -> str:
     """The handedness whose zigzag checkpoints reproduce colour classes."""
-    classes = colour_classes(c)
-    hits = [
-        h for h in (LEFT, RIGHT)
-        if zigzag_trace(model, c, 0, h) == classes[c[0]]
-    ]
+    c = check_rainbow(model, c)
+    class0 = frozenset(v for v in range(20) if c[v] == c[0])
+    hits = [h for h in (LEFT, RIGHT) if _checkpoints(model, 0, h) == class0]
     if len(hits) != 1:
         raise AssertionError("exactly one handedness must reproduce the class")
     return hits[0]
@@ -431,6 +422,12 @@ def inverse_cycle(order) -> tuple[int, ...]:
     return canonical_cycle(tuple(reversed(order)))
 
 
+# each rainbow face reading -> (canonical cyclic order, parity)
+_FACE_ORDERS = {
+    r: (canonical_cycle(r), cyclic_order_parity(r)) for r in permutations(COLOURS)
+}
+
+
 def face_parity_signature(model: PolytopeModel, c: Colouring):
     """Per face: (face id, canonical cyclic colour order, parity).
 
@@ -439,11 +436,10 @@ def face_parity_signature(model: PolytopeModel, c: Colouring):
     orders are pairwise distinct.
     """
     c = check_rainbow(model, c)
-    out = []
-    for fid, f in enumerate(model.faces):
-        order = canonical_cycle(tuple(c[v] for v in f))
-        out.append((fid, order, cyclic_order_parity(order)))
-    return tuple(out)
+    return tuple(
+        (fid, *_FACE_ORDERS[c[a], c[b], c[d], c[e], c[f]])
+        for fid, (a, b, d, e, f) in enumerate(model.faces)
+    )
 
 
 def parity_class(model: PolytopeModel, c: Colouring) -> int:

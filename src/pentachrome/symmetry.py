@@ -261,12 +261,41 @@ def _check_symmetries(elements) -> list[ColourSymmetry]:
     return elems
 
 
+def _pair_mul(a, b):
+    """ColourSymmetry.__mul__ on (perm, sign) pairs, unchecked: a product
+    of two valid symmetries is valid."""
+    (p, s), (q, t) = a, b
+    return (p[q[0] - 1], p[q[1] - 1], p[q[2] - 1], p[q[3] - 1], p[q[4] - 1]), s * t
+
+
+_IDENTITY_PAIR = ((1, 2, 3, 4, 5), 1)
+
+
+def _check_subgroup(H) -> set[tuple[tuple[int, ...], int]]:
+    """H as a set of (perm, sign) pairs, if it is the group its own
+    elements generate.  Each generator, taken greedily, at least doubles
+    the closure: at most 7."""
+    members = {(g.perm, g.sign) for g in _check_symmetries(H)}
+    if _IDENTITY_PAIR not in members:
+        raise ValueError("subgroup must contain the identity")
+    gens, closure = [], {_IDENTITY_PAIR}
+    for g in sorted(members):  # as ColourSymmetry sorts
+        if g not in closure:
+            gens.append(g)
+            closure = _closure(gens, _IDENTITY_PAIR, _pair_mul)
+            if not closure <= members:
+                raise ValueError("generator set is not closed under composition")
+    return members
+
+
 def generate_subgroup(generators) -> frozenset[ColourSymmetry]:
     """Closure of colour symmetries under composition and inverse."""
-    group = _closure(_check_symmetries(generators), COLOUR_IDENTITY, operator.mul)
-    if 240 % len(group):
-        raise AssertionError(f"group order {len(group)} does not divide 240")
-    return group
+    pairs = _closure(
+        [(g.perm, g.sign) for g in _check_symmetries(generators)], _IDENTITY_PAIR, _pair_mul
+    )
+    if 240 % len(pairs):
+        raise AssertionError(f"group order {len(pairs)} does not divide 240")
+    return frozenset(ColourSymmetry(p, s) for p, s in pairs)
 
 
 def colour_group() -> frozenset[ColourSymmetry]:

@@ -2,10 +2,10 @@
 
 Each check re-measures a fact about the built model or the enumerated
 colourings and reports the measured value, so a failure names exactly what
-broke.  The whole battery takes about 0.2 s in-process (two sets of 15
-cold runs, medians 0.19 and 0.23 s, on a shared 2-CPU container, Python
-3.11); a fresh `pentachrome verify` process takes about 0.35 s (median of
-11).
+broke.  The whole battery takes about 0.15 s in-process (15 cold runs,
+median 0.151 s, quartiles 0.136-0.160 s, on a shared 2-CPU container,
+Python 3.11); a fresh `pentachrome verify` process takes about 0.30 s
+(15 runs, median 0.303 s, quartiles 0.285-0.314 s).
 """
 
 from __future__ import annotations
@@ -131,10 +131,8 @@ def _polytope_checks(model: PolytopeModel) -> list[Check]:
     return out
 
 
-def _symmetry_checks(model: PolytopeModel) -> list[Check]:
+def _symmetry_checks(model: PolytopeModel, rot, full) -> list[Check]:
     out = []
-    rot = symmetry.rotation_group(model)
-    full = symmetry.full_group(model)
     out.append(Check("rotation group order", len(rot) == 60, f"{len(rot)}"))
     out.append(Check("full group order", len(full) == 120, f"{len(full)}"))
 
@@ -249,7 +247,7 @@ def _colouring_checks(model: PolytopeModel, all_c, elapsed: float) -> list[Check
     return out
 
 
-def _compound_checks(model: PolytopeModel, all_c) -> list[Check]:
+def _compound_checks(model: PolytopeModel, all_c, rot, full) -> list[Check]:
     out = []
     tets = compound_mod.inscribed_tetrahedra(model)
     out.append(Check("inscribed tetrahedra", len(tets) == 10, f"{len(tets)}"))
@@ -276,7 +274,6 @@ def _compound_checks(model: PolytopeModel, all_c) -> list[Check]:
         anti_image == set(comp_b.tetrahedra),
         "",
     ))
-    rot = symmetry.rotation_group(model)
     stab_a = all(
         {tuple(sorted(p[v] for v in t)) for t in comp_a.tetrahedra} == set(comp_a.tetrahedra)
         for p in rot
@@ -286,7 +283,6 @@ def _compound_checks(model: PolytopeModel, all_c) -> list[Check]:
         for p in rot
     )
     out.append(Check("every rotation stabilizes each compound", stab_a and not maps_ab, ""))
-    full = symmetry.full_group(model)
     reversing = [p for p in full if p not in set(rot)]
     swaps = all(
         {tuple(sorted(p[v] for v in t)) for t in comp_a.tetrahedra} == set(comp_b.tetrahedra)
@@ -431,16 +427,18 @@ def run_checks(model: PolytopeModel) -> list[Check]:
     """The whole battery; every entry carries its measured value.
 
     The colourings are enumerated once, timed for the 1 s gate, and shared
-    by the sections.
+    by the sections, as are the rotation and full symmetry groups.
     """
     t0 = time.perf_counter()
     all_c = chroma.enumerate_colourings(model)
     elapsed = time.perf_counter() - t0
+    rot = symmetry.rotation_group(model)
+    full = symmetry.full_group(model)
     checks = []
     checks += _polytope_checks(model)
-    checks += _symmetry_checks(model)
+    checks += _symmetry_checks(model, rot, full)
     checks += _colouring_checks(model, all_c, elapsed)
-    checks += _compound_checks(model, all_c)
+    checks += _compound_checks(model, all_c, rot, full)
     checks += _structure_checks(model, all_c)
     checks += _export_checks(model, all_c)
     return checks

@@ -1,6 +1,8 @@
 import json
 import random
+import re
 from collections import Counter
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from pentachrome import chroma
 from pentachrome import compound as compound_mod
 from pentachrome.chroma import (
+    COLOURS,
     LABELLING,
     LEFT,
     RIGHT,
@@ -281,6 +284,44 @@ def test_orbit_partition_rejects_subgroup_plus_one(model, colourings, name):
             orbit_partition(colourings, H | {g}, model)
 
 
+# ---------------------------------------------------------------------------
+# subgroup closures against a brute-force oracle on validated products
+
+def _validated_closure(gens):
+    """The group generated by gens: breadth-first right multiplication,
+    every product a validated ColourSymmetry.__mul__."""
+    group = frozenset({COLOUR_IDENTITY})
+    frontier = group
+    while frontier:
+        frontier = {g * s for g in frontier for s in gens} - group
+        group |= frontier
+    return group
+
+
+@settings(max_examples=40, deadline=None)
+@given(gens=st.lists(st.sampled_from(_G), max_size=3))
+def test_generate_subgroup_is_the_validated_closure(gens):
+    assert generate_subgroup(gens) == _validated_closure(gens)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    gens=st.lists(st.sampled_from(_G), max_size=2),
+    toggled=st.sets(st.sampled_from(_G), max_size=2),
+)
+def test_orbit_partition_accepts_exactly_the_closed_subsets(model, colourings, gens, toggled):
+    # near-subgroups: a generated group with up to two elements toggled
+    H = (_validated_closure(gens) ^ toggled) | {COLOUR_IDENTITY}
+    closed = all(g * h in H for g in H for h in H)
+    try:
+        orbits = orbit_partition(colourings, H, model)
+    except ValueError:
+        assert not closed
+    else:
+        assert closed
+        assert len(orbits) * len(H) == 240
+
+
 def test_a5_orbits_are_parity_times_compound(model, colourings):
     orbits = orbit_partition(colourings, named_subgroup("A5"), model)
     invariants = []
@@ -370,6 +411,21 @@ def test_seed_handedness_and_pole_trace(model):
         assert [seed[v] for v in walk[:4]] == [1, 2, 5, 1]
 
 
+def test_working_handedness_checks_the_colouring_once(model, colourings, monkeypatch):
+    calls = []
+    check = chroma.check_colouring
+
+    def counted(c):
+        calls.append(c)
+        return check(c)
+
+    monkeypatch.setattr(chroma, "check_colouring", counted)
+    for c in colourings[:6]:
+        calls.clear()
+        working_handedness(model, c)
+        assert len(calls) == 1
+
+
 def test_zigzag_rejects_bad_handedness(model, colourings):
     with pytest.raises(ValueError):
         zigzag_trace(model, colourings[0], 0, "widdershins")
@@ -406,8 +462,6 @@ def test_inverse_cycle():
 
 
 def _all_cyclic_orders_of_parity(parity):
-    from itertools import permutations
-
     return {
         (1,) + rest
         for rest in permutations((2, 3, 4, 5))
@@ -436,6 +490,31 @@ def test_face_orders_are_exactly_the_twelve_of_one_parity(model, colourings):
         sig = face_parity_signature(model, c)
         shared = sig[0][2]
         assert {order for _, order, _ in sig} == _all_cyclic_orders_of_parity(shared)
+
+
+def test_face_order_table_matches_canonical_cycle_and_parity(model, colourings):
+    table = chroma._FACE_ORDERS
+    assert len(table) == 120
+    assert set(table) == set(permutations(COLOURS))  # every rainbow face reading
+    for c in colourings:
+        expected = []
+        for fid, f in enumerate(model.faces):
+            order = canonical_cycle(tuple(c[v] for v in f))
+            assert table[tuple(c[v] for v in f)] == (order, cyclic_order_parity(order))
+            expected.append((fid, order, cyclic_order_parity(order)))
+        assert face_parity_signature(model, c) == tuple(expected)
+
+
+@pytest.mark.parametrize("bad,message", [
+    (None, "colouring must be a sequence of 20 colours, not None"),
+    ((1, 2, 3), "colouring must assign 20 vertices, got 3"),
+    ((0,) * 20, "vertex 0 has colour 0, expected 1..5"),
+    ((1,) * 19 + (True,), "vertex 19 has colour True, expected 1..5"),
+    ((1,) * 20, "colouring is not face-rainbow"),
+], ids=["None", "short", "zeros", "bool", "constant"])
+def test_face_parity_signature_rejection_messages(model, bad, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        face_parity_signature(model, bad)
 
 
 def test_opposite_faces_inverse_orders(model, colourings):

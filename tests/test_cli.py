@@ -2,7 +2,7 @@ import json
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pentachrome import chroma
@@ -299,6 +299,83 @@ def test_unknown_command_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# any input: exit 0, 1 or 2, never a traceback
+
+_ARG = st.text(st.characters(blacklist_characters="\x00"), max_size=12)  # argv holds no NUL
+# "" names the directory itself; repeats weight the draw toward paths that work
+_IN_PATHS = ("in.json", "in.json", "in.json", "absent.json", "")
+_OUT_PATHS = ("out", "out", "missing/out", "")
+_COLOURS = st.lists(
+    st.one_of(st.integers(-1, 6), st.booleans(), st.none(), st.text(max_size=2)), max_size=21
+)
+
+
+def _file_contents(data, colourings):
+    kind = data.draw(st.sampled_from(["valid", "valid", "colours", "malformed", "bytes"]))
+    if kind == "valid":
+        return chroma.colouring_to_json(data.draw(st.sampled_from(colourings))).encode()
+    if kind == "colours":
+        colours = data.draw(_COLOURS)
+        return json.dumps({"labelling": chroma.LABELLING, "colours": colours}).encode()
+    if kind == "malformed":
+        return data.draw(st.sampled_from(MALFORMED)).encode()
+    return data.draw(st.binary(max_size=64))
+
+
+def _argv(data, path):
+    command = data.draw(st.sampled_from(["orbits", "classify", "export", "enumerate"]))
+    argv = [command]
+
+    def often():
+        return data.draw(st.integers(0, 3)) > 0
+
+    def draw_path(paths):
+        return path(data.draw(st.sampled_from(paths)))
+
+    if command == "orbits":
+        if often():
+            argv += ["--subgroup", data.draw(st.one_of(_SPEC, _ARG))]
+        if not often():
+            argv.append("--json")
+    elif command == "classify":
+        if often():
+            argv += ["--in", draw_path(_IN_PATHS)]
+        if not often():
+            argv.append("--json")
+    elif command == "export":
+        what = data.draw(st.sampled_from(
+            ["dodecahedron", "compound-A", "compound-B", "colouring", "megaminx"]
+        ))
+        fmt = data.draw(st.sampled_from(["off", "json", "svg"]))
+        argv += ["--what", what, "--format", fmt, "--out", draw_path(_OUT_PATHS)]
+        if often():
+            argv += ["--in", draw_path(_IN_PATHS)]
+    else:
+        argv += ["--out", draw_path(_OUT_PATHS)]
+        if not often():
+            argv += ["--format", data.draw(st.sampled_from(["json", "xml"]))]
+    if not often():
+        argv += data.draw(st.lists(_ARG, min_size=1, max_size=2))
+    return argv
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_exits_cleanly_on_any_input(capsys, tmp_path, monkeypatch, colourings, data):
+    monkeypatch.chdir(tmp_path)  # a generated relative path stays in tmp_path
+    (tmp_path / "in.json").write_bytes(_file_contents(data, colourings))
+    argv = _argv(data, lambda name: str(tmp_path / name))
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err, (argv, err)
 
 
 # ---------------------------------------------------------------------------
