@@ -2,10 +2,10 @@
 orbit partitioning, zigzag traces and cyclic-order parities.
 
 A colouring is a plain tuple of 20 colours in {1..5}, indexed by vertex id.
-Tuples are the public type; where the colour action runs in bulk
-(`stabilizer`, `orbit_partition`) a valid colouring is held as 20 bytes,
-so relabelling is one `bytes.translate` and the antipodal half one
-`itemgetter` gather.
+Tuples are the public type.  The colour action runs in one place,
+`_images` (for `act`, `stabilizer` and `orbit_partition`), on 20-byte
+copies: relabelling is one `bytes.translate` and the antipodal half of
+sign -1 one `itemgetter` gather.
 Two independent enumerators are provided: a brute-force backtracking search
 (`enumerate_colourings`) and a constraint-propagation replay
 (`enumerate_by_propagation`) that fixes the colours of the north pole and
@@ -267,22 +267,21 @@ def seed_colourings(model: PolytopeModel) -> tuple[Colouring, Colouring]:
 _RELABEL = {p: bytes.maketrans(b"\1\2\3\4\5", bytes(p)) for p in permutations(COLOURS)}
 
 
-def _mirror(c, model: PolytopeModel) -> bytes:
-    """The antipodal half of sign -1: each vertex takes its antipode's colour."""
-    return bytes(itemgetter(*model.antipode)(c))
-
-
-def _act(g: ColourSymmetry, c: Colouring, model: PolytopeModel) -> Colouring:
-    """`act` on a colouring already known to be valid."""
-    b = _mirror(c, model) if g.sign == -1 else bytes(c)
-    return tuple(b.translate(_RELABEL[g.perm]))
+def _images(c, H, model: PolytopeModel) -> list[bytes]:
+    """The 20-byte image of the valid colouring c under each element of H,
+    in H's order: relabel colours, and for sign -1 take each vertex's
+    colour from its antipode."""
+    b = bytes(c)
+    mirrored = bytes(itemgetter(*model.antipode)(b))
+    return [(mirrored if sign == -1 else b).translate(_RELABEL[perm]) for perm, sign in H]
 
 
 def act(g: ColourSymmetry, c: Colouring, model: PolytopeModel) -> Colouring:
     """Apply a colour symmetry: relabel colours, then for sign -1 take each
     vertex's colour from its antipode."""
     _check_symmetries([g])
-    return _act(g, check_rainbow(model, c), model)
+    (image,) = _images(check_rainbow(model, c), [g], model)
+    return tuple(image)
 
 
 def orbit_partition(colourings, H, model: PolytopeModel) -> tuple[tuple[Colouring, ...], ...]:
@@ -297,7 +296,7 @@ def orbit_partition(colourings, H, model: PolytopeModel) -> tuple[tuple[Colourin
     smallest member.  The sweep runs on 20-byte colourings, which sort
     exactly like the tuples.
     """
-    pairs = _check_subgroup(H)
+    H = _check_subgroup(H)
     pool = sorted(bytes(check_rainbow(model, c)) for c in colourings)
     members = set(pool)
     if len(members) != len(pool):
@@ -308,10 +307,7 @@ def orbit_partition(colourings, H, model: PolytopeModel) -> tuple[tuple[Colourin
     for b in pool:
         if b in placed:
             continue
-        relabel, relabel_mirrored = b.translate, _mirror(b, model).translate
-        orbit = {
-            (relabel_mirrored if sign == -1 else relabel)(_RELABEL[perm]) for perm, sign in pairs
-        }
+        orbit = set(_images(b, H, model))
         if not orbit <= members:
             raise ValueError("subgroup action leaves the given colouring set")
         placed |= orbit
@@ -321,13 +317,9 @@ def orbit_partition(colourings, H, model: PolytopeModel) -> tuple[tuple[Colourin
 
 def stabilizer(c: Colouring, H, model: PolytopeModel) -> list[ColourSymmetry]:
     """The elements of H that fix c; every element is applied."""
-    c = check_rainbow(model, c)
-    b = bytes(c)
-    relabel, relabel_mirrored = b.translate, _mirror(c, model).translate
-    return sorted({
-        g for g in _check_symmetries(H)
-        if (relabel_mirrored if g.sign == -1 else relabel)(_RELABEL[g.perm]) == b
-    })
+    b = bytes(check_rainbow(model, c))
+    H = _check_symmetries(H)
+    return sorted({g for g, image in zip(H, _images(b, H, model)) if image == b})
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
 """Command-line surface: verification, enumeration export, orbit queries,
 colouring classification and mesh export.
 
-Exit codes: 0 success, 1 domain failure (invalid colouring or failed
-verification), 2 usage error.
+Exit codes: 0 success, 1 failure (invalid colouring, failed verification,
+an output that cannot be written, a closed stdout included), 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -85,6 +86,17 @@ def _load_colouring(path):
     return None
 
 
+def _write(path, text: str) -> int:
+    """Write text to path: 0, or 1 after a one-line error on stderr."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        print(f"cannot write {path}: {exc}", file=sys.stderr)
+        return 1
+    return 0
+
+
 def cmd_verify(args) -> int:
     model = build_polytope()
     checks = verify.run_checks(model)
@@ -109,14 +121,7 @@ def cmd_verify(args) -> int:
 
 def cmd_enumerate(args) -> int:
     model = build_polytope()
-    text = chroma.enumeration_to_json(chroma.enumerate_colourings(model))
-    try:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-        return 1
-    return 0
+    return _write(args.out, chroma.enumeration_to_json(chroma.enumerate_colourings(model)))
 
 
 def cmd_orbits(args, subgroup) -> int:
@@ -208,13 +213,7 @@ def cmd_export(args) -> int:
         if c is None:
             return 1
         text = chroma.colouring_to_off(model, c) if fmt == "off" else chroma.colouring_to_json(c)
-    try:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-        return 1
-    return 0
+    return _write(args.out, text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -259,6 +258,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        try:
+            return _dispatch(argv)
+        finally:  # a closed stdout raises here, inside the try
+            if sys.stdout is not None:  # None when started with no stdout at all
+                sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: send that to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _dispatch(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "verify":

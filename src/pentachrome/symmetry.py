@@ -8,13 +8,15 @@ vertex equal to its image; a generator that misses the vertex set raises.
 The full group adds the central inversion.  A symmetry's spatial
 determinant is the sign of an exact determinant.  Groups are returned
 sorted lexicographically on image tuples so set equality is bit-exact.
+
+A colour symmetry is the pair (perm, sign) itself, validated once when it is
+built; its action on colourings is `chroma._images`.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from itertools import permutations
 
 from .polytope import PolytopeModel, ZPhi, det3, dot
@@ -25,19 +27,12 @@ Perm = tuple[int, ...]
 # ---------------------------------------------------------------------------
 # vertex permutations
 
-def identity_perm(n: int = 20) -> Perm:
-    return tuple(range(n))
-
-
-def is_permutation(p, n: int) -> bool:
-    # bool is a subclass of int, but True is not the id 1
-    return len(p) == n and all(type(x) is int for x in p) and sorted(p) == list(range(n))
-
-
 def _check_vertex_perm(p) -> Perm:
     """p as a tuple, if it is a permutation of the 20 vertex ids; raises
     ValueError otherwise."""
-    if not (isinstance(p, (tuple, list)) and is_permutation(p, 20)):
+    # bool is a subclass of int, but True is not the id 1
+    if not (isinstance(p, (tuple, list)) and len(p) == 20
+            and all(type(x) is int for x in p) and sorted(p) == list(range(20))):
         raise ValueError(f"not a permutation of the 20 vertex ids: {p!r}")
     return tuple(p)
 
@@ -94,8 +89,8 @@ def perm_order(p: Perm) -> int:
 
 
 def _closure(generators, identity, product) -> frozenset:
-    """The identity and generators closed under product (finite, so
-    inverses come free)."""
+    """The identity and generators closed under product by a generator on
+    the right: every product of generators (finite, so inverses come free)."""
     gens = list(generators)
     group = {identity}
     frontier = [g for g in gens if g not in group]
@@ -104,20 +99,12 @@ def _closure(generators, identity, product) -> frozenset:
         fresh = []
         for g in frontier:
             for h in gens:
-                for prod in (product(g, h), product(h, g)):
-                    if prod not in group:
-                        group.add(prod)
-                        fresh.append(prod)
+                prod = product(g, h)
+                if prod not in group:
+                    group.add(prod)
+                    fresh.append(prod)
         frontier = fresh
     return frozenset(group)
-
-
-def close_under_composition(generators) -> frozenset:
-    """Closure of a set of permutations; empty for no generators."""
-    gens = list(generators)
-    if not gens:
-        return frozenset()
-    return _closure(gens, identity_perm(len(gens[0])), compose)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +133,7 @@ def rotation_group(model: PolytopeModel) -> tuple[Perm, ...]:
                 for rows in _GENERATORS_DOUBLED]
     except KeyError:
         raise AssertionError("a generator is not a symmetry of the vertex set") from None
-    group = close_under_composition(gens)
+    group = _closure(gens, tuple(range(20)), compose)
     if len(group) != 60:
         raise AssertionError(f"rotation group has {len(group)} elements")
     return tuple(sorted(group))
@@ -207,41 +194,49 @@ def tetra_action(model: PolytopeModel, g: Perm, tetrahedra) -> Perm:
 _FIVE_INTS = (int,) * 5
 
 
-@dataclass(frozen=True, order=True)
-class ColourSymmetry:
-    """A colour permutation together with a sign.
+class ColourSymmetry(tuple):
+    """A colour permutation together with a sign: the pair (perm, sign).
 
     ``perm[i-1]`` is the image of colour i.  Sign +1 relabels colours only;
-    sign -1 additionally exchanges the colours of antipodal vertices.
+    sign -1 additionally exchanges the colours of antipodal vertices.  Only
+    construction validates, as products of valid symmetries are valid.
     """
 
-    perm: tuple[int, int, int, int, int]
-    sign: int = 1
+    __slots__ = ()
+    perm = property(operator.itemgetter(0))
+    sign = property(operator.itemgetter(1))
 
-    def __post_init__(self):
+    def __new__(cls, perm: tuple[int, int, int, int, int], sign: int = 1):
         # bool is a subclass of int, but True is neither colour 1 nor sign +1
-        perm = self.perm
         if not (type(perm) is tuple and tuple(map(type, perm)) == _FIVE_INTS
                 and sorted(perm) == [1, 2, 3, 4, 5]):
             raise ValueError(f"not a colour permutation: {perm!r}")
-        if type(self.sign) is not int or self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1: {self.sign!r}")
+        if type(sign) is not int or sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1: {sign!r}")
+        return tuple.__new__(cls, (perm, sign))
+
+    def __getnewargs__(self):  # copy and pickle rebuild through __new__
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"ColourSymmetry(perm={self[0]!r}, sign={self[1]!r})"
 
     def __mul__(self, other: "ColourSymmetry") -> "ColourSymmetry":
-        """self after other."""
-        return ColourSymmetry(
-            tuple(self.perm[other.perm[i] - 1] for i in range(5)),
-            self.sign * other.sign,
-        )
+        """self after other; a factor that is no ColourSymmetry has no .perm."""
+        p, q = self[0], other.perm
+        perm = (p[q[0] - 1], p[q[1] - 1], p[q[2] - 1], p[q[3] - 1], p[q[4] - 1])
+        return tuple.__new__(ColourSymmetry, (perm, self[1] * other.sign))
+
+    __rmul__ = __mul__  # not tuple repetition: an int factor raises in __mul__
 
     def inverse(self) -> "ColourSymmetry":
         inv = [0] * 5
-        for i, img in enumerate(self.perm):
+        for i, img in enumerate(self[0]):
             inv[img - 1] = i + 1
-        return ColourSymmetry(tuple(inv), self.sign)
+        return tuple.__new__(ColourSymmetry, (tuple(inv), self[1]))
 
     def parity(self) -> int:
-        return perm_parity(tuple(v - 1 for v in self.perm))
+        return perm_parity(tuple(v - 1 for v in self[0]))
 
 
 COLOUR_IDENTITY = ColourSymmetry((1, 2, 3, 4, 5), 1)
@@ -261,28 +256,17 @@ def _check_symmetries(elements) -> list[ColourSymmetry]:
     return elems
 
 
-def _pair_mul(a, b):
-    """ColourSymmetry.__mul__ on (perm, sign) pairs, unchecked: a product
-    of two valid symmetries is valid."""
-    (p, s), (q, t) = a, b
-    return (p[q[0] - 1], p[q[1] - 1], p[q[2] - 1], p[q[3] - 1], p[q[4] - 1]), s * t
-
-
-_IDENTITY_PAIR = ((1, 2, 3, 4, 5), 1)
-
-
-def _check_subgroup(H) -> set[tuple[tuple[int, ...], int]]:
-    """H as a set of (perm, sign) pairs, if it is the group its own
-    elements generate.  Each generator, taken greedily, at least doubles
-    the closure: at most 7."""
-    members = {(g.perm, g.sign) for g in _check_symmetries(H)}
-    if _IDENTITY_PAIR not in members:
+def _check_subgroup(H) -> set[ColourSymmetry]:
+    """H as a set, if it is the group its own elements generate.  Each
+    generator, taken greedily, at least doubles the closure: at most 7."""
+    members = set(_check_symmetries(H))
+    if COLOUR_IDENTITY not in members:
         raise ValueError("subgroup must contain the identity")
-    gens, closure = [], {_IDENTITY_PAIR}
-    for g in sorted(members):  # as ColourSymmetry sorts
+    gens, closure = [], {COLOUR_IDENTITY}
+    for g in sorted(members):
         if g not in closure:
             gens.append(g)
-            closure = _closure(gens, _IDENTITY_PAIR, _pair_mul)
+            closure = _closure(gens, COLOUR_IDENTITY, operator.mul)
             if not closure <= members:
                 raise ValueError("generator set is not closed under composition")
     return members
@@ -290,12 +274,10 @@ def _check_subgroup(H) -> set[tuple[tuple[int, ...], int]]:
 
 def generate_subgroup(generators) -> frozenset[ColourSymmetry]:
     """Closure of colour symmetries under composition and inverse."""
-    pairs = _closure(
-        [(g.perm, g.sign) for g in _check_symmetries(generators)], _IDENTITY_PAIR, _pair_mul
-    )
-    if 240 % len(pairs):
-        raise AssertionError(f"group order {len(pairs)} does not divide 240")
-    return frozenset(ColourSymmetry(p, s) for p, s in pairs)
+    group = _closure(_check_symmetries(generators), COLOUR_IDENTITY, operator.mul)
+    if 240 % len(group):
+        raise AssertionError(f"group order {len(group)} does not divide 240")
+    return group
 
 
 def colour_group() -> frozenset[ColourSymmetry]:

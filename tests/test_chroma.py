@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 import re
 from collections import Counter
@@ -206,6 +208,29 @@ def test_non_group_elements_rejected(model, colourings, bad):
         orbit_partition([c], bad, model)
 
 
+def test_colour_symmetry_is_its_pair(model, colourings):
+    pairs = {g: (g.perm, g.sign) for g in _G}
+    assert all(g == pair and hash(g) == hash(pair) for g, pair in pairs.items())
+    assert [pairs[g] for g in _G] == sorted(pairs.values())
+    g, h = _G[17], _G[203]
+    assert type(g * h) is ColourSymmetry and type(g.inverse()) is ColourSymmetry
+    assert repr(COLOUR_SWAP) == "ColourSymmetry(perm=(1, 2, 3, 4, 5), sign=-1)"
+    assert pickle.loads(pickle.dumps(g)) == copy.deepcopy(g) == g
+    with pytest.raises((TypeError, AttributeError)):  # not tuple repetition
+        3 * g
+    # a bare pair equals the identity as a tuple, but is no colour symmetry
+    bare, c = ((1, 2, 3, 4, 5), 1), colourings[0]
+    assert bare == COLOUR_IDENTITY
+    with pytest.raises(ValueError):
+        act(bare, c, model)
+    with pytest.raises(ValueError):
+        stabilizer(c, [bare], model)
+    with pytest.raises(ValueError):
+        orbit_partition([c], {bare}, model)
+    with pytest.raises(ValueError):
+        generate_subgroup([bare])
+
+
 def test_act_preserves_validity(model, colourings):
     rng = random.Random(3)
     pool = sorted(colour_group())
@@ -287,13 +312,20 @@ def test_orbit_partition_rejects_subgroup_plus_one(model, colourings, name):
 # ---------------------------------------------------------------------------
 # subgroup closures against a brute-force oracle on validated products
 
+def _validated_product(g, h):
+    """g after h, composed here as maps on the colours and built through
+    the validating constructor, not through ColourSymmetry.__mul__."""
+    g_map, h_map = dict(zip(range(1, 6), g.perm)), dict(zip(range(1, 6), h.perm))
+    return ColourSymmetry(tuple(g_map[h_map[x]] for x in range(1, 6)), g.sign * h.sign)
+
+
 def _validated_closure(gens):
     """The group generated by gens: breadth-first right multiplication,
-    every product a validated ColourSymmetry.__mul__."""
+    every product made and validated by `_validated_product`."""
     group = frozenset({COLOUR_IDENTITY})
     frontier = group
     while frontier:
-        frontier = {g * s for g in frontier for s in gens} - group
+        frontier = {_validated_product(g, s) for g in frontier for s in gens} - group
         group |= frontier
     return group
 
@@ -312,7 +344,7 @@ def test_generate_subgroup_is_the_validated_closure(gens):
 def test_orbit_partition_accepts_exactly_the_closed_subsets(model, colourings, gens, toggled):
     # near-subgroups: a generated group with up to two elements toggled
     H = (_validated_closure(gens) ^ toggled) | {COLOUR_IDENTITY}
-    closed = all(g * h in H for g in H for h in H)
+    closed = all(_validated_product(g, h) in H for g in H for h in H)
     try:
         orbits = orbit_partition(colourings, H, model)
     except ValueError:

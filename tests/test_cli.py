@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import pentachrome
 from pentachrome import chroma
 from pentachrome.cli import main, parse_subgroup_spec
 from pentachrome.symmetry import COLOUR_IDENTITY, COLOUR_SWAP, NAMED_SUBGROUPS
@@ -118,6 +123,18 @@ def test_enumerate_unwritable_path(capsys, tmp_path):
     code, _, err = run_cli(capsys, "enumerate", "--out", str(tmp_path / "nope" / "x.json"))
     assert code == 1
     assert "nope" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate"],
+    ["export", "--what", "dodecahedron", "--format", "off"],
+], ids=["enumerate", "export"])
+def test_nul_in_out_path_is_a_one_line_error(capsys, argv):
+    # only in-process callers can pass a NUL: argv from a shell holds none
+    code, _, err = run_cli(capsys, *argv, "--out", "a\x00b")
+    assert code == 1
+    assert err.startswith("cannot write ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +384,9 @@ def _argv(data, path):
 @given(data=st.data())
 def test_cli_exits_cleanly_on_any_input(capsys, tmp_path, monkeypatch, colourings, data):
     monkeypatch.chdir(tmp_path)  # a generated relative path stays in tmp_path
+    # a process's stderr escapes what it cannot encode, such as a lone
+    # surrogate from an undecodable argv byte; the capture stream is strict
+    sys.stderr.reconfigure(errors="backslashreplace")
     (tmp_path / "in.json").write_bytes(_file_contents(data, colourings))
     argv = _argv(data, lambda name: str(tmp_path / name))
     try:
@@ -376,6 +396,46 @@ def test_cli_exits_cleanly_on_any_input(capsys, tmp_path, monkeypatch, colouring
     err = capsys.readouterr().err
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err, (argv, err)
+
+
+_ORBITS = ("-m", "pentachrome.cli", "orbits", "--subgroup", "trivial")
+
+
+def _cli_env(unbuffered=False):
+    src = str(Path(pentachrome.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_one_without_traceback(unbuffered):
+    # `pentachrome orbits ... | true`: the reader is gone before the output
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, *_ORBITS], stdout=write_end, stderr=subprocess.PIPE,
+            env=_cli_env(unbuffered), text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+
+
+def test_no_stdout_at_all_exits_zero():
+    # started with stdout closed: sys.stdout is None, and print writes nothing
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, *_ORBITS],
+        stderr=subprocess.PIPE, env=_cli_env(), text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 # ---------------------------------------------------------------------------
