@@ -1,11 +1,18 @@
 """Face-rainbow colourings: validity, enumeration, the colour-group action,
 orbit partitioning, zigzag traces and cyclic-order parities.
 
-A colouring is a plain tuple of 20 colours in {1..5}, indexed by vertex id.
-Tuples are the public type.  The colour action runs in one place,
-`_images` (for `act`, `stabilizer` and `orbit_partition`), on 20-byte
-copies: relabelling is one `bytes.translate` and the antipodal half of
-sign -1 one `itemgetter` gather.
+A colouring is a tuple of 20 colours in {1..5}, indexed by vertex id.  A
+`Rainbow` is such a tuple known to be face-rainbow, and it compares,
+hashes and sorts as the plain tuple.  One is made only after its faces
+are scanned (`check_rainbow`, which `Rainbow(model, c)` runs, and the
+enumerators), or by an operation that keeps faces rainbow (`act`, and
+`orbit_partition`, whose orbits lie in its checked pool).  Every entry
+that needs a rainbow colouring trusts a `Rainbow` and checks anything else
+once; the predicates `is_valid` and `first_violated_face` always scan.
+The colour action runs in one place, `_images` (for `act`,
+`stabilizer` and `orbit_partition`), on 20-byte copies: relabelling is one
+`bytes.translate` and the antipodal half of sign -1 one `itemgetter`
+gather.
 Two independent enumerators are provided: a brute-force backtracking search
 (`enumerate_colourings`) and a constraint-propagation replay
 (`enumerate_by_propagation`) that fixes the colours of the north pole and
@@ -37,8 +44,29 @@ class PropagationError(RuntimeError):
     """Constraint propagation contradicted itself or stalled."""
 
 
+class Rainbow(tuple):
+    """A face-rainbow colouring: the tuple of its 20 colours, checked once.
+
+    ``Rainbow(model, c)`` runs the full check (`check_rainbow`) and raises
+    ValueError unless c is a face-rainbow colouring of the model.  Equality,
+    hashing, ordering, indexing and repr are the plain tuple's; a copy or
+    an unpickled instance is a plain tuple, checked again where it is used.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, model: PolytopeModel, c) -> "Rainbow":
+        return check_rainbow(model, c)
+
+    def __reduce__(self):
+        return tuple, (tuple(self),)
+
+
 def check_colouring(c) -> Colouring:
-    """Validate shape and colour range; returns the colouring as a tuple."""
+    """Validate shape and colour range; returns the colouring as a tuple,
+    or a `Rainbow` unchanged."""
+    if type(c) is Rainbow:
+        return c
     try:
         c = tuple(c)
     except TypeError:
@@ -69,14 +97,16 @@ def _first_violated_face(model: PolytopeModel, c: Colouring) -> int | None:
     return None
 
 
-def check_rainbow(model: PolytopeModel, c) -> Colouring:
+def check_rainbow(model: PolytopeModel, c) -> Rainbow:
     """The full check made once at each public entry: 20 colours in 1..5
-    and every face rainbow.  Returns the colouring as a tuple; raises
-    ValueError otherwise."""
+    and every face rainbow.  Returns a `Rainbow` unchanged, and anything
+    else that passes as a new `Rainbow`; raises ValueError otherwise."""
+    if type(c) is Rainbow:
+        return c
     c = check_colouring(c)
     if _first_violated_face(model, c) is not None:
         raise ValueError("colouring is not face-rainbow")
-    return c
+    return tuple.__new__(Rainbow, c)
 
 
 def colour_classes(c: Colouring) -> dict[int, frozenset[int]]:
@@ -91,21 +121,22 @@ def colour_classes(c: Colouring) -> dict[int, frozenset[int]]:
 # ---------------------------------------------------------------------------
 # enumeration, route one: depth-first backtracking
 
-def enumerate_colourings(model: PolytopeModel) -> tuple[Colouring, ...]:
+def enumerate_colourings(model: PolytopeModel) -> tuple[Rainbow, ...]:
     """Every face-rainbow colouring, in lexicographic order.
 
     Vertices are assigned in id order, colours tried ascending; a colour is
     rejected as soon as it repeats on any face through the vertex.  No
-    symmetry assumptions are made, so this is the assumption-free oracle.
+    symmetry assumptions are made, so this is the assumption-free oracle:
+    each complete assignment passes the full check before it is returned.
     """
     vertex_faces = model.vertex_faces
     face_used = [0] * 12
     col = [0] * 20
-    out: list[Colouring] = []
+    out: list[Rainbow] = []
 
     def extend(v: int) -> None:
         if v == 20:
-            out.append(tuple(col))
+            out.append(check_rainbow(model, tuple(col)))
             return
         f0, f1, f2 = vertex_faces[v]
         used = face_used[f0] | face_used[f1] | face_used[f2]
@@ -201,7 +232,7 @@ def _propagate(model: PolytopeModel, col: list[int]) -> None:
         raise PropagationError("propagation stalled before completion")
 
 
-def frame_completions(model: PolytopeModel, pole: int, triple) -> tuple[Colouring, Colouring]:
+def frame_completions(model: PolytopeModel, pole: int, triple) -> tuple[Rainbow, Rainbow]:
     """The exactly-two colourings extending a frame.
 
     Branches on the two ways to finish the first face at the north pole;
@@ -224,16 +255,15 @@ def frame_completions(model: PolytopeModel, pole: int, triple) -> tuple[Colourin
         col = list(base)
         col[open_vs[0]], col[open_vs[1]] = pair
         _propagate(model, col)
-        done = tuple(col)
-        if not is_valid(model, done):
+        if not is_valid(model, col):
             raise PropagationError("propagation produced an invalid colouring")
-        results.append(done)
+        results.append(tuple.__new__(Rainbow, col))
     if results[0] == results[1]:
         raise AssertionError("both branches of a frame gave the same colouring")
     return results[0], results[1]
 
 
-def enumerate_by_propagation(model: PolytopeModel) -> tuple[Colouring, ...]:
+def enumerate_by_propagation(model: PolytopeModel) -> tuple[Rainbow, ...]:
     """All colourings via frame-by-frame propagation, sorted lexicographically."""
     out = []
     for pole, triple in colour_frames():
@@ -244,7 +274,7 @@ def enumerate_by_propagation(model: PolytopeModel) -> tuple[Colouring, ...]:
     return tuple(out)
 
 
-def seed_colourings(model: PolytopeModel) -> tuple[Colouring, Colouring]:
+def seed_colourings(model: PolytopeModel) -> tuple[Rainbow, Rainbow]:
     """The two canonical colourings: north pole 1, neighbours 2, 3, 4.
 
     Seed A is the branch whose face cyclic orders are even; under the
@@ -267,24 +297,28 @@ def seed_colourings(model: PolytopeModel) -> tuple[Colouring, Colouring]:
 _RELABEL = {p: bytes.maketrans(b"\1\2\3\4\5", bytes(p)) for p in permutations(COLOURS)}
 
 
-def _images(c, H, model: PolytopeModel) -> list[bytes]:
+def _images(c, H, model: PolytopeModel):
     """The 20-byte image of the valid colouring c under each element of H,
-    in H's order: relabel colours, and for sign -1 take each vertex's
-    colour from its antipode."""
+    in H's order, generated one at a time: relabel colours, and for sign -1
+    take each vertex's colour from its antipode.  Both keep every face
+    rainbow: a relabelling permutes the colours of each face, and the
+    antipode maps each face onto its opposite face (checked by
+    `build_polytope`)."""
     b = bytes(c)
     mirrored = bytes(itemgetter(*model.antipode)(b))
-    return [(mirrored if sign == -1 else b).translate(_RELABEL[perm]) for perm, sign in H]
+    # g is the pair (perm, sign): indexing a tuple subclass is cheaper than unpacking it
+    return ((mirrored if g[1] == -1 else b).translate(_RELABEL[g[0]]) for g in H)
 
 
-def act(g: ColourSymmetry, c: Colouring, model: PolytopeModel) -> Colouring:
+def act(g: ColourSymmetry, c: Colouring, model: PolytopeModel) -> Rainbow:
     """Apply a colour symmetry: relabel colours, then for sign -1 take each
     vertex's colour from its antipode."""
     _check_symmetries([g])
     (image,) = _images(check_rainbow(model, c), [g], model)
-    return tuple(image)
+    return tuple.__new__(Rainbow, image)
 
 
-def orbit_partition(colourings, H, model: PolytopeModel) -> tuple[tuple[Colouring, ...], ...]:
+def orbit_partition(colourings, H, model: PolytopeModel) -> tuple[tuple[Rainbow, ...], ...]:
     """Partition colourings into orbits of the subgroup H.
 
     Sweeps the sorted pool: a colouring not yet placed is the smallest
@@ -311,7 +345,7 @@ def orbit_partition(colourings, H, model: PolytopeModel) -> tuple[tuple[Colourin
         if not orbit <= members:
             raise ValueError("subgroup action leaves the given colouring set")
         placed |= orbit
-        orbits.append(tuple(tuple(o) for o in sorted(orbit)))
+        orbits.append(tuple(tuple.__new__(Rainbow, o) for o in sorted(orbit)))
     return tuple(orbits)
 
 
@@ -452,12 +486,11 @@ def antipodal_rule_holds(model: PolytopeModel, c: Colouring) -> bool:
     """Each antipode carries the one colour missing from a vertex and its
     three neighbours."""
     c = check_colouring(c)
-    for v in range(20):
-        local = {c[v]} | {c[u] for u in model.adjacency[v]}
-        if len(local) != 4:
-            return False
-        (missing,) = set(COLOURS) - local
-        if c[model.antipode[v]] != missing:
+    antipode = model.antipode
+    for v, (a, b, d) in enumerate(model.adjacency):
+        # four of the five colours, so the antipode's is the fifth iff it is none of them
+        local = {c[v], c[a], c[b], c[d]}
+        if len(local) != 4 or c[antipode[v]] in local:
             return False
     return True
 

@@ -13,7 +13,7 @@ import os
 import re
 import sys
 
-from . import chroma, verify
+from . import chroma
 from . import compound as compound_mod
 from .polytope import build_polytope, model_to_json, model_to_off
 from .symmetry import NAMED_SUBGROUPS, ColourSymmetry, generate_subgroup, named_subgroup
@@ -98,6 +98,8 @@ def _write(path, text: str) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify  # only this command runs the battery
+
     model = build_polytope()
     checks = verify.run_checks(model)
     failed = [c for c in checks if not c.ok]
@@ -155,7 +157,9 @@ def cmd_classify(args) -> int:
     if c is None:
         return 1
 
-    if not chroma.is_valid(model, c):
+    try:
+        c = chroma.check_rainbow(model, c)  # the one face scan on the valid path
+    except ValueError:  # c has 20 colours in 1..5, so a face is not rainbow
         face = chroma.first_violated_face(model, c)
         if args.json:
             print(json.dumps({"valid": False, "first_violated_face": face}))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import permutations
+from itertools import permutations, repeat
 
 from .polytope import PolytopeModel, ZPhi, det3, dot
 
@@ -250,9 +250,9 @@ def _check_symmetries(elements) -> list[ColourSymmetry]:
         elems = list(elements)
     except TypeError:
         raise ValueError(f"expected colour symmetries, not {elements!r}") from None
-    for g in elems:
-        if not isinstance(g, ColourSymmetry):
-            raise ValueError(f"not a colour symmetry: {g!r}")
+    if not all(map(isinstance, elems, repeat(ColourSymmetry))):
+        g = next(g for g in elems if not isinstance(g, ColourSymmetry))
+        raise ValueError(f"not a colour symmetry: {g!r}")
     return elems
 
 

@@ -2,10 +2,11 @@
 
 Each check re-measures a fact about the built model or the enumerated
 colourings and reports the measured value, so a failure names exactly what
-broke.  The whole battery takes about 0.15 s in-process (15 cold runs,
-median 0.151 s, quartiles 0.136-0.160 s, on a shared 2-CPU container,
-Python 3.11); a fresh `pentachrome verify` process takes about 0.30 s
-(15 runs, median 0.303 s, quartiles 0.285-0.314 s).
+broke.  The whole battery takes about 0.12 s in-process (the first
+`run_checks` in each of 15 fresh processes: median 0.123 s, quartiles
+0.117-0.134 s, on a shared 2-CPU x86-64 container, Python 3.11); a fresh
+`python -m pentachrome.cli verify` process without a bytecode cache takes
+about 0.27 s (15 runs, median 0.271 s, quartiles 0.256-0.296 s).
 """
 
 from __future__ import annotations
@@ -339,9 +340,7 @@ def _structure_checks(model: PolytopeModel, all_c) -> list[Check]:
             break
         parity_of[c] = parities.pop()
         for fid, order, _ in sig:
-            opp = chroma.opposite_face(model, fid)
-            opp_order = chroma.canonical_cycle(tuple(c[v] for v in model.faces[opp]))
-            if opp_order != chroma.inverse_cycle(order):
+            if orders[model.opposite_faces[fid]] != chroma.inverse_cycle(order):
                 inverse_ok = False
     out.append(Check("P2: 12 distinct cyclic orders of one parity per colouring", p2_ok, ""))
     out.append(Check("P2: opposite faces carry inverse cyclic orders", inverse_ok, ""))

@@ -19,9 +19,12 @@ from pentachrome.chroma import (
     LEFT,
     RIGHT,
     PropagationError,
+    Rainbow,
     act,
     antipodal_rule_holds,
     canonical_cycle,
+    check_colouring,
+    check_rainbow,
     colour_classes,
     colour_frames,
     colouring_from_json,
@@ -94,6 +97,86 @@ def test_single_swap_breaks_validity(model, colourings):
     c[0], c[19] = c[19], c[0]
     assert not is_valid(model, tuple(c))
     assert first_violated_face(model, tuple(c)) is not None
+
+
+def test_rainbow_is_its_tuple(model, colourings):
+    plain = [tuple(c) for c in colourings]
+    assert all(type(c) is Rainbow for c in colourings)
+    assert all(c == t and hash(c) == hash(t) and repr(c) == repr(t)
+               for c, t in zip(colourings, plain))
+    assert {c: i for i, c in enumerate(colourings)} == {t: i for i, t in enumerate(plain)}
+    shuffled = random.Random(5).sample(colourings, 240)
+    assert sorted(shuffled) == plain and sorted(shuffled + plain)[::2] == plain
+    assert colourings[0] < plain[1] and plain[0] < colourings[1]
+    for c in colourings[:10]:
+        for twin in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+            # a copy is a plain tuple, checked again where it is used
+            assert twin == c and hash(twin) == hash(c) and type(twin) is tuple
+    assert type(Rainbow(model, plain[3])) is Rainbow and Rainbow(model, plain[3]) == plain[3]
+    assert check_rainbow(model, colourings[3]) is colourings[3]
+    assert check_colouring(colourings[3]) is colourings[3]
+
+
+def _non_rainbow(colourings):
+    """Well-formed colourings with a face that is not rainbow."""
+    swapped = list(colourings[0])
+    swapped[0], swapped[19] = swapped[19], swapped[0]
+    return [(1,) * 20, tuple(swapped), swapped, (1, 2, 3, 4, 5) * 4]
+
+
+def test_no_entry_makes_a_rainbow_of_a_non_rainbow(model, colourings):
+    trivial = named_subgroup("trivial")
+    for bad in _non_rainbow(colourings):
+        assert type(check_colouring(bad)) is tuple
+        doc = json.dumps({"labelling": LABELLING, "colours": list(bad)})
+        assert type(colouring_from_json(doc)) is tuple
+        for call in (
+            lambda: Rainbow(model, bad),
+            lambda: check_rainbow(model, bad),
+            lambda: act(COLOUR_IDENTITY, bad, model),
+            lambda: orbit_partition([bad], trivial, model),
+            lambda: stabilizer(bad, trivial, model),
+        ):
+            with pytest.raises(ValueError, match="^colouring is not face-rainbow$"):
+                call()
+    for bad in (None, (1, 2, 3), (0,) * 20):
+        with pytest.raises(ValueError):
+            Rainbow(model, bad)
+
+
+@settings(max_examples=200, deadline=None)
+@given(i=st.integers(0, 239), changes=st.dictionaries(st.integers(0, 19), st.integers(1, 5), max_size=3))
+def test_mutated_colourings_are_rainbow_exactly_when_valid(model, colourings, i, changes):
+    c = list(colourings[i])
+    for v, x in changes.items():
+        c[v] = x
+    c = tuple(c)
+    valid = is_valid(model, c)
+    try:
+        checked = check_rainbow(model, c)
+    except ValueError:
+        assert not valid
+    else:
+        assert valid and type(checked) is Rainbow and checked == c
+    assert type(check_colouring(c)) is tuple
+
+
+def test_is_valid_scans_a_forged_rainbow(model, colourings):
+    # a Rainbow made without the check is still judged by its faces
+    for bad in _non_rainbow(colourings):
+        forged = tuple.__new__(Rainbow, bad)
+        assert not is_valid(model, forged)
+        assert first_violated_face(model, forged) == first_violated_face(model, tuple(bad))
+
+
+def test_made_colourings_are_rainbows(model, colourings):
+    assert all(type(c) is Rainbow for c in enumerate_by_propagation(model))
+    assert all(type(c) is Rainbow for c in seed_colourings(model))
+    assert all(type(c) is Rainbow for c in frame_completions(model, 2, (1, 5, 4)))
+    plain = [tuple(c) for c in colourings]
+    for orbit in orbit_partition(plain, named_subgroup("A5"), model):
+        assert all(type(c) is Rainbow for c in orbit)
+    assert all(type(act(g, plain[7], model)) is Rainbow for g in _G)
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +537,12 @@ def test_working_handedness_checks_the_colouring_once(model, colourings, monkeyp
     monkeypatch.setattr(chroma, "check_colouring", counted)
     for c in colourings[:6]:
         calls.clear()
-        working_handedness(model, c)
+        working_handedness(model, tuple(c))
         assert len(calls) == 1
+        # an enumerated colouring was checked when it was made
+        calls.clear()
+        working_handedness(model, c)
+        assert calls == []
 
 
 def test_zigzag_rejects_bad_handedness(model, colourings):
@@ -577,6 +664,33 @@ def test_antipodal_rule_fails_for_perturbed_assignment(model, colourings):
     c = list(colourings[0])
     c[19] = c[0]
     assert not antipodal_rule_holds(model, tuple(c))
+
+
+def _antipodal_rule_by_definition(model, c):
+    """The rule as first written: the antipode's colour is the one colour
+    left over by the vertex and its three neighbours."""
+    for v in range(20):
+        local = {c[v]} | {c[u] for u in model.adjacency[v]}
+        if len(local) != 4:
+            return False
+        (missing,) = set(COLOURS) - local
+        if c[model.antipode[v]] != missing:
+            return False
+    return True
+
+
+def test_antipodal_rule_matches_its_definition(model, colourings):
+    assert all(antipodal_rule_holds(model, c) == _antipodal_rule_by_definition(model, c) is True
+               for c in colourings)
+
+
+@settings(max_examples=300, deadline=None)
+@given(i=st.integers(0, 239), changes=st.dictionaries(st.integers(0, 19), st.integers(1, 5), max_size=4))
+def test_antipodal_rule_matches_its_definition_on_mutants(model, colourings, i, changes):
+    c = list(colourings[i])
+    for v, x in changes.items():
+        c[v] = x
+    assert antipodal_rule_holds(model, c) == _antipodal_rule_by_definition(model, c)
 
 
 # ---------------------------------------------------------------------------

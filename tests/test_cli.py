@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pentachrome
-from pentachrome import chroma
+from pentachrome import chroma, verify
 from pentachrome.cli import main, parse_subgroup_spec
 from pentachrome.symmetry import COLOUR_IDENTITY, COLOUR_SWAP, NAMED_SUBGROUPS
 
@@ -101,6 +101,39 @@ def test_verify_json(capsys):
     doc = json.loads(out)
     assert doc["failed"] == 0
     assert all(c["ok"] for c in doc["checks"])
+
+
+def _count_face_scans(monkeypatch):
+    """Count the package's face scans by wrapping its scan function."""
+    calls = []
+    scan = chroma._first_violated_face
+
+    def counted(model, c):
+        calls.append(c)
+        return scan(model, c)
+
+    monkeypatch.setattr(chroma, "_first_violated_face", counted)
+    return calls
+
+
+def test_verify_scans_each_made_colouring_once(model, monkeypatch):
+    # 480 scans for two enumerations, 242 for the propagation replay and
+    # the seeds, 2 for the seed validity check; 3,649 before colourings
+    # carried their check
+    scans = _count_face_scans(monkeypatch)
+    checks = verify.run_checks(model)
+    assert len(checks) == 61 and not [c.name for c in checks if not c.ok]
+    assert len(scans) <= 750
+
+
+def test_classify_scans_the_colouring_once(capsys, tmp_path, model, monkeypatch):
+    seed_a, _ = chroma.seed_colourings(model)
+    path = tmp_path / "a.json"
+    path.write_text(chroma.colouring_to_json(seed_a))
+    scans = _count_face_scans(monkeypatch)
+    code, out, _ = run_cli(capsys, "classify", "--in", str(path), "--json")
+    assert code == 0 and json.loads(out)["valid"] is True
+    assert len(scans) == 1
 
 
 # ---------------------------------------------------------------------------
