@@ -9,10 +9,11 @@ enumerators), or by an operation that keeps faces rainbow (`act`, and
 `orbit_partition`, whose orbits lie in its checked pool).  Every entry
 that needs a rainbow colouring trusts a `Rainbow` and checks anything else
 once; the predicates `is_valid` and `first_violated_face` always scan.
-The colour action runs in one place, `_images` (for `act`,
-`stabilizer` and `orbit_partition`), on 20-byte copies: relabelling is one
+The colour action runs in one place, `_images` (for `act` and
+`orbit_partition`), on 20-byte copies: relabelling is one
 `bytes.translate` and the antipodal half of sign -1 one `itemgetter`
-gather.
+gather.  `stabilizer` applies no element of H: it reads the one candidate
+relabelling per sign off the colouring and checks that.
 Two independent enumerators are provided: a brute-force backtracking search
 (`enumerate_colourings`) and a constraint-propagation replay
 (`enumerate_by_propagation`) that fixes the colours of the north pole and
@@ -297,6 +298,11 @@ def seed_colourings(model: PolytopeModel) -> tuple[Rainbow, Rainbow]:
 _RELABEL = {p: bytes.maketrans(b"\1\2\3\4\5", bytes(p)) for p in permutations(COLOURS)}
 
 
+def _mirror(b: bytes, model: PolytopeModel) -> bytes:
+    """The 20-byte colouring b with each vertex's colour read at its antipode."""
+    return bytes(itemgetter(*model.antipode)(b))
+
+
 def _images(c, H, model: PolytopeModel):
     """The 20-byte image of the valid colouring c under each element of H,
     in H's order, generated one at a time: relabel colours, and for sign -1
@@ -305,7 +311,7 @@ def _images(c, H, model: PolytopeModel):
     antipode maps each face onto its opposite face (checked by
     `build_polytope`)."""
     b = bytes(c)
-    mirrored = bytes(itemgetter(*model.antipode)(b))
+    mirrored = _mirror(b, model)
     # g is the pair (perm, sign): indexing a tuple subclass is cheaper than unpacking it
     return ((mirrored if g[1] == -1 else b).translate(_RELABEL[g[0]]) for g in H)
 
@@ -350,10 +356,25 @@ def orbit_partition(colourings, H, model: PolytopeModel) -> tuple[tuple[Rainbow,
 
 
 def stabilizer(c: Colouring, H, model: PolytopeModel) -> list[ColourSymmetry]:
-    """The elements of H that fix c; every element is applied."""
+    """The elements of H that fix c, sorted, read off c.
+
+    For each sign the source is c itself (+1) or its antipodal mirror (-1).
+    c shows all five colours, so at most one relabelling maps the source
+    onto c: the one with perm[source[v]] = c[v].  It is kept if its image
+    really is c and it lies in H; no other element of H is applied.
+    """
     b = bytes(check_rainbow(model, c))
-    H = _check_symmetries(H)
-    return sorted({g for g, image in zip(H, _images(b, H, model)) if image == b})
+    elems = _check_symmetries(H)
+    members = H if isinstance(H, (set, frozenset)) else set(elems)
+    fixing = []
+    for sign, source in ((1, b), (-1, _mirror(b, model))):
+        # last write wins; a colour missing from the source leaves None
+        read = dict(zip(source, b))
+        perm = tuple(map(read.get, COLOURS))
+        table = _RELABEL.get(perm)  # None unless perm permutes the colours
+        if table is not None and source.translate(table) == b and (perm, sign) in members:
+            fixing.append(ColourSymmetry(perm, sign))
+    return sorted(fixing)
 
 
 # ---------------------------------------------------------------------------
@@ -462,10 +483,14 @@ def face_parity_signature(model: PolytopeModel, c: Colouring):
     orders are pairwise distinct.
     """
     c = check_rainbow(model, c)
-    return tuple(
-        (fid, *_FACE_ORDERS[c[a], c[b], c[d], c[e], c[f]])
-        for fid, (a, b, d, e, f) in enumerate(model.faces)
-    )
+    try:
+        return tuple(
+            (fid, *_FACE_ORDERS[c[a], c[b], c[d], c[e], c[f]])
+            for fid, (a, b, d, e, f) in enumerate(model.faces)
+        )
+    except KeyError:
+        # a Rainbow trusted from another model: only rainbow readings are keys
+        raise ValueError("colouring is not face-rainbow") from None
 
 
 def parity_class(model: PolytopeModel, c: Colouring) -> int:

@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .polytope import _TETRA_EDGE2, PolytopeModel, Tetra, _fmt, det3
 from . import chroma
@@ -14,8 +14,7 @@ from . import chroma
 TETRA_EDGE = math.sqrt(8.0 / 3.0)
 
 
-@dataclass(frozen=True)
-class Compound:
+class Compound(NamedTuple):
     """Five vertex-disjoint tetrahedra covering all 20 vertices."""
 
     label: str  # "A" or "B"
@@ -54,8 +53,7 @@ def classify_colouring(model: PolytopeModel, c) -> tuple[Compound, dict[int, Tet
     raise ValueError("colour classes do not form a compound")
 
 
-@dataclass(frozen=True)
-class SpreadReport:
+class SpreadReport(NamedTuple):
     """Result of the brute-force scan for well-spread vertex subsets."""
 
     threshold: float  # the tetrahedron edge; the scan itself is exact

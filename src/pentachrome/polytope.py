@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
+from typing import NamedTuple
 
 TOL = 1e-9
 
@@ -86,16 +86,14 @@ Tetra = tuple[int, int, int, int]
 _TETRA_EDGE2 = ZPhi(8)
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     id: int
     position: tuple[float, float, float]
     latitude: str
 
 
-@dataclass(frozen=True)
-class PolytopeModel:
-    """Immutable labelled dodecahedron.
+class PolytopeModel(NamedTuple):
+    """Immutable labelled dodecahedron; a variant is made with `_replace`.
 
     ``faces`` are oriented pentagons (positive sense = counterclockwise seen
     from outside), ``adjacency[v]`` holds the 3 neighbours of v, and

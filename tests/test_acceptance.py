@@ -52,6 +52,10 @@ def test_criterion_02_cross_oracle_equality(model, colourings):
 
 def test_criterion_03_simple_transitivity(model, colourings):
     G = colour_group()
+    images = [chroma.act(g, colourings[0], model) for g in G]
+    # 240 distinct images of one colouring under the 240 elements: a
+    # trivial stabilizer there, and so everywhere, without `stabilizer`
+    assert len(images) == len(set(images)) == 240
     orbit = {chroma.act(g, colourings[0], model) for g in G}
     assert len(orbit) == 240
     assert orbit == set(colourings)

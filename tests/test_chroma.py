@@ -51,6 +51,7 @@ from pentachrome.polytope import dual_face_of, positions
 from pentachrome.symmetry import (
     COLOUR_IDENTITY,
     COLOUR_SWAP,
+    NAMED_SUBGROUPS,
     ColourSymmetry,
     colour_group,
     generate_subgroup,
@@ -348,6 +349,74 @@ def test_simple_transitivity_trivial_stabilizers(model, colourings):
     G = colour_group()
     for c in colourings:
         assert stabilizer(c, G, model) == [COLOUR_IDENTITY]
+
+
+def _fixing_by_brute_force(c, H, model):
+    """The stabilizer by definition: every element of H applied to c."""
+    return sorted(g for g in set(H) if act(g, c, model) == c)
+
+
+def test_stabilizer_matches_brute_force(model, colourings):
+    subgroups = [named_subgroup(name) for name in NAMED_SUBGROUPS]
+    for c in colourings:
+        for H in subgroups:
+            assert stabilizer(c, H, model) == _fixing_by_brute_force(c, H, model)
+
+
+def test_stabilizer_takes_any_iterable_of_symmetries(model, colourings):
+    G = colour_group()
+    odd = [g for g in _G if g.parity() == -1]
+    forms = {
+        "list": lambda H: list(H),
+        "generator": lambda H: (g for g in H),
+        "duplicates": lambda H: list(H) * 2,
+        "non-subgroup": lambda H: [COLOUR_IDENTITY] + [g for g in H if g.sign == -1],
+        "no identity": lambda H: [g for g in H if g != COLOUR_IDENTITY],
+        "empty": lambda H: iter(()),
+    }
+    for c in (colourings[0], colourings[117], tuple(colourings[239])):
+        for name, form in forms.items():
+            want = _fixing_by_brute_force(c, form(G), model)
+            assert stabilizer(c, form(G), model) == want, name
+        assert stabilizer(c, odd, model) == []
+        assert stabilizer(c, [COLOUR_SWAP], model) == []
+        assert stabilizer(c, [COLOUR_IDENTITY, COLOUR_IDENTITY], model) == [COLOUR_IDENTITY]
+
+
+@settings(max_examples=60, deadline=None)
+@given(H=st.sets(st.sampled_from(_G), max_size=12), identity=st.booleans(), i=st.integers(0, 239))
+def test_stabilizer_of_random_subsets(model, colourings, H, identity, i):
+    c = colourings[i]
+    if identity:
+        H.add(COLOUR_IDENTITY)
+    assert stabilizer(c, H, model) == _fixing_by_brute_force(c, H, model)
+    assert stabilizer(c, sorted(H), model) == _fixing_by_brute_force(c, H, model)
+
+
+def _mutant_rainbow(model, colourings):
+    """A model whose antipodes of vertices 0 and 1 are swapped, and a
+    Rainbow that `act` made on it but that is not rainbow there."""
+    anti = list(model.antipode)
+    anti[0], anti[1] = anti[1], anti[0]
+    mutant = model._replace(antipode=tuple(anti))
+    image = act(COLOUR_SWAP, colourings[0], mutant)
+    assert type(image) is Rainbow and not is_valid(mutant, image)
+    return mutant, image
+
+
+def test_rainbow_from_another_model_raises_value_error(model, colourings):
+    mutant, image = _mutant_rainbow(model, colourings)
+    with pytest.raises(ValueError, match="^colouring is not face-rainbow$"):
+        face_parity_signature(mutant, image)
+    with pytest.raises(ValueError, match="^colouring is not face-rainbow$"):
+        parity_class(mutant, image)
+
+
+def test_stabilizer_on_a_rainbow_from_another_model(model, colourings):
+    mutant, image = _mutant_rainbow(model, colourings)
+    G = colour_group()
+    for c in (image, colourings[0]):
+        assert stabilizer(c, G, mutant) == _fixing_by_brute_force(c, G, mutant)
 
 
 def test_orbit_partition_counts(model, colourings):

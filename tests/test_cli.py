@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import pentachrome
 from pentachrome import chroma, verify
+from pentachrome import compound as compound_mod
 from pentachrome.cli import main, parse_subgroup_spec
 from pentachrome.symmetry import COLOUR_IDENTITY, COLOUR_SWAP, NAMED_SUBGROUPS
 
@@ -124,6 +125,49 @@ def test_verify_scans_each_made_colouring_once(model, monkeypatch):
     checks = verify.run_checks(model)
     assert len(checks) == 61 and not [c.name for c in checks if not c.ok]
     assert len(scans) <= 750
+
+
+def _wrap_classify(monkeypatch, fail=None):
+    """Record the package's `classify_colouring` calls by wrapping it, and
+    make it raise ValueError on the colouring `fail`."""
+    calls = []
+    classify = compound_mod.classify_colouring
+
+    def wrapped(model, c):
+        calls.append(c)
+        if c == fail:
+            raise ValueError("colour classes do not form a compound")
+        return classify(model, c)
+
+    monkeypatch.setattr(compound_mod, "classify_colouring", wrapped)
+    return calls
+
+
+def test_verify_classifies_each_colouring_once(model, monkeypatch):
+    # the 240 enumerated colourings and the 2 seeds; 482 when the structure
+    # section classified all 240 a second time
+    calls = _wrap_classify(monkeypatch)
+    checks = verify.run_checks(model)
+    assert len(checks) == 61 and not [c.name for c in checks if not c.ok]
+    assert len(calls) == 242
+
+
+def test_verify_reports_a_colouring_it_cannot_classify(model, colourings, monkeypatch):
+    fail = colourings[100]
+    assert fail not in chroma.seed_colourings(model)
+    _wrap_classify(monkeypatch, fail)
+    checks = verify.run_checks(model)
+    assert len(checks) == 61
+    # exactly the checks that read the compound labels
+    failed = {c.name: c.detail for c in checks if not c.ok}
+    assert failed.pop("compound and parity independent: 4 combinations of 60").endswith(
+        "(None, -1): 1}")
+    assert failed == {
+        "colour classes of all 240 form one compound": "classified 239",
+        "120 colourings per compound": "A: 119, B: 120",
+        "fixed pairing: compound A works left, compound B works right":
+            "[('A', 'left'), ('B', 'right'), (None, 'left')]",
+    }
 
 
 def test_classify_scans_the_colouring_once(capsys, tmp_path, model, monkeypatch):
@@ -489,3 +533,18 @@ def test_cli_runs_without_numpy(run_python, tmp_path):
     """, str(tmp_path / "compound-A.off"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "numpy imported: False"
+
+
+def test_cli_import_skips_dataclasses(run_python):
+    # the records are NamedTuples: dataclasses would pull in inspect, ast,
+    # dis and tokenize at every start
+    proc = run_python("""
+        import sys
+
+        before = "dataclasses" in sys.modules
+        import pentachrome.cli
+
+        print("dataclasses imported:", not before and "dataclasses" in sys.modules)
+    """)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "dataclasses imported: False"
