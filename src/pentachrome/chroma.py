@@ -18,7 +18,8 @@ Two independent enumerators are provided: a brute-force backtracking search
 (`enumerate_colourings`) and a constraint-propagation replay
 (`enumerate_by_propagation`) that fixes the colours of the north pole and
 its neighbours, branches on the two completions of the first face, and
-forces everything else.  The two must produce identical sets.
+forces everything else by naked singles: a vertex whose three faces leave
+one colour gets that colour.  The two must produce identical sets.
 """
 
 from __future__ import annotations
@@ -176,14 +177,13 @@ def colour_frames():
 
 
 def _propagate(model: PolytopeModel, col: list[int]) -> None:
-    """Run singles propagation to a fixpoint, in place.
+    """Run naked-singles propagation to a fixpoint, in place.
 
     Each face keeps a bitmask of the colours on it (bit x for colour x), and
-    a vertex's candidates are the colours on none of its three faces.
-    Assigns forced vertices (a single candidate) and forced face slots (a
-    missing colour with a single possible vertex on that face).  Raises
-    PropagationError on contradiction, or if the fixpoint leaves a vertex
-    uncoloured.
+    a vertex's candidates are the colours on none of its three faces.  The
+    one forcing rule is the naked single: a vertex with a single candidate
+    gets it.  Raises PropagationError on contradiction, or if the fixpoint
+    leaves a vertex uncoloured.
     """
     faces = model.faces
     vertex_faces = model.vertex_faces
@@ -193,42 +193,26 @@ def _propagate(model: PolytopeModel, col: list[int]) -> None:
             used[fid] |= 1 << col[v]
         used[fid] &= _ALL  # bit 0 came from the uncoloured vertices
 
-    def candidates(v: int) -> int:
-        f0, f1, f2 = vertex_faces[v]
-        return _ALL & ~(used[f0] | used[f1] | used[f2])
-
-    def assign(v: int, colour: int) -> None:
-        col[v] = colour
-        for f in vertex_faces[v]:
-            used[f] |= 1 << colour
-
     changed = True
     while changed:
         changed = False
         for v in range(20):
             if col[v]:
                 continue
-            cand = candidates(v)
+            f0, f1, f2 = vertex_faces[v]
+            cand = _ALL & ~(used[f0] | used[f1] | used[f2])
             if not cand:
                 raise PropagationError(f"no colour left for vertex {v}")
             if not cand & (cand - 1):
-                assign(v, cand.bit_length() - 1)
+                col[v] = cand.bit_length() - 1
+                used[f0] |= cand
+                used[f1] |= cand
+                used[f2] |= cand
                 changed = True
-        for fid, f in enumerate(faces):
-            open_vs = [v for v in f if not col[v]]
-            if used[fid].bit_count() != 5 - len(open_vs):
-                raise PropagationError("face carries a colour twice")
-            missing = _ALL & ~used[fid]
-            for colour in COLOURS:
-                bit = 1 << colour
-                if not missing & bit:
-                    continue
-                slots = [v for v in open_vs if not col[v] and candidates(v) & bit]
-                if not slots:
-                    raise PropagationError("missing colour has no slot on face")
-                if len(slots) == 1:
-                    assign(slots[0], colour)
-                    changed = True
+    # a forced colour is on none of its vertex's faces, so a repeat came with the input
+    for fid, f in enumerate(faces):
+        if used[fid].bit_count() != sum(1 for v in f if col[v]):
+            raise PropagationError("face carries a colour twice")
     if 0 in col:
         raise PropagationError("propagation stalled before completion")
 
@@ -499,12 +483,6 @@ def parity_class(model: PolytopeModel, c: Colouring) -> int:
     if len(parities) != 1:
         raise AssertionError("face parities are not uniform")
     return parities.pop()
-
-
-def opposite_face(model: PolytopeModel, fid: int) -> int:
-    """The face antipodal to fid."""
-    _check_id(fid, 12, "face")
-    return model.opposite_faces[fid]
 
 
 def antipodal_rule_holds(model: PolytopeModel, c: Colouring) -> bool:

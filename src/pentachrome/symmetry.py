@@ -49,43 +49,29 @@ def invert(p: Perm) -> Perm:
     return tuple(inv)
 
 
-def perm_cycles(p: Perm) -> list[tuple[int, ...]]:
+def _cycle_lengths(p: Perm) -> list[int]:
+    """The lengths of p's cycles, fixed points included."""
     seen = [False] * len(p)
-    cycles = []
+    lengths = []
     for v in range(len(p)):
-        if seen[v]:
-            continue
-        cyc = [v]
-        seen[v] = True
-        w = p[v]
-        while w != v:
-            cyc.append(w)
-            seen[w] = True
-            w = p[w]
-        cycles.append(tuple(cyc))
-    return cycles
-
-
-def perm_parity(p: Perm) -> int:
-    """+1 for even, -1 for odd: the parity of n minus the number of cycles."""
-    seen = [False] * len(p)
-    swaps = len(p)
-    for v in range(len(p)):
-        if seen[v]:
-            continue
-        swaps -= 1
+        n = 0
         w = v
         while not seen[w]:
             seen[w] = True
             w = p[w]
-    return 1 if swaps % 2 == 0 else -1
+            n += 1
+        if n:
+            lengths.append(n)
+    return lengths
+
+
+def perm_parity(p: Perm) -> int:
+    """+1 for even, -1 for odd: the parity of n minus the number of cycles."""
+    return 1 if (len(p) - len(_cycle_lengths(p))) % 2 == 0 else -1
 
 
 def perm_order(p: Perm) -> int:
-    order = 1
-    for c in perm_cycles(p):
-        order = math.lcm(order, len(c))
-    return order
+    return math.lcm(*_cycle_lengths(p))
 
 
 def _closure(generators, identity, product) -> frozenset:

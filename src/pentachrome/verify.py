@@ -191,17 +191,11 @@ def _colouring_checks(model: PolytopeModel, all_c, elapsed: float) -> list[Check
         "backtracking enumeration under 1 s", elapsed < 1.0, f"{elapsed:.3f}s"
     ))
 
-    per_frame_ok = True
-    prop = []
-    for pole, triple in chroma.colour_frames():
-        pair = chroma.frame_completions(model, pole, triple)
-        if len(set(pair)) != 2:
-            per_frame_ok = False
-        prop.extend(pair)
-    out.append(Check("completions per colour frame", per_frame_ok, "2 each over 120 frames"))
+    prop = chroma.enumerate_by_propagation(model)
+    out.append(Check("completions per colour frame", len(prop) == 240, "2 each over 120 frames"))
     out.append(Check(
         "propagation enumerator matches backtracking",
-        sorted(prop) == list(all_c),
+        prop == all_c,
         f"{len(prop)} colourings",
     ))
 
@@ -349,8 +343,7 @@ def _structure_checks(model: PolytopeModel, all_c, label_of) -> list[Check]:
     keeps = all(parity_of[chroma.act(even, c, model)] == parity_of[c] for c in all_c)
     out.append(Check("odd relabelling flips all parities, even preserves", flips and keeps, ""))
 
-    p1_ok = True
-    hand_of = {}
+    hand_of = {}  # colouring -> its one working handedness, or None
     # a checkpoint set depends on the vertex and handedness only
     traces = {
         (v, h): chroma.zigzag_trace(model, all_c[0], v, h)
@@ -361,37 +354,33 @@ def _structure_checks(model: PolytopeModel, all_c, label_of) -> list[Check]:
         hands = set()
         for v in range(20):
             hits = [h for h in (chroma.LEFT, chroma.RIGHT) if traces[v, h] == classes[c[v]]]
-            if len(hits) != 1:
-                p1_ok = False
-                break
-            hands.add(hits[0])
-        if not p1_ok or len(hands) != 1:
-            p1_ok = False
-            break
-        hand_of[c] = hands.pop()
+            hands.add(hits[0] if len(hits) == 1 else None)
+        hand_of[c] = hands.pop() if len(hands) == 1 else None
     out.append(Check(
         "P1: exactly one working handedness per vertex, constant per colouring",
-        p1_ok,
+        None not in hand_of.values(),
         "",
     ))
-    if p1_ok:
-        swap = symmetry.COLOUR_SWAP
-        flip_hand = all(hand_of[chroma.act(swap, c, model)] != hand_of[c] for c in all_c)
-        out.append(Check("P1: handedness flips under the antipodal colour swap", flip_hand, ""))
+    swap = symmetry.COLOUR_SWAP
+    flip_hand = all(
+        hand_of[c] is not None and hand_of[chroma.act(swap, c, model)] != hand_of[c]
+        for c in all_c
+    )
+    out.append(Check("P1: handedness flips under the antipodal colour swap", flip_hand, ""))
 
-        pairing = {(label_of[c], hand_of[c]) for c in all_c}
-        out.append(Check(
-            "fixed pairing: compound A works left, compound B works right",
-            pairing == {("A", chroma.LEFT), ("B", chroma.RIGHT)},
-            f"{sorted(pairing, key=repr)}",  # a label may be None
-        ))
+    pairing = {(label_of[c], hand_of[c]) for c in all_c}
+    out.append(Check(
+        "fixed pairing: compound A works left, compound B works right",
+        pairing == {("A", chroma.LEFT), ("B", chroma.RIGHT)},
+        f"{sorted(pairing, key=repr)}",  # a label or handedness may be None
+    ))
 
-        combos = Counter((label_of[c], parity_of[c]) for c in all_c)
-        out.append(Check(
-            "compound and parity independent: 4 combinations of 60",
-            sorted(combos.values()) == [60, 60, 60, 60] and len(combos) == 4,
-            f"{dict(combos)}",
-        ))
+    combos = Counter((label_of[c], parity_of[c]) for c in all_c)
+    out.append(Check(
+        "compound and parity independent: 4 combinations of 60",
+        sorted(combos.values()) == [60, 60, 60, 60] and len(combos) == 4,
+        f"{dict(combos)}",
+    ))
     return out
 
 

@@ -153,7 +153,7 @@ def test_criterion_09_cyclic_order_parity(model, colourings):
         shared = parities.pop()
         assert orders == per_parity[shared]  # all 12 of that parity, each once
         for fid, order, _ in sig:
-            opp = chroma.opposite_face(model, fid)
+            opp = model.opposite_faces[fid]
             opp_order = chroma.canonical_cycle(tuple(c[v] for v in model.faces[opp]))
             assert opp_order == chroma.inverse_cycle(order)
         assert chroma.parity_class(model, chroma.act(odd, c, model)) == -shared

@@ -38,7 +38,6 @@ from pentachrome.chroma import (
     frame_completions,
     inverse_cycle,
     is_valid,
-    opposite_face,
     orbit_partition,
     parity_class,
     seed_colourings,
@@ -225,6 +224,15 @@ def test_propagation_raises_on_empty_vertex_or_stall(model, colourings):
     # with nothing coloured, nothing is forced
     with pytest.raises(PropagationError, match="propagation stalled"):
         chroma._propagate(model, [0] * 20)
+
+
+def test_propagation_restores_any_one_blanked_vertex(model, colourings):
+    for c in colourings:
+        for v in range(20):
+            col = list(c)
+            col[v] = 0
+            chroma._propagate(model, col)
+            assert tuple(col) == c
 
 
 def test_seeds_are_frame_completions(model):
@@ -626,7 +634,6 @@ def test_id_entry_points_reject_bad_ids(model, colourings, bad):
         lambda: zigzag_walk(model, 0, bad, LEFT),
         lambda: zigzag_trace(model, colourings[0], bad, LEFT),
         lambda: dual_face_of(model, bad),
-        lambda: opposite_face(model, bad),
     )
     for call in calls:
         with pytest.raises(ValueError):
@@ -709,7 +716,7 @@ def test_opposite_faces_inverse_orders(model, colourings):
     for c in colourings[:30]:
         sig = face_parity_signature(model, c)
         for fid, order, _ in sig:
-            opp = opposite_face(model, fid)
+            opp = model.opposite_faces[fid]
             opp_order = canonical_cycle(tuple(c[v] for v in model.faces[opp]))
             assert opp_order == inverse_cycle(order)
 

@@ -170,6 +170,47 @@ def test_verify_reports_a_colouring_it_cannot_classify(model, colourings, monkey
     }
 
 
+def test_verify_reports_every_check_when_p1_fails(model, monkeypatch):
+    # no zigzag reproduces a colour class, so no colouring has a handedness
+    monkeypatch.setattr(chroma, "zigzag_trace", lambda *args: frozenset())
+    checks = verify.run_checks(model)
+    assert len(checks) == 61
+    assert {c.name for c in checks if not c.ok} == {
+        "P1: exactly one working handedness per vertex, constant per colouring",
+        "P1: handedness flips under the antipodal colour swap",
+        "fixed pairing: compound A works left, compound B works right",
+    }
+
+
+def _patch_propagation(monkeypatch, mutate):
+    """Make the package's `enumerate_by_propagation` return its result
+    passed through `mutate`."""
+    enumerate_by_propagation = chroma.enumerate_by_propagation
+    monkeypatch.setattr(
+        chroma, "enumerate_by_propagation", lambda model: mutate(enumerate_by_propagation(model))
+    )
+
+
+def test_verify_fails_a_propagation_enumerator_that_drops_a_colouring(model, monkeypatch):
+    _patch_propagation(monkeypatch, lambda out: out[:100] + out[101:])
+    checks = verify.run_checks(model)
+    assert len(checks) == 61
+    assert {c.name: c.detail for c in checks if not c.ok} == {
+        "completions per colour frame": "2 each over 120 frames",
+        "propagation enumerator matches backtracking": "239 colourings",
+    }
+
+
+def test_verify_fails_a_propagation_enumerator_that_duplicates_a_colouring(model, monkeypatch):
+    # the count stays 240, so only the comparison with backtracking can see it
+    _patch_propagation(monkeypatch, lambda out: out[:100] + out[99:100] + out[101:])
+    checks = verify.run_checks(model)
+    assert len(checks) == 61
+    assert {c.name: c.detail for c in checks if not c.ok} == {
+        "propagation enumerator matches backtracking": "240 colourings",
+    }
+
+
 def test_classify_scans_the_colouring_once(capsys, tmp_path, model, monkeypatch):
     seed_a, _ = chroma.seed_colourings(model)
     path = tmp_path / "a.json"
