@@ -74,15 +74,20 @@ def _colouring_digits(c) -> str:
     return "".join(str(x) for x in c)
 
 
-def _load_colouring(path):
-    """The colouring in a JSON file, or None after a one-line error on stderr."""
+def _load_colouring(path, json_report=False):
+    """The colouring in a JSON file, or None after a one-line error on
+    stderr, repeated on stdout as {"valid": false, "error": ...} for a
+    JSON report."""
     try:
         with open(path) as fh:
             return chroma.colouring_from_json(fh.read())
     except OSError as exc:
-        print(f"cannot read {path}: {exc}", file=sys.stderr)
+        error = f"cannot read {path}: {exc}"
     except ValueError as exc:  # json.JSONDecodeError included
-        print(f"malformed colouring file: {exc}", file=sys.stderr)
+        error = f"malformed colouring file: {exc}"
+    print(error, file=sys.stderr)
+    if json_report:
+        print(json.dumps({"valid": False, "error": error}))
     return None
 
 
@@ -153,7 +158,7 @@ def cmd_orbits(args, subgroup) -> int:
 
 def cmd_classify(args) -> int:
     model = build_polytope()
-    c = _load_colouring(args.infile)
+    c = _load_colouring(args.infile, args.json)
     if c is None:
         return 1
 

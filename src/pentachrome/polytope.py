@@ -12,9 +12,11 @@ with no tolerance, validated, and frozen as integer tuples on the model:
 edges, faces, the antipode, the dual icosahedron, the zigzag turn table,
 the opposite faces, the 10 inscribed tetrahedra and the two compounds of
 five.  Floats are only the exported embedding.  The model stays immutable
-and hashable, and no other module keeps derived state.  Faces are stored
-counterclockwise as seen from outside the sphere, rotated so the smallest
-vertex id comes first.
+and hashable, and no other module keeps derived state.  One exact rule
+orients faces and turns: consecutive vertices u, w, x of a face run
+counterclockwise as seen from outside have det(u, w, x) > 0.  At the end of
+u -> w, right is that next face vertex x and left is w's third neighbour;
+a face is a closed walk of right turns, smallest vertex id first.
 """
 
 from __future__ import annotations
@@ -104,7 +106,9 @@ class PolytopeModel(NamedTuple):
     icosahedron face k.
 
     ``turns[u][w]`` is the (left, right) pair of outgoing edges at w for
-    the directed edge u -> w, and None where uw is not an edge.
+    the directed edge u -> w, and None where uw is not an edge: right is
+    the neighbour x of w with det(u, w, x) > 0, the next vertex of the
+    counterclockwise face through u -> w, and left is w's third neighbour.
     ``opposite_faces[f]`` is the face antipodal to face f.  ``tetrahedra``
     are the 10 inscribed regular tetrahedra as sorted 4-tuples, and
     ``compounds`` the two partitions of the vertices into five of them:
@@ -239,46 +243,6 @@ def _azimuth(p) -> float:
     return math.atan2(p[1], p[0]) % (2.0 * math.pi)
 
 
-def _canon_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
-    """Rotate to the smallest id and pick the lexicographically smaller direction."""
-    i = cycle.index(min(cycle))
-    fwd = cycle[i:] + cycle[:i]
-    rev = (fwd[0],) + tuple(reversed(fwd[1:]))
-    return min(fwd, rev)
-
-
-def _face_cycles(adj: list[set[int]]) -> list[tuple[int, ...]]:
-    found = set()
-    for a in range(20):
-        for b in adj[a]:
-            for c in adj[b]:
-                if c == a:
-                    continue
-                for d in adj[c]:
-                    if d in (a, b):
-                        continue
-                    for e in adj[d]:
-                        if e in (a, b, c):
-                            continue
-                        if a in adj[e]:
-                            found.add(_canon_cycle((a, b, c, d, e)))
-    return sorted(found)
-
-
-def _orient_outward(cycle: tuple[int, ...], exact) -> tuple[int, ...]:
-    """Orient a face cycle counterclockwise as seen from outside the sphere:
-    all five vertices have one exact offset along the normal of the first
-    three (coplanarity), positive iff the cycle already runs that way."""
-    pts = [exact[v] for v in cycle]
-    normal = cross(sub(pts[1], pts[0]), sub(pts[2], pts[0]))
-    offsets = {dot(p, normal) for p in pts}
-    if len(offsets) != 1:
-        raise AssertionError("face vertices not coplanar")
-    if offsets.pop().sign() < 0:
-        cycle = (cycle[0],) + tuple(reversed(cycle[1:]))
-    return cycle
-
-
 def _compounds(tets) -> tuple[tuple[Tetra, ...], tuple[Tetra, ...]]:
     """The two partitions of the vertices into five disjoint tetrahedra,
     ordered by their tetrahedron at vertex 0."""
@@ -340,19 +304,42 @@ def build_polytope() -> PolytopeModel:
     edges = tuple(sorted((v, u) for v in range(20) for u in adj[v] if v < u))
     if len(edges) != 30:
         raise AssertionError(f"expected 30 edges, found {len(edges)}")
+    directed_edges = edges + tuple((v, u) for u, v in edges)
 
-    cycles = _face_cycles(adj)
-    if len(cycles) != 12:
-        raise AssertionError(f"expected 12 pentagonal faces, found {len(cycles)}")
-    faces = tuple(sorted(_orient_outward(c, exact) for c in cycles))
+    # right at the end of u -> w has det(u, w, right) > 0; left, its mirror
+    # through the plane of u, w and the centre, has the opposite sign
+    turns = [[None] * 20 for _ in range(20)]
+    for u, w in directed_edges:
+        x, y = adj[w] - {u}
+        s = det3((exact[u], exact[w], exact[x])).sign()
+        if s == 0:
+            raise AssertionError(f"zero determinant at the end of {u} -> {w}")
+        turns[u][w] = (y, x) if s > 0 else (x, y)
+
+    # each face is the closed walk of right turns, rotated to its smallest id
+    walks = set()
+    for u, w in directed_edges:
+        walk = [u, w]
+        for _ in range(5):
+            walk.append(turns[walk[-2]][walk[-1]][1])
+        f = walk[:5]
+        if len(set(f)) != 5 or walk[5:] != walk[:2]:
+            raise AssertionError(f"right turns from {u} -> {w} do not close a pentagon")
+        i = f.index(min(f))
+        walks.add(tuple(f[i:] + f[:i]))
+    faces = tuple(sorted(walks))
+    if len(faces) != 12:
+        raise AssertionError(f"expected 12 pentagonal faces, found {len(faces)}")
+    for f in faces:
+        a, b, c = (exact[v] for v in f[:3])
+        normal = cross(sub(b, a), sub(c, a))
+        if len({dot(exact[v], normal) for v in f}) != 1:
+            raise AssertionError("face vertices not coplanar")
 
     # every directed edge appears in exactly one oriented face, so the two
     # faces sharing an edge traverse it in opposite directions
     directed = [(f[i], f[(i + 1) % 5]) for f in faces for i in range(5)]
-    if not (
-        len(directed) == len(set(directed)) == 60
-        and set(directed) == {(u, v) for u, v in edges} | {(v, u) for u, v in edges}
-    ):
+    if not (len(directed) == len(set(directed)) == 60 and set(directed) == set(directed_edges)):
         raise AssertionError("faces do not traverse each edge once in each direction")
 
     index = {p: v for v, p in enumerate(exact)}
@@ -366,17 +353,6 @@ def build_polytope() -> PolytopeModel:
     opposite_faces = tuple(face_ids.get(frozenset(antipode[v] for v in f)) for f in faces)
     if None in opposite_faces:
         raise AssertionError("no antipodal face found")
-
-    # at the end of u -> w, left is the edge with positive component along
-    # (u -> w) x (outward normal at w); as faces run counterclockwise seen
-    # from outside, on the face traversing u -> w -> x right is x and left
-    # is w's third neighbour
-    turns = [[None] * 20 for _ in range(20)]
-    for f in faces:
-        for i in range(5):
-            u, w, x = f[i - 2], f[i - 1], f[i]
-            (left,) = adj[w] - {u, x}
-            turns[u][w] = (left, x)
 
     # inscribed regular tetrahedra: 4-cliques of the pairs at squared distance
     # 8, the tetrahedron edge at circumradius sqrt(3)

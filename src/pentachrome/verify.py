@@ -212,14 +212,18 @@ def _colouring_checks(model: PolytopeModel, all_c, elapsed: float) -> list[Check
     expected = {"trivial": 240, "C2": 120, "S5": 2, "A5": 4, "A5xC2": 2, "S5xC2": 1}
     for name, want in expected.items():
         H = symmetry.named_subgroup(name)
-        orbits = chroma.orbit_partition(all_c, H, model)
+        label = "A5 x {1}" if name == "A5" else name
+        try:
+            orbits = chroma.orbit_partition(all_c, H, model)
+        except ValueError as exc:  # the action leaves the enumerated set
+            out.append(Check(f"orbits under {label}", False, str(exc)))
+            continue
         sizes = {len(o) for o in orbits}
         ok = (
             len(orbits) == want
             and sizes == {len(H)}
             and len(orbits) * len(H) == 240
         )
-        label = "A5 x {1}" if name == "A5" else name
         out.append(Check(
             f"orbits under {label}",
             ok,
@@ -339,9 +343,13 @@ def _structure_checks(model: PolytopeModel, all_c, label_of) -> list[Check]:
 
     odd = symmetry.ColourSymmetry((2, 1, 3, 4, 5), 1)
     even = symmetry.ColourSymmetry((2, 3, 1, 4, 5), 1)
-    flips = all(parity_of[chroma.act(odd, c, model)] == -parity_of[c] for c in all_c)
-    keeps = all(parity_of[chroma.act(even, c, model)] == parity_of[c] for c in all_c)
-    out.append(Check("odd relabelling flips all parities, even preserves", flips and keeps, ""))
+    # an image outside the enumeration, or a colouring without one parity,
+    # has no parity to compare
+    flips = all(parity_of.get(chroma.act(odd, c, model)) == -p for c, p in parity_of.items())
+    keeps = all(parity_of.get(chroma.act(even, c, model)) == p for c, p in parity_of.items())
+    out.append(Check(
+        "odd relabelling flips all parities, even preserves", p2_ok and flips and keeps, ""
+    ))
 
     hand_of = {}  # colouring -> its one working handedness, or None
     # a checkpoint set depends on the vertex and handedness only
@@ -363,7 +371,7 @@ def _structure_checks(model: PolytopeModel, all_c, label_of) -> list[Check]:
     ))
     swap = symmetry.COLOUR_SWAP
     flip_hand = all(
-        hand_of[c] is not None and hand_of[chroma.act(swap, c, model)] != hand_of[c]
+        {hand_of[c], hand_of.get(chroma.act(swap, c, model))} == {chroma.LEFT, chroma.RIGHT}
         for c in all_c
     )
     out.append(Check("P1: handedness flips under the antipodal colour swap", flip_hand, ""))
@@ -375,7 +383,7 @@ def _structure_checks(model: PolytopeModel, all_c, label_of) -> list[Check]:
         f"{sorted(pairing, key=repr)}",  # a label or handedness may be None
     ))
 
-    combos = Counter((label_of[c], parity_of[c]) for c in all_c)
+    combos = Counter((label_of[c], parity_of.get(c)) for c in all_c)
     out.append(Check(
         "compound and parity independent: 4 combinations of 60",
         sorted(combos.values()) == [60, 60, 60, 60] and len(combos) == 4,

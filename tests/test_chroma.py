@@ -531,9 +531,9 @@ def test_a5_orbits_are_parity_times_compound(model, colourings):
 # P1: zigzag traces
 
 def test_turn_table_matches_geometric_rule(model):
-    # README: "left" at w is the outgoing edge with positive component along
-    # (incoming direction x outward normal at w); the table reads it off the
-    # face orientation instead
+    # "left" at w is the outgoing edge with positive component along
+    # (incoming direction x outward normal at w), a float rule independent
+    # of the exact determinant that builds the table
     pos = np.array(positions(model))
     table = {
         (u, w): turn

@@ -211,6 +211,44 @@ def test_verify_fails_a_propagation_enumerator_that_duplicates_a_colouring(model
     }
 
 
+def test_verify_reports_a_reversed_face(model):
+    # its colour orders change parity, so no colouring has one parity and
+    # the odd relabelling's image has none to compare
+    face = model.faces[0]
+    faces = ((face[0],) + face[:0:-1],) + model.faces[1:]
+    checks = verify.run_checks(model._replace(faces=faces))
+    assert len(checks) == 61
+    assert {c.name for c in checks if not c.ok} == {
+        "each edge on 2 faces with opposite senses",
+        "P2: 12 distinct cyclic orders of one parity per colouring",
+        "parity split 120 even / 120 odd",
+        "odd relabelling flips all parities, even preserves",
+        "compound and parity independent: 4 combinations of 60",
+    }
+
+
+def test_verify_reports_two_swapped_antipodes(model):
+    # the colour swap then leaves the enumerated colourings
+    antipode = (model.antipode[1], model.antipode[0]) + model.antipode[2:]
+    checks = verify.run_checks(model._replace(antipode=antipode))
+    assert len(checks) == 61
+    failed = {c.name: c.detail for c in checks if not c.ok}
+    for label in ("C2", "A5xC2", "S5xC2"):
+        assert failed.pop(f"orbits under {label}") == (
+            "subgroup action leaves the given colouring set")
+    assert set(failed) == {
+        "antipode negates positions, involutive, fixed-point free",
+        "antipode exchanges bands (C3=-C2, C4=-C1)",
+        "antipodal distance 2",
+        "all symmetries commute with the antipode",
+        "orbit of one colouring under the full colour group",
+        "antipodal colour rule at all 20 vertices of all 240",
+        "antipodal image of compound A is compound B",
+        "every orientation-reversing symmetry exchanges the compounds",
+        "P1: handedness flips under the antipodal colour swap",
+    }
+
+
 def test_classify_scans_the_colouring_once(capsys, tmp_path, model, monkeypatch):
     seed_a, _ = chroma.seed_colourings(model)
     path = tmp_path / "a.json"
@@ -359,6 +397,19 @@ def test_classify_malformed_json(capsys, tmp_path, text):
     code, _, err = run_cli(capsys, "classify", "--in", str(path))
     assert code == 1
     assert "malformed" in err
+
+
+@pytest.mark.parametrize(
+    "text", [*MALFORMED[:3], None], ids=["not-json", "no-colours", "null-colours", "missing-file"]
+)
+def test_classify_json_reports_an_unreadable_file(capsys, tmp_path, text):
+    path = tmp_path / "bad.json"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run_cli(capsys, "classify", "--in", str(path), "--json")
+    assert code == 1
+    assert err.count("\n") == 1
+    assert json.loads(out) == {"valid": False, "error": err.rstrip("\n")}
 
 
 # ---------------------------------------------------------------------------

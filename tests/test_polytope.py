@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pentachrome import polytope
 from pentachrome.polytope import (
     BAND_SIZES,
     BANDS,
@@ -257,13 +258,29 @@ def test_zphi_rejects_an_int_factor():
 
 
 def test_exact_derivation_matches_float_route(model):
-    # adjacency, antipode, bands and tetrahedra rebuilt from the exported
-    # float positions with a tolerance must equal the exact derivation
+    # adjacency, faces, antipode, bands and tetrahedra rebuilt from the
+    # exported float positions with a tolerance must equal the exact derivation
     pos = np.array(positions(model))
     dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
     edge = dist[dist > 1e-9].min()
-    adjacency = [tuple(np.flatnonzero(np.abs(row - edge) < 1e-9)) for row in dist]
+    adjacency = [tuple(int(u) for u in np.flatnonzero(np.abs(row - edge) < 1e-9)) for row in dist]
     assert adjacency == [tuple(a) for a in model.adjacency]
+
+    # the faces are exactly the graph's 5-cycles: every one, found by brute
+    # force, oriented by its Newell normal against its centroid
+    paths = [(v,) for v in range(20)]
+    for _ in range(4):
+        paths = [p + (u,) for p in paths for u in adjacency[p[-1]] if u not in p]
+    faces = set()
+    for p in paths:
+        if p[0] in adjacency[p[-1]]:
+            pts = pos[list(p)]
+            newell = np.cross(pts, np.roll(pts, -1, axis=0)).sum(axis=0)
+            if newell @ pts.mean(axis=0) < 0:
+                p = p[::-1]
+            i = p.index(min(p))
+            faces.add(p[i:] + p[:i])
+    assert tuple(sorted(faces)) == model.faces
 
     sums = np.linalg.norm(pos[:, None, :] + pos[None, :, :], axis=2)
     assert (sums.min(axis=1) < 1e-9).all()
@@ -320,6 +337,18 @@ def test_fma_rounds_once():
     c = -(1.0 + 2.0**-26)
     assert a * a + c == 0.0  # a*a = 1 + 2**-26 + 2**-54 loses its last term
     assert fma(a, a, c) == 2.0**-54
+
+
+@pytest.mark.parametrize("det, message", [
+    (ZPhi(0), "zero determinant at the end of 0 -> 1"),
+    (ZPhi(1), "right turns from 0 -> 1 do not close a pentagon"),
+], ids=["zero", "no-mirror"])
+def test_orientation_rule_rejects_a_broken_determinant(monkeypatch, det, message):
+    # a zero determinant leaves no turn; a positive one for every neighbour
+    # ignores the mirror, so the right turns wander off the faces
+    monkeypatch.setattr(polytope, "det3", lambda m: det)
+    with pytest.raises(AssertionError, match=message):
+        build_polytope()
 
 
 def test_invariant_checks_survive_python_O(run_python):
