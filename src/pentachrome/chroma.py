@@ -28,7 +28,7 @@ import json
 from itertools import permutations
 from operator import itemgetter
 
-from .polytope import PolytopeModel, _check_id, _fmt
+from .polytope import _PALETTE, PolytopeModel, _check_id, _off_mesh
 from .symmetry import (
     ColourSymmetry, _check_subgroup, _check_symmetries, perm_parity,
 )
@@ -367,10 +367,12 @@ def stabilizer(c: Colouring, H, model: PolytopeModel) -> list[ColourSymmetry]:
 def zigzag_walk(model: PolytopeModel, start: int, first: int, handedness: str) -> tuple[int, ...]:
     """The closed zigzag walk from ``start`` leaving along the edge to ``first``.
 
-    Each three-edge block turns to the handedness side and then to the
-    opposite side; the connecting turn at the block boundaries alternates
-    sides, which closes the walk after 12 edges.  Returns the vertex
-    sequence with both endpoints equal to ``start``.
+    The walk takes exactly 12 turns, repeating the 6-turn word: each
+    three-edge block turns to the handedness side and then to the opposite
+    side, and the turns at the block boundaries alternate sides.  Raises
+    AssertionError unless the 12th edge ends at ``start`` and the next one
+    leaves along the edge to ``first``.  Returns the 13 vertices of the
+    walk, both endpoints equal to ``start``.
     """
     _check_id(start, 20, "vertex")
     _check_id(first, 20, "vertex")
@@ -381,44 +383,32 @@ def zigzag_walk(model: PolytopeModel, start: int, first: int, handedness: str) -
     side = (LEFT, RIGHT).index(handedness)  # into model.turns' (left, right) pairs
     word = (side, 1 - side, side, side, 1 - side, 1 - side)
     seq = [start, first]
-    prev, cur = start, first
-    i = 1
-    while True:
-        nxt = model.turns[prev][cur][word[(i - 1) % 6]]
-        seq.append(nxt)
-        prev, cur = cur, nxt
-        i += 1
-        if (prev, cur) == (start, first) and (i - 1) % 6 == 0:
-            break
-        if i > 60:
-            raise AssertionError("zigzag walk failed to close")
-    return tuple(seq[:-1])
+    for i in range(12):
+        seq.append(model.turns[seq[-2]][seq[-1]][word[i % 6]])
+    if (seq[12], seq[13]) != (start, first):
+        raise AssertionError(
+            f"zigzag walk from {start} -> {first} failed to close after 12 edges")
+    return tuple(seq[:13])
 
 
 def zigzag_trace(model: PolytopeModel, c: Colouring, v: int, handedness: str) -> frozenset[int]:
-    """Checkpoint set of the zigzag from v: every 3rd vertex of the closed walk.
+    """Checkpoint set of the zigzag from v: every 3rd vertex of the 12-edge walk.
 
     For exactly one handedness (fixed by the chirality class of the
     colouring) this set is the colour class of v.  The set is independent
-    of the outgoing edge and of the colouring, so the walk leaves along the
-    lowest-id neighbour.
+    of the outgoing edge and of the colouring, which is checked but not
+    read, so the walk leaves along the lowest-id neighbour.
     """
     check_rainbow(model, c)
     _check_id(v, 20, "vertex")
-    return _checkpoints(model, v, handedness)
-
-
-def _checkpoints(model: PolytopeModel, v: int, handedness: str) -> frozenset[int]:
-    """`zigzag_trace` without the colouring, which the set does not depend on."""
-    walk = zigzag_walk(model, v, min(model.adjacency[v]), handedness)
-    return frozenset(walk[::3])
+    return frozenset(zigzag_walk(model, v, min(model.adjacency[v]), handedness)[::3])
 
 
 def working_handedness(model: PolytopeModel, c: Colouring) -> str:
     """The handedness whose zigzag checkpoints reproduce colour classes."""
     c = check_rainbow(model, c)
     class0 = frozenset(v for v in range(20) if c[v] == c[0])
-    hits = [h for h in (LEFT, RIGHT) if _checkpoints(model, 0, h) == class0]
+    hits = [h for h in (LEFT, RIGHT) if zigzag_trace(model, c, 0, h) == class0]
     if len(hits) != 1:
         raise AssertionError("exactly one handedness must reproduce the class")
     return hits[0]
@@ -521,23 +511,7 @@ def enumeration_to_json(colourings) -> str:
     return json.dumps(docs, separators=(",", ":")) + "\n"
 
 
-_PALETTE = (
-    (230, 230, 230),
-    (240, 200, 40),
-    (200, 40, 40),
-    (40, 80, 200),
-    (30, 30, 30),
-)
-
-
 def colouring_to_off(model: PolytopeModel, c: Colouring) -> str:
     """COFF mesh: the dodecahedron with per-vertex colours from a palette."""
-    c = check_colouring(c)
-    lines = ["COFF", "20 12 30"]
-    for v in model.vertices:
-        r, g, b = _PALETTE[c[v.id] - 1]
-        coords = " ".join(_fmt(x) for x in v.position)
-        lines.append(f"{coords} {r} {g} {b} 255")
-    for f in model.faces:
-        lines.append("5 " + " ".join(str(v) for v in f))
-    return "\n".join(lines) + "\n"
+    suffix = [" %d %d %d 255" % _PALETTE[x - 1] for x in check_colouring(c)]
+    return _off_mesh(model, "COFF", [(5, *f) for f in model.faces], suffix)

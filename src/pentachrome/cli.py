@@ -102,10 +102,9 @@ def _write(path, text: str) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, model) -> int:
     from . import verify  # only this command runs the battery
 
-    model = build_polytope()
     checks = verify.run_checks(model)
     failed = [c for c in checks if not c.ok]
     if args.json:
@@ -126,13 +125,12 @@ def cmd_verify(args) -> int:
     return 0 if not failed else 1
 
 
-def cmd_enumerate(args) -> int:
-    model = build_polytope()
+def cmd_enumerate(args, model) -> int:
     return _write(args.out, chroma.enumeration_to_json(chroma.enumerate_colourings(model)))
 
 
-def cmd_orbits(args, subgroup) -> int:
-    model = build_polytope()
+def cmd_orbits(args, model) -> int:
+    subgroup = args.subgroup_elements
     all_c = chroma.enumerate_colourings(model)
     orbits = chroma.orbit_partition(all_c, subgroup, model)
     sizes = sorted({len(o) for o in orbits})
@@ -156,8 +154,7 @@ def cmd_orbits(args, subgroup) -> int:
     return 0
 
 
-def cmd_classify(args) -> int:
-    model = build_polytope()
+def cmd_classify(args, model) -> int:
     c = _load_colouring(args.infile, args.json)
     if c is None:
         return 1
@@ -204,8 +201,7 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def cmd_export(args) -> int:
-    model = build_polytope()
+def cmd_export(args, model) -> int:
     what, fmt = args.what, args.format
     if what == "dodecahedron":
         text = model_to_off(model) if fmt == "off" else model_to_json(model)
@@ -235,10 +231,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the full invariant suite")
     p.add_argument("--json", action="store_true", help="machine-readable report")
+    p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("enumerate", help="write all 240 colourings")
     p.add_argument("--out", required=True, help="output path")
     p.add_argument("--format", choices=["json"], default="json")
+    p.set_defaults(run=cmd_enumerate)
 
     p = sub.add_parser("orbits", help="orbit report for a colour subgroup")
     p.add_argument(
@@ -248,10 +246,12 @@ def build_parser() -> argparse.ArgumentParser:
         % "|".join(NAMED_SUBGROUPS),
     )
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=cmd_orbits)
 
     p = sub.add_parser("classify", help="classify a colouring file")
     p.add_argument("--in", dest="infile", required=True, help="colouring JSON path")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=cmd_classify)
 
     p = sub.add_parser("export", help="write meshes and JSON artifacts")
     p.add_argument(
@@ -262,6 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", required=True, choices=["off", "json"])
     p.add_argument("--out", required=True, help="output path")
     p.add_argument("--in", dest="infile", help="colouring JSON path (for --what colouring)")
+    p.set_defaults(run=cmd_export)
 
     return parser
 
@@ -282,23 +283,14 @@ def main(argv=None) -> int:
 def _dispatch(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify":
-        return cmd_verify(args)
-    if args.command == "enumerate":
-        return cmd_enumerate(args)
     if args.command == "orbits":
         try:
-            subgroup = parse_subgroup_spec(args.subgroup)
+            args.subgroup_elements = parse_subgroup_spec(args.subgroup)
         except ValueError as exc:
             parser.error(f"bad --subgroup: {exc}")
-        return cmd_orbits(args, subgroup)
-    if args.command == "classify":
-        return cmd_classify(args)
-    if args.command == "export":
-        if args.what == "colouring" and not args.infile:
-            parser.error("--what colouring requires --in")
-        return cmd_export(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    if args.command == "export" and args.what == "colouring" and not args.infile:
+        parser.error("--what colouring requires --in")
+    return args.run(args, build_polytope())
 
 
 if __name__ == "__main__":

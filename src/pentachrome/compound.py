@@ -8,7 +8,7 @@ import math
 from itertools import combinations
 from typing import NamedTuple
 
-from .polytope import _TETRA_EDGE2, PolytopeModel, Tetra, _fmt, det3
+from .polytope import _PALETTE, _TETRA_EDGE2, PolytopeModel, Tetra, _off_mesh, det3
 from . import chroma
 
 TETRA_EDGE = math.sqrt(8.0 / 3.0)
@@ -97,17 +97,13 @@ def compound_to_off(model: PolytopeModel, comp: Compound) -> str:
     That centre is the origin, so triangle abc faces outward iff the exact
     det(a, b, c) is positive."""
     x = model.exact_positions
-    lines = ["OFF", "20 20 30"]
-    for v in model.vertices:
-        lines.append(" ".join(_fmt(c) for c in v.position))
-    for i, tet in enumerate(comp.tetrahedra):
-        r, g, b = chroma._PALETTE[i]
-        for tri in combinations(tet, 3):
-            a, bb, cc = tri
-            if det3((x[a], x[bb], x[cc])).sign() < 0:
-                tri = (a, cc, bb)
-            lines.append("3 " + " ".join(str(v) for v in tri) + f" {r} {g} {b}")
-    return "\n".join(lines) + "\n"
+    polygons = []
+    for colour, tet in zip(_PALETTE, comp.tetrahedra):
+        for a, b, c in combinations(tet, 3):
+            if det3((x[a], x[b], x[c])).sign() < 0:
+                b, c = c, b
+            polygons.append((3, a, b, c, *colour))
+    return _off_mesh(model, "OFF", polygons)
 
 
 def compound_to_json(comp: Compound) -> str:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
 from typing import NamedTuple
@@ -172,8 +171,13 @@ def det3(m) -> float:
 
 
 def fma(a: float, b: float, c: float) -> float:
-    """a * b + c with a single rounding (exact rational, then rounded)."""
-    return float(Fraction(a) * Fraction(b) + Fraction(c))
+    """a * b + c with a single rounding: the exact value as a ratio of
+    integers, then one int / int division, which CPython rounds correctly
+    (as `float(Fraction)` does, an exact zero included: it is +0.0).
+    Raises OverflowError where the result is too large for a float."""
+    (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+    cn, cd = c.as_integer_ratio()
+    return (an * bn * cd + cn * ad * bd) / (ad * bd * cd)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +227,9 @@ def _pole_rotation() -> Mat:
 
 def _rotate(r: Mat, p: Vec) -> Vec:
     """r applied to p, each coordinate as the fused chain
-    fma(p2, r2, fma(p1, r1, p0 * r0)): this rounding fixes the exported bytes."""
+    fma(p2, r2, fma(p1, r1, p0 * r0)): the product rounds once as IEEE does
+    and each fma once from its exact value, so the exported bytes do not
+    depend on how the platform contracts a * b + c."""
     return tuple(fma(p[2], row[2], fma(p[1], row[1], p[0] * row[0])) for row in r)
 
 
@@ -440,18 +446,32 @@ def dual_face_of(model: PolytopeModel, icosa_face: int) -> int:
     return model.dual_faces[icosa_face]
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
+# the colour of each colouring colour, and of each tetrahedron of a compound
+_PALETTE = (
+    (230, 230, 230),
+    (240, 200, 40),
+    (200, 40, 40),
+    (40, 80, 200),
+    (30, 30, 30),
+)
+
+
+def _off_mesh(model: PolytopeModel, header: str, polygons, vertex_suffix=None) -> str:
+    """An OFF-family mesh on the 20 vertices: the header, the count line,
+    each vertex's coordinates at 17 significant digits, which round-trip,
+    followed by ``vertex_suffix[v]`` when given, and one line per polygon,
+    its integers space-separated."""
+    lines = [header, f"20 {len(polygons)} 30"]
+    for v in model.vertices:
+        coords = " ".join(format(x, ".17g") for x in v.position)
+        lines.append(coords + vertex_suffix[v.id] if vertex_suffix else coords)
+    lines += (" ".join(map(str, p)) for p in polygons)
+    return "\n".join(lines) + "\n"
 
 
 def model_to_off(model: PolytopeModel) -> str:
     """OFF mesh of the dodecahedron; byte-stable across runs."""
-    lines = ["OFF", "20 12 30"]
-    for v in model.vertices:
-        lines.append(" ".join(_fmt(c) for c in v.position))
-    for f in model.faces:
-        lines.append("5 " + " ".join(str(v) for v in f))
-    return "\n".join(lines) + "\n"
+    return _off_mesh(model, "OFF", [(5, *f) for f in model.faces])
 
 
 def model_to_json(model: PolytopeModel) -> str:

@@ -192,7 +192,14 @@ def _colouring_checks(model: PolytopeModel, all_c, elapsed: float) -> list[Check
     ))
 
     prop = chroma.enumerate_by_propagation(model)
-    out.append(Check("completions per colour frame", len(prop) == 240, "2 each over 120 frames"))
+    # a frame is the colours of the pole and of its neighbours 1, 2 and 3
+    per_frame = Counter(c[:4] for c in prop)
+    counts = sorted(set(per_frame.values()))
+    out.append(Check(
+        "completions per colour frame",
+        len(per_frame) == 120 and counts == [2],
+        f"{'/'.join(map(str, counts))} each over {len(per_frame)} frames",
+    ))
     out.append(Check(
         "propagation enumerator matches backtracking",
         prop == all_c,
@@ -264,27 +271,19 @@ def _compound_checks(model: PolytopeModel, all_c, label_of, rot, full) -> list[C
     ))
 
     comp_a, comp_b = compound_mod.compounds(model)
-    anti = model.antipode
-    anti_image = {tuple(sorted(anti[v] for v in t)) for t in comp_a.tetrahedra}
+    set_a, set_b = set(comp_a.tetrahedra), set(comp_b.tetrahedra)
+
+    def image_of_a(p):  # compound A's tetrahedra under the vertex map p
+        return {tuple(sorted(p[v] for v in t)) for t in comp_a.tetrahedra}
+
     out.append(Check(
-        "antipodal image of compound A is compound B",
-        anti_image == set(comp_b.tetrahedra),
-        "",
+        "antipodal image of compound A is compound B", image_of_a(model.antipode) == set_b, ""
     ))
-    stab_a = all(
-        {tuple(sorted(p[v] for v in t)) for t in comp_a.tetrahedra} == set(comp_a.tetrahedra)
-        for p in rot
-    )
-    maps_ab = any(
-        {tuple(sorted(p[v] for v in t)) for t in comp_a.tetrahedra} == set(comp_b.tetrahedra)
-        for p in rot
-    )
+    stab_a = all(image_of_a(p) == set_a for p in rot)
+    maps_ab = any(image_of_a(p) == set_b for p in rot)
     out.append(Check("every rotation stabilizes each compound", stab_a and not maps_ab, ""))
-    reversing = [p for p in full if p not in set(rot)]
-    swaps = all(
-        {tuple(sorted(p[v] for v in t)) for t in comp_a.tetrahedra} == set(comp_b.tetrahedra)
-        for p in reversing
-    )
+    rot_set = set(rot)
+    swaps = all(image_of_a(p) == set_b for p in full if p not in rot_set)
     out.append(Check("every orientation-reversing symmetry exchanges the compounds", swaps, ""))
 
     labels = Counter(label_of[c] for c in all_c)

@@ -559,6 +559,20 @@ def test_zigzag_walk_closes_after_twelve_edges(model):
                 assert walk[1] == first
 
 
+@pytest.mark.parametrize("h", [LEFT, RIGHT])
+@pytest.mark.parametrize("at", [0, 5, 11])
+def test_zigzag_walk_raises_on_a_swapped_turn_pair(model, h, at):
+    # one directed edge of the walk turns the wrong way, so the 12 turns end
+    # off the first edge: the walk raises instead of returning another length
+    walk = zigzag_walk(model, 0, 1, h)
+    u, w = walk[at], walk[at + 1]
+    turns = [list(row) for row in model.turns]
+    turns[u][w] = turns[u][w][::-1]
+    broken = model._replace(turns=tuple(map(tuple, turns)))
+    with pytest.raises(AssertionError, match="failed to close after 12 edges"):
+        zigzag_walk(broken, 0, 1, h)
+
+
 def test_zigzag_trace_independent_of_first_edge(model, colourings):
     c = colourings[0]
     for v in (0, 5, 19):

@@ -196,17 +196,19 @@ def test_verify_fails_a_propagation_enumerator_that_drops_a_colouring(model, mon
     checks = verify.run_checks(model)
     assert len(checks) == 61
     assert {c.name: c.detail for c in checks if not c.ok} == {
-        "completions per colour frame": "2 each over 120 frames",
+        "completions per colour frame": "1/2 each over 120 frames",
         "propagation enumerator matches backtracking": "239 colourings",
     }
 
 
 def test_verify_fails_a_propagation_enumerator_that_duplicates_a_colouring(model, monkeypatch):
-    # the count stays 240, so only the comparison with backtracking can see it
+    # the count stays 240, but out[99] and out[100] lie in different frames:
+    # one frame now has 3 completions and another 1
     _patch_propagation(monkeypatch, lambda out: out[:100] + out[99:100] + out[101:])
     checks = verify.run_checks(model)
     assert len(checks) == 61
     assert {c.name: c.detail for c in checks if not c.ok} == {
+        "completions per colour frame": "1/2/3 each over 120 frames",
         "propagation enumerator matches backtracking": "240 colourings",
     }
 
@@ -627,16 +629,19 @@ def test_cli_runs_without_numpy(run_python, tmp_path):
     assert proc.stdout.splitlines()[-1] == "numpy imported: False"
 
 
-def test_cli_import_skips_dataclasses(run_python):
+@pytest.mark.parametrize("module", ["dataclasses", "fractions"])
+def test_cli_import_skips_module(run_python, module):
     # the records are NamedTuples: dataclasses would pull in inspect, ast,
-    # dis and tokenize at every start
+    # dis and tokenize at every start; fractions would pull in decimal and
+    # numbers, and `fma` rounds through integers instead
     proc = run_python("""
         import sys
 
-        before = "dataclasses" in sys.modules
+        module = sys.argv[1]
+        before = module in sys.modules
         import pentachrome.cli
 
-        print("dataclasses imported:", not before and "dataclasses" in sys.modules)
-    """)
+        print("imported:", not before and module in sys.modules)
+    """, module)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "dataclasses imported: False"
+    assert proc.stdout.splitlines()[-1] == "imported: False"

@@ -1,6 +1,7 @@
 import json
 import math
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -337,6 +338,27 @@ def test_fma_rounds_once():
     c = -(1.0 + 2.0**-26)
     assert a * a + c == 0.0  # a*a = 1 + 2**-26 + 2**-54 loses its last term
     assert fma(a, a, c) == 2.0**-54
+
+
+def _fraction_fma(a, b, c):
+    """The reference: a * b + c in exact rationals, rounded once."""
+    return float(Fraction(a) * Fraction(b) + Fraction(c))
+
+
+@settings(max_examples=500)
+@given(a=st.floats(allow_nan=False, allow_infinity=False),
+       b=st.floats(allow_nan=False, allow_infinity=False),
+       c=st.floats(allow_nan=False, allow_infinity=False))
+def test_fma_matches_the_fraction_route(a, b, c):
+    try:
+        want = _fraction_fma(a, b, c)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            fma(a, b, c)
+        return
+    got = fma(a, b, c)
+    # the sign of zero too: an exact zero is +0.0 on both routes
+    assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want))
 
 
 @pytest.mark.parametrize("det, message", [
