@@ -166,14 +166,10 @@ def enumerate_colourings(model: PolytopeModel) -> tuple[Rainbow, ...]:
 def colour_frames():
     """The 120 ways to colour the north pole and its three neighbours.
 
-    A frame fixes the colour of vertex 0 and an ordered assignment of three
-    of the remaining colours to vertices 1, 2, 3 (the C1 band in azimuth
-    order).
+    A frame is an ordered choice of four colours: vertex 0's, then those of
+    vertices 1, 2, 3 (the C1 band in azimuth order).
     """
-    for pole in COLOURS:
-        rest = [x for x in COLOURS if x != pole]
-        for triple in permutations(rest, 3):
-            yield pole, triple
+    return ((p[0], p[1:]) for p in permutations(COLOURS, 4))
 
 
 def _propagate(model: PolytopeModel, col: list[int]) -> None:
@@ -243,8 +239,6 @@ def frame_completions(model: PolytopeModel, pole: int, triple) -> tuple[Rainbow,
         if not is_valid(model, col):
             raise PropagationError("propagation produced an invalid colouring")
         results.append(tuple.__new__(Rainbow, col))
-    if results[0] == results[1]:
-        raise AssertionError("both branches of a frame gave the same colouring")
     return results[0], results[1]
 
 
@@ -254,8 +248,6 @@ def enumerate_by_propagation(model: PolytopeModel) -> tuple[Rainbow, ...]:
     for pole, triple in colour_frames():
         out.extend(frame_completions(model, pole, triple))
     out.sort()
-    if len(out) != len(set(out)):
-        raise AssertionError("frames produced a duplicate colouring")
     return tuple(out)
 
 

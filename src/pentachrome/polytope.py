@@ -250,22 +250,10 @@ def _azimuth(p) -> float:
 
 
 def _compounds(tets) -> tuple[tuple[Tetra, ...], tuple[Tetra, ...]]:
-    """The two partitions of the vertices into five disjoint tetrahedra,
+    """The two compounds: the sets of five tetrahedra that cover all 20
+    vertices (five 4-sets covering 20 vertices are pairwise disjoint),
     ordered by their tetrahedron at vertex 0."""
-    partitions: list[tuple[Tetra, ...]] = []
-
-    def extend(chosen: list[Tetra], covered: frozenset[int]) -> None:
-        if len(chosen) == 5:
-            if covered != frozenset(range(20)):
-                raise AssertionError("five disjoint tetrahedra miss a vertex")
-            partitions.append(tuple(sorted(chosen)))
-            return
-        v = min(set(range(20)) - covered)
-        for t in tets:
-            if v in t and not (set(t) & covered):
-                extend(chosen + [t], covered | frozenset(t))
-
-    extend([], frozenset())
+    partitions = [p for p in combinations(tets, 5) if len({v for t in p for v in t}) == 20]
     if len(partitions) != 2:
         raise AssertionError(f"expected 2 compounds, found {len(partitions)}")
     partitions.sort(key=lambda p: next(t for t in p if 0 in t))

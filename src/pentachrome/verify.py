@@ -11,7 +11,6 @@ about 0.18 s (15 runs, median 0.177 s, quartiles 0.173-0.184 s).
 
 from __future__ import annotations
 
-import math
 import time
 from collections import Counter
 from typing import NamedTuple
@@ -111,7 +110,7 @@ def _polytope_checks(model: PolytopeModel) -> list[Check]:
         total == 190 and spectrum[0][1] == 30,
         f"pairs {total}, multiplicities {[c for _, c in spectrum]}",
     ))
-    tetra_edge = math.sqrt(8.0 / 3.0)
+    tetra_edge = compound_mod.TETRA_EDGE
     out.append(Check(
         "third-smallest distance = inscribed tetrahedron edge",
         len(spectrum) >= 3 and abs(spectrum[2][0] - tetra_edge) < TOL,

@@ -8,7 +8,7 @@ report.  Every tolerance is pinned here: exact integer equality for counts,
 import math
 import time
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
 
 from pentachrome import chroma
 from pentachrome import compound as compound_mod
@@ -47,7 +47,20 @@ def test_criterion_02_cross_oracle_equality(model, colourings):
         assert len(set(pair)) == 2
         by_propagation.extend(pair)
     assert tuple(sorted(by_propagation)) == colourings
-    _report(2, "propagation enumerator = backtracking enumerator; 2 completions per frame")
+    # the geometric route: each vertex takes the colour of its tetrahedron
+    by_compound = set()
+    for tets in model.compounds:
+        for labels in permutations(chroma.COLOURS):
+            c = [0] * 20
+            for t, colour in zip(tets, labels):
+                for v in t:
+                    c[v] = colour
+            assert chroma.is_valid(model, c)
+            by_compound.add(tuple(c))
+    assert len(by_compound) == 240
+    assert tuple(sorted(by_compound)) == colourings
+    _report(2, "propagation enumerator = backtracking enumerator; 2 completions per frame; "
+               "the 2 x 5! labelled compounds give the same 240")
 
 
 def test_criterion_03_simple_transitivity(model, colourings):
@@ -109,7 +122,16 @@ def test_criterion_07_colour_class_structure(model, colourings):
         assert set(classes.values()) == set(comp.tetrahedra)
         split[comp.label] += 1
     assert split["A"] == split["B"] == 120
-    _report(7, "all 240 colour-class families are compounds; 120 per compound")
+    # why a labelled compound is rainbow: each face meets each tetrahedron once
+    for f in model.faces:
+        for t in model.tetrahedra:
+            assert len(set(f) & set(t)) == 1
+    tets_a, tets_b = model.compounds
+    anti = model.antipode
+    images = [tets_b.index(tuple(sorted(anti[v] for v in t))) for t in tets_a]
+    assert images == [4, 3, 1, 2, 0]
+    _report(7, "all 240 colour-class families are compounds; 120 per compound; every face "
+               "meets each of the 10 tetrahedra once; the antipode maps A's 0-4 to B's 4,3,1,2,0")
 
 
 def test_criterion_08_spread_oracle(model):

@@ -452,6 +452,12 @@ def test_orbit_partition_rejects_non_subgroup(model, colourings):
         orbit_partition(colourings, no_identity, model)
 
 
+def test_orbit_partition_rejects_duplicate_colourings(model, colourings):
+    c = colourings[0]
+    with pytest.raises(ValueError, match="^duplicate colourings in input$"):
+        orbit_partition([c, c], named_subgroup("trivial"), model)
+
+
 @pytest.mark.parametrize("name", ["S5", "A5", "A5xC2", "S5xC2"])
 def test_orbit_partition_rejects_subgroup_minus_one(model, colourings, name):
     # C2 is left out: C2 minus its swap is the trivial group, a subgroup
@@ -641,6 +647,11 @@ def test_zigzag_rejects_bad_handedness(model, colourings):
         zigzag_trace(model, colourings[0], 0, "widdershins")
 
 
+def test_zigzag_walk_rejects_a_non_neighbour(model):
+    with pytest.raises(ValueError, match="^19 is not a neighbour of 0$"):
+        zigzag_walk(model, 0, 19, LEFT)
+
+
 @pytest.mark.parametrize("bad", [20, -1, True])
 def test_id_entry_points_reject_bad_ids(model, colourings, bad):
     calls = (
@@ -663,6 +674,8 @@ def test_cyclic_order_parity_values():
     assert cyclic_order_parity((4, 1, 3, 5, 2)) == -1
     # rotation invariance
     assert cyclic_order_parity((3, 2, 1, 4, 5)) == cyclic_order_parity((2, 1, 4, 5, 3))
+    with pytest.raises(ValueError, match=r"^not a colour cycle: \(1, 2, 3, 4, 4\)$"):
+        cyclic_order_parity((1, 2, 3, 4, 4))
 
 
 def test_inverse_cycle():

@@ -46,6 +46,9 @@ def test_parse_rejects_garbage():
     for bad in ("garbage(((", "(1 2)", "(1 6),+1", "(1 1),+1", "(1 2),+2", "(1 2)(2 3),+1"):
         with pytest.raises(ValueError):
             parse_subgroup_spec(bad)
+    for bad in (";", "(1 2),+1;;id,-1"):
+        with pytest.raises(ValueError, match="^empty generator entry$"):
+            parse_subgroup_spec(bad)
 
 
 def test_malformed_spec_is_rejected_in_linear_time():
@@ -251,6 +254,50 @@ def test_verify_reports_two_swapped_antipodes(model):
     }
 
 
+def _swap(seq, i, j):
+    out = list(seq)
+    out[i], out[j] = out[j], out[i]
+    return tuple(out)
+
+
+def _swap_turn_at_0_1(model):
+    rows = [list(row) for row in model.turns]
+    rows[0][1] = rows[0][1][::-1]
+    return model._replace(turns=tuple(tuple(row) for row in rows))
+
+
+def _swap_distances_0_1_and_0_19(model):
+    d = [list(row) for row in model.squared_distances]
+    d[0][1], d[0][19] = d[0][19], d[0][1]
+    d[1][0], d[19][0] = d[19][0], d[1][0]
+    return model._replace(squared_distances=tuple(tuple(row) for row in d))
+
+
+def _crashes(mutate, raises, name):
+    return pytest.param(mutate, marks=pytest.mark.xfail(strict=True, raises=raises), id=name)
+
+
+# Single-fault models on which `run_checks` raises today instead of
+# reporting FAILs.  Once it reports them, each row XPASSes and becomes a
+# row that names the checks it must FAIL.
+@pytest.mark.parametrize("mutate", [
+    _crashes(lambda m: m._replace(adjacency=_swap(m.adjacency, 0, 1)), TypeError, "adjacency-0-1"),
+    _crashes(_swap_turn_at_0_1, AssertionError, "turn-pair-0-1"),
+    _crashes(lambda m: m._replace(exact_positions=_swap(m.exact_positions, 0, 1)),
+             ValueError, "exact-positions-0-1"),
+    _crashes(lambda m: m._replace(vertex_faces=_swap(m.vertex_faces, 0, 1)),
+             ValueError, "vertex-faces-0-1"),
+    _crashes(lambda m: m._replace(faces=(m.faces[1],) + m.faces[1:]),
+             chroma.PropagationError, "face-0-is-face-1"),
+    _crashes(lambda m: m._replace(compounds=(m.compounds[0][:4] + m.compounds[1][:1],
+                                             m.compounds[1])),
+             ValueError, "compound-a-takes-b-0"),
+    _crashes(_swap_distances_0_1_and_0_19, ValueError, "distances-0-1-and-0-19"),
+])
+def test_verify_reports_a_single_fault_model(model, mutate):
+    assert len(verify.run_checks(mutate(model))) == 61
+
+
 def test_classify_scans_the_colouring_once(capsys, tmp_path, model, monkeypatch):
     seed_a, _ = chroma.seed_colourings(model)
     path = tmp_path / "a.json"
@@ -331,9 +378,10 @@ def test_orbits_generator_spec(capsys):
 
 
 def test_orbits_bad_spec_exits_two(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["orbits", "--subgroup", "garbage((("])
-    assert exc.value.code == 2
+    for spec in ("garbage(((", ";"):
+        with pytest.raises(SystemExit) as exc:
+            main(["orbits", "--subgroup", spec])
+        assert exc.value.code == 2
 
 
 # ---------------------------------------------------------------------------

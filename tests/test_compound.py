@@ -129,6 +129,10 @@ def test_compound_and_parity_are_independent(model, colourings):
 def test_classify_rejects_invalid(model):
     with pytest.raises(ValueError):
         classify_colouring(model, tuple([1] * 20))
+    seed_a, _ = chroma.seed_colourings(model)
+    only_b = model._replace(compounds=(model.compounds[1], model.compounds[1]))
+    with pytest.raises(ValueError, match="^colour classes do not form a compound$"):
+        classify_colouring(only_b, seed_a)
 
 
 def test_spread_subsets(model):

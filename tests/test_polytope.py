@@ -373,6 +373,12 @@ def test_orientation_rule_rejects_a_broken_determinant(monkeypatch, det, message
         build_polytope()
 
 
+def test_compounds_rejects_a_tetrahedron_set_with_one_cover(model):
+    tets = tuple(t for t in model.tetrahedra if t != model.compounds[1][0])
+    with pytest.raises(AssertionError, match="^expected 2 compounds, found 1$"):
+        polytope._compounds(tets)
+
+
 def test_invariant_checks_survive_python_O(run_python):
     # under -O a bare assert would let a vertex off the sphere through
     proc = run_python("""
