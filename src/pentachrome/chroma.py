@@ -8,7 +8,9 @@ are scanned (`check_rainbow`, which `Rainbow(model, c)` runs, and the
 enumerators), or by an operation that keeps faces rainbow (`act`, and
 `orbit_partition`, whose orbits lie in its checked pool).  Every entry
 that needs a rainbow colouring trusts a `Rainbow` and checks anything else
-once; the predicates `is_valid` and `first_violated_face` always scan.
+once; the predicates `is_valid` and `first_violated_face` always scan.  In
+the same way `orbit_partition` and `stabilizer` trust a `symmetry.Subgroup`
+and check any other collection of colour symmetries.
 The colour action runs in one place, `_images` (for `act` and
 `orbit_partition`), on 20-byte copies: relabelling is one
 `bytes.translate` and the antipodal half of sign -1 one `itemgetter`
@@ -30,7 +32,7 @@ from operator import itemgetter
 
 from .polytope import _PALETTE, PolytopeModel, _check_id, _off_mesh
 from .symmetry import (
-    ColourSymmetry, _check_subgroup, _check_symmetries, perm_parity,
+    _FIVE_INTS, ColourSymmetry, Subgroup, _check_subgroup, _check_symmetries, perm_parity,
 )
 
 Colouring = tuple[int, ...]
@@ -113,11 +115,10 @@ def check_rainbow(model: PolytopeModel, c) -> Rainbow:
 
 def colour_classes(c: Colouring) -> dict[int, frozenset[int]]:
     """colour -> the vertices carrying it; c must be 20 colours in 1..5."""
-    c = check_colouring(c)
-    return {
-        colour: frozenset(v for v in range(20) if c[v] == colour)
-        for colour in COLOURS
-    }
+    classes = {colour: [] for colour in COLOURS}
+    for v, colour in enumerate(check_colouring(c)):
+        classes[colour].append(v)
+    return {colour: frozenset(vs) for colour, vs in classes.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +127,11 @@ def colour_classes(c: Colouring) -> dict[int, frozenset[int]]:
 def enumerate_colourings(model: PolytopeModel) -> tuple[Rainbow, ...]:
     """Every face-rainbow colouring, in lexicographic order.
 
-    Vertices are assigned in id order, colours tried ascending; a colour is
-    rejected as soon as it repeats on any face through the vertex.  No
-    symmetry assumptions are made, so this is the assumption-free oracle:
-    each complete assignment passes the full check before it is returned.
+    Vertices are assigned in id order, each trying ascending the colours on
+    none of its three faces, so a colour is rejected as soon as it repeats
+    on a face through the vertex.  No symmetry assumptions are made, so this
+    is the assumption-free oracle: each complete assignment, made at vertex
+    19, passes the full check before it is returned.
     """
     vertex_faces = model.vertex_faces
     face_used = [0] * 12
@@ -137,16 +139,15 @@ def enumerate_colourings(model: PolytopeModel) -> tuple[Rainbow, ...]:
     out: list[Rainbow] = []
 
     def extend(v: int) -> None:
-        if v == 20:
-            out.append(check_rainbow(model, tuple(col)))
-            return
         f0, f1, f2 = vertex_faces[v]
-        used = face_used[f0] | face_used[f1] | face_used[f2]
-        for colour in COLOURS:
-            bit = 1 << colour
-            if used & bit:
+        free = _ALL & ~(face_used[f0] | face_used[f1] | face_used[f2])
+        while free:
+            bit = free & -free  # the lowest free colour
+            free ^= bit
+            col[v] = bit.bit_length() - 1
+            if v == 19:
+                out.append(check_rainbow(model, tuple(col)))
                 continue
-            col[v] = colour
             face_used[f0] |= bit
             face_used[f1] |= bit
             face_used[f2] |= bit
@@ -183,18 +184,14 @@ def _propagate(model: PolytopeModel, col: list[int]) -> None:
     """
     faces = model.faces
     vertex_faces = model.vertex_faces
-    used = [0] * 12
-    for fid, f in enumerate(faces):
-        for v in f:
-            used[fid] |= 1 << col[v]
-        used[fid] &= _ALL  # bit 0 came from the uncoloured vertices
+    # bit 0 comes from the uncoloured vertices
+    used = [(1 << col[a] | 1 << col[b] | 1 << col[d] | 1 << col[e] | 1 << col[f]) & _ALL
+            for a, b, d, e, f in faces]
 
-    changed = True
-    while changed:
-        changed = False
-        for v in range(20):
-            if col[v]:
-                continue
+    open_vs = [v for v in range(20) if not col[v]]
+    while True:
+        still_open = []
+        for v in open_vs:
             f0, f1, f2 = vertex_faces[v]
             cand = _ALL & ~(used[f0] | used[f1] | used[f2])
             if not cand:
@@ -204,39 +201,47 @@ def _propagate(model: PolytopeModel, col: list[int]) -> None:
                 used[f0] |= cand
                 used[f1] |= cand
                 used[f2] |= cand
-                changed = True
+            else:
+                still_open.append(v)
+        if len(still_open) == len(open_vs):  # a sweep that forced nothing
+            break
+        open_vs = still_open
     # a forced colour is on none of its vertex's faces, so a repeat came with the input
-    for fid, f in enumerate(faces):
-        if used[fid].bit_count() != sum(1 for v in f if col[v]):
+    for u, (a, b, d, e, f) in zip(used, faces):
+        coloured = (col[a] > 0) + (col[b] > 0) + (col[d] > 0) + (col[e] > 0) + (col[f] > 0)
+        if u.bit_count() != coloured:
             raise PropagationError("face carries a colour twice")
-    if 0 in col:
+    if open_vs:
         raise PropagationError("propagation stalled before completion")
 
 
 def frame_completions(model: PolytopeModel, pole: int, triple) -> tuple[Rainbow, Rainbow]:
     """The exactly-two colourings extending a frame.
 
-    Branches on the two ways to finish the first face at the north pole;
-    each branch then propagates to a unique full colouring.
+    A frame is the colour of vertex 0 and a triple for vertices 1, 2, 3:
+    four distinct colours, or ValueError is raised.  Branches on the two
+    ways to finish the first face at the north pole; each branch then
+    propagates to a unique full colouring.
     """
-    base = [0] * 20
-    base[0] = pole
-    base[1], base[2], base[3] = triple
+    frame = (pole, *triple) if isinstance(triple, (tuple, list)) else ()
+    # bool is a subclass of int, but True is not colour 1
+    if tuple(map(type, frame)) != (int,) * 4 or len(set(frame) & set(COLOURS)) != 4:
+        raise ValueError(f"not a colour frame: pole {pole!r}, triple {triple!r}")
+    base = [*frame] + [0] * 16
 
     first_face = model.faces[model.vertex_faces[0][0]]
     open_vs = sorted(v for v in first_face if not base[v])
     if len(open_vs) != 2:
         raise AssertionError(f"frame leaves {len(open_vs)} open vertices on the first face")
-    missing = sorted(set(COLOURS) - {base[v] for v in first_face if base[v]})
-    if len(missing) != 2:
-        raise AssertionError(f"frame leaves {len(missing)} colours for the first face")
+    # three distinct frame colours on the face leave two
+    missing = sorted(set(COLOURS) - {base[v] for v in first_face})
 
     results = []
     for pair in (missing, missing[::-1]):
         col = list(base)
         col[open_vs[0]], col[open_vs[1]] = pair
         _propagate(model, col)
-        if not is_valid(model, col):
+        if _first_violated_face(model, col) is not None:
             raise PropagationError("propagation produced an invalid colouring")
         results.append(tuple.__new__(Rainbow, col))
     return results[0], results[1]
@@ -313,6 +318,10 @@ def orbit_partition(colourings, H, model: PolytopeModel) -> tuple[tuple[Rainbow,
     exactly like the tuples.
     """
     H = _check_subgroup(H)
+    try:
+        colourings = list(colourings)
+    except TypeError:
+        raise ValueError(f"expected colourings, not {colourings!r}") from None
     pool = sorted(bytes(check_rainbow(model, c)) for c in colourings)
     members = set(pool)
     if len(members) != len(pool):
@@ -340,8 +349,7 @@ def stabilizer(c: Colouring, H, model: PolytopeModel) -> list[ColourSymmetry]:
     really is c and it lies in H; no other element of H is applied.
     """
     b = bytes(check_rainbow(model, c))
-    elems = _check_symmetries(H)
-    members = H if isinstance(H, (set, frozenset)) else set(elems)
+    members = H if type(H) is Subgroup else set(_check_symmetries(H))
     fixing = []
     for sign, source in ((1, b), (-1, _mirror(b, model))):
         # last write wins; a colour missing from the source leaves None
@@ -349,7 +357,8 @@ def stabilizer(c: Colouring, H, model: PolytopeModel) -> list[ColourSymmetry]:
         perm = tuple(map(read.get, COLOURS))
         table = _RELABEL.get(perm)  # None unless perm permutes the colours
         if table is not None and source.translate(table) == b and (perm, sign) in members:
-            fixing.append(ColourSymmetry(perm, sign))
+            # perm is a key of _RELABEL, so the pair is a valid symmetry
+            fixing.append(tuple.__new__(ColourSymmetry, (perm, sign)))
     return sorted(fixing)
 
 
@@ -417,27 +426,36 @@ def cyclic_order_parity(order) -> int:
     Rotation does not change it, so this is a class function of the cyclic
     order.
     """
-    order = tuple(order)
-    if sorted(order) != [1, 2, 3, 4, 5]:
-        raise ValueError(f"not a colour cycle: {order!r}")
     return perm_parity(tuple(x - 1 for x in canonical_cycle(order)))
 
 
 def canonical_cycle(order) -> tuple[int, ...]:
-    """Rotate a cyclic colour order so it starts at colour 1."""
-    order = tuple(order)
+    """Rotate a cyclic colour order so it starts at colour 1; raises
+    ValueError unless the order holds each of the five colours once."""
+    try:
+        order = tuple(order)
+    except TypeError:
+        raise ValueError(f"not a colour cycle: {order!r}") from None
+    # bool is a subclass of int, but True is not colour 1
+    if not (tuple(map(type, order)) == _FIVE_INTS and sorted(order) == [1, 2, 3, 4, 5]):
+        raise ValueError(f"not a colour cycle: {order!r}")
     i = order.index(1)
     return order[i:] + order[:i]
 
 
 def inverse_cycle(order) -> tuple[int, ...]:
     """The same cyclic order traversed backwards, canonically rotated."""
-    return canonical_cycle(tuple(reversed(order)))
+    c = canonical_cycle(order)
+    return c[:1] + c[:0:-1]
 
 
-# each rainbow face reading -> (canonical cyclic order, parity)
+# each rainbow face reading -> (canonical cyclic order, parity): the five
+# rotations of each of the 24 orders that start at colour 1
 _FACE_ORDERS = {
-    r: (canonical_cycle(r), cyclic_order_parity(r)) for r in permutations(COLOURS)
+    order[i:] + order[:i]: (order, parity)
+    for order in ((1, *p) for p in permutations(COLOURS[1:]))
+    for parity in (cyclic_order_parity(order),)
+    for i in range(5)
 }
 
 
@@ -472,12 +490,11 @@ def antipodal_rule_holds(model: PolytopeModel, c: Colouring) -> bool:
     three neighbours."""
     c = check_colouring(c)
     antipode = model.antipode
-    for v, (a, b, d) in enumerate(model.adjacency):
-        # four of the five colours, so the antipode's is the fifth iff it is none of them
-        local = {c[v], c[a], c[b], c[d]}
-        if len(local) != 4 or c[antipode[v]] in local:
-            return False
-    return True
+    # the antipode's colour is the fifth iff the five colours differ
+    return all(
+        len({c[v], c[a], c[b], c[d], c[antipode[v]]}) == 5
+        for v, (a, b, d) in enumerate(model.adjacency)
+    )
 
 
 # ---------------------------------------------------------------------------

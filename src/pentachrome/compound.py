@@ -44,8 +44,10 @@ def classify_colouring(model: PolytopeModel, c) -> tuple[Compound, dict[int, Tet
     Raises ValueError if the colouring is invalid or the classes are not
     the tetrahedra of a single compound.
     """
-    c = chroma.check_rainbow(model, c)
-    classes = {colour: tuple(v for v in range(20) if c[v] == colour) for colour in chroma.COLOURS}
+    members = {colour: [] for colour in chroma.COLOURS}
+    for v, colour in enumerate(chroma.check_rainbow(model, c)):
+        members[colour].append(v)
+    classes = {colour: tuple(vs) for colour, vs in members.items()}
     class_set = set(classes.values())
     for comp in compounds(model):
         if class_set == set(comp.tetrahedra):

@@ -10,7 +10,10 @@ determinant is the sign of an exact determinant.  Groups are returned
 sorted lexicographically on image tuples so set equality is bit-exact.
 
 A colour symmetry is the pair (perm, sign) itself, validated once when it is
-built; its action on colourings is `chroma._images`.
+built; its action on colourings is `chroma._images`.  A `Subgroup` is a
+frozenset of colour symmetries known to be a group: `Subgroup(H)` checks H
+once, and the library's own subgroups are made as groups, so the entries
+that need a subgroup trust one and check anything else.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ def perm_order(p: Perm) -> int:
     return math.lcm(*_cycle_lengths(p))
 
 
-def _closure(generators, identity, product) -> frozenset:
+def _closure(generators, identity, product) -> set:
     """The identity and generators closed under product by a generator on
     the right: every product of generators (finite, so inverses come free)."""
     gens = list(generators)
@@ -90,7 +93,7 @@ def _closure(generators, identity, product) -> frozenset:
                     group.add(prod)
                     fresh.append(prod)
         frontier = fresh
-    return frozenset(group)
+    return group
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +245,26 @@ def _check_symmetries(elements) -> list[ColourSymmetry]:
     return elems
 
 
-def _check_subgroup(H) -> set[ColourSymmetry]:
-    """H as a set, if it is the group its own elements generate.  Each
-    generator, taken greedily, at least doubles the closure: at most 7."""
+class Subgroup(frozenset):
+    """A subgroup of G: the frozenset of its colour symmetries, checked once.
+
+    ``Subgroup(H)`` runs `_check_subgroup` and raises ValueError unless H is
+    a group of colour symmetries.  A set operation returns a plain
+    frozenset, and a copy or an unpickled instance is checked again.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, H) -> "Subgroup":
+        return _check_subgroup(H)
+
+
+def _check_subgroup(H) -> Subgroup:
+    """H as a `Subgroup`, if it is the group its own elements generate; a
+    `Subgroup` is returned unchanged.  Each generator, taken greedily, at
+    least doubles the closure: at most 7."""
+    if type(H) is Subgroup:
+        return H
     members = set(_check_symmetries(H))
     if COLOUR_IDENTITY not in members:
         raise ValueError("subgroup must contain the identity")
@@ -255,36 +275,45 @@ def _check_subgroup(H) -> set[ColourSymmetry]:
             closure = _closure(gens, COLOUR_IDENTITY, operator.mul)
             if not closure <= members:
                 raise ValueError("generator set is not closed under composition")
-    return members
+    return frozenset.__new__(Subgroup, members)
 
 
-def generate_subgroup(generators) -> frozenset[ColourSymmetry]:
+def generate_subgroup(generators) -> Subgroup:
     """Closure of colour symmetries under composition and inverse: a
     subgroup of G, so its order divides 240."""
-    return _closure(_check_symmetries(generators), COLOUR_IDENTITY, operator.mul)
+    closure = _closure(_check_symmetries(generators), COLOUR_IDENTITY, operator.mul)
+    return frozenset.__new__(Subgroup, closure)
 
 
-def colour_group() -> frozenset[ColourSymmetry]:
+_PERMS = tuple(permutations((1, 2, 3, 4, 5)))  # the identity first
+_EVEN_PERMS = tuple(p for p in _PERMS if perm_parity(tuple(x - 1 for x in p)) == 1)
+
+
+def _products(perms, signs) -> Subgroup:
+    """Every (perm, sign) of a subgroup of S5 and one of {1, -1}: a group."""
+    return frozenset.__new__(Subgroup, (
+        tuple.__new__(ColourSymmetry, (p, s)) for p in perms for s in signs))
+
+
+def colour_group() -> Subgroup:
     """The full colour-side group: all 5! permutations times both signs."""
-    return frozenset(
-        ColourSymmetry(p, s) for p in permutations((1, 2, 3, 4, 5)) for s in (1, -1)
-    )
+    return _products(_PERMS, (1, -1))
 
 
 _SUBGROUP_BUILDERS = {
-    "trivial": lambda: frozenset({COLOUR_IDENTITY}),
-    "C2": lambda: frozenset({COLOUR_IDENTITY, COLOUR_SWAP}),
-    "S5": lambda: frozenset(g for g in colour_group() if g.sign == 1),
-    "A5": lambda: frozenset(g for g in colour_group() if g.sign == 1 and g.parity() == 1),
-    "A5xC2": lambda: frozenset(g for g in colour_group() if g.parity() == 1),
+    "trivial": lambda: _products(_PERMS[:1], (1,)),
+    "C2": lambda: _products(_PERMS[:1], (1, -1)),
+    "S5": lambda: _products(_PERMS, (1,)),
+    "A5": lambda: _products(_EVEN_PERMS, (1,)),
+    "A5xC2": lambda: _products(_EVEN_PERMS, (1, -1)),
     "S5xC2": colour_group,
 }
 NAMED_SUBGROUPS = tuple(_SUBGROUP_BUILDERS)
 
 
-def named_subgroup(name: str) -> frozenset[ColourSymmetry]:
+def named_subgroup(name: str) -> Subgroup:
     """One of the named subgroups: trivial, C2, S5, A5, A5xC2, S5xC2."""
-    try:
-        return _SUBGROUP_BUILDERS[name]()
-    except KeyError:
-        raise ValueError(f"unknown subgroup name: {name!r}") from None
+    builder = _SUBGROUP_BUILDERS.get(name) if type(name) is str else None
+    if builder is None:
+        raise ValueError(f"unknown subgroup name: {name!r}")
+    return builder()

@@ -2,17 +2,18 @@
 
 Each check re-measures a fact about the built model or the enumerated
 colourings and reports the measured value, so a failure names exactly what
-broke.  The whole battery takes about 0.07 s in-process (the first
-`run_checks` in each of 15 fresh processes: median 0.071 s, quartiles
-0.068-0.081 s, on a shared 2-CPU x86-64 container, Python 3.11); a fresh
+broke.  The whole battery takes about 0.06 s in-process (the first
+`run_checks` in each of 15 fresh processes: median 0.062 s, quartiles
+0.056-0.067 s, on a shared 2-CPU x86-64 container, Python 3.11); a fresh
 `python -m pentachrome.cli verify` process without a bytecode cache takes
-about 0.18 s (15 runs, median 0.177 s, quartiles 0.173-0.184 s).
+about 0.19 s (15 runs, median 0.188 s, quartiles 0.145-0.215 s).
 """
 
 from __future__ import annotations
 
 import time
-from collections import Counter
+from collections import Counter, defaultdict
+from itertools import permutations
 from typing import NamedTuple
 
 from . import chroma, symmetry
@@ -312,9 +313,19 @@ def _compound_checks(model: PolytopeModel, all_c, label_of, rot, full) -> list[C
     return out
 
 
+# each of the 24 canonical cyclic colour orders -> its inverse
+_INVERSE_CYCLE = {(1, *p): chroma.inverse_cycle((1, *p)) for p in permutations((2, 3, 4, 5))}
+
+
 def _structure_checks(model: PolytopeModel, all_c, label_of) -> list[Check]:
     """P1, P2 and the chirality bookkeeping over the full enumeration."""
     out = []
+    odd = symmetry.ColourSymmetry((2, 1, 3, 4, 5), 1)
+    even = symmetry.ColourSymmetry((2, 3, 1, 4, 5), 1)
+    swap = symmetry.COLOUR_SWAP
+    # the enumerated colourings are rainbow and the three symmetries valid,
+    # so the action kernel relabels them without checking either again
+    images = {c: [tuple(b) for b in chroma._images(c, (odd, even, swap), model)] for c in all_c}
 
     p2_ok = True
     inverse_ok = True
@@ -327,9 +338,9 @@ def _structure_checks(model: PolytopeModel, all_c, label_of) -> list[Check]:
             p2_ok = False
             break
         parity_of[c] = parities.pop()
-        for fid, order, _ in sig:
-            if orders[model.opposite_faces[fid]] != chroma.inverse_cycle(order):
-                inverse_ok = False
+        inverse_ok = inverse_ok and all(
+            orders[opp] == _INVERSE_CYCLE[order] for opp, order in zip(model.opposite_faces, orders)
+        )
     out.append(Check("P2: 12 distinct cyclic orders of one parity per colouring", p2_ok, ""))
     out.append(Check("P2: opposite faces carry inverse cyclic orders", inverse_ok, ""))
     split = Counter(parity_of.values())
@@ -339,37 +350,36 @@ def _structure_checks(model: PolytopeModel, all_c, label_of) -> list[Check]:
         f"even {split[1]}, odd {split[-1]}",
     ))
 
-    odd = symmetry.ColourSymmetry((2, 1, 3, 4, 5), 1)
-    even = symmetry.ColourSymmetry((2, 3, 1, 4, 5), 1)
     # an image outside the enumeration, or a colouring without one parity,
     # has no parity to compare
-    flips = all(parity_of.get(chroma.act(odd, c, model)) == -p for c, p in parity_of.items())
-    keeps = all(parity_of.get(chroma.act(even, c, model)) == p for c, p in parity_of.items())
+    flips = all(parity_of.get(images[c][0]) == -p for c, p in parity_of.items())
+    keeps = all(parity_of.get(images[c][1]) == p for c, p in parity_of.items())
     out.append(Check(
         "odd relabelling flips all parities, even preserves", p2_ok and flips and keeps, ""
     ))
 
     hand_of = {}  # colouring -> its one working handedness, or None
-    # a checkpoint set depends on the vertex and handedness only
-    traces = {
-        (v, h): chroma.zigzag_trace(model, all_c[0], v, h)
-        for v in range(20) for h in (chroma.LEFT, chroma.RIGHT)
-    }
+    # a checkpoint set depends on the vertex and handedness only, so the
+    # (v, h) whose set is v's colour class are found by looking each class up
+    traced = defaultdict(list)  # checkpoint set -> the (v, h) tracing it
+    for v in range(20):
+        for h in (chroma.LEFT, chroma.RIGHT):
+            traced[chroma.zigzag_trace(model, all_c[0], v, h)].append((v, h))
     for c in all_c:
-        classes = chroma.colour_classes(c)
-        hands = set()
-        for v in range(20):
-            hits = [h for h in (chroma.LEFT, chroma.RIGHT) if traces[v, h] == classes[c[v]]]
-            hands.add(hits[0] if len(hits) == 1 else None)
-        hand_of[c] = hands.pop() if len(hands) == 1 else None
+        hits = [
+            (v, h) for colour, k in chroma.colour_classes(c).items()
+            for v, h in traced.get(k, ()) if c[v] == colour
+        ]
+        hands = {h for _, h in hits}
+        one_per_vertex = sorted(v for v, _ in hits) == list(range(20))
+        hand_of[c] = hands.pop() if one_per_vertex and len(hands) == 1 else None
     out.append(Check(
         "P1: exactly one working handedness per vertex, constant per colouring",
         None not in hand_of.values(),
         "",
     ))
-    swap = symmetry.COLOUR_SWAP
     flip_hand = all(
-        {hand_of[c], hand_of.get(chroma.act(swap, c, model))} == {chroma.LEFT, chroma.RIGHT}
+        {hand_of[c], hand_of.get(images[c][2])} == {chroma.LEFT, chroma.RIGHT}
         for c in all_c
     )
     out.append(Check("P1: handedness flips under the antipodal colour swap", flip_hand, ""))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pentachrome import chroma
+from pentachrome import chroma, symmetry
 from pentachrome import compound as compound_mod
 from pentachrome.chroma import (
     COLOURS,
@@ -52,6 +52,7 @@ from pentachrome.symmetry import (
     COLOUR_SWAP,
     NAMED_SUBGROUPS,
     ColourSymmetry,
+    Subgroup,
     colour_group,
     generate_subgroup,
     named_subgroup,
@@ -204,6 +205,37 @@ def test_two_completions_per_frame(model):
         assert a != b
         assert a[0] == b[0] == pole
         assert (a[1], a[2], a[3]) == (b[1], b[2], b[3]) == triple
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda model: frame_completions(model, 1, (1, 2, 3)),
+     r"^not a colour frame: pole 1, triple \(1, 2, 3\)$"),
+    (lambda model: frame_completions(model, 7, (2, 3, 4)),
+     r"^not a colour frame: pole 7, triple \(2, 3, 4\)$"),
+    (lambda model: frame_completions(model, 0, (2, 3, 4)),
+     r"^not a colour frame: pole 0, triple \(2, 3, 4\)$"),
+    (lambda model: frame_completions(model, 1, (2, 3, 4.0)),
+     r"^not a colour frame: pole 1, triple \(2, 3, 4\.0\)$"),
+    (lambda model: frame_completions(model, True, (2, 3, 4)), "^not a colour frame"),
+    (lambda model: frame_completions(model, 1, (2, 3)), "^not a colour frame"),
+    (lambda model: frame_completions(model, 1, None), "^not a colour frame"),
+    (lambda model: cyclic_order_parity(None), "^not a colour cycle: None$"),
+    (lambda model: cyclic_order_parity((1, 2, 3, 4, "5")), "^not a colour cycle"),
+    (lambda model: cyclic_order_parity((True, 2, 3, 4, 5)), "^not a colour cycle"),
+    (lambda model: canonical_cycle((2, 3)), r"^not a colour cycle: \(2, 3\)$"),
+    (lambda model: inverse_cycle((2, 3)), r"^not a colour cycle: \(2, 3\)$"),
+    (lambda model: inverse_cycle(None), "^not a colour cycle: None$"),
+    (lambda model: named_subgroup([]), r"^unknown subgroup name: \[\]$"),
+    (lambda model: orbit_partition(None, named_subgroup("A5"), model),
+     "^expected colourings, not None$"),
+], ids=[
+    "frame-repeats-a-colour", "frame-pole-7", "frame-pole-0", "frame-float", "frame-bool",
+    "frame-short-triple", "frame-no-triple", "parity-None", "parity-str", "parity-bool",
+    "canonical-short", "inverse-short", "inverse-None", "subgroup-list", "orbits-None",
+])
+def test_entry_points_raise_value_error_on_bad_input(model, call, match):
+    with pytest.raises(ValueError, match=match):
+        call(model)
 
 
 def test_propagation_detects_contradiction(model):
@@ -441,6 +473,31 @@ def test_orbit_partition_counts(model, colourings):
         assert len(orbits) == want_orbits
         assert all(len(o) == len(H) for o in orbits)
         assert len(orbits) * len(H) == 240
+
+
+def test_library_subgroups_are_trusted_and_others_checked(model, colourings, monkeypatch):
+    checked = []
+    check = symmetry._check_symmetries
+
+    def counted(elements):
+        elems = check(elements)
+        checked.append(len(elems))
+        return elems
+
+    monkeypatch.setattr(symmetry, "_check_symmetries", counted)
+    monkeypatch.setattr(chroma, "_check_symmetries", counted)
+    c = colourings[7]
+    for name in NAMED_SUBGROUPS:
+        H = named_subgroup(name)
+        assert type(H) is Subgroup
+        assert stabilizer(c, H, model) == [COLOUR_IDENTITY]
+        assert len(orbit_partition(colourings, H, model)) * len(H) == 240
+    assert checked == []
+    G = colour_group()
+    for form in (set(G), frozenset(G), list(G)):
+        assert stabilizer(c, form, model) == [COLOUR_IDENTITY]
+        assert len(orbit_partition(colourings, form, model)) == 1
+    assert checked == [240] * 6
 
 
 def test_orbit_partition_rejects_non_subgroup(model, colourings):

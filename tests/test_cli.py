@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pentachrome
-from pentachrome import chroma, verify
+from pentachrome import chroma, symmetry, verify
 from pentachrome import compound as compound_mod
 from pentachrome.cli import main, parse_subgroup_spec
 from pentachrome.symmetry import COLOUR_IDENTITY, COLOUR_SWAP, NAMED_SUBGROUPS
@@ -128,6 +128,30 @@ def test_verify_scans_each_made_colouring_once(model, monkeypatch):
     checks = verify.run_checks(model)
     assert len(checks) == 61 and not [c.name for c in checks if not c.ok]
     assert len(scans) <= 750
+
+
+def test_verify_closes_only_the_rotations_and_multiplies_no_colour_symmetries(model, monkeypatch):
+    # rotation_group is closed twice, once inside full_group; the colour
+    # subgroups come from their builders already checked, so no orbit
+    # partition re-closes one
+    closures, products = [], []
+    closure, mul = symmetry._closure, symmetry.ColourSymmetry.__mul__
+
+    def counted_closure(gens, identity, product):
+        closures.append(identity)
+        return closure(gens, identity, product)
+
+    def counted_mul(g, h):
+        products.append((g, h))
+        return mul(g, h)
+
+    monkeypatch.setattr(symmetry, "_closure", counted_closure)
+    monkeypatch.setattr(symmetry.ColourSymmetry, "__mul__", counted_mul)
+    monkeypatch.setattr(symmetry.ColourSymmetry, "__rmul__", counted_mul)
+    checks = verify.run_checks(model)
+    assert len(checks) == 61 and not [c.name for c in checks if not c.ok]
+    assert closures == [tuple(range(20))] * 2
+    assert products == []
 
 
 def _wrap_classify(monkeypatch, fail=None):
@@ -681,13 +705,15 @@ def test_cli_runs_without_numpy(run_python, tmp_path):
 def test_cli_import_skips_module(run_python, module):
     # the records are NamedTuples: dataclasses would pull in inspect, ast,
     # dis and tokenize at every start; fractions would pull in decimal and
-    # numbers, and `fma` rounds through integers instead
+    # numbers, and `fma` rounds through integers instead; every `verify`
+    # process loads `verify` as well
     proc = run_python("""
         import sys
 
         module = sys.argv[1]
         before = module in sys.modules
         import pentachrome.cli
+        import pentachrome.verify
 
         print("imported:", not before and module in sys.modules)
     """, module)

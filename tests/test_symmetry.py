@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from itertools import permutations
 
@@ -11,7 +13,9 @@ from pentachrome.polytope import positions
 from pentachrome.symmetry import (
     COLOUR_IDENTITY,
     COLOUR_SWAP,
+    NAMED_SUBGROUPS,
     ColourSymmetry,
+    Subgroup,
     colour_group,
     compose,
     generate_subgroup,
@@ -304,3 +308,44 @@ def test_named_subgroups(name, order):
 def test_named_subgroup_unknown():
     with pytest.raises(ValueError):
         named_subgroup("D10")
+
+
+def test_library_subgroups_are_made_checked():
+    made = [colour_group(), generate_subgroup([COLOUR_SWAP]), generate_subgroup([])]
+    made += [named_subgroup(name) for name in NAMED_SUBGROUPS]
+    assert all(type(H) is Subgroup for H in made)
+    # each equals the group its elements generate, checked from scratch
+    assert all(Subgroup(list(H)) == H and type(Subgroup(list(H))) is Subgroup for H in made)
+
+
+def test_subgroup_is_its_frozenset():
+    H, G = named_subgroup("A5"), colour_group()
+    plain = frozenset(H)
+    assert H == plain and hash(H) == hash(plain) and sorted(H) == sorted(plain)
+    g = min(G - H)
+    # a set operation may leave the group, so it returns a plain frozenset
+    for result in (H | {g}, H - {g}, H & G, H ^ {g}, H.union([g]), H.difference([g]), H.copy()):
+        assert type(result) is frozenset
+    assert type(Subgroup(H)) is Subgroup and Subgroup(H) is H
+
+
+@pytest.mark.parametrize("bad", [
+    [COLOUR_SWAP],
+    [COLOUR_IDENTITY, ColourSymmetry((2, 3, 1, 4, 5), 1)],
+    None,
+    [1],
+    [((1, 2, 3, 4, 5), 1)],
+], ids=["no-identity", "not-closed", "None", "int", "bare-pair"])
+def test_subgroup_rejects_a_non_group(bad):
+    with pytest.raises(ValueError):
+        Subgroup(bad)
+
+
+def test_subgroup_copy_and_pickle_check_again(monkeypatch):
+    H = named_subgroup("S5")
+    checked = []
+    check = symmetry._check_subgroup
+    monkeypatch.setattr(symmetry, "_check_subgroup", lambda H: checked.append(1) or check(H))
+    twins = [copy.copy(H), copy.deepcopy(H), pickle.loads(pickle.dumps(H))]
+    assert all(twin == H and type(twin) is Subgroup for twin in twins)
+    assert len(checked) == 3
