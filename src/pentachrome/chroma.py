@@ -84,6 +84,14 @@ def check_colouring(c) -> Colouring:
     return c
 
 
+def _listed(colourings) -> list:
+    """The colourings as a list; raises ValueError if they are not iterable."""
+    try:
+        return list(colourings)
+    except TypeError:
+        raise ValueError(f"expected colourings, not {colourings!r}") from None
+
+
 def is_valid(model: PolytopeModel, c) -> bool:
     """True iff every face carries all five colours."""
     return first_violated_face(model, c) is None
@@ -318,11 +326,7 @@ def orbit_partition(colourings, H, model: PolytopeModel) -> tuple[tuple[Rainbow,
     exactly like the tuples.
     """
     H = _check_subgroup(H)
-    try:
-        colourings = list(colourings)
-    except TypeError:
-        raise ValueError(f"expected colourings, not {colourings!r}") from None
-    pool = sorted(bytes(check_rainbow(model, c)) for c in colourings)
+    pool = sorted(bytes(check_rainbow(model, c)) for c in _listed(colourings))
     members = set(pool)
     if len(members) != len(pool):
         raise ValueError("duplicate colourings in input")
@@ -506,6 +510,8 @@ def colouring_to_json(c: Colouring) -> str:
 
 
 def colouring_from_json(text: str) -> Colouring:
+    if not isinstance(text, (str, bytes, bytearray)):
+        raise ValueError(f"expected a JSON document, not {text!r}")
     try:
         doc = json.loads(text)
     except RecursionError:
@@ -516,7 +522,8 @@ def colouring_from_json(text: str) -> Colouring:
 
 
 def enumeration_to_json(colourings) -> str:
-    docs = [{"labelling": LABELLING, "colours": list(check_colouring(c))} for c in colourings]
+    docs = [{"labelling": LABELLING, "colours": list(check_colouring(c))}
+            for c in _listed(colourings)]
     return json.dumps(docs, separators=(",", ":")) + "\n"
 
 

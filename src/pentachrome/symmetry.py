@@ -1,13 +1,13 @@
 """Symmetry machinery: vertex-permutation groups of the dodecahedron and
 the colour-side group.
 
-Vertex permutations are plain tuples of 20 images.  The rotation group (60
-elements) is closed from two rotations given as matrices over Z[phi]/2,
-which act on the model's exact coordinates and map each vertex to the
-vertex equal to its image; a generator that misses the vertex set raises.
-The full group adds the central inversion.  A symmetry's spatial
-determinant is the sign of an exact determinant.  Groups are returned
-sorted lexicographically on image tuples so set equality is bit-exact.
+Vertex permutations are plain tuples of 20 images.  A symmetry is read off
+the turn table: it follows the turns from the edge 0 -> a, a =
+adjacency[0][0], onto a directed edge, keeping left and right (the 60
+rotations) or swapping them (the 60 others).  The rule that orients the
+turns, det(u, w, right) > 0, makes a symmetry's spatial determinant the sign
+of one exact determinant.  Groups are returned sorted lexicographically on
+image tuples so set equality is bit-exact.
 
 A colour symmetry is the pair (perm, sign) itself, validated once when it is
 built; its action on colourings is `chroma._images`.  A `Subgroup` is a
@@ -22,7 +22,7 @@ import math
 import operator
 from itertools import permutations, repeat
 
-from .polytope import PolytopeModel, ZPhi, det3, dot
+from .polytope import PolytopeModel, det3
 
 Perm = tuple[int, ...]
 
@@ -46,7 +46,9 @@ def compose(p: Perm, q: Perm) -> Perm:
 
 
 def invert(p: Perm) -> Perm:
-    inv = [0] * len(p)
+    """The inverse of a vertex permutation; ValueError on anything else."""
+    p = _check_vertex_perm(p)
+    inv = [0] * 20
     for v, img in enumerate(p):
         inv[img] = v
     return tuple(inv)
@@ -77,63 +79,41 @@ def perm_order(p: Perm) -> int:
     return math.lcm(*_cycle_lengths(p))
 
 
-def _closure(generators, identity, product) -> set:
-    """The identity and generators closed under product by a generator on
-    the right: every product of generators (finite, so inverses come free)."""
-    gens = list(generators)
-    group = {identity}
-    frontier = [g for g in gens if g not in group]
-    group.update(frontier)
-    while frontier:
-        fresh = []
-        for g in frontier:
-            for h in gens:
-                prod = product(g, h)
-                if prod not in group:
-                    group.add(prod)
-                    fresh.append(prod)
-        frontier = fresh
-    return group
-
-
 # ---------------------------------------------------------------------------
-# rotations of the dodecahedron
+# the symmetries of the dodecahedron, read off the turn table
 
-# twice the two generating rotations of the raw coordinates, so every entry
-# lies in Z[phi]: the cyclic shift (x, y, z) -> (y, z, x), of order 3 about
-# vertex 0, and 1/2 [[1, -phi, 1/phi], [phi, 1/phi, -1], [1/phi, 1, phi]],
-# of order 5; (a, b) is a + b phi
-_GENERATORS_DOUBLED = tuple(tuple(tuple(ZPhi(*e) for e in row) for row in rows) for rows in (
-    (((0, 0), (2, 0), (0, 0)), ((0, 0), (0, 0), (2, 0)), ((2, 0), (0, 0), (0, 0))),
-    (((1, 0), (0, -1), (-1, 1)), ((0, 1), (-1, 1), (-1, 0)), ((-1, 1), (1, 0), (0, 1))),
-))
+def _turn_map(model: PolytopeModel, u: int, w: int, hand: int) -> Perm:
+    """The vertex map that follows the turn table from the edge 0 -> a,
+    a = adjacency[0][0], onto u -> w.  Hand +1 keeps each turn's left and
+    right; hand -1 swaps them.  Raises AssertionError unless the result is
+    a permutation."""
+    turns, a = model.turns, model.adjacency[0][0]
+    image = {0: u, a: w}
+    edges = [(0, a)]
+    for x, y in edges:  # grows by an edge to each newly reached vertex
+        (left, right), (left2, right2) = turns[x][y], turns[image[x]][image[y]][::hand]
+        if left not in image:
+            image[left] = left2
+            edges.append((y, left))
+        if right not in image:
+            image[right] = right2
+            edges.append((y, right))
+    if sorted(image.values()) != list(range(20)):
+        raise AssertionError(f"the turn map onto {u} -> {w} is not a permutation")
+    return tuple(map(image.__getitem__, range(20)))
 
 
 def rotation_group(model: PolytopeModel) -> tuple[Perm, ...]:
-    """The 60 orientation-preserving symmetries as vertex permutations.
-
-    Closed from the order-3 and order-5 generators, each applied to the
-    exact coordinates and matched to vertices by equality.
-    """
-    exact = model.exact_positions
-    doubled = {tuple(x + x for x in p): v for v, p in enumerate(exact)}
-    try:
-        gens = [tuple(doubled[tuple(dot(row, p) for row in rows)] for p in exact)
-                for rows in _GENERATORS_DOUBLED]
-    except KeyError:
-        raise AssertionError("a generator is not a symmetry of the vertex set") from None
-    group = _closure(gens, tuple(range(20)), compose)
-    if len(group) != 60:
-        raise AssertionError(f"rotation group has {len(group)} elements")
-    return tuple(sorted(group))
+    """The 60 rotations: the side-keeping turn map onto each directed edge."""
+    return tuple(sorted(_turn_map(model, u, w, 1) for e in model.edges for u, w in (e, e[::-1])))
 
 
 def full_group(model: PolytopeModel) -> tuple[Perm, ...]:
-    """All 120 symmetries: rotations plus the central inversion coset."""
+    """All 120 symmetries: each rotation, and each rotation after the
+    side-swapping turn map that fixes 0 -> a, a = adjacency[0][0]."""
     rot = rotation_group(model)
-    inv = model.antipode
-    mirrored = [compose(inv, g) for g in rot]
-    group = set(rot) | set(mirrored)
+    mirror = _turn_map(model, 0, model.adjacency[0][0], -1)
+    group = set(rot).union(compose(g, mirror) for g in rot)
     if len(group) != 120:
         raise AssertionError(f"full group has {len(group)} elements")
     return tuple(sorted(group))
@@ -144,37 +124,38 @@ def spatial_determinant(model: PolytopeModel, p: Perm) -> int:
 
     p must be a vertex permutation keeping every exact squared distance, or
     ValueError is raised; then an orthogonal map M realizes it, and det M
-    has the sign of det(images of 0, 1, 4) times that of det(0, 1, 4).
+    has the sign of det(images of 0, a and r), as the turn rule makes
+    det(0, a, r) > 0 for a = adjacency[0][0] and r the right turn after 0 -> a.
     """
     p = _check_vertex_perm(p)
     d2, image = model.squared_distances, operator.itemgetter(*p)
     if any(image(d2[p[u]]) != d2[u] for u in range(20)):
         raise ValueError("permutation does not keep the vertex distances")
-    x = model.exact_positions
-    base = det3((x[0], x[1], x[4])).sign()
-    if base == 0:
-        raise AssertionError("vertices 0, 1, 4 are not a basis")
-    return det3((x[p[0]], x[p[1]], x[p[4]])).sign() * base
+    x, a = model.exact_positions, model.adjacency[0][0]
+    return det3((x[p[0]], x[p[a]], x[p[model.turns[0][a][1]]])).sign()
 
 
 def tetra_action(model: PolytopeModel, g: Perm, tetrahedra) -> Perm:
     """The permutation a symmetry induces on the 5 tetrahedra of a compound.
 
-    ``tetrahedra`` is an ordered sequence of five 4-tuples of vertex ids.
-    Returns images as a 5-tuple on indices 0..4.  Raises ValueError if g
-    is not a vertex permutation or does not map the compound to itself
-    setwise.
+    ``tetrahedra`` is an ordered sequence of five distinct 4-tuples of
+    vertex ids.  Returns images as a 5-tuple on indices 0..4.  Raises
+    ValueError if g is not a vertex permutation, the tetrahedra are not
+    such a sequence, or g does not map the compound to itself setwise.
     """
     g = _check_vertex_perm(g)
-    tets = [frozenset(t) for t in tetrahedra]
-    images = []
-    for t in tets:
-        img = frozenset(g[v] for v in t)
-        if img not in tets:
-            raise ValueError("symmetry does not stabilize the compound")
-        images.append(tets.index(img))
+    try:
+        tets = [frozenset(t) for t in tetrahedra]
+    except TypeError:
+        tets = []
+    if not (len(set(tets)) == len(tets) == 5 and all(
+            len(t) == 4 and all(type(v) is int and 0 <= v < 20 for v in t) for t in tets)):
+        raise ValueError(f"not five distinct 4-tuples of vertex ids: {tetrahedra!r}")
+    images = [frozenset(g[v] for v in t) for t in tets]
+    if not set(images) <= set(tets):
+        raise ValueError("symmetry does not stabilize the compound")
     # g is a bijection, so distinct tetrahedra have distinct images
-    return tuple(images)
+    return tuple(map(tets.index, images))
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +211,25 @@ class ColourSymmetry(tuple):
 
 COLOUR_IDENTITY = ColourSymmetry((1, 2, 3, 4, 5), 1)
 COLOUR_SWAP = ColourSymmetry((1, 2, 3, 4, 5), -1)
+
+
+def _closure(generators, identity, product) -> set:
+    """The identity and generators closed under product by a generator on
+    the right: every product of generators (finite, so inverses come free)."""
+    gens = list(generators)
+    group = {identity}
+    frontier = [g for g in gens if g not in group]
+    group.update(frontier)
+    while frontier:
+        fresh = []
+        for g in frontier:
+            for h in gens:
+                prod = product(g, h)
+                if prod not in group:
+                    group.add(prod)
+                    fresh.append(prod)
+        frontier = fresh
+    return group
 
 
 def _check_symmetries(elements) -> list[ColourSymmetry]:

@@ -55,6 +55,7 @@ from pentachrome.symmetry import (
     Subgroup,
     colour_group,
     generate_subgroup,
+    invert,
     named_subgroup,
     tetra_action,
 )
@@ -228,10 +229,22 @@ def test_two_completions_per_frame(model):
     (lambda model: named_subgroup([]), r"^unknown subgroup name: \[\]$"),
     (lambda model: orbit_partition(None, named_subgroup("A5"), model),
      "^expected colourings, not None$"),
+    (lambda model: tetra_action(model, tuple(range(20)), None),
+     "^not five distinct 4-tuples of vertex ids: None$"),
+    (lambda model: tetra_action(model, tuple(range(20)), [1, 2, 3, 4, 5]),
+     "^not five distinct 4-tuples of vertex ids"),
+    (lambda model: tetra_action(model, tuple(range(20)), model.compounds[0][:3]),
+     "^not five distinct 4-tuples of vertex ids"),
+    (lambda model: invert(None), "^not a permutation of the 20 vertex ids: None$"),
+    (lambda model: invert((5, 5)), r"^not a permutation of the 20 vertex ids: \(5, 5\)$"),
+    (lambda model: colouring_from_json(None), "^expected a JSON document, not None$"),
+    (lambda model: enumeration_to_json(None), "^expected colourings, not None$"),
 ], ids=[
     "frame-repeats-a-colour", "frame-pole-7", "frame-pole-0", "frame-float", "frame-bool",
     "frame-short-triple", "frame-no-triple", "parity-None", "parity-str", "parity-bool",
     "canonical-short", "inverse-short", "inverse-None", "subgroup-list", "orbits-None",
+    "tetrahedra-None", "tetrahedra-ints", "tetrahedra-three", "invert-None", "invert-short",
+    "from-json-None", "enumeration-None",
 ])
 def test_entry_points_raise_value_error_on_bad_input(model, call, match):
     with pytest.raises(ValueError, match=match):

@@ -131,9 +131,9 @@ def test_verify_scans_each_made_colouring_once(model, monkeypatch):
 
 
 def test_verify_closes_only_the_rotations_and_multiplies_no_colour_symmetries(model, monkeypatch):
-    # rotation_group is closed twice, once inside full_group; the colour
-    # subgroups come from their builders already checked, so no orbit
-    # partition re-closes one
+    # the vertex symmetries are read off the turn table, and the colour
+    # subgroups come from their builders already checked, so nothing is
+    # closed: no orbit partition re-closes a subgroup
     closures, products = [], []
     closure, mul = symmetry._closure, symmetry.ColourSymmetry.__mul__
 
@@ -150,7 +150,7 @@ def test_verify_closes_only_the_rotations_and_multiplies_no_colour_symmetries(mo
     monkeypatch.setattr(symmetry.ColourSymmetry, "__rmul__", counted_mul)
     checks = verify.run_checks(model)
     assert len(checks) == 61 and not [c.name for c in checks if not c.ok]
-    assert closures == [tuple(range(20))] * 2
+    assert closures == []
     assert products == []
 
 
@@ -257,7 +257,9 @@ def test_verify_reports_a_reversed_face(model):
 
 
 def test_verify_reports_two_swapped_antipodes(model):
-    # the colour swap then leaves the enumerated colourings
+    # the colour swap then leaves the enumerated colourings; the reflections
+    # come from the turn table, so they exchange the compounds, but the
+    # corrupted antipode's coset is no longer the full group's other half
     antipode = (model.antipode[1], model.antipode[0]) + model.antipode[2:]
     checks = verify.run_checks(model._replace(antipode=antipode))
     assert len(checks) == 61
@@ -269,11 +271,11 @@ def test_verify_reports_two_swapped_antipodes(model):
         "antipode negates positions, involutive, fixed-point free",
         "antipode exchanges bands (C3=-C2, C4=-C1)",
         "antipodal distance 2",
+        "full group = rotations + inversion coset, disjoint",
         "all symmetries commute with the antipode",
         "orbit of one colouring under the full colour group",
         "antipodal colour rule at all 20 vertices of all 240",
         "antipodal image of compound A is compound B",
-        "every orientation-reversing symmetry exchanges the compounds",
         "P1: handedness flips under the antipodal colour swap",
     }
 
@@ -297,29 +299,70 @@ def _swap_distances_0_1_and_0_19(model):
     return model._replace(squared_distances=tuple(tuple(row) for row in d))
 
 
+def _reports(mutate, failed, name):
+    return pytest.param(mutate, failed, id=name)
+
+
 def _crashes(mutate, raises, name):
-    return pytest.param(mutate, marks=pytest.mark.xfail(strict=True, raises=raises), id=name)
+    return pytest.param(mutate, None, marks=pytest.mark.xfail(strict=True, raises=raises), id=name)
 
 
-# Single-fault models on which `run_checks` raises today instead of
-# reporting FAILs.  Once it reports them, each row XPASSes and becomes a
-# row that names the checks it must FAIL.
-@pytest.mark.parametrize("mutate", [
+_COMPOUND_A_TAKES_B_0 = {
+    "tetrahedra action: injective image = all 60 even permutations":
+        "symmetry does not stabilize the compound",
+    "canonical seeds valid, distinct, classified A and B": "seed compounds None/B",
+    "antipodal image of compound A is compound B": "",
+    "every rotation stabilizes each compound": "",
+    "every orientation-reversing symmetry exchanges the compounds": "",
+    "colour classes of all 240 form one compound": "classified 120",
+    "120 colourings per compound": "A: 0, B: 120",
+    "fixed pairing: compound A works left, compound B works right":
+        "[('B', 'right'), (None, 'left')]",
+}
+_DISTANCES_0_1_AND_0_19 = {
+    "distance spectrum: 190 pairs, 30 at the edge length":
+        "pairs 190, multiplicities [10, 30, 60, 60, 30]",
+    "third-smallest distance = inscribed tetrahedron edge":
+        "1.154700538379 vs sqrt(8/3) = 1.632993161855",
+    "rotations have determinant +1": "permutation does not keep the vertex distances",
+    "tetrahedron edge equals third-smallest distance": "spectrum[2] = 1.154700538",
+    "4-element well-spread subsets are exactly the 10 tetrahedra": "17 maximal subsets",
+}
+
+
+# Single-fault models: each reporting row names the checks `run_checks`
+# must FAIL, with what they measured.  On a crashing row it raises today
+# instead; once it reports, the row XPASSes and becomes a reporting row.
+@pytest.mark.parametrize("mutate,failed", [
+    # every face and turn then runs clockwise: the rotations read off the
+    # turns are unchanged, but each right turn has a negative determinant
+    _reports(lambda m: m._replace(exact_positions=tuple(
+        tuple(-x for x in p) for p in m.exact_positions)),
+        {"rotations have determinant +1": "[-1]"}, "exact-positions-negated"),
+    # the same, and the zigzags exchange their handedness
+    _reports(lambda m: m._replace(turns=tuple(
+        tuple(pair and pair[::-1] for pair in row) for row in m.turns)),
+        {"rotations have determinant +1": "[-1]",
+         "fixed pairing: compound A works left, compound B works right":
+             "[('A', 'right'), ('B', 'left')]"},
+        "turn-pairs-reversed"),
+    _reports(lambda m: m._replace(exact_positions=_swap(m.exact_positions, 0, 1)),
+             {"rotations have determinant +1": "[-1, 1]"}, "exact-positions-0-1"),
+    _reports(lambda m: m._replace(compounds=(m.compounds[0][:4] + m.compounds[1][:1],
+                                             m.compounds[1])),
+             _COMPOUND_A_TAKES_B_0, "compound-a-takes-b-0"),
+    _reports(_swap_distances_0_1_and_0_19, _DISTANCES_0_1_AND_0_19, "distances-0-1-and-0-19"),
     _crashes(lambda m: m._replace(adjacency=_swap(m.adjacency, 0, 1)), TypeError, "adjacency-0-1"),
     _crashes(_swap_turn_at_0_1, AssertionError, "turn-pair-0-1"),
-    _crashes(lambda m: m._replace(exact_positions=_swap(m.exact_positions, 0, 1)),
-             ValueError, "exact-positions-0-1"),
     _crashes(lambda m: m._replace(vertex_faces=_swap(m.vertex_faces, 0, 1)),
              ValueError, "vertex-faces-0-1"),
     _crashes(lambda m: m._replace(faces=(m.faces[1],) + m.faces[1:]),
              chroma.PropagationError, "face-0-is-face-1"),
-    _crashes(lambda m: m._replace(compounds=(m.compounds[0][:4] + m.compounds[1][:1],
-                                             m.compounds[1])),
-             ValueError, "compound-a-takes-b-0"),
-    _crashes(_swap_distances_0_1_and_0_19, ValueError, "distances-0-1-and-0-19"),
 ])
-def test_verify_reports_a_single_fault_model(model, mutate):
-    assert len(verify.run_checks(mutate(model))) == 61
+def test_verify_reports_a_single_fault_model(model, mutate, failed):
+    checks = verify.run_checks(mutate(model))
+    assert len(checks) == 61
+    assert {c.name: c.detail for c in checks if not c.ok} == failed
 
 
 def test_classify_scans_the_colouring_once(capsys, tmp_path, model, monkeypatch):

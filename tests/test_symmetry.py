@@ -112,13 +112,20 @@ def test_full_group_equals_graph_automorphisms(model, full_symmetries):
 
 
 def test_generator_independence(model, rotations):
-    # a different generator pair, matched by the float reference route,
-    # must build the same group as the exact generators
+    # a generator pair matched by the float reference route must build the
+    # same group as the turn maps
     r3 = rotation_permutation(model, model.vertices[7].position, 2.0 * math.pi / 3.0)
     face = model.faces[model.vertex_faces[19][-1]]
     centre = np.mean([model.vertices[v].position for v in face], axis=0)
     r5 = rotation_permutation(model, centre, 2.0 * math.pi / 5.0)
     assert symmetry._closure([r3, r5], tuple(range(20)), compose) == frozenset(rotations)
+
+
+def test_rotation_group_rejects_a_turn_table_with_a_reversed_pair(model):
+    rows = [list(row) for row in model.turns]
+    rows[0][1] = rows[0][1][::-1]
+    with pytest.raises(AssertionError, match="is not a permutation"):
+        symmetry.rotation_group(model._replace(turns=tuple(map(tuple, rows))))
 
 
 def test_rotation_permutation_rejects_non_symmetry(model):
