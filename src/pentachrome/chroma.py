@@ -9,8 +9,8 @@ enumerators), or by an operation that keeps faces rainbow (`act`, and
 `orbit_partition`, whose orbits lie in its checked pool).  Every entry
 that needs a rainbow colouring trusts a `Rainbow` and checks anything else
 once; the predicates `is_valid` and `first_violated_face` always scan.  In
-the same way `orbit_partition` and `stabilizer` trust a `symmetry.Subgroup`
-and check any other collection of colour symmetries.
+the same way `orbit_partition` trusts a `symmetry.Subgroup` and closes any
+other collection; `stabilizer` only type-checks one, and never closes it.
 The colour action runs in one place, `_images` (for `act` and
 `orbit_partition`), on 20-byte copies: relabelling is one
 `bytes.translate` and the antipodal half of sign -1 one `itemgetter`

@@ -109,9 +109,7 @@ def cmd_verify(args, model) -> int:
     failed = [c for c in checks if not c.ok]
     if args.json:
         doc = {
-            "checks": [
-                {"name": c.name, "ok": c.ok, "detail": c.detail} for c in checks
-            ],
+            "checks": [c._asdict() for c in checks],  # name, ok, detail, section, seconds
             "passed": len(checks) - len(failed),
             "failed": len(failed),
         }

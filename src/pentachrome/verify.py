@@ -2,11 +2,15 @@
 
 Each check re-measures a fact about the built model or the enumerated
 colourings and reports the measured value, so a failure names exactly what
-broke.  The whole battery takes about 0.065 s in-process (the first
-`run_checks` in each of 15 fresh processes: median 0.065 s, quartiles
-0.058-0.068 s, on a shared 2-CPU x86-64 container, Python 3.11); a fresh
-`python -m pentachrome.cli verify` process without a bytecode cache takes
-about 0.21 s (15 runs, median 0.211 s, quartiles 0.195-0.218 s).
+broke.  `CHECKS` lists the 61 checks in report order, and `run_checks` runs
+them under one failure rule.  The facts that several checks read are
+computed once per model, when a check first reads them.
+
+The whole battery takes about 0.039 s in-process (the first `run_checks`
+in each of 21 fresh processes: median 0.039 s, quartiles 0.036-0.045 s, on
+a shared 2-CPU x86-64 container, Python 3.11); a fresh `python -m
+pentachrome.cli verify` process without a bytecode cache for the package
+takes about 0.13 s (21 runs, median 0.130 s, quartiles 0.126-0.143 s).
 """
 
 from __future__ import annotations
@@ -37,394 +41,8 @@ class Check(NamedTuple):
     name: str
     ok: bool
     detail: str
-
-
-def _polytope_checks(model: PolytopeModel) -> list[Check]:
-    out = []
-    pos = positions(model)
-
-    out.append(Check("vertex count", len(model.vertices) == 20, f"{len(model.vertices)}"))
-    out.append(Check("face count", len(model.faces) == 12, f"{len(model.faces)}"))
-    out.append(Check("edge count", len(model.edges) == 30, f"{len(model.edges)}"))
-    euler = len(model.vertices) - len(model.edges) + len(model.faces)
-    out.append(Check("Euler characteristic V-E+F", euler == 2, f"{euler}"))
-    out.append(Check(
-        "vertex degree 3",
-        all(len(a) == 3 for a in model.adjacency),
-        f"degrees {sorted({len(a) for a in model.adjacency})}",
-    ))
-
-    edge_set = set(model.edges)
-    face_cycles_ok = all(
-        (min(f[i], f[(i + 1) % 5]), max(f[i], f[(i + 1) % 5])) in edge_set
-        for f in model.faces for i in range(5)
-    ) and all(len(set(f)) == 5 for f in model.faces)
-    out.append(Check("faces are 5-cycles in the edge set", face_cycles_ok, ""))
-
-    radial = [abs(norm(p) - 1.0) for p in pos]
-    out.append(Check(
-        "vertices on the unit sphere",
-        max(radial) < TOL,
-        f"max |r-1| = {max(radial):.2e}",
-    ))
-    d0 = norm(sub(pos[0], (0.0, 0.0, 1.0)))
-    out.append(Check("vertex 0 at the north pole", d0 < TOL, f"offset {d0:.2e}"))
-
-    sizes = Counter(v.latitude for v in model.vertices)
-    got = tuple(sizes[b] for b in BANDS)
-    out.append(Check("latitude band sizes", got == BAND_SIZES, f"{got}"))
-
-    anti_ok = all(
-        norm(add(pos[model.antipode[v]], pos[v])) < TOL
-        and model.antipode[model.antipode[v]] == v
-        and model.antipode[v] != v
-        for v in range(20)
-    )
-    out.append(Check("antipode negates positions, involutive, fixed-point free", anti_ok, ""))
-
-    band_of = {v.id: v.latitude for v in model.vertices}
-    swap = {"north_pole": "south_pole", "south_pole": "north_pole",
-            "C1": "C4", "C4": "C1", "C2": "C3", "C3": "C2"}
-    bands_ok = all(band_of[model.antipode[v]] == swap[band_of[v]] for v in range(20))
-    out.append(Check("antipode exchanges bands (C3=-C2, C4=-C1)", bands_ok, ""))
-
-    anti_dist = [norm(sub(pos[v], pos[model.antipode[v]])) for v in range(20)]
-    out.append(Check(
-        "antipodal distance 2",
-        all(abs(d - 2.0) < TOL for d in anti_dist),
-        f"max dev {max(abs(d - 2.0) for d in anti_dist):.2e}",
-    ))
-
-    directed = Counter()
-    for f in model.faces:
-        for i in range(5):
-            directed[(f[i], f[(i + 1) % 5])] += 1
-    orient_ok = all(
-        directed[(u, v)] == 1 and directed[(v, u)] == 1 for u, v in model.edges
-    )
-    out.append(Check("each edge on 2 faces with opposite senses", orient_ok, ""))
-
-    spectrum = distance_spectrum(model)
-    total = sum(c for _, c in spectrum)
-    out.append(Check(
-        "distance spectrum: 190 pairs, 30 at the edge length",
-        total == 190 and spectrum[0][1] == 30,
-        f"pairs {total}, multiplicities {[c for _, c in spectrum]}",
-    ))
-    tetra_edge = compound_mod.TETRA_EDGE
-    out.append(Check(
-        "third-smallest distance = inscribed tetrahedron edge",
-        len(spectrum) >= 3 and abs(spectrum[2][0] - tetra_edge) < TOL,
-        f"{spectrum[2][0]:.12f} vs sqrt(8/3) = {tetra_edge:.12f}",
-    ))
-
-    bij = sorted(model.dual_faces) == list(range(20))
-    adj_pres = True
-    for i in range(20):
-        for j in range(i + 1, 20):
-            share = len(set(model.icosa_faces[i]) & set(model.icosa_faces[j])) == 2
-            adjacent = model.dual_faces[j] in model.adjacency[model.dual_faces[i]]
-            if share != adjacent:
-                adj_pres = False
-    out.append(Check("dual face map is a bijection", bij, ""))
-    out.append(Check("dual face adjacency preserved both ways", adj_pres, ""))
-    return out
-
-
-def _symmetry_checks(model: PolytopeModel, rot, full) -> list[Check]:
-    out = []
-    out.append(Check("rotation group order", len(rot) == 60, f"{len(rot)}"))
-    out.append(Check("full group order", len(full) == 120, f"{len(full)}"))
-
-    orders = sorted({symmetry.perm_order(p) for p in rot})
-    out.append(Check("rotation element orders {1,2,3,5}", orders == [1, 2, 3, 5], f"{orders}"))
-
-    name = "rotations have determinant +1"
-    try:
-        dets = sorted({symmetry.spatial_determinant(model, p) for p in rot})
-    except ValueError as exc:  # a rotation does not keep the vertex distances
-        out.append(Check(name, False, str(exc)))
-    else:
-        out.append(Check(name, dets == [1], f"{dets}"))
-
-    mirrored = {symmetry.compose(model.antipode, g) for g in rot}
-    split_ok = set(full) == set(rot) | mirrored and not (set(rot) & mirrored)
-    out.append(Check("full group = rotations + inversion coset, disjoint", split_ok, ""))
-
-    v_orbit = {p[0] for p in rot}
-    e_orbit = {tuple(sorted((p[u], p[v]))) for p in rot for (u, v) in [model.edges[0]]}
-    f_orbit = {tuple(sorted(p[v] for v in model.faces[0])) for p in rot}
-    trans_ok = len(v_orbit) == 20 and len(e_orbit) == 30 and len(f_orbit) == 12
-    out.append(Check(
-        "rotations transitive on vertices, edges, faces",
-        trans_ok,
-        f"orbit sizes {len(v_orbit)}/{len(e_orbit)}/{len(f_orbit)}",
-    ))
-
-    v_stab = sum(1 for p in rot if p[0] == 0)
-    f0 = set(model.faces[0])
-    f_stab = sum(1 for p in rot if {p[v] for v in f0} == f0)
-    e0 = set(model.edges[0])
-    e_stab = sum(1 for p in rot if {p[v] for v in e0} == e0)
-    out.append(Check(
-        "stabilizer orders vertex/face/edge = 3/5/2",
-        (v_stab, f_stab, e_stab) == (3, 5, 2),
-        f"{v_stab}/{f_stab}/{e_stab}",
-    ))
-
-    anti = model.antipode
-    equi = all(p[anti[v]] == anti[p[v]] for p in full for v in range(20))
-    out.append(Check("all symmetries commute with the antipode", equi, ""))
-
-    comp_a, _ = compound_mod.compounds(model)
-    name = "tetrahedra action: injective image = all 60 even permutations"
-    try:
-        actions = {symmetry.tetra_action(model, p, comp_a.tetrahedra) for p in rot}
-    except ValueError as exc:  # a rotation does not stabilize compound A
-        out.append(Check(name, False, str(exc)))
-    else:
-        all_even = all(symmetry.perm_parity(a) == 1 for a in actions)
-        out.append(Check(
-            name, len(actions) == 60 and all_even,
-            f"image size {len(actions)}, all even: {all_even}",
-        ))
-    return out
-
-
-def _colouring_checks(model: PolytopeModel, all_c, elapsed: float) -> list[Check]:
-    out = []
-    out.append(Check(
-        "valid colourings", len(all_c) == 240, f"{len(all_c)} in {elapsed:.3f}s"
-    ))
-    out.append(Check(
-        "backtracking enumeration under 1 s", elapsed < 1.0, f"{elapsed:.3f}s"
-    ))
-
-    prop = chroma.enumerate_by_propagation(model)
-    # a frame is the colours of the pole and of its neighbours 1, 2 and 3
-    per_frame = Counter(c[:4] for c in prop)
-    counts = sorted(set(per_frame.values()))
-    out.append(Check(
-        "completions per colour frame",
-        len(per_frame) == 120 and counts == [2],
-        f"{'/'.join(map(str, counts))} each over {len(per_frame)} frames",
-    ))
-    out.append(Check(
-        "propagation enumerator matches backtracking",
-        prop == all_c,
-        f"{len(prop)} colourings",
-    ))
-
-    G = symmetry.colour_group()
-    orbit0 = {chroma.act(g, all_c[0], model) for g in G}
-    out.append(Check(
-        "orbit of one colouring under the full colour group",
-        orbit0 == set(all_c),
-        f"size {len(orbit0)}",
-    ))
-    stab_sizes = {len(chroma.stabilizer(c, G, model)) for c in all_c}
-    out.append(Check("all stabilizers trivial", stab_sizes == {1}, f"sizes {sorted(stab_sizes)}"))
-
-    expected = {"trivial": 240, "C2": 120, "S5": 2, "A5": 4, "A5xC2": 2, "S5xC2": 1}
-    for name, want in expected.items():
-        H = symmetry.named_subgroup(name)
-        label = "A5 x {1}" if name == "A5" else name
-        try:
-            orbits = chroma.orbit_partition(all_c, H, model)
-        except ValueError as exc:  # the action leaves the enumerated set
-            out.append(Check(f"orbits under {label}", False, str(exc)))
-            continue
-        sizes = {len(o) for o in orbits}
-        ok = (
-            len(orbits) == want
-            and sizes == {len(H)}
-            and len(orbits) * len(H) == 240
-        )
-        out.append(Check(
-            f"orbits under {label}",
-            ok,
-            f"{len(orbits)} orbits of size {sorted(sizes)}, |H| = {len(H)}",
-        ))
-
-    seed_a, seed_b = chroma.seed_colourings(model)
-    comp_of_a, comp_of_b = _label(model, seed_a), _label(model, seed_b)
-    out.append(Check(
-        "canonical seeds valid, distinct, classified A and B",
-        chroma.is_valid(model, seed_a) and chroma.is_valid(model, seed_b)
-        and seed_a != seed_b and (comp_of_a, comp_of_b) == ("A", "B"),
-        f"seed compounds {comp_of_a}/{comp_of_b}",
-    ))
-
-    anti_rule = all(chroma.antipodal_rule_holds(model, c) for c in all_c)
-    out.append(Check("antipodal colour rule at all 20 vertices of all 240", anti_rule, ""))
-    return out
-
-
-def _compound_checks(model: PolytopeModel, all_c, label_of, rot, full) -> list[Check]:
-    out = []
-    tets = compound_mod.inscribed_tetrahedra(model)
-    out.append(Check("inscribed tetrahedra", len(tets) == 10, f"{len(tets)}"))
-    per_vertex = all(sum(v in t for t in tets) == 2 for v in range(20))
-    out.append(Check("each vertex lies in exactly 2 tetrahedra", per_vertex, ""))
-
-    spectrum = distance_spectrum(model)
-    pos = positions(model)
-    common = {
-        round(norm(sub(pos[a], pos[b])), 9)
-        for t in tets for a in t for b in t if a < b
-    }
-    out.append(Check(
-        "tetrahedron edge equals third-smallest distance",
-        len(common) == 1 and abs(common.pop() - spectrum[2][0]) < 1e-8,
-        f"spectrum[2] = {spectrum[2][0]:.9f}",
-    ))
-
-    comp_a, comp_b = compound_mod.compounds(model)
-    set_a, set_b = set(comp_a.tetrahedra), set(comp_b.tetrahedra)
-
-    def image_of_a(p):  # compound A's tetrahedra under the vertex map p
-        return {tuple(sorted(p[v] for v in t)) for t in comp_a.tetrahedra}
-
-    out.append(Check(
-        "antipodal image of compound A is compound B", image_of_a(model.antipode) == set_b, ""
-    ))
-    stab_a = all(image_of_a(p) == set_a for p in rot)
-    maps_ab = any(image_of_a(p) == set_b for p in rot)
-    out.append(Check("every rotation stabilizes each compound", stab_a and not maps_ab, ""))
-    rot_set = set(rot)
-    swaps = all(image_of_a(p) == set_b for p in full if p not in rot_set)
-    out.append(Check("every orientation-reversing symmetry exchanges the compounds", swaps, ""))
-
-    labels = Counter(label_of[c] for c in all_c)
-    classified = len(all_c) - labels[None]
-    out.append(Check(
-        "colour classes of all 240 form one compound",
-        labels[None] == 0 and classified == 240,
-        f"classified {classified}",
-    ))
-    out.append(Check(
-        "120 colourings per compound",
-        labels["A"] == labels["B"] == 120,
-        f"A: {labels['A']}, B: {labels['B']}",
-    ))
-
-    report = compound_mod.spread_subsets(model)
-    out.append(Check(
-        "well-spread subsets: max size 4, no 5th vertex extension",
-        report.max_size == 4 and not report.five_extension_possible,
-        f"max {report.max_size} over {report.four_subsets_checked} four-subsets",
-    ))
-    out.append(Check(
-        "4-element well-spread subsets are exactly the 10 tetrahedra",
-        set(report.maximal_subsets) == set(tets),
-        f"{len(report.maximal_subsets)} maximal subsets",
-    ))
-    return out
-
-
-# each of the 24 canonical cyclic colour orders -> its inverse
-_INVERSE_CYCLE = {(1, *p): chroma.inverse_cycle((1, *p)) for p in permutations((2, 3, 4, 5))}
-
-
-def _structure_checks(model: PolytopeModel, all_c, label_of) -> list[Check]:
-    """P1, P2 and the chirality bookkeeping over the full enumeration."""
-    out = []
-    odd = symmetry.ColourSymmetry((2, 1, 3, 4, 5), 1)
-    even = symmetry.ColourSymmetry((2, 3, 1, 4, 5), 1)
-    swap = symmetry.COLOUR_SWAP
-    # the enumerated colourings are rainbow and the three symmetries valid,
-    # so the action kernel relabels them without checking either again
-    images = {c: [tuple(b) for b in chroma._images(c, (odd, even, swap), model)] for c in all_c}
-
-    p2_ok = True
-    inverse_ok = True
-    parity_of = {}
-    for c in all_c:
-        sig = chroma.face_parity_signature(model, c)
-        orders = [o for _, o, _ in sig]
-        parities = {p for _, _, p in sig}
-        if len(set(orders)) != 12 or len(parities) != 1:
-            p2_ok = False
-            break
-        parity_of[c] = parities.pop()
-        inverse_ok = inverse_ok and all(
-            orders[opp] == _INVERSE_CYCLE[order] for opp, order in zip(model.opposite_faces, orders)
-        )
-    out.append(Check("P2: 12 distinct cyclic orders of one parity per colouring", p2_ok, ""))
-    out.append(Check("P2: opposite faces carry inverse cyclic orders", inverse_ok, ""))
-    split = Counter(parity_of.values())
-    out.append(Check(
-        "parity split 120 even / 120 odd",
-        split[1] == split[-1] == 120,
-        f"even {split[1]}, odd {split[-1]}",
-    ))
-
-    # an image outside the enumeration, or a colouring without one parity,
-    # has no parity to compare
-    flips = all(parity_of.get(images[c][0]) == -p for c, p in parity_of.items())
-    keeps = all(parity_of.get(images[c][1]) == p for c, p in parity_of.items())
-    out.append(Check(
-        "odd relabelling flips all parities, even preserves", p2_ok and flips and keeps, ""
-    ))
-
-    hand_of = {}  # colouring -> its one working handedness, or None
-    # a checkpoint set depends on the vertex and handedness only, so the
-    # (v, h) whose set is v's colour class are found by looking each class up
-    traced = defaultdict(list)  # checkpoint set -> the (v, h) tracing it
-    for v in range(20):
-        for h in (chroma.LEFT, chroma.RIGHT):
-            traced[chroma.zigzag_trace(model, all_c[0], v, h)].append((v, h))
-    for c in all_c:
-        hits = [
-            (v, h) for colour, k in chroma.colour_classes(c).items()
-            for v, h in traced.get(k, ()) if c[v] == colour
-        ]
-        hands = {h for _, h in hits}
-        one_per_vertex = sorted(v for v, _ in hits) == list(range(20))
-        hand_of[c] = hands.pop() if one_per_vertex and len(hands) == 1 else None
-    out.append(Check(
-        "P1: exactly one working handedness per vertex, constant per colouring",
-        None not in hand_of.values(),
-        "",
-    ))
-    flip_hand = all(
-        {hand_of[c], hand_of.get(images[c][2])} == {chroma.LEFT, chroma.RIGHT}
-        for c in all_c
-    )
-    out.append(Check("P1: handedness flips under the antipodal colour swap", flip_hand, ""))
-
-    pairing = {(label_of[c], hand_of[c]) for c in all_c}
-    out.append(Check(
-        "fixed pairing: compound A works left, compound B works right",
-        pairing == {("A", chroma.LEFT), ("B", chroma.RIGHT)},
-        f"{sorted(pairing, key=repr)}",  # a label or handedness may be None
-    ))
-
-    combos = Counter((label_of[c], parity_of.get(c)) for c in all_c)
-    out.append(Check(
-        "compound and parity independent: 4 combinations of 60",
-        sorted(combos.values()) == [60, 60, 60, 60] and len(combos) == 4,
-        f"{dict(combos)}",
-    ))
-    return out
-
-
-def _export_checks(model: PolytopeModel, all_c) -> list[Check]:
-    out = []
-    first = chroma.enumeration_to_json(all_c)
-    second = chroma.enumeration_to_json(chroma.enumerate_colourings(model))
-    out.append(Check("enumeration export byte-stable", first == second, f"{len(first)} bytes"))
-
-    round_trip = all(
-        chroma.colouring_from_json(chroma.colouring_to_json(c)) == c for c in all_c[:10]
-    )
-    out.append(Check("colouring JSON round-trip is identity", round_trip, ""))
-
-    off = model_to_off(model)
-    header_ok = off.splitlines()[0] == "OFF" and off.splitlines()[1] == "20 12 30"
-    stable = off == model_to_off(model) and model_to_json(model) == model_to_json(model)
-    out.append(Check("dodecahedron OFF header and stability", header_ok and stable, ""))
-    return out
+    section: str
+    seconds: float  # the check's own run, with the facts it first read
 
 
 def _label(model: PolytopeModel, c) -> str | None:
@@ -436,25 +54,406 @@ def _label(model: PolytopeModel, c) -> str | None:
         return None
 
 
-def run_checks(model: PolytopeModel) -> list[Check]:
-    """The whole battery; every entry carries its measured value.
+def _equals(got, want):
+    """A check result: whether got is want, measured as got."""
+    return got == want, f"{got}"
 
-    The colourings are enumerated once, timed for the 1 s gate, and
-    classified once; the sections share them, their compound labels and
-    the rotation and full symmetry groups.  A colouring that does not
-    classify has label None, which fails every check that reads it.
-    """
+
+def _below(value, detail: str):
+    """A check result: whether value is below TOL, measured as the format
+    detail of value."""
+    return value < TOL, detail.format(value)
+
+
+def _enumeration(b):
+    """The backtracking enumeration, and its time for the 1 s gate."""
     t0 = time.perf_counter()
-    all_c = chroma.enumerate_colourings(model)
-    elapsed = time.perf_counter() - t0
-    rot = symmetry.rotation_group(model)
-    full = symmetry.full_group(model)
-    label_of = {c: _label(model, c) for c in all_c}
-    checks = []
-    checks += _polytope_checks(model)
-    checks += _symmetry_checks(model, rot, full)
-    checks += _colouring_checks(model, all_c, elapsed)
-    checks += _compound_checks(model, all_c, label_of, rot, full)
-    checks += _structure_checks(model, all_c, label_of)
-    checks += _export_checks(model, all_c)
-    return checks
+    colourings = chroma.enumerate_colourings(b.model)
+    return colourings, time.perf_counter() - t0
+
+
+def _parities(b):
+    """colouring -> its one parity, for each colouring whose 12 face orders
+    are distinct and share one parity (P2)"""
+    out = {}
+    for c, sig in b.signatures.items():
+        parities = {p for _, _, p in sig}
+        if len({o for _, o, _ in sig}) == 12 and len(parities) == 1:
+            out[c] = parities.pop()
+    return out
+
+
+def _hands(b):
+    """colouring -> its one working handedness, or None (P1)"""
+    # a checkpoint set depends on the vertex and handedness only, so the
+    # (v, h) whose set is v's colour class are found by looking each class up
+    traced = defaultdict(list)  # checkpoint set -> the (v, h) tracing it
+    for v in range(20):
+        for h in (chroma.LEFT, chroma.RIGHT):
+            traced[chroma.zigzag_trace(b.model, b.colourings[0], v, h)].append((v, h))
+    hand_of = {}
+    for c in b.colourings:
+        hits = [
+            (v, h) for colour, k in chroma.colour_classes(c).items()
+            for v, h in traced.get(k, ()) if c[v] == colour
+        ]
+        hands = {h for _, h in hits}
+        one_per_vertex = sorted(v for v, _ in hits) == list(range(20))
+        hand_of[c] = hands.pop() if one_per_vertex and len(hands) == 1 else None
+    return hand_of
+
+
+# an odd relabelling, an even one and the colour swap
+_RELABELLINGS = (symmetry.ColourSymmetry((2, 1, 3, 4, 5), 1),
+                 symmetry.ColourSymmetry((2, 3, 1, 4, 5), 1), symmetry.COLOUR_SWAP)
+
+# The facts that more than one check reads: name -> its computation from
+# the `_Battery` of one model.
+_FACTS = {
+    "enumeration": _enumeration,
+    "colourings": lambda b: b.enumeration[0],
+    "propagation": lambda b: chroma.enumerate_by_propagation(b.model),
+    "rot": lambda b: symmetry.rotation_group(b.model),
+    "full": lambda b: symmetry.full_group(b.model),
+    "G": lambda b: symmetry.colour_group(),
+    # a colouring that does not classify has label None, which fails every
+    # check that reads it
+    "labels": lambda b: {c: _label(b.model, c) for c in b.colourings},
+    "label_counts": lambda b: Counter(b.labels[c] for c in b.colourings),
+    "signatures": lambda b: {c: chroma.face_parity_signature(b.model, c) for c in b.colourings},
+    "parities": _parities,
+    # the enumerated colourings are rainbow and the three relabellings valid,
+    # so the action kernel relabels them without checking either again
+    "images": lambda b: {
+        c: [tuple(i) for i in chroma._images(c, _RELABELLINGS, b.model)] for c in b.colourings
+    },
+    "hands": _hands,
+    "spectrum": lambda b: distance_spectrum(b.model),
+    "positions": lambda b: positions(b.model),
+    "compounds": lambda b: compound_mod.compounds(b.model),
+    "tetrahedra": lambda b: compound_mod.inscribed_tetrahedra(b.model),
+    "spread": lambda b: compound_mod.spread_subsets(b.model),
+}
+
+
+class _Battery:
+    """The battery over one model: its facts, and the checks that take more
+    than one expression.  A check returns (ok, detail)."""
+
+    def __init__(self, model: PolytopeModel):
+        self.model = model
+        self.raised = {}  # fact name -> the exception its computation raised
+
+    def __getattr__(self, name):
+        """Compute a fact when a check first reads it, and keep it; if the
+        computation raises, keep its exception and raise it to every reader,
+        so no fact is computed twice."""
+        if name not in _FACTS:
+            raise AttributeError(name)
+        if name not in self.raised:
+            try:
+                value = _FACTS[name](self)
+            except Exception as exc:  # each reader FAILs with it, see run_checks
+                self.raised[name] = exc
+            else:
+                setattr(self, name, value)
+                return value
+        raise self.raised[name]
+
+    def image_of_a(self, p):
+        """Compound A's tetrahedra under the vertex map p."""
+        return {tuple(sorted(p[v] for v in t)) for t in self.compounds[0].tetrahedra}
+
+    def faces_are_5_cycles(self):
+        edge_set = set(self.model.edges)
+        return all(
+            (min(f[i], f[(i + 1) % 5]), max(f[i], f[(i + 1) % 5])) in edge_set
+            for f in self.model.faces for i in range(5)
+        ) and all(len(set(f)) == 5 for f in self.model.faces), ""
+
+    def band_sizes(self):
+        sizes = Counter(v.latitude for v in self.model.vertices)
+        return _equals(tuple(sizes[b] for b in BANDS), BAND_SIZES)
+
+    def antipode_bands(self):
+        band_of = {v.id: v.latitude for v in self.model.vertices}
+        swap = {"north_pole": "south_pole", "south_pole": "north_pole",
+                "C1": "C4", "C4": "C1", "C2": "C3", "C3": "C2"}
+        return all(band_of[self.model.antipode[v]] == swap[band_of[v]] for v in range(20)), ""
+
+    def edge_senses(self):
+        directed = Counter((f[i], f[(i + 1) % 5]) for f in self.model.faces for i in range(5))
+        return all(directed[(u, v)] == 1 and directed[(v, u)] == 1 for u, v in self.model.edges), ""
+
+    def spectrum_counts(self):
+        counts = [c for _, c in self.spectrum]
+        total = sum(counts)
+        return total == 190 and counts[0] == 30, f"pairs {total}, multiplicities {counts}"
+
+    def dual_adjacency(self):
+        model = self.model
+        return all(
+            (len(set(model.icosa_faces[i]) & set(model.icosa_faces[j])) == 2)
+            == (model.dual_faces[j] in model.adjacency[model.dual_faces[i]])
+            for i in range(20) for j in range(i + 1, 20)
+        ), ""
+
+    def mirror_coset(self):
+        mirrored = {symmetry.compose(self.model.antipode, g) for g in self.rot}
+        return set(self.full) == set(self.rot) | mirrored and not (set(self.rot) & mirrored), ""
+
+    def transitive(self):
+        rot, model = self.rot, self.model
+        v_orbit = {p[0] for p in rot}
+        e_orbit = {tuple(sorted((p[u], p[v]))) for p in rot for (u, v) in [model.edges[0]]}
+        f_orbit = {tuple(sorted(p[v] for v in model.faces[0])) for p in rot}
+        sizes = (len(v_orbit), len(e_orbit), len(f_orbit))
+        return sizes == (20, 30, 12), "orbit sizes {}/{}/{}".format(*sizes)
+
+    def stabilizer_orders(self):
+        rot = self.rot
+        v_stab = sum(1 for p in rot if p[0] == 0)
+        f0 = set(self.model.faces[0])
+        f_stab = sum(1 for p in rot if {p[v] for v in f0} == f0)
+        e0 = set(self.model.edges[0])
+        e_stab = sum(1 for p in rot if {p[v] for v in e0} == e0)
+        return (v_stab, f_stab, e_stab) == (3, 5, 2), f"{v_stab}/{f_stab}/{e_stab}"
+
+    def tetra_action(self):
+        comp_a = self.compounds[0]
+        actions = {symmetry.tetra_action(self.model, p, comp_a.tetrahedra) for p in self.rot}
+        all_even = all(symmetry.perm_parity(a) == 1 for a in actions)
+        return len(actions) == 60 and all_even, f"image size {len(actions)}, all even: {all_even}"
+
+    def completions(self):
+        # a frame is the colours of the pole and of its neighbours 1, 2 and 3
+        per_frame = Counter(c[:4] for c in self.propagation)
+        counts = sorted(set(per_frame.values()))
+        detail = f"{'/'.join(map(str, counts))} each over {len(per_frame)} frames"
+        return len(per_frame) == 120 and counts == [2], detail
+
+    def orbit_of_one(self):
+        orbit0 = {chroma.act(g, self.colourings[0], self.model) for g in self.G}
+        return orbit0 == set(self.colourings), f"size {len(orbit0)}"
+
+    def stabilizers(self):
+        sizes = {len(chroma.stabilizer(c, self.G, self.model)) for c in self.colourings}
+        return sizes == {1}, f"sizes {sorted(sizes)}"
+
+    def seeds(self):
+        seed_a, seed_b = chroma.seed_colourings(self.model)
+        comp_of_a, comp_of_b = _label(self.model, seed_a), _label(self.model, seed_b)
+        return (
+            chroma.is_valid(self.model, seed_a) and chroma.is_valid(self.model, seed_b)
+            and seed_a != seed_b and (comp_of_a, comp_of_b) == ("A", "B"),
+            f"seed compounds {comp_of_a}/{comp_of_b}",
+        )
+
+    def tetra_edge(self):
+        pos = self.positions
+        common = {
+            round(norm(sub(pos[a], pos[b])), 9)
+            for t in self.tetrahedra for a in t for b in t if a < b
+        }
+        third = self.spectrum[2][0]
+        return len(common) == 1 and abs(common.pop() - third) < 1e-8, f"spectrum[2] = {third:.9f}"
+
+    def rotations_keep_compounds(self):
+        set_a, set_b = set(self.compounds[0].tetrahedra), set(self.compounds[1].tetrahedra)
+        stab_a = all(self.image_of_a(p) == set_a for p in self.rot)
+        maps_ab = any(self.image_of_a(p) == set_b for p in self.rot)
+        return stab_a and not maps_ab, ""
+
+    def reflections_swap_compounds(self):
+        rot_set, set_b = set(self.rot), set(self.compounds[1].tetrahedra)
+        return all(self.image_of_a(p) == set_b for p in self.full if p not in rot_set), ""
+
+    def inverse_orders(self):
+        # over the colourings P2 holds for: P2's own check reports the others;
+        # a signature lists the faces in order, so entry opp is face opp
+        return all(
+            sig[opp][1] == _INVERSE_CYCLE[order]
+            for sig in map(self.signatures.get, self.parities)
+            for opp, (_, order, _) in zip(self.model.opposite_faces, sig)
+        ), ""
+
+    def parity_split(self):
+        split = Counter(self.parities.values())
+        return split[1] == split[-1] == 120, f"even {split[1]}, odd {split[-1]}"
+
+    def relabelled_parities(self):
+        # an image outside the enumeration, or a colouring without one parity,
+        # has no parity to compare
+        parity_of, images = self.parities, self.images
+        flips = all(parity_of.get(images[c][0]) == -p for c, p in parity_of.items())
+        keeps = all(parity_of.get(images[c][1]) == p for c, p in parity_of.items())
+        return len(parity_of) == len(self.signatures) and flips and keeps, ""
+
+    def pairing(self):
+        pairing = {(self.labels[c], self.hands[c]) for c in self.colourings}
+        # sorted by repr: a label or handedness may be None
+        return pairing == {("A", chroma.LEFT), ("B", chroma.RIGHT)}, f"{sorted(pairing, key=repr)}"
+
+    def independent(self):
+        combos = Counter((self.labels[c], self.parities.get(c)) for c in self.colourings)
+        return sorted(combos.values()) == [60, 60, 60, 60] and len(combos) == 4, f"{dict(combos)}"
+
+    def export_stable(self):
+        first = chroma.enumeration_to_json(self.colourings)
+        second = chroma.enumeration_to_json(chroma.enumerate_colourings(self.model))
+        return first == second, f"{len(first)} bytes"
+
+    def off_stable(self):
+        model = self.model
+        off = model_to_off(model)
+        header_ok = off.splitlines()[0] == "OFF" and off.splitlines()[1] == "20 12 30"
+        stable = off == model_to_off(model) and model_to_json(model) == model_to_json(model)
+        return header_ok and stable, ""
+
+    def orbits(self, name: str, want: int):
+        """Whether the named subgroup H has `want` orbits on the colourings,
+        each of size |H|."""
+        H = symmetry.named_subgroup(name)
+        orbits = chroma.orbit_partition(self.colourings, H, self.model)
+        sizes = {len(o) for o in orbits}
+        ok = len(orbits) == want and sizes == {len(H)} and len(orbits) * len(H) == 240
+        return ok, f"{len(orbits)} orbits of size {sorted(sizes)}, |H| = {len(H)}"
+
+
+# each of the 24 canonical cyclic colour orders -> its inverse
+_INVERSE_CYCLE = {(1, *p): chroma.inverse_cycle((1, *p)) for p in permutations((2, 3, 4, 5))}
+
+
+# The battery in report order: (section, name, check), where a check takes
+# the `_Battery` of one model and returns (ok, detail).
+CHECKS = (
+    ("polytope", "vertex count", lambda b: _equals(len(b.model.vertices), 20)),
+    ("polytope", "face count", lambda b: _equals(len(b.model.faces), 12)),
+    ("polytope", "edge count", lambda b: _equals(len(b.model.edges), 30)),
+    ("polytope", "Euler characteristic V-E+F",
+     lambda b: _equals(len(b.model.vertices) - len(b.model.edges) + len(b.model.faces), 2)),
+    ("polytope", "vertex degree 3", lambda b: (
+        all(len(a) == 3 for a in b.model.adjacency),
+        f"degrees {sorted({len(a) for a in b.model.adjacency})}",
+    )),
+    ("polytope", "faces are 5-cycles in the edge set", _Battery.faces_are_5_cycles),
+    ("polytope", "vertices on the unit sphere",
+     lambda b: _below(max(abs(norm(p) - 1.0) for p in b.positions), "max |r-1| = {:.2e}")),
+    ("polytope", "vertex 0 at the north pole",
+     lambda b: _below(norm(sub(b.positions[0], (0.0, 0.0, 1.0))), "offset {:.2e}")),
+    ("polytope", "latitude band sizes", _Battery.band_sizes),
+    ("polytope", "antipode negates positions, involutive, fixed-point free", lambda b: (all(
+        norm(add(b.positions[b.model.antipode[v]], b.positions[v])) < TOL
+        and b.model.antipode[b.model.antipode[v]] == v and b.model.antipode[v] != v
+        for v in range(20)
+    ), "")),
+    ("polytope", "antipode exchanges bands (C3=-C2, C4=-C1)", _Battery.antipode_bands),
+    ("polytope", "antipodal distance 2", lambda b: _below(max(
+        abs(norm(sub(b.positions[v], b.positions[b.model.antipode[v]])) - 2.0) for v in range(20)
+    ), "max dev {:.2e}")),
+    ("polytope", "each edge on 2 faces with opposite senses", _Battery.edge_senses),
+    ("polytope", "distance spectrum: 190 pairs, 30 at the edge length", _Battery.spectrum_counts),
+    ("polytope", "third-smallest distance = inscribed tetrahedron edge", lambda b: (
+        len(b.spectrum) >= 3 and abs(b.spectrum[2][0] - compound_mod.TETRA_EDGE) < TOL,
+        f"{b.spectrum[2][0]:.12f} vs sqrt(8/3) = {compound_mod.TETRA_EDGE:.12f}",
+    )),
+    ("polytope", "dual face map is a bijection",
+     lambda b: (sorted(b.model.dual_faces) == list(range(20)), "")),
+    ("polytope", "dual face adjacency preserved both ways", _Battery.dual_adjacency),
+    ("symmetry", "rotation group order", lambda b: _equals(len(b.rot), 60)),
+    ("symmetry", "full group order", lambda b: _equals(len(b.full), 120)),
+    ("symmetry", "rotation element orders {1,2,3,5}",
+     lambda b: _equals(sorted({symmetry.perm_order(p) for p in b.rot}), [1, 2, 3, 5])),
+    ("symmetry", "rotations have determinant +1",
+     lambda b: _equals(sorted({symmetry.spatial_determinant(b.model, p) for p in b.rot}), [1])),
+    ("symmetry", "full group = rotations + inversion coset, disjoint", _Battery.mirror_coset),
+    ("symmetry", "rotations transitive on vertices, edges, faces", _Battery.transitive),
+    ("symmetry", "stabilizer orders vertex/face/edge = 3/5/2", _Battery.stabilizer_orders),
+    ("symmetry", "all symmetries commute with the antipode", lambda b: (all(
+        p[b.model.antipode[v]] == b.model.antipode[p[v]] for p in b.full for v in range(20)
+    ), "")),
+    ("symmetry", "tetrahedra action: injective image = all 60 even permutations",
+     _Battery.tetra_action),
+    ("colouring", "valid colourings",
+     lambda b: (len(b.colourings) == 240, f"{len(b.colourings)} in {b.enumeration[1]:.3f}s")),
+    ("colouring", "backtracking enumeration under 1 s",
+     lambda b: (b.enumeration[1] < 1.0, f"{b.enumeration[1]:.3f}s")),
+    ("colouring", "completions per colour frame", _Battery.completions),
+    ("colouring", "propagation enumerator matches backtracking",
+     lambda b: (b.propagation == b.colourings, f"{len(b.propagation)} colourings")),
+    ("colouring", "orbit of one colouring under the full colour group", _Battery.orbit_of_one),
+    ("colouring", "all stabilizers trivial", _Battery.stabilizers),
+    ("colouring", "orbits under trivial", lambda b: b.orbits("trivial", 240)),
+    ("colouring", "orbits under C2", lambda b: b.orbits("C2", 120)),
+    ("colouring", "orbits under S5", lambda b: b.orbits("S5", 2)),
+    ("colouring", "orbits under A5 x {1}", lambda b: b.orbits("A5", 4)),
+    ("colouring", "orbits under A5xC2", lambda b: b.orbits("A5xC2", 2)),
+    ("colouring", "orbits under S5xC2", lambda b: b.orbits("S5xC2", 1)),
+    ("colouring", "canonical seeds valid, distinct, classified A and B", _Battery.seeds),
+    ("colouring", "antipodal colour rule at all 20 vertices of all 240",
+     lambda b: (all(chroma.antipodal_rule_holds(b.model, c) for c in b.colourings), "")),
+    ("compound", "inscribed tetrahedra", lambda b: _equals(len(b.tetrahedra), 10)),
+    ("compound", "each vertex lies in exactly 2 tetrahedra",
+     lambda b: (all(sum(v in t for t in b.tetrahedra) == 2 for v in range(20)), "")),
+    ("compound", "tetrahedron edge equals third-smallest distance", _Battery.tetra_edge),
+    ("compound", "antipodal image of compound A is compound B",
+     lambda b: (b.image_of_a(b.model.antipode) == set(b.compounds[1].tetrahedra), "")),
+    ("compound", "every rotation stabilizes each compound", _Battery.rotations_keep_compounds),
+    ("compound", "every orientation-reversing symmetry exchanges the compounds",
+     _Battery.reflections_swap_compounds),
+    ("compound", "colour classes of all 240 form one compound", lambda b: (
+        b.label_counts[None] == 0 and len(b.colourings) - b.label_counts[None] == 240,
+        f"classified {len(b.colourings) - b.label_counts[None]}",
+    )),
+    ("compound", "120 colourings per compound", lambda b: (
+        b.label_counts["A"] == b.label_counts["B"] == 120,
+        f"A: {b.label_counts['A']}, B: {b.label_counts['B']}",
+    )),
+    ("compound", "well-spread subsets: max size 4, no 5th vertex extension", lambda b: (
+        b.spread.max_size == 4 and not b.spread.five_extension_possible,
+        f"max {b.spread.max_size} over {b.spread.four_subsets_checked} four-subsets",
+    )),
+    ("compound", "4-element well-spread subsets are exactly the 10 tetrahedra", lambda b: (
+        set(b.spread.maximal_subsets) == set(b.tetrahedra),
+        f"{len(b.spread.maximal_subsets)} maximal subsets",
+    )),
+    ("structure", "P2: 12 distinct cyclic orders of one parity per colouring",
+     lambda b: (len(b.parities) == len(b.signatures), "")),
+    ("structure", "P2: opposite faces carry inverse cyclic orders", _Battery.inverse_orders),
+    ("structure", "parity split 120 even / 120 odd", _Battery.parity_split),
+    ("structure", "odd relabelling flips all parities, even preserves",
+     _Battery.relabelled_parities),
+    ("structure", "P1: exactly one working handedness per vertex, constant per colouring",
+     lambda b: (None not in b.hands.values(), "")),
+    ("structure", "P1: handedness flips under the antipodal colour swap", lambda b: (all(
+        {b.hands[c], b.hands.get(b.images[c][2])} == {chroma.LEFT, chroma.RIGHT}
+        for c in b.colourings
+    ), "")),
+    ("structure", "fixed pairing: compound A works left, compound B works right", _Battery.pairing),
+    ("structure", "compound and parity independent: 4 combinations of 60", _Battery.independent),
+    ("export", "enumeration export byte-stable", _Battery.export_stable),
+    ("export", "colouring JSON round-trip is identity", lambda b: (all(
+        chroma.colouring_from_json(chroma.colouring_to_json(c)) == c for c in b.colourings[:10]
+    ), "")),
+    ("export", "dodecahedron OFF header and stability", _Battery.off_stable),
+)
+
+
+def run_checks(model: PolytopeModel) -> list[Check]:
+    """The whole battery, in the order of `CHECKS`; every entry carries its
+    measured value, its section and the seconds it took.
+
+    The failure rule: a check whose own code, or a fact it reads, raises
+    FAILs with the detail "<ExceptionType>: <message>", and the checks
+    after it still run.
+    """
+    battery = _Battery(model)
+    out = []
+    for section, name, check in CHECKS:
+        t0 = time.perf_counter()
+        try:
+            ok, detail = check(battery)
+        except Exception as exc:  # a broken model: report what broke, go on
+            ok, detail = False, f"{type(exc).__name__}: {exc}"
+        out.append(Check(name, ok, detail, section, time.perf_counter() - t0))
+    return out

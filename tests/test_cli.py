@@ -105,6 +105,11 @@ def test_verify_json(capsys):
     doc = json.loads(out)
     assert doc["failed"] == 0
     assert all(c["ok"] for c in doc["checks"])
+    # each check names its section, the six in report order, and its own time
+    order = ["polytope", "symmetry", "colouring", "compound", "structure", "export"]
+    sections = [c["section"] for c in doc["checks"]]
+    assert set(sections) == set(order) and sections == sorted(sections, key=order.index)
+    assert all(c["seconds"] >= 0 for c in doc["checks"])
 
 
 def _count_face_scans(monkeypatch):
@@ -266,7 +271,7 @@ def test_verify_reports_two_swapped_antipodes(model):
     failed = {c.name: c.detail for c in checks if not c.ok}
     for label in ("C2", "A5xC2", "S5xC2"):
         assert failed.pop(f"orbits under {label}") == (
-            "subgroup action leaves the given colouring set")
+            "ValueError: subgroup action leaves the given colouring set")
     assert set(failed) == {
         "antipode negates positions, involutive, fixed-point free",
         "antipode exchanges bands (C3=-C2, C4=-C1)",
@@ -286,6 +291,12 @@ def _swap(seq, i, j):
     return tuple(out)
 
 
+def _replace_vertex(model, v, **fields):
+    vertices = list(model.vertices)
+    vertices[v] = vertices[v]._replace(**fields)
+    return model._replace(vertices=tuple(vertices))
+
+
 def _swap_turn_at_0_1(model):
     rows = [list(row) for row in model.turns]
     rows[0][1] = rows[0][1][::-1]
@@ -303,13 +314,55 @@ def _reports(mutate, failed, name):
     return pytest.param(mutate, failed, id=name)
 
 
-def _crashes(mutate, raises, name):
-    return pytest.param(mutate, None, marks=pytest.mark.xfail(strict=True, raises=raises), id=name)
-
-
+# the checks that read the rotation or the full group
+_READ_GROUPS = (
+    "rotation group order",
+    "full group order",
+    "rotation element orders {1,2,3,5}",
+    "rotations have determinant +1",
+    "full group = rotations + inversion coset, disjoint",
+    "rotations transitive on vertices, edges, faces",
+    "stabilizer orders vertex/face/edge = 3/5/2",
+    "all symmetries commute with the antipode",
+    "tetrahedra action: injective image = all 60 even permutations",
+    "every rotation stabilizes each compound",
+    "every orientation-reversing symmetry exchanges the compounds",
+)
+# the checks that read the working handednesses, traced by zigzag walks
+_READ_HANDS = (
+    "P1: exactly one working handedness per vertex, constant per colouring",
+    "P1: handedness flips under the antipodal colour swap",
+    "fixed pairing: compound A works left, compound B works right",
+)
+# the checks that read the backtracking enumeration
+_READ_COLOURINGS = (
+    "valid colourings",
+    "backtracking enumeration under 1 s",
+    "propagation enumerator matches backtracking",
+    "orbit of one colouring under the full colour group",
+    "all stabilizers trivial",
+    "orbits under trivial",
+    "orbits under C2",
+    "orbits under S5",
+    "orbits under A5 x {1}",
+    "orbits under A5xC2",
+    "orbits under S5xC2",
+    "antipodal colour rule at all 20 vertices of all 240",
+    "colour classes of all 240 form one compound",
+    "120 colourings per compound",
+    "P2: 12 distinct cyclic orders of one parity per colouring",
+    "P2: opposite faces carry inverse cyclic orders",
+    "parity split 120 even / 120 odd",
+    "odd relabelling flips all parities, even preserves",
+    *_READ_HANDS,
+    "compound and parity independent: 4 combinations of 60",
+    "enumeration export byte-stable",
+    "colouring JSON round-trip is identity",
+)
+_NO_TURN_PAIR = "TypeError: 'NoneType' object is not subscriptable"
 _COMPOUND_A_TAKES_B_0 = {
     "tetrahedra action: injective image = all 60 even permutations":
-        "symmetry does not stabilize the compound",
+        "ValueError: symmetry does not stabilize the compound",
     "canonical seeds valid, distinct, classified A and B": "seed compounds None/B",
     "antipodal image of compound A is compound B": "",
     "every rotation stabilizes each compound": "",
@@ -324,16 +377,17 @@ _DISTANCES_0_1_AND_0_19 = {
         "pairs 190, multiplicities [10, 30, 60, 60, 30]",
     "third-smallest distance = inscribed tetrahedron edge":
         "1.154700538379 vs sqrt(8/3) = 1.632993161855",
-    "rotations have determinant +1": "permutation does not keep the vertex distances",
+    "rotations have determinant +1":
+        "ValueError: permutation does not keep the vertex distances",
     "tetrahedron edge equals third-smallest distance": "spectrum[2] = 1.154700538",
     "4-element well-spread subsets are exactly the 10 tetrahedra": "17 maximal subsets",
 }
 
 
-# Single-fault models: each reporting row names the checks `run_checks`
-# must FAIL, with what they measured.  On a crashing row it raises today
-# instead; once it reports, the row XPASSes and becomes a reporting row.
-@pytest.mark.parametrize("mutate,failed", [
+# Single-fault models, at least one per model field: each row names the
+# checks `run_checks` must FAIL, with what they measured.  A check that
+# raises, or reads a fact that raised, reports the exception.
+_SINGLE_FAULTS = [
     # every face and turn then runs clockwise: the rotations read off the
     # turns are unchanged, but each right turn has a negative determinant
     _reports(lambda m: m._replace(exact_positions=tuple(
@@ -352,17 +406,165 @@ _DISTANCES_0_1_AND_0_19 = {
                                              m.compounds[1])),
              _COMPOUND_A_TAKES_B_0, "compound-a-takes-b-0"),
     _reports(_swap_distances_0_1_and_0_19, _DISTANCES_0_1_AND_0_19, "distances-0-1-and-0-19"),
-    _crashes(lambda m: m._replace(adjacency=_swap(m.adjacency, 0, 1)), TypeError, "adjacency-0-1"),
-    _crashes(_swap_turn_at_0_1, AssertionError, "turn-pair-0-1"),
-    _crashes(lambda m: m._replace(vertex_faces=_swap(m.vertex_faces, 0, 1)),
-             ValueError, "vertex-faces-0-1"),
-    _crashes(lambda m: m._replace(faces=(m.faces[1],) + m.faces[1:]),
-             chroma.PropagationError, "face-0-is-face-1"),
-])
+    # a = adjacency[0][0] is then 0, and the edge 0 -> 0 has no turn pair
+    _reports(lambda m: m._replace(adjacency=_swap(m.adjacency, 0, 1)),
+             {**dict.fromkeys(_READ_GROUPS + _READ_HANDS, _NO_TURN_PAIR),
+              "dual face adjacency preserved both ways": "",
+              "antipodal colour rule at all 20 vertices of all 240": ""},
+             "adjacency-0-1"),
+    _reports(_swap_turn_at_0_1,
+             {**dict.fromkeys(_READ_GROUPS, "AssertionError: "
+                              "the turn map onto 1 -> 0 is not a permutation"),
+              **dict.fromkeys(_READ_HANDS, "AssertionError: "
+                              "zigzag walk from 0 -> 1 failed to close after 12 edges")},
+             "turn-pair-0-1"),
+    # the backtracking search then makes a colouring that the face scan rejects
+    _reports(lambda m: m._replace(vertex_faces=_swap(m.vertex_faces, 0, 1)),
+             dict.fromkeys(_READ_COLOURINGS, "ValueError: colouring is not face-rainbow"),
+             "vertex-faces-0-1"),
+    # the propagation forces vertex 6 off every colour, and no colouring has
+    # 12 distinct face orders of one parity any more
+    _reports(lambda m: m._replace(faces=(m.faces[1],) + m.faces[1:]),
+             {"each edge on 2 faces with opposite senses": "",
+              **dict.fromkeys(["completions per colour frame",
+                               "propagation enumerator matches backtracking",
+                               "canonical seeds valid, distinct, classified A and B"],
+                              "PropagationError: no colour left for vertex 6"),
+              "P2: 12 distinct cyclic orders of one parity per colouring": "",
+              "parity split 120 even / 120 odd": "even 0, odd 0",
+              "odd relabelling flips all parities, even preserves": "",
+              "compound and parity independent: 4 combinations of 60":
+                  "{('A', None): 120, ('B', None): 120}"},
+             "face-0-is-face-1"),
+    # the rotations onto the edge's two directions are lost: 58 rotations
+    # and 116 symmetries are left
+    _reports(lambda m: m._replace(edges=m.edges[1:]),
+             {"edge count": "29",
+              "Euler characteristic V-E+F": "3",
+              "faces are 5-cycles in the edge set": "",
+              "rotation group order": "58",
+              **dict.fromkeys(["full group order",
+                               "full group = rotations + inversion coset, disjoint",
+                               "all symmetries commute with the antipode",
+                               "every orientation-reversing symmetry exchanges the compounds"],
+                              "AssertionError: full group has 116 elements"),
+              "rotation element orders {1,2,3,5}": "[2, 3, 5]",
+              "stabilizer orders vertex/face/edge = 3/5/2": "2/4/1",
+              "tetrahedra action: injective image = all 60 even permutations":
+                  "image size 58, all even: True"},
+             "edge-0-dropped"),
+    # the records move, and with them the positions the checks measure
+    _reports(lambda m: m._replace(vertices=_swap(m.vertices, 0, 1)),
+             {"vertex 0 at the north pole": "offset 7.14e-01",
+              "antipode negates positions, involutive, fixed-point free": "",
+              "antipodal distance 2": "max dev 1.32e-01",
+              "third-smallest distance = inscribed tetrahedron edge":
+                  "1.154700538379 vs sqrt(8/3) = 1.632993161855",
+              "tetrahedron edge equals third-smallest distance": "spectrum[2] = 1.154700538"},
+             "vertices-0-1"),
+    _reports(lambda m: m._replace(icosa_faces=_swap(m.icosa_faces, 0, 1)),
+             {"dual face adjacency preserved both ways": ""}, "icosa-faces-0-1"),
+    _reports(lambda m: m._replace(dual_faces=_swap(m.dual_faces, 0, 1)),
+             {"dual face adjacency preserved both ways": ""}, "dual-faces-0-1"),
+    _reports(lambda m: m._replace(opposite_faces=_swap(m.opposite_faces, 0, 1)),
+             {"P2: opposite faces carry inverse cyclic orders": ""}, "opposite-faces-0-1"),
+    _reports(lambda m: m._replace(tetrahedra=m.tetrahedra[1:]),
+             {"inscribed tetrahedra": "9",
+              "each vertex lies in exactly 2 tetrahedra": "",
+              "4-element well-spread subsets are exactly the 10 tetrahedra":
+                  "10 maximal subsets"},
+             "tetrahedra-0-dropped"),
+    # the OFF export's count line and the propagation both read `faces`
+    _reports(lambda m: m._replace(faces=m.faces[:-1]),
+             {"face count": "11",
+              "Euler characteristic V-E+F": "1",
+              "each edge on 2 faces with opposite senses": "",
+              **dict.fromkeys(["completions per colour frame",
+                               "propagation enumerator matches backtracking",
+                               "canonical seeds valid, distinct, classified A and B"],
+                              "IndexError: list index out of range"),
+              "P2: 12 distinct cyclic orders of one parity per colouring": "",
+              "parity split 120 even / 120 odd": "even 0, odd 0",
+              "odd relabelling flips all parities, even preserves": "",
+              "compound and parity independent: 4 combinations of 60":
+                  "{('A', None): 120, ('B', None): 120}",
+              "dodecahedron OFF header and stability": ""},
+             "face-11-dropped"),
+    # the checks that index positions by vertex id reach past the end
+    _reports(lambda m: m._replace(vertices=m.vertices[:-1]),
+             {"vertex count": "19",
+              "Euler characteristic V-E+F": "1",
+              "latitude band sizes": "(1, 3, 6, 6, 3, 0)",
+              "antipode exchanges bands (C3=-C2, C4=-C1)": "KeyError: 19",
+              **dict.fromkeys(["antipode negates positions, involutive, fixed-point free",
+                               "antipodal distance 2",
+                               "distance spectrum: 190 pairs, 30 at the edge length",
+                               "third-smallest distance = inscribed tetrahedron edge",
+                               "tetrahedron edge equals third-smallest distance"],
+                              "IndexError: tuple index out of range")},
+             "vertex-19-dropped"),
+    _reports(lambda m: _replace_vertex(m, 0, position=tuple(2 * x for x in m.vertices[0].position)),
+             {"vertices on the unit sphere": "max |r-1| = 1.00e+00",
+              "vertex 0 at the north pole": "offset 1.00e+00",
+              "antipode negates positions, involutive, fixed-point free": "",
+              "antipodal distance 2": "max dev 1.00e+00",
+              "third-smallest distance = inscribed tetrahedron edge":
+                  "2.516611478424 vs sqrt(8/3) = 1.632993161855",
+              "tetrahedron edge equals third-smallest distance": "spectrum[2] = 2.516611478"},
+             "vertex-0-scaled"),
+    _reports(lambda m: _replace_vertex(m, 0, latitude="C1"),
+             {"latitude band sizes": "(0, 4, 6, 6, 3, 1)",
+              "antipode exchanges bands (C3=-C2, C4=-C1)": ""},
+             "vertex-0-in-band-C1"),
+    _reports(lambda m: m._replace(adjacency=m.adjacency[:-1] + (m.adjacency[-1][:2],)),
+             {"vertex degree 3": "degrees [2, 3]",
+              "antipodal colour rule at all 20 vertices of all 240":
+                  "ValueError: not enough values to unpack (expected 3, got 2)"},
+             "adjacency-19-short"),
+    _reports(lambda m: m._replace(dual_faces=m.dual_faces[1:2] + m.dual_faces[1:]),
+             {"dual face map is a bijection": "",
+              "dual face adjacency preserved both ways": ""},
+             "dual-face-0-is-dual-face-1"),
+    # more pairs then lie at least a tetrahedron edge apart
+    _reports(lambda m: m._replace(squared_distances=tuple(
+        tuple(d + d for d in row) for row in m.squared_distances)),
+             {"well-spread subsets: max size 4, no 5th vertex extension":
+                  "max 5 over 4845 four-subsets",
+              "4-element well-spread subsets are exactly the 10 tetrahedra":
+                  "1510 maximal subsets"},
+             "distances-doubled"),
+]
+
+
+@pytest.mark.parametrize("mutate,failed", _SINGLE_FAULTS)
 def test_verify_reports_a_single_fault_model(model, mutate, failed):
     checks = verify.run_checks(mutate(model))
     assert len(checks) == 61
     assert {c.name: c.detail for c in checks if not c.ok} == failed
+
+
+def test_verify_computes_a_fact_that_raises_once(model, monkeypatch):
+    # eleven checks read the groups of this model, whose derivation raises:
+    # the rotation group is derived once for the rotations and once inside
+    # `full_group`, and each reader gets the kept exception
+    calls = []
+    rotation_group = symmetry.rotation_group
+
+    def counted(model):
+        calls.append(model)
+        return rotation_group(model)
+
+    monkeypatch.setattr(symmetry, "rotation_group", counted)
+    checks = verify.run_checks(_swap_turn_at_0_1(model))
+    assert len(checks) == 61
+    assert len(calls) == 2
+
+
+def test_single_fault_models_reach_every_check():
+    # the union of the checks the rows FAIL: a check that no row reaches
+    # fails this test
+    reached = set().union(*(param.values[1] for param in _SINGLE_FAULTS))
+    assert reached == {name for _, name, _ in verify.CHECKS}
 
 
 def test_classify_scans_the_colouring_once(capsys, tmp_path, model, monkeypatch):
