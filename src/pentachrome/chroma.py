@@ -4,9 +4,10 @@ orbit partitioning, zigzag traces and cyclic-order parities.
 A colouring is a tuple of 20 colours in {1..5}, indexed by vertex id.  A
 `Rainbow` is such a tuple known to be face-rainbow, and it compares,
 hashes and sorts as the plain tuple.  One is made only after its faces
-are scanned (`check_rainbow`, which `Rainbow(model, c)` runs, and the
-enumerators), or by an operation that keeps faces rainbow (`act`, and
-`orbit_partition`, whose orbits lie in its checked pool).  Every entry
+are checked: scanned (`check_rainbow`, which `Rainbow(model, c)` runs, and
+the backtracking enumerator), or, for a replay colouring, by `_propagate`'s
+per-face bitmask check; or by an operation that keeps faces rainbow (`act`,
+and `orbit_partition`, whose orbits lie in its checked pool).  Every entry
 that needs a rainbow colouring trusts a `Rainbow` and checks anything else
 once; the predicates `is_valid` and `first_violated_face` always scan.  In
 the same way `orbit_partition` trusts a `symmetry.Subgroup` and closes any
@@ -188,7 +189,8 @@ def _propagate(model: PolytopeModel, col: list[int]) -> None:
     a vertex's candidates are the colours on none of its three faces.  The
     one forcing rule is the naked single: a vertex with a single candidate
     gets it.  Raises PropagationError on contradiction, or if the fixpoint
-    leaves a vertex uncoloured.
+    leaves a vertex uncoloured.  So it returns only with every vertex
+    coloured and one colour bit per vertex on each face: every face rainbow.
     """
     faces = model.faces
     vertex_faces = model.vertex_faces
@@ -229,7 +231,8 @@ def frame_completions(model: PolytopeModel, pole: int, triple) -> tuple[Rainbow,
     A frame is the colour of vertex 0 and a triple for vertices 1, 2, 3:
     four distinct colours, or ValueError is raised.  Branches on the two
     ways to finish the first face at the north pole; each branch then
-    propagates to a unique full colouring.
+    propagates to a unique full colouring, which `_propagate`'s per-face
+    bitmask check has shown rainbow.
     """
     frame = (pole, *triple) if isinstance(triple, (tuple, list)) else ()
     # bool is a subclass of int, but True is not colour 1
@@ -249,8 +252,6 @@ def frame_completions(model: PolytopeModel, pole: int, triple) -> tuple[Rainbow,
         col = list(base)
         col[open_vs[0]], col[open_vs[1]] = pair
         _propagate(model, col)
-        if _first_violated_face(model, col) is not None:
-            raise PropagationError("propagation produced an invalid colouring")
         results.append(tuple.__new__(Rainbow, col))
     return results[0], results[1]
 

@@ -85,13 +85,17 @@ def perm_order(p: Perm) -> int:
 def _turn_map(model: PolytopeModel, u: int, w: int, hand: int) -> Perm:
     """The vertex map that follows the turn table from the edge 0 -> a,
     a = adjacency[0][0], onto u -> w.  Hand +1 keeps each turn's left and
-    right; hand -1 swaps them.  Raises AssertionError unless the result is
-    a permutation."""
+    right; hand -1 swaps them.  Raises AssertionError if an edge it follows
+    has no turn pair, or unless the result is a permutation."""
     turns, a = model.turns, model.adjacency[0][0]
     image = {0: u, a: w}
     edges = [(0, a)]
     for x, y in edges:  # grows by an edge to each newly reached vertex
-        (left, right), (left2, right2) = turns[x][y], turns[image[x]][image[y]][::hand]
+        pair, pair2 = turns[x][y], turns[image[x]][image[y]]
+        if pair is None or pair2 is None:
+            s, t = (x, y) if pair is None else (image[x], image[y])
+            raise AssertionError(f"the turn table has no pair for {s} -> {t}")
+        (left, right), (left2, right2) = pair, pair2[::hand]
         if left not in image:
             image[left] = left2
             edges.append((y, left))

@@ -6,11 +6,8 @@ broke.  `CHECKS` lists the 61 checks in report order, and `run_checks` runs
 them under one failure rule.  The facts that several checks read are
 computed once per model, when a check first reads them.
 
-The whole battery takes about 0.039 s in-process (the first `run_checks`
-in each of 21 fresh processes: median 0.039 s, quartiles 0.036-0.045 s, on
-a shared 2-CPU x86-64 container, Python 3.11); a fresh `python -m
-pentachrome.cli verify` process without a bytecode cache for the package
-takes about 0.13 s (21 runs, median 0.130 s, quartiles 0.126-0.143 s).
+Each check's own run time, including the facts it first read, is its
+`seconds` in `verify --json`.
 """
 
 from __future__ import annotations

@@ -280,6 +280,26 @@ def test_propagation_restores_any_one_blanked_vertex(model, colourings):
             assert tuple(col) == c
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    i=st.integers(0, 239),
+    blanked=st.sets(st.integers(0, 19)),
+    changes=st.dictionaries(st.integers(0, 19), st.integers(1, 5), max_size=3),
+)
+def test_propagation_returns_only_a_rainbow_colouring(model, colourings, i, blanked, changes):
+    # `frame_completions` makes a Rainbow of whatever `_propagate` returns
+    col = list(colourings[i])
+    for v in blanked:
+        col[v] = 0
+    for v, x in changes.items():
+        col[v] = x
+    try:
+        chroma._propagate(model, col)
+    except PropagationError:
+        return
+    assert 0 not in col and is_valid(model, col)
+
+
 def test_seeds_are_frame_completions(model):
     seed_a, seed_b = seed_colourings(model)
     assert set(frame_completions(model, 1, (2, 3, 4))) == {seed_a, seed_b}
