@@ -173,15 +173,6 @@ def enumerate_colourings(model: PolytopeModel) -> tuple[Rainbow, ...]:
 # ---------------------------------------------------------------------------
 # enumeration, route two: propagation replay
 
-def colour_frames():
-    """The 120 ways to colour the north pole and its three neighbours.
-
-    A frame is an ordered choice of four colours: vertex 0's, then those of
-    vertices 1, 2, 3 (the C1 band in azimuth order).
-    """
-    return ((p[0], p[1:]) for p in permutations(COLOURS, 4))
-
-
 def _propagate(model: PolytopeModel, col: list[int]) -> None:
     """Run naked-singles propagation to a fixpoint, in place.
 
@@ -225,19 +216,19 @@ def _propagate(model: PolytopeModel, col: list[int]) -> None:
         raise PropagationError("propagation stalled before completion")
 
 
-def frame_completions(model: PolytopeModel, pole: int, triple) -> tuple[Rainbow, Rainbow]:
-    """The exactly-two colourings extending a frame.
+def frame_completions(model: PolytopeModel, frame) -> tuple[Rainbow, Rainbow]:
+    """The exactly-two colourings extending a colour frame.
 
-    A frame is the colour of vertex 0 and a triple for vertices 1, 2, 3:
-    four distinct colours, or ValueError is raised.  Branches on the two
-    ways to finish the first face at the north pole; each branch then
-    propagates to a unique full colouring, which `_propagate`'s per-face
-    bitmask check has shown rainbow.
+    A frame is a colouring's ``c[:4]``, the colours of the north pole and
+    its C1 neighbours 1, 2, 3: a tuple or list of four distinct colours, or
+    ValueError is raised.  Branches on the two ways to finish the first
+    face at the north pole; each branch then propagates to a unique full
+    colouring, which `_propagate`'s per-face bitmask check has shown rainbow.
     """
-    frame = (pole, *triple) if isinstance(triple, (tuple, list)) else ()
     # bool is a subclass of int, but True is not colour 1
-    if tuple(map(type, frame)) != (int,) * 4 or len(set(frame) & set(COLOURS)) != 4:
-        raise ValueError(f"not a colour frame: pole {pole!r}, triple {triple!r}")
+    if not (isinstance(frame, (tuple, list)) and tuple(map(type, frame)) == (int,) * 4
+            and len(set(frame) & set(COLOURS)) == 4):
+        raise ValueError(f"not a colour frame: {frame!r}")
     base = [*frame] + [0] * 16
 
     first_face = model.faces[model.vertex_faces[0][0]]
@@ -259,8 +250,8 @@ def frame_completions(model: PolytopeModel, pole: int, triple) -> tuple[Rainbow,
 def enumerate_by_propagation(model: PolytopeModel) -> tuple[Rainbow, ...]:
     """All colourings via frame-by-frame propagation, sorted lexicographically."""
     out = []
-    for pole, triple in colour_frames():
-        out.extend(frame_completions(model, pole, triple))
+    for frame in permutations(COLOURS, 4):
+        out.extend(frame_completions(model, frame))
     out.sort()
     return tuple(out)
 
@@ -273,7 +264,7 @@ def seed_colourings(model: PolytopeModel) -> tuple[Rainbow, Rainbow]:
     tetrahedra and its zigzags work left-handed (both pairings are fixed by
     the embedding and asserted in tests).
     """
-    a, b = frame_completions(model, 1, (2, 3, 4))
+    a, b = frame_completions(model, (1, 2, 3, 4))
     if parity_class(model, a) != 1:
         a, b = b, a
     if not (parity_class(model, a) == 1 and parity_class(model, b) == -1):
@@ -376,12 +367,12 @@ def zigzag_walk(model: PolytopeModel, start: int, first: int, handedness: str) -
     The walk takes exactly 12 turns, repeating the 6-turn word: each
     three-edge block turns to the handedness side and then to the opposite
     side, and the turns at the block boundaries alternate sides.  Raises
-    AssertionError unless the 12th edge ends at ``start`` and the next one
-    leaves along the edge to ``first``.  Returns the 13 vertices of the
-    walk, both endpoints equal to ``start``.
+    AssertionError where the turn table has no pair, or unless the 12th
+    edge ends at ``start`` and the next leaves along the edge to ``first``.
+    Returns the 13 vertices of the walk, both endpoints equal to ``start``.
     """
-    _check_id(start, 20, "vertex")
-    _check_id(first, 20, "vertex")
+    _check_id(start, "vertex")
+    _check_id(first, "vertex")
     if first not in model.adjacency[start]:
         raise ValueError(f"{first} is not a neighbour of {start}")
     if handedness not in (LEFT, RIGHT):
@@ -389,8 +380,11 @@ def zigzag_walk(model: PolytopeModel, start: int, first: int, handedness: str) -
     side = (LEFT, RIGHT).index(handedness)  # into model.turns' (left, right) pairs
     word = (side, 1 - side, side, side, 1 - side, 1 - side)
     seq = [start, first]
-    for i in range(12):
-        seq.append(model.turns[seq[-2]][seq[-1]][word[i % 6]])
+    try:
+        for i in range(12):
+            seq.append(model.turns[seq[-2]][seq[-1]][word[i % 6]])
+    except TypeError:  # the turn table holds None for seq[-2] -> seq[-1]
+        raise AssertionError(f"the turn table has no pair for {seq[-2]} -> {seq[-1]}") from None
     if (seq[12], seq[13]) != (start, first):
         raise AssertionError(
             f"zigzag walk from {start} -> {first} failed to close after 12 edges")
@@ -406,7 +400,7 @@ def zigzag_trace(model: PolytopeModel, c: Colouring, v: int, handedness: str) ->
     read, so the walk leaves along the lowest-id neighbour.
     """
     check_rainbow(model, c)
-    _check_id(v, 20, "vertex")
+    _check_id(v, "vertex")
     return frozenset(zigzag_walk(model, v, min(model.adjacency[v]), handedness)[::3])
 
 
@@ -531,4 +525,4 @@ def enumeration_to_json(colourings) -> str:
 def colouring_to_off(model: PolytopeModel, c: Colouring) -> str:
     """COFF mesh: the dodecahedron with per-vertex colours from a palette."""
     suffix = [" %d %d %d 255" % _PALETTE[x - 1] for x in check_colouring(c)]
-    return _off_mesh(model, "COFF", [(5, *f) for f in model.faces], suffix)
+    return _off_mesh(model, [(5, *f) for f in model.faces], suffix)

@@ -56,9 +56,8 @@ def classify_colouring(model: PolytopeModel, c) -> tuple[Compound, dict[int, Tet
 
 
 class SpreadReport(NamedTuple):
-    """Result of the brute-force scan for well-spread vertex subsets."""
+    """The exact scan for vertex subsets spread at least a tetrahedron edge apart."""
 
-    threshold: float  # the tetrahedron edge; the scan itself is exact
     max_size: int
     maximal_subsets: tuple[Tetra, ...]
     four_subsets_checked: int
@@ -82,7 +81,6 @@ def spread_subsets(model: PolytopeModel) -> SpreadReport:
     )
     extension = any(all(ok[e][v] for v in q) for q in survivors for e in range(20) if e not in q)
     return SpreadReport(
-        threshold=TETRA_EDGE,
         max_size=5 if extension else (4 if survivors else 3),
         maximal_subsets=survivors,
         four_subsets_checked=len(quads),
@@ -105,7 +103,7 @@ def compound_to_off(model: PolytopeModel, comp: Compound) -> str:
             if det3((x[a], x[b], x[c])).sign() < 0:
                 b, c = c, b
             polygons.append((3, a, b, c, *colour))
-    return _off_mesh(model, "OFF", polygons)
+    return _off_mesh(model, polygons)
 
 
 def compound_to_json(comp: Compound) -> str:

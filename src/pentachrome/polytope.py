@@ -36,13 +36,7 @@ from typing import NamedTuple
 
 TOL = 1e-9
 
-NORTH_POLE = "north_pole"
-C1 = "C1"
-C2 = "C2"
-C3 = "C3"
-C4 = "C4"
-SOUTH_POLE = "south_pole"
-BANDS = (NORTH_POLE, C1, C2, C3, C4, SOUTH_POLE)
+BANDS = ("north_pole", "C1", "C2", "C3", "C4", "south_pole")
 BAND_SIZES = (1, 3, 6, 6, 3, 1)
 
 _PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -392,15 +386,15 @@ def positions(model: PolytopeModel) -> tuple[Vec, ...]:
     return tuple(v.position for v in model.vertices)
 
 
-def _check_id(x: int, count: int, kind: str) -> None:
+def _check_id(x: int, kind: str) -> None:
     # bool is a subclass of int, but True is not id 1
-    if type(x) is not int or not 0 <= x < count:
+    if type(x) is not int or not 0 <= x < 20:
         raise ValueError(f"{kind} id out of range: {x!r}")
 
 
 def neighbours(model: PolytopeModel, v: int) -> frozenset[int]:
     """The 3 vertices joined to v by an edge."""
-    _check_id(v, 20, "vertex")
+    _check_id(v, "vertex")
     return frozenset(model.adjacency[v])
 
 
@@ -413,7 +407,7 @@ def distance_spectrum(model: PolytopeModel) -> tuple[tuple[float, int], ...]:
     """
     pos = positions(model)
     groups: dict[ZPhi, list] = {}
-    for i, j in combinations(range(20), 2):
+    for i, j in combinations(range(len(pos)), 2):
         d2 = model.squared_distances[i][j]
         if d2 not in groups:
             groups[d2] = [norm(sub(pos[i], pos[j])), 0]
@@ -423,7 +417,7 @@ def distance_spectrum(model: PolytopeModel) -> tuple[tuple[float, int], ...]:
 
 def dual_face_of(model: PolytopeModel, icosa_face: int) -> int:
     """The dodecahedron vertex corresponding to a face of the dual icosahedron."""
-    _check_id(icosa_face, 20, "icosahedron face")
+    _check_id(icosa_face, "icosahedron face")
     return model.dual_faces[icosa_face]
 
 
@@ -437,12 +431,12 @@ _PALETTE = (
 )
 
 
-def _off_mesh(model: PolytopeModel, header: str, polygons, vertex_suffix=None) -> str:
-    """An OFF-family mesh on the 20 vertices: the header, the count line,
-    each vertex's coordinates at 17 significant digits, which round-trip,
-    followed by ``vertex_suffix[v]`` when given, and one line per polygon,
-    its integers space-separated."""
-    lines = [header, f"20 {len(polygons)} 30"]
+def _off_mesh(model: PolytopeModel, polygons, vertex_suffix=None) -> str:
+    """An OFF-family mesh on the 20 vertices: the header (COFF with vertex
+    colours ``vertex_suffix[v]``, else OFF), the count line, each vertex's
+    coordinates at 17 significant digits, which round-trip, followed by its
+    suffix when given, and one line per polygon, its integers space-separated."""
+    lines = ["COFF" if vertex_suffix else "OFF", f"20 {len(polygons)} 30"]
     for v in model.vertices:
         coords = " ".join(format(x, ".17g") for x in v.position)
         lines.append(coords + vertex_suffix[v.id] if vertex_suffix else coords)
@@ -452,7 +446,7 @@ def _off_mesh(model: PolytopeModel, header: str, polygons, vertex_suffix=None) -
 
 def model_to_off(model: PolytopeModel) -> str:
     """OFF mesh of the dodecahedron; byte-stable across runs."""
-    return _off_mesh(model, "OFF", [(5, *f) for f in model.faces])
+    return _off_mesh(model, [(5, *f) for f in model.faces])
 
 
 def model_to_json(model: PolytopeModel) -> str:

@@ -130,16 +130,19 @@ def spatial_determinant(model: PolytopeModel, p: Perm) -> int:
     ValueError is raised; then an orthogonal map M realizes it, and det M
     has the sign of det(images of 0, a and r), as the turn rule makes
     det(0, a, r) > 0 for a = adjacency[0][0] and r the right turn after 0 -> a.
+    Raises AssertionError if the turn table has no pair for 0 -> a.
     """
     p = _check_vertex_perm(p)
     d2, image = model.squared_distances, operator.itemgetter(*p)
     if any(image(d2[p[u]]) != d2[u] for u in range(20)):
         raise ValueError("permutation does not keep the vertex distances")
     x, a = model.exact_positions, model.adjacency[0][0]
+    if model.turns[0][a] is None:
+        raise AssertionError(f"the turn table has no pair for 0 -> {a}")
     return det3((x[p[0]], x[p[a]], x[p[model.turns[0][a][1]]])).sign()
 
 
-def tetra_action(model: PolytopeModel, g: Perm, tetrahedra) -> Perm:
+def tetra_action(g: Perm, tetrahedra) -> Perm:
     """The permutation a symmetry induces on the 5 tetrahedra of a compound.
 
     ``tetrahedra`` is an ordered sequence of five distinct 4-tuples of

@@ -174,8 +174,7 @@ class _Battery:
 
     def antipode_bands(self):
         band_of = {v.id: v.latitude for v in self.model.vertices}
-        swap = {"north_pole": "south_pole", "south_pole": "north_pole",
-                "C1": "C4", "C4": "C1", "C2": "C3", "C3": "C2"}
+        swap = dict(zip(BANDS, reversed(BANDS)))
         return all(band_of[self.model.antipode[v]] == swap[band_of[v]] for v in range(20)), ""
 
     def edge_senses(self):
@@ -218,7 +217,7 @@ class _Battery:
 
     def tetra_action(self):
         comp_a = self.compounds[0]
-        actions = {symmetry.tetra_action(self.model, p, comp_a.tetrahedra) for p in self.rot}
+        actions = {symmetry.tetra_action(p, comp_a.tetrahedra) for p in self.rot}
         all_even = all(symmetry.perm_parity(a) == 1 for a in actions)
         return len(actions) == 60 and all_even, f"image size {len(actions)}, all even: {all_even}"
 

@@ -26,7 +26,6 @@ from pentachrome.chroma import (
     check_colouring,
     check_rainbow,
     colour_classes,
-    colour_frames,
     colouring_from_json,
     colouring_to_json,
     cyclic_order_parity,
@@ -174,7 +173,7 @@ def test_is_valid_scans_a_forged_rainbow(model, colourings):
 def test_made_colourings_are_rainbows(model, colourings):
     assert all(type(c) is Rainbow for c in enumerate_by_propagation(model))
     assert all(type(c) is Rainbow for c in seed_colourings(model))
-    assert all(type(c) is Rainbow for c in frame_completions(model, 2, (1, 5, 4)))
+    assert all(type(c) is Rainbow for c in frame_completions(model, (2, 1, 5, 4)))
     plain = [tuple(c) for c in colourings]
     for orbit in orbit_partition(plain, named_subgroup("A5"), model):
         assert all(type(c) is Rainbow for c in orbit)
@@ -199,27 +198,26 @@ def test_cross_oracle_equality(model, colourings):
 
 
 def test_two_completions_per_frame(model):
-    frames = list(colour_frames())
+    frames = list(permutations(COLOURS, 4))
     assert len(frames) == 120
-    for pole, triple in frames:
-        a, b = frame_completions(model, pole, triple)
+    for frame in frames:
+        a, b = frame_completions(model, frame)
         assert a != b
-        assert a[0] == b[0] == pole
-        assert (a[1], a[2], a[3]) == (b[1], b[2], b[3]) == triple
+        assert a[:4] == b[:4] == frame
 
 
 @pytest.mark.parametrize("call,match", [
-    (lambda model: frame_completions(model, 1, (1, 2, 3)),
-     r"^not a colour frame: pole 1, triple \(1, 2, 3\)$"),
-    (lambda model: frame_completions(model, 7, (2, 3, 4)),
-     r"^not a colour frame: pole 7, triple \(2, 3, 4\)$"),
-    (lambda model: frame_completions(model, 0, (2, 3, 4)),
-     r"^not a colour frame: pole 0, triple \(2, 3, 4\)$"),
-    (lambda model: frame_completions(model, 1, (2, 3, 4.0)),
-     r"^not a colour frame: pole 1, triple \(2, 3, 4\.0\)$"),
-    (lambda model: frame_completions(model, True, (2, 3, 4)), "^not a colour frame"),
-    (lambda model: frame_completions(model, 1, (2, 3)), "^not a colour frame"),
-    (lambda model: frame_completions(model, 1, None), "^not a colour frame"),
+    (lambda model: frame_completions(model, (1, 1, 2, 3)),
+     r"^not a colour frame: \(1, 1, 2, 3\)$"),
+    (lambda model: frame_completions(model, (7, 2, 3, 4)),
+     r"^not a colour frame: \(7, 2, 3, 4\)$"),
+    (lambda model: frame_completions(model, (0, 2, 3, 4)),
+     r"^not a colour frame: \(0, 2, 3, 4\)$"),
+    (lambda model: frame_completions(model, (1, 2, 3, 4.0)),
+     r"^not a colour frame: \(1, 2, 3, 4\.0\)$"),
+    (lambda model: frame_completions(model, (True, 2, 3, 4)), "^not a colour frame"),
+    (lambda model: frame_completions(model, (1, 2, 3)), "^not a colour frame"),
+    (lambda model: frame_completions(model, None), "^not a colour frame"),
     (lambda model: cyclic_order_parity(None), "^not a colour cycle: None$"),
     (lambda model: cyclic_order_parity((1, 2, 3, 4, "5")), "^not a colour cycle"),
     (lambda model: cyclic_order_parity((True, 2, 3, 4, 5)), "^not a colour cycle"),
@@ -229,11 +227,11 @@ def test_two_completions_per_frame(model):
     (lambda model: named_subgroup([]), r"^unknown subgroup name: \[\]$"),
     (lambda model: orbit_partition(None, named_subgroup("A5"), model),
      "^expected colourings, not None$"),
-    (lambda model: tetra_action(model, tuple(range(20)), None),
+    (lambda model: tetra_action(tuple(range(20)), None),
      "^not five distinct 4-tuples of vertex ids: None$"),
-    (lambda model: tetra_action(model, tuple(range(20)), [1, 2, 3, 4, 5]),
+    (lambda model: tetra_action(tuple(range(20)), [1, 2, 3, 4, 5]),
      "^not five distinct 4-tuples of vertex ids"),
-    (lambda model: tetra_action(model, tuple(range(20)), model.compounds[0][:3]),
+    (lambda model: tetra_action(tuple(range(20)), model.compounds[0][:3]),
      "^not five distinct 4-tuples of vertex ids"),
     (lambda model: invert(None), "^not a permutation of the 20 vertex ids: None$"),
     (lambda model: invert((5, 5)), r"^not a permutation of the 20 vertex ids: \(5, 5\)$"),
@@ -302,7 +300,7 @@ def test_propagation_returns_only_a_rainbow_colouring(model, colourings, i, blan
 
 def test_seeds_are_frame_completions(model):
     seed_a, seed_b = seed_colourings(model)
-    assert set(frame_completions(model, 1, (2, 3, 4))) == {seed_a, seed_b}
+    assert set(frame_completions(model, (1, 2, 3, 4))) == {seed_a, seed_b}
     assert parity_class(model, seed_a) == 1
     assert parity_class(model, seed_b) == -1
 
@@ -405,7 +403,7 @@ def test_act_rejects_invalid_colouring(model):
     lambda model, x: working_handedness(model, x),
     lambda model, x: colour_classes(x),
     lambda model, x: enumeration_to_json([x]),
-    lambda model, x: tetra_action(model, x, compound_mod.compounds(model)[0].tetrahedra),
+    lambda model, x: tetra_action(x, compound_mod.compounds(model)[0].tetrahedra),
 ], ids=["working_handedness", "colour_classes", "enumeration_to_json", "tetra_action"])
 def test_entry_points_reject_malformed_input(model, call, bad):
     with pytest.raises(ValueError):

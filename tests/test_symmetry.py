@@ -200,9 +200,16 @@ def test_spatial_determinant_rejects_non_symmetries(model, p):
         spatial_determinant(model, p)
 
 
+def test_spatial_determinant_reports_a_missing_turn_pair(model):
+    # a = adjacency[0][0] is then 0, and the edge 0 -> 0 has no turn pair
+    adjacency = (model.adjacency[1], model.adjacency[0]) + model.adjacency[2:]
+    with pytest.raises(AssertionError, match="^the turn table has no pair for 0 -> 0$"):
+        spatial_determinant(model._replace(adjacency=adjacency), tuple(range(20)))
+
+
 def test_tetra_action_identity(model):
     comp_a, _ = compound_mod.compounds(model)
-    assert tetra_action(model, tuple(range(20)), comp_a.tetrahedra) == (0, 1, 2, 3, 4)
+    assert tetra_action(tuple(range(20)), comp_a.tetrahedra) == (0, 1, 2, 3, 4)
 
 
 def test_tetra_action_is_isomorphism_onto_even_permutations(model, rotations):
@@ -210,7 +217,7 @@ def test_tetra_action_is_isomorphism_onto_even_permutations(model, rotations):
     for comp in (comp_a, comp_b):
         images = {}
         for g in rotations:
-            a = tetra_action(model, g, comp.tetrahedra)
+            a = tetra_action(g, comp.tetrahedra)
             assert perm_parity(a) == 1
             images.setdefault(a, []).append(g)
         assert len(images) == 60  # injective, image is all of A5
@@ -224,16 +231,16 @@ def test_tetra_action_homomorphism(model, rotations):
     pool = list(rotations)
     for _ in range(30):
         g, h = rng.choice(pool), rng.choice(pool)
-        assert tetra_action(model, compose(g, h), comp_a.tetrahedra) == compose(
-            tetra_action(model, g, comp_a.tetrahedra),
-            tetra_action(model, h, comp_a.tetrahedra),
+        assert tetra_action(compose(g, h), comp_a.tetrahedra) == compose(
+            tetra_action(g, comp_a.tetrahedra),
+            tetra_action(h, comp_a.tetrahedra),
         )
 
 
 def test_tetra_action_rejects_non_stabilizing_permutation(model):
     comp_a, _ = compound_mod.compounds(model)
     with pytest.raises(ValueError):
-        tetra_action(model, model.antipode, comp_a.tetrahedra)
+        tetra_action(model.antipode, comp_a.tetrahedra)
 
 
 def test_colour_symmetry_validation():
