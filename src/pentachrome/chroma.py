@@ -9,14 +9,17 @@ the backtracking enumerator), or, for a replay colouring, by `_propagate`'s
 per-face bitmask check; or by an operation that keeps faces rainbow (`act`,
 and `orbit_partition`, whose orbits lie in its checked pool).  Every entry
 that needs a rainbow colouring trusts a `Rainbow` and checks anything else
-once; the predicates `is_valid` and `first_violated_face` always scan.  In
-the same way `orbit_partition` trusts a `symmetry.Subgroup` and closes any
-other collection; `stabilizer` only type-checks one, and never closes it.
-The colour action runs in one place, `_images` (for `act` and
+once; the predicates `is_valid` and `first_violated_face` always scan,
+ORing each face's five colour bits (bit x for colour x) against `_ALL`.
+`face_parity_signature`'s lookup of each face reading is its own rainbow
+check.  In the same way `orbit_partition` trusts a `symmetry.Subgroup` and
+closes any other collection; `stabilizer` only type-checks one, and never
+closes it.  The colour action runs in one place, `_images` (for `act` and
 `orbit_partition`), on 20-byte copies: relabelling is one
 `bytes.translate` and the antipodal half of sign -1 one `itemgetter`
-gather.  `stabilizer` applies no element of H: it reads the one candidate
-relabelling per sign off the colouring and checks that.
+gather, made at the first sign -1.  `stabilizer` applies no element of H:
+it reads the one candidate relabelling per sign off the colouring and
+checks that.  Colouring documents share one template, `_DOCUMENT`.
 Two independent enumerators are provided: a brute-force backtracking search
 (`enumerate_colourings`) and a constraint-propagation replay
 (`enumerate_by_propagation`) that fixes the colours of the north pole and
@@ -28,7 +31,7 @@ one colour gets that colour.  The two must produce identical sets.
 from __future__ import annotations
 
 import json
-from itertools import permutations
+from itertools import compress, permutations
 from operator import itemgetter
 
 from .polytope import _PALETTE, PolytopeModel, _check_id, _off_mesh
@@ -43,6 +46,8 @@ LEFT = "left"
 RIGHT = "right"
 LABELLING = "canonical-v1"
 _ALL = sum(1 << x for x in COLOURS)  # a face bitmask holding every colour
+_COLOUR_SET = frozenset(COLOURS)
+_TWENTY_INTS = (int,) * 20
 
 
 class PropagationError(RuntimeError):
@@ -78,10 +83,11 @@ def check_colouring(c) -> Colouring:
         raise ValueError(f"colouring must be a sequence of 20 colours, not {c!r}") from None
     if len(c) != 20:
         raise ValueError(f"colouring must assign 20 vertices, got {len(c)}")
-    for v, x in enumerate(c):
-        # bool is a subclass of int, but True is not colour 1
-        if type(x) is not int or x not in COLOURS:
-            raise ValueError(f"vertex {v} has colour {x!r}, expected 1..5")
+    # bool is a subclass of int, but True is not colour 1; the types go
+    # first, as an unhashable entry would make issuperset raise TypeError
+    if tuple(map(type, c)) != _TWENTY_INTS or not _COLOUR_SET.issuperset(c):
+        v, x = next((v, x) for v, x in enumerate(c) if type(x) is not int or x not in COLOURS)
+        raise ValueError(f"vertex {v} has colour {x!r}, expected 1..5")
     return c
 
 
@@ -104,8 +110,9 @@ def first_violated_face(model: PolytopeModel, c) -> int | None:
 
 def _first_violated_face(model: PolytopeModel, c: Colouring) -> int | None:
     """`first_violated_face` on a colouring already known to be 20 colours."""
+    bits = [1 << x for x in c]
     for fid, (a, b, d, e, f) in enumerate(model.faces):
-        if len({c[a], c[b], c[d], c[e], c[f]}) != 5:
+        if bits[a] | bits[b] | bits[d] | bits[e] | bits[f] != _ALL:
             return fid
     return None
 
@@ -221,14 +228,17 @@ def frame_completions(model: PolytopeModel, frame) -> tuple[Rainbow, Rainbow]:
 
     A frame is a colouring's ``c[:4]``, the colours of the north pole and
     its C1 neighbours 1, 2, 3: a tuple or list of four distinct colours, or
-    ValueError is raised.  Branches on the two ways to finish the first
-    face at the north pole; each branch then propagates to a unique full
-    colouring, which `_propagate`'s per-face bitmask check has shown rainbow.
+    ValueError is raised, as it is for a model without 12 faces.  Branches
+    on the two ways to finish the first face at the north pole; each branch
+    then propagates to a unique full colouring, which `_propagate`'s
+    per-face bitmask check has shown rainbow.
     """
     # bool is a subclass of int, but True is not colour 1
     if not (isinstance(frame, (tuple, list)) and tuple(map(type, frame)) == (int,) * 4
             and len(set(frame) & set(COLOURS)) == 4):
         raise ValueError(f"not a colour frame: {frame!r}")
+    if len(model.faces) != 12:
+        raise ValueError(f"propagation needs 12 faces, the model has {len(model.faces)}")
     base = [*frame] + [0] * 16
 
     first_face = model.faces[model.vertex_faces[0][0]]
@@ -290,17 +300,23 @@ def _images(c, H, model: PolytopeModel):
     take each vertex's colour from its antipode.  Both keep every face
     rainbow: a relabelling permutes the colours of each face, and the
     antipode maps each face onto its opposite face (checked by
-    `build_polytope`)."""
-    b = bytes(c)
-    mirrored = _mirror(b, model)
+    `build_polytope`).  The antipodal gather is made at the first sign -1."""
+    b = mirrored = bytes(c)
     # g is the pair (perm, sign): indexing a tuple subclass is cheaper than unpacking it
-    return ((mirrored if g[1] == -1 else b).translate(_RELABEL[g[0]]) for g in H)
+    for g in H:
+        if g[1] == 1:
+            yield b.translate(_RELABEL[g[0]])
+        else:
+            if mirrored is b:
+                mirrored = _mirror(b, model)
+            yield mirrored.translate(_RELABEL[g[0]])
 
 
 def act(g: ColourSymmetry, c: Colouring, model: PolytopeModel) -> Rainbow:
     """Apply a colour symmetry: relabel colours, then for sign -1 take each
     vertex's colour from its antipode."""
-    _check_symmetries([g])
+    if type(g) is not ColourSymmetry:
+        _check_symmetries([g])
     (image,) = _images(check_rainbow(model, c), [g], model)
     return tuple.__new__(Rainbow, image)
 
@@ -378,13 +394,15 @@ def zigzag_walk(model: PolytopeModel, start: int, first: int, handedness: str) -
     if handedness not in (LEFT, RIGHT):
         raise ValueError(f"handedness must be 'left' or 'right': {handedness!r}")
     side = (LEFT, RIGHT).index(handedness)  # into model.turns' (left, right) pairs
-    word = (side, 1 - side, side, side, 1 - side, 1 - side)
+    turns = model.turns
+    u, w = start, first
     seq = [start, first]
     try:
-        for i in range(12):
-            seq.append(model.turns[seq[-2]][seq[-1]][word[i % 6]])
-    except TypeError:  # the turn table holds None for seq[-2] -> seq[-1]
-        raise AssertionError(f"the turn table has no pair for {seq[-2]} -> {seq[-1]}") from None
+        for s in (side, 1 - side, side, side, 1 - side, 1 - side) * 2:
+            u, w = w, turns[u][w][s]
+            seq.append(w)
+    except TypeError:  # the turn table holds None for u -> w
+        raise AssertionError(f"the turn table has no pair for {u} -> {w}") from None
     if (seq[12], seq[13]) != (start, first):
         raise AssertionError(
             f"zigzag walk from {start} -> {first} failed to close after 12 edges")
@@ -407,8 +425,9 @@ def zigzag_trace(model: PolytopeModel, c: Colouring, v: int, handedness: str) ->
 def working_handedness(model: PolytopeModel, c: Colouring) -> str:
     """The handedness whose zigzag checkpoints reproduce colour classes."""
     c = check_rainbow(model, c)
-    class0 = frozenset(v for v in range(20) if c[v] == c[0])
-    hits = [h for h in (LEFT, RIGHT) if zigzag_trace(model, c, 0, h) == class0]
+    class0 = frozenset(compress(range(20), map(c[0].__eq__, c)))
+    first = min(model.adjacency[0])  # as `zigzag_trace` from vertex 0
+    hits = [h for h in (LEFT, RIGHT) if frozenset(zigzag_walk(model, 0, first, h)[::3]) == class0]
     if len(hits) != 1:
         raise AssertionError("exactly one handedness must reproduce the class")
     return hits[0]
@@ -463,16 +482,16 @@ def face_parity_signature(model: PolytopeModel, c: Colouring):
 
     The cyclic order reads the face in the positive sense (counterclockwise
     from outside).  For a valid colouring all 12 parities agree and the 12
-    orders are pairwise distinct.
+    orders are pairwise distinct.  The lookup is the rainbow check: the
+    readings of five colours that are keys are the 120 rainbow ones.
     """
-    c = check_rainbow(model, c)
+    c = check_colouring(c)
     try:
         return tuple(
             (fid, *_FACE_ORDERS[c[a], c[b], c[d], c[e], c[f]])
             for fid, (a, b, d, e, f) in enumerate(model.faces)
         )
     except KeyError:
-        # a Rainbow trusted from another model: only rainbow readings are keys
         raise ValueError("colouring is not face-rainbow") from None
 
 
@@ -487,11 +506,11 @@ def parity_class(model: PolytopeModel, c: Colouring) -> int:
 def antipodal_rule_holds(model: PolytopeModel, c: Colouring) -> bool:
     """Each antipode carries the one colour missing from a vertex and its
     three neighbours."""
-    c = check_colouring(c)
+    bits = [1 << x for x in check_colouring(c)]
     antipode = model.antipode
-    # the antipode's colour is the fifth iff the five colours differ
+    # the antipode's colour is the fifth iff the five colour bits make `_ALL`
     return all(
-        len({c[v], c[a], c[b], c[d], c[antipode[v]]}) == 5
+        bits[v] | bits[a] | bits[b] | bits[d] | bits[antipode[v]] == _ALL
         for v, (a, b, d) in enumerate(model.adjacency)
     )
 
@@ -499,9 +518,12 @@ def antipodal_rule_holds(model: PolytopeModel, c: Colouring) -> bool:
 # ---------------------------------------------------------------------------
 # serialization
 
+# one colouring document, as json.dumps writes it with separators (",", ":")
+_DOCUMENT = '{"labelling":"%s","colours":[%s]}' % (LABELLING, ",".join(["%d"] * 20))
+
+
 def colouring_to_json(c: Colouring) -> str:
-    doc = {"labelling": LABELLING, "colours": list(check_colouring(c))}
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+    return _DOCUMENT % check_colouring(c) + "\n"
 
 
 def colouring_from_json(text: str) -> Colouring:
@@ -517,9 +539,7 @@ def colouring_from_json(text: str) -> Colouring:
 
 
 def enumeration_to_json(colourings) -> str:
-    docs = [{"labelling": LABELLING, "colours": list(check_colouring(c))}
-            for c in _listed(colourings)]
-    return json.dumps(docs, separators=(",", ":")) + "\n"
+    return "[%s]\n" % ",".join(_DOCUMENT % check_colouring(c) for c in _listed(colourings))
 
 
 def colouring_to_off(model: PolytopeModel, c: Colouring) -> str:

@@ -49,9 +49,10 @@ def classify_colouring(model: PolytopeModel, c) -> tuple[Compound, dict[int, Tet
         members[colour].append(v)
     classes = {colour: tuple(vs) for colour, vs in members.items()}
     class_set = set(classes.values())
-    for comp in compounds(model):
-        if class_set == set(comp.tetrahedra):
-            return comp, classes
+    tets_a, tets_b = model.compounds
+    for label, tets in (("A", tets_a), ("B", tets_b)):
+        if class_set == set(tets):
+            return Compound(label, tets), classes
     raise ValueError("colour classes do not form a compound")
 
 

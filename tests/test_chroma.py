@@ -885,6 +885,96 @@ def test_antipodal_rule_matches_its_definition_on_mutants(model, colourings, i, 
 
 
 # ---------------------------------------------------------------------------
+# the loop forms the bit and set checks replaced, kept as their references
+
+def _check_colouring_by_loop(c):
+    """`check_colouring` as a per-vertex loop."""
+    try:
+        c = tuple(c)
+    except TypeError:
+        raise ValueError(f"colouring must be a sequence of 20 colours, not {c!r}") from None
+    if len(c) != 20:
+        raise ValueError(f"colouring must assign 20 vertices, got {len(c)}")
+    for v, x in enumerate(c):
+        if type(x) is not int or x not in COLOURS:
+            raise ValueError(f"vertex {v} has colour {x!r}, expected 1..5")
+    return c
+
+
+def _first_violated_face_by_sets(model, c):
+    c = _check_colouring_by_loop(c)
+    for fid, (a, b, d, e, f) in enumerate(model.faces):
+        if len({c[a], c[b], c[d], c[e], c[f]}) != 5:
+            return fid
+    return None
+
+
+def _antipodal_rule_by_sets(model, c):
+    c = _check_colouring_by_loop(c)
+    return all(len({c[v], c[a], c[b], c[d], c[model.antipode[v]]}) == 5
+               for v, (a, b, d) in enumerate(model.adjacency))
+
+
+def _outcome(f, *args):
+    """What f returns, or the type and message of what it raises."""
+    try:
+        return "returned", f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _compact_json(doc):
+    return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+class _IntColour(int):
+    """Equal to a colour, but of another type than int: a colouring holding one
+    is malformed."""
+
+
+_BAD_ENTRIES = st.sampled_from([True, False, 1.0, _IntColour(3), [1], {2}, 0, 6, "1", None])
+
+
+def _assert_checks_match_references(model, c):
+    plain = _outcome(_check_colouring_by_loop, c)
+    assert _outcome(check_colouring, c) == plain
+    assert _outcome(first_violated_face, model, c) == _outcome(_first_violated_face_by_sets, model, c)
+    assert _outcome(antipodal_rule_holds, model, c) == _outcome(_antipodal_rule_by_sets, model, c)
+    if plain[0] == "returned":
+        assert colouring_to_json(c) == _compact_json({"labelling": LABELLING, "colours": list(c)})
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    base=st.integers(0, 239) | st.lists(st.integers(1, 5), min_size=20, max_size=20),
+    entries=st.dictionaries(st.integers(0, 19), _BAD_ENTRIES, max_size=3),
+    length=st.sampled_from([19, 20, 20, 20, 21]),
+)
+def test_colour_checks_match_their_loop_references(model, colourings, base, entries, length):
+    c = list(colourings[base] if type(base) is int else base)
+    for v, x in entries.items():
+        c[v] = x
+    c = (c + c)[:length]
+    _assert_checks_match_references(model, tuple(c))
+    _assert_checks_match_references(model, c)
+
+
+def test_colour_checks_match_their_loop_references_on_every_colouring(model, colourings):
+    for c in colourings:
+        _assert_checks_match_references(model, tuple(c))
+        assert first_violated_face(model, c) is None and antipodal_rule_holds(model, c)
+
+
+def test_documents_are_the_compact_json_dumps(colourings):
+    docs = [{"labelling": LABELLING, "colours": list(c)} for c in colourings]
+    for c, doc in zip(colourings, docs):
+        assert colouring_to_json(c) == colouring_to_json(tuple(c)) == _compact_json(doc)
+    assert enumeration_to_json(colourings) == _compact_json(docs)
+    assert enumeration_to_json(map(tuple, colourings[:3])) == _compact_json(docs[:3])
+    assert enumeration_to_json([]) == _compact_json([])
+
+
+# ---------------------------------------------------------------------------
 # serialization
 
 def test_colouring_json_round_trip(colourings):

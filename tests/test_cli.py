@@ -139,6 +139,31 @@ def test_verify_scans_each_made_colouring_once(model, monkeypatch):
     assert scans == []
 
 
+def test_a_library_request_on_a_plain_tuple_makes_seven_face_scans(model, colourings, monkeypatch):
+    # the questions of one library request: validity of the colouring and of
+    # a mutant, the mutant's classification, one action, the classification,
+    # the parity signature, the handedness, a trace, the antipodal rule and a
+    # JSON round trip; 8 scans when the signature ran the full check as well
+    scans = _count_face_scans(monkeypatch)
+    c = tuple(colourings[37])
+    v = next(v for v in range(20) if c[v] != c[0])
+    mutant = (c[v], *c[1:v], c[0], *c[v + 1:])
+    assert chroma.is_valid(model, c) and not chroma.is_valid(model, mutant)
+    with pytest.raises(ValueError, match="^colouring is not face-rainbow$"):
+        compound_mod.classify_colouring(model, mutant)
+    chroma.act(symmetry.ColourSymmetry((2, 3, 1, 5, 4), -1), c, model)
+    compound_mod.classify_colouring(model, c)
+    chroma.face_parity_signature(model, c)
+    chroma.zigzag_trace(model, c, 5, chroma.working_handedness(model, c))
+    assert chroma.antipodal_rule_holds(model, c)
+    assert chroma.colouring_from_json(chroma.colouring_to_json(c)) == c
+    assert len(scans) == 7
+    # the signature's lookup is its own rainbow check
+    scans.clear()
+    chroma.face_parity_signature(model, c)
+    assert scans == []
+
+
 def test_verify_closes_only_the_rotations_and_multiplies_no_colour_symmetries(model, monkeypatch):
     # the vertex symmetries are read off the turn table, and the colour
     # subgroups come from their builders already checked, so nothing is
@@ -486,7 +511,7 @@ _SINGLE_FAULTS = [
               **dict.fromkeys(["completions per colour frame",
                                "propagation enumerator matches backtracking",
                                "canonical seeds valid, distinct, classified A and B"],
-                              "IndexError: list index out of range"),
+                              "ValueError: propagation needs 12 faces, the model has 11"),
               "P2: 12 distinct cyclic orders of one parity per colouring": "",
               "parity split 120 even / 120 odd": "even 0, odd 0",
               "odd relabelling flips all parities, even preserves": "",
