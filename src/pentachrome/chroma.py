@@ -4,12 +4,12 @@ orbit partitioning, zigzag traces and cyclic-order parities.
 A colouring is a tuple of 20 colours in {1..5}, indexed by vertex id.  A
 `Rainbow` is such a tuple known to be face-rainbow, and it compares,
 hashes and sorts as the plain tuple.  One is made only after its faces
-are checked: scanned (`check_rainbow`, which `Rainbow(model, c)` runs, and
-the backtracking enumerator), or, for a replay colouring, by `_propagate`'s
-per-face bitmask check; or by an operation that keeps faces rainbow (`act`,
-and `orbit_partition`, whose orbits lie in its checked pool).  Every entry
-that needs a rainbow colouring trusts a `Rainbow` and checks anything else
-once; the predicates `is_valid` and `first_violated_face` always scan,
+are checked: scanned (`check_rainbow`, which `Rainbow(model, c)` runs, the
+backtracking enumerator, and `act` on an antipodal image), or, for a replay
+colouring, by `_propagate`'s per-face bitmask check; or as a relabelling of
+a `Rainbow`, or as an image `orbit_partition` finds in its checked pool.
+Every entry that needs a rainbow colouring trusts a `Rainbow` and checks
+anything else once; `is_valid` and `first_violated_face` always scan,
 ORing each face's five colour bits (bit x for colour x) against `_ALL`.
 `face_parity_signature`'s lookup of each face reading is its own rainbow
 check.  In the same way `orbit_partition` trusts a `symmetry.Subgroup` and
@@ -34,9 +34,9 @@ import json
 from itertools import compress, permutations
 from operator import itemgetter
 
-from .polytope import _PALETTE, PolytopeModel, _check_id, _off_mesh
+from .polytope import _PALETTE, PolytopeModel, _check_id, _listed, _off_mesh
 from .symmetry import (
-    _FIVE_INTS, ColourSymmetry, Subgroup, _check_subgroup, _check_symmetries, perm_parity,
+    ColourSymmetry, Subgroup, _check_subgroup, _check_symmetries, _permutes, perm_parity,
 )
 
 Colouring = tuple[int, ...]
@@ -48,6 +48,7 @@ LABELLING = "canonical-v1"
 _ALL = sum(1 << x for x in COLOURS)  # a face bitmask holding every colour
 _COLOUR_SET = frozenset(COLOURS)
 _TWENTY_INTS = (int,) * 20
+_BAD_ANTIPODE = "the model's antipode does not map faces onto faces"
 
 
 class PropagationError(RuntimeError):
@@ -89,14 +90,6 @@ def check_colouring(c) -> Colouring:
         v, x = next((v, x) for v, x in enumerate(c) if type(x) is not int or x not in COLOURS)
         raise ValueError(f"vertex {v} has colour {x!r}, expected 1..5")
     return c
-
-
-def _listed(colourings) -> list:
-    """The colourings as a list; raises ValueError if they are not iterable."""
-    try:
-        return list(colourings)
-    except TypeError:
-        raise ValueError(f"expected colourings, not {colourings!r}") from None
 
 
 def is_valid(model: PolytopeModel, c) -> bool:
@@ -171,7 +164,6 @@ def enumerate_colourings(model: PolytopeModel) -> tuple[Rainbow, ...]:
             face_used[f0] &= ~bit
             face_used[f1] &= ~bit
             face_used[f2] &= ~bit
-        col[v] = 0
 
     extend(0)
     return tuple(out)
@@ -290,17 +282,20 @@ _RELABEL = {p: bytes.maketrans(b"\1\2\3\4\5", bytes(p)) for p in permutations(CO
 
 
 def _mirror(b: bytes, model: PolytopeModel) -> bytes:
-    """The 20-byte colouring b with each vertex's colour read at its antipode."""
-    return bytes(itemgetter(*model.antipode)(b))
+    """b with each vertex's colour read at its antipode; ValueError if one is out of range."""
+    try:
+        return bytes(itemgetter(*model.antipode)(b))
+    except IndexError:
+        raise ValueError(_BAD_ANTIPODE) from None
 
 
 def _images(c, H, model: PolytopeModel):
     """The 20-byte image of the valid colouring c under each element of H,
     in H's order, generated one at a time: relabel colours, and for sign -1
-    take each vertex's colour from its antipode.  Both keep every face
-    rainbow: a relabelling permutes the colours of each face, and the
-    antipode maps each face onto its opposite face (checked by
-    `build_polytope`).  The antipodal gather is made at the first sign -1."""
+    take each vertex's colour from its antipode.  A relabelling keeps faces
+    rainbow on any model, an antipodal image only where the antipode maps
+    faces onto faces, so callers check it.  The gather is made at the first
+    sign -1."""
     b = mirrored = bytes(c)
     # g is the pair (perm, sign): indexing a tuple subclass is cheaper than unpacking it
     for g in H:
@@ -314,10 +309,13 @@ def _images(c, H, model: PolytopeModel):
 
 def act(g: ColourSymmetry, c: Colouring, model: PolytopeModel) -> Rainbow:
     """Apply a colour symmetry: relabel colours, then for sign -1 take each
-    vertex's colour from its antipode."""
+    vertex's colour from its antipode.  A sign -1 image is scanned, and
+    ValueError is raised unless it is 20 colours and rainbow."""
     if type(g) is not ColourSymmetry:
         _check_symmetries([g])
     (image,) = _images(check_rainbow(model, c), [g], model)
+    if g[1] == -1 and (len(image) != 20 or _first_violated_face(model, image) is not None):
+        raise ValueError(_BAD_ANTIPODE)
     return tuple.__new__(Rainbow, image)
 
 
@@ -334,7 +332,7 @@ def orbit_partition(colourings, H, model: PolytopeModel) -> tuple[tuple[Rainbow,
     exactly like the tuples.
     """
     H = _check_subgroup(H)
-    pool = sorted(bytes(check_rainbow(model, c)) for c in _listed(colourings))
+    pool = sorted(bytes(check_rainbow(model, c)) for c in _listed(colourings, "colourings"))
     members = set(pool)
     if len(members) != len(pool):
         raise ValueError("duplicate colourings in input")
@@ -454,8 +452,7 @@ def canonical_cycle(order) -> tuple[int, ...]:
         order = tuple(order)
     except TypeError:
         raise ValueError(f"not a colour cycle: {order!r}") from None
-    # bool is a subclass of int, but True is not colour 1
-    if not (tuple(map(type, order)) == _FIVE_INTS and sorted(order) == [1, 2, 3, 4, 5]):
+    if not _permutes(order, COLOURS):
         raise ValueError(f"not a colour cycle: {order!r}")
     i = order.index(1)
     return order[i:] + order[:i]
@@ -505,14 +502,22 @@ def parity_class(model: PolytopeModel, c: Colouring) -> int:
 
 def antipodal_rule_holds(model: PolytopeModel, c: Colouring) -> bool:
     """Each antipode carries the one colour missing from a vertex and its
-    three neighbours."""
+    three neighbours.  Raises ValueError on a vertex without three
+    neighbours or an antipode that is no vertex id."""
     bits = [1 << x for x in check_colouring(c)]
-    antipode = model.antipode
+    adjacency, antipode = model.adjacency, model.antipode
     # the antipode's colour is the fifth iff the five colour bits make `_ALL`
-    return all(
-        bits[v] | bits[a] | bits[b] | bits[d] | bits[antipode[v]] == _ALL
-        for v, (a, b, d) in enumerate(model.adjacency)
-    )
+    try:
+        for v, (a, b, d) in enumerate(adjacency):
+            if bits[v] | bits[a] | bits[b] | bits[d] | bits[antipode[v]] != _ALL:
+                return False
+    except ValueError:  # v's neighbours do not unpack into three
+        raise ValueError(f"vertex {v} has {len(adjacency[v])} neighbours, expected 3") from None
+    except IndexError:
+        if v < len(antipode) and antipode[v] in range(20):
+            raise  # a neighbour id is out of range
+        raise ValueError(_BAD_ANTIPODE) from None
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +544,8 @@ def colouring_from_json(text: str) -> Colouring:
 
 
 def enumeration_to_json(colourings) -> str:
-    return "[%s]\n" % ",".join(_DOCUMENT % check_colouring(c) for c in _listed(colourings))
+    docs = (_DOCUMENT % check_colouring(c) for c in _listed(colourings, "colourings"))
+    return "[%s]\n" % ",".join(docs)
 
 
 def colouring_to_off(model: PolytopeModel, c: Colouring) -> str:

@@ -64,14 +64,8 @@ def parse_subgroup_spec(text: str) -> frozenset[ColourSymmetry]:
         sign_text = sign_text.strip()
         if sign_text not in ("+1", "-1"):
             raise ValueError(f"sign must be +1 or -1: {sign_text!r}")
-        generators.append(
-            ColourSymmetry(_parse_colour_perm(cycles), 1 if sign_text == "+1" else -1)
-        )
+        generators.append(ColourSymmetry(_parse_colour_perm(cycles), int(sign_text)))
     return generate_subgroup(generators)
-
-
-def _colouring_digits(c) -> str:
-    return "".join(str(x) for x in c)
 
 
 def _load_colouring(path, json_report=False):
@@ -148,7 +142,7 @@ def cmd_orbits(args, model) -> int:
         print(f"orbit sizes: {sizes}")
         print("representatives:")
         for r in reps:
-            print(f"  {_colouring_digits(r)}")
+            print("  " + "".join(map(str, r)))
     return 0
 
 
@@ -233,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="write all 240 colourings")
     p.add_argument("--out", required=True, help="output path")
-    p.add_argument("--format", choices=["json"], default="json")
     p.set_defaults(run=cmd_enumerate)
 
     p = sub.add_parser("orbits", help="orbit report for a colour subgroup")

@@ -89,7 +89,6 @@ _TETRA_EDGE2 = ZPhi(8)
 
 
 class Vertex(NamedTuple):
-    id: int
     position: tuple[float, float, float]
     latitude: str
 
@@ -289,7 +288,7 @@ def build_polytope() -> PolytopeModel:
     if norm(sub(pos[0], (0.0, 0.0, 1.0))) >= TOL:
         raise AssertionError("vertex 0 is not the north pole")
 
-    vertices = tuple(Vertex(i, pos[i], latitudes[i]) for i in range(20))
+    vertices = tuple(map(Vertex, pos, latitudes))
 
     # adjacency: the 3 vertices at the minimal exact squared distance
     d2 = [[ZPhi(0)] * 20 for _ in range(20)]
@@ -392,6 +391,14 @@ def _check_id(x: int, kind: str) -> None:
         raise ValueError(f"{kind} id out of range: {x!r}")
 
 
+def _listed(items, kind: str) -> list:
+    """The items as a list; raises ValueError if they are not iterable."""
+    try:
+        return list(items)
+    except TypeError:
+        raise ValueError(f"expected {kind}, not {items!r}") from None
+
+
 def neighbours(model: PolytopeModel, v: int) -> frozenset[int]:
     """The 3 vertices joined to v by an edge."""
     _check_id(v, "vertex")
@@ -437,9 +444,9 @@ def _off_mesh(model: PolytopeModel, polygons, vertex_suffix=None) -> str:
     coordinates at 17 significant digits, which round-trip, followed by its
     suffix when given, and one line per polygon, its integers space-separated."""
     lines = ["COFF" if vertex_suffix else "OFF", f"20 {len(polygons)} 30"]
-    for v in model.vertices:
-        coords = " ".join(format(x, ".17g") for x in v.position)
-        lines.append(coords + vertex_suffix[v.id] if vertex_suffix else coords)
+    for v, vertex in enumerate(model.vertices):
+        coords = " ".join(format(x, ".17g") for x in vertex.position)
+        lines.append(coords + vertex_suffix[v] if vertex_suffix else coords)
     lines += (" ".join(map(str, p)) for p in polygons)
     return "\n".join(lines) + "\n"
 

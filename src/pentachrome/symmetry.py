@@ -22,7 +22,7 @@ import math
 import operator
 from itertools import permutations, repeat
 
-from .polytope import PolytopeModel, det3
+from .polytope import PolytopeModel, _listed, det3
 
 Perm = tuple[int, ...]
 
@@ -30,12 +30,17 @@ Perm = tuple[int, ...]
 # ---------------------------------------------------------------------------
 # vertex permutations
 
+def _permutes(x, values) -> bool:
+    """True iff the tuple or list x holds exactly the ints of ``values``, in
+    some order.  bool is excluded: True is not 1.  The types go first, as
+    sorting mixed types raises TypeError."""
+    return tuple(map(type, x)) == (int,) * len(x) and sorted(x) == sorted(values)
+
+
 def _check_vertex_perm(p) -> Perm:
     """p as a tuple, if it is a permutation of the 20 vertex ids; raises
     ValueError otherwise."""
-    # bool is a subclass of int, but True is not the id 1
-    if not (isinstance(p, (tuple, list)) and len(p) == 20
-            and all(type(x) is int for x in p) and sorted(p) == list(range(20))):
+    if not (isinstance(p, (tuple, list)) and _permutes(p, range(20))):
         raise ValueError(f"not a permutation of the 20 vertex ids: {p!r}")
     return tuple(p)
 
@@ -47,11 +52,7 @@ def compose(p: Perm, q: Perm) -> Perm:
 
 def invert(p: Perm) -> Perm:
     """The inverse of a vertex permutation; ValueError on anything else."""
-    p = _check_vertex_perm(p)
-    inv = [0] * 20
-    for v, img in enumerate(p):
-        inv[img] = v
-    return tuple(inv)
+    return tuple(sorted(range(20), key=_check_vertex_perm(p).__getitem__))
 
 
 def _cycle_lengths(p: Perm) -> list[int]:
@@ -168,9 +169,6 @@ def tetra_action(g: Perm, tetrahedra) -> Perm:
 # ---------------------------------------------------------------------------
 # the colour-side group: permutations of {1..5} with a sign
 
-_FIVE_INTS = (int,) * 5
-
-
 class ColourSymmetry(tuple):
     """A colour permutation together with a sign: the pair (perm, sign).
 
@@ -184,10 +182,9 @@ class ColourSymmetry(tuple):
     sign = property(operator.itemgetter(1))
 
     def __new__(cls, perm: tuple[int, int, int, int, int], sign: int = 1):
-        # bool is a subclass of int, but True is neither colour 1 nor sign +1
-        if not (type(perm) is tuple and tuple(map(type, perm)) == _FIVE_INTS
-                and sorted(perm) == [1, 2, 3, 4, 5]):
+        if not (type(perm) is tuple and _permutes(perm, range(1, 6))):
             raise ValueError(f"not a colour permutation: {perm!r}")
+        # bool is a subclass of int, but True is not sign +1
         if type(sign) is not int or sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1: {sign!r}")
         return tuple.__new__(cls, (perm, sign))
@@ -207,9 +204,8 @@ class ColourSymmetry(tuple):
     __rmul__ = __mul__  # not tuple repetition: an int factor raises in __mul__
 
     def inverse(self) -> "ColourSymmetry":
-        inv = [0] * 5
-        for i, img in enumerate(self[0]):
-            inv[img - 1] = i + 1
+        perm = self[0]
+        inv = sorted(range(1, 6), key=lambda x: perm[x - 1])  # the colours by their images
         return tuple.__new__(ColourSymmetry, (tuple(inv), self[1]))
 
     def parity(self) -> int:
@@ -242,10 +238,7 @@ def _closure(generators, identity, product) -> set:
 def _check_symmetries(elements) -> list[ColourSymmetry]:
     """The elements as a list, if they are an iterable of ColourSymmetry;
     raises ValueError otherwise."""
-    try:
-        elems = list(elements)
-    except TypeError:
-        raise ValueError(f"expected colour symmetries, not {elements!r}") from None
+    elems = _listed(elements, "colour symmetries")
     if not all(map(isinstance, elems, repeat(ColourSymmetry))):
         g = next(g for g in elems if not isinstance(g, ColourSymmetry))
         raise ValueError(f"not a colour symmetry: {g!r}")

@@ -173,7 +173,7 @@ class _Battery:
         return _equals(tuple(sizes[b] for b in BANDS), BAND_SIZES)
 
     def antipode_bands(self):
-        band_of = {v.id: v.latitude for v in self.model.vertices}
+        band_of = dict(enumerate(v.latitude for v in self.model.vertices))
         swap = dict(zip(BANDS, reversed(BANDS)))
         return all(band_of[self.model.antipode[v]] == swap[band_of[v]] for v in range(20)), ""
 

@@ -398,6 +398,48 @@ def test_act_rejects_invalid_colouring(model):
         act(COLOUR_SWAP, tuple([1] * 20), model)
 
 
+_BAD_ANTIPODE = "^the model's antipode does not map faces onto faces$"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda a: a[:19],
+    lambda a: a[1:2] + a[1:],
+    lambda a: (20,) + a[1:],
+], ids=["short", "entry-0-is-entry-1", "entry-0-out-of-range"])
+def test_act_rejects_a_malformed_antipode(model, colourings, edit):
+    mutant = model._replace(antipode=edit(model.antipode))
+    with pytest.raises(ValueError, match=_BAD_ANTIPODE):
+        act(COLOUR_SWAP, colourings[0], mutant)
+    # a relabelling reads no antipode
+    assert act(COLOUR_IDENTITY, colourings[0], mutant) == colourings[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(i=st.integers(0, 239), g=st.sampled_from(_G), v=st.integers(0, 19), w=st.integers(0, 19),
+       edit=st.sampled_from(["swap", "drop", "duplicate", "insert", "out of range"]),
+       far=st.sampled_from([20, 21, 99, -1, -20, -21]))
+def test_act_after_a_single_antipode_edit_raises_or_is_rainbow(
+        model, colourings, i, g, v, w, edit, far):
+    a = list(model.antipode)
+    if edit == "swap":
+        a[v], a[w] = a[w], a[v]
+    elif edit == "drop":
+        del a[v]
+    elif edit == "duplicate":
+        a[v] = a[w]
+    elif edit == "insert":
+        a.insert(v, a[w])
+    else:
+        a[v] = far
+    mutant = model._replace(antipode=tuple(a))
+    try:
+        image = act(g, colourings[i], mutant)
+    except ValueError as exc:
+        assert re.match(_BAD_ANTIPODE, str(exc))
+    else:
+        assert type(image) is Rainbow and len(image) == 20 and is_valid(mutant, image)
+
+
 @pytest.mark.parametrize("bad", [None, (1, 2, 3), (0,) * 20], ids=["None", "short", "zeros"])
 @pytest.mark.parametrize("call", [
     lambda model, x: working_handedness(model, x),
@@ -465,12 +507,16 @@ def test_stabilizer_of_random_subsets(model, colourings, H, identity, i):
 
 
 def _mutant_rainbow(model, colourings):
-    """A model whose antipodes of vertices 0 and 1 are swapped, and a
-    Rainbow that `act` made on it but that is not rainbow there."""
+    """A model whose faces and antipode have entries 0 and 1 exchanged, and
+    a Rainbow of the canonical model that is not rainbow there.  The
+    mutant's antipode still maps its faces onto the canonical ones, so
+    `act` maps such a Rainbow onto images that are rainbow on the mutant."""
+    exchange = {0: 1, 1: 0}
     anti = list(model.antipode)
     anti[0], anti[1] = anti[1], anti[0]
-    mutant = model._replace(antipode=tuple(anti))
-    image = act(COLOUR_SWAP, colourings[0], mutant)
+    mutant = model._replace(faces=tuple(tuple(exchange.get(v, v) for v in f) for f in model.faces),
+                            antipode=tuple(anti))
+    image = act(COLOUR_SWAP, colourings[0], model)
     assert type(image) is Rainbow and not is_valid(mutant, image)
     return mutant, image
 
@@ -855,6 +901,20 @@ def test_antipodal_rule_fails_for_perturbed_assignment(model, colourings):
     c = list(colourings[0])
     c[19] = c[0]
     assert not antipodal_rule_holds(model, tuple(c))
+
+
+def test_antipodal_rule_names_a_malformed_model(model, colourings):
+    short = model._replace(antipode=model.antipode[:19])
+    with pytest.raises(ValueError, match=_BAD_ANTIPODE):
+        antipodal_rule_holds(short, colourings[0])
+    adjacency = list(model.adjacency)
+    adjacency[3] = adjacency[3][:2]
+    with pytest.raises(ValueError, match="^vertex 3 has 2 neighbours, expected 3$"):
+        antipodal_rule_holds(model._replace(adjacency=tuple(adjacency)), colourings[0])
+    # a neighbour out of range is no fault of the antipode
+    adjacency[3] = (0, 7, 20)
+    with pytest.raises(IndexError):
+        antipodal_rule_holds(model._replace(adjacency=tuple(adjacency)), colourings[0])
 
 
 def _antipodal_rule_by_definition(model, c):

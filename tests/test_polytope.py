@@ -69,7 +69,7 @@ def test_three_regular(model):
 
 
 def test_neighbours_of_pole_are_c1(model):
-    c1 = {v.id for v in model.vertices if v.latitude == "C1"}
+    c1 = {v for v, vertex in enumerate(model.vertices) if vertex.latitude == "C1"}
     assert neighbours(model, 0) == frozenset(c1)
 
 
@@ -122,7 +122,7 @@ def test_antipode_structure(model):
 def test_antipode_exchanges_bands(model):
     swap = {"north_pole": "south_pole", "south_pole": "north_pole",
             "C1": "C4", "C4": "C1", "C2": "C3", "C3": "C2"}
-    band_of = {v.id: v.latitude for v in model.vertices}
+    band_of = [v.latitude for v in model.vertices]
     for v in range(20):
         assert band_of[model.antipode[v]] == swap[band_of[v]]
 
@@ -295,7 +295,7 @@ def test_exact_derivation_matches_float_route(model):
         else:
             bands.append([v])
     assert [sorted(b) for b in bands] == [
-        [v.id for v in model.vertices if v.latitude == band] for band in BANDS
+        [v for v, vertex in enumerate(model.vertices) if vertex.latitude == band] for band in BANDS
     ]
 
     tetra_edge = math.sqrt(8.0 / 3.0)

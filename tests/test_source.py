@@ -34,3 +34,31 @@ def test_no_assert_statements():
     found = [f"{path.name}:{node.lineno}" for path, tree in _trees()
              for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_cli_option_is_read():
+    # an option that neither its command nor `_dispatch` reads carries no information
+    (tree,) = (tree for path, tree in _trees() if path.name == "cli.py")
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def read(name):
+        return {n.attr for n in ast.walk(functions[name]) if isinstance(n, ast.Attribute)
+                and isinstance(n.value, ast.Name) and n.value.id == "args"}
+
+    unread, dests = [], []
+    for stmt in functions["build_parser"].body:
+        call = getattr(stmt, "value", None)
+        if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)):
+            continue
+        keywords = {k.arg: k.value for k in call.keywords}
+        if call.func.attr == "add_parser":
+            command, dests = call.args[0].value, []
+        elif call.func.attr == "add_argument":
+            option = next(a.value for a in call.args if a.value.startswith("--"))
+            dest = keywords["dest"].value if "dest" in keywords else option[2:].replace("-", "_")
+            dests.append(dest)
+        elif call.func.attr == "set_defaults":
+            known = read(keywords["run"].id) | read("_dispatch")
+            unread += [f"{command}:{d}" for d in dests if d not in known]
+    assert dests, "no subcommand options found in build_parser"
+    assert unread == []

@@ -9,6 +9,7 @@ import pytest
 
 from pentachrome import compound as compound_mod
 from pentachrome import symmetry
+from pentachrome.chroma import canonical_cycle
 from pentachrome.polytope import positions
 from pentachrome.symmetry import (
     COLOUR_IDENTITY,
@@ -363,3 +364,53 @@ def test_subgroup_copy_and_pickle_check_again(monkeypatch):
     twins = [copy.copy(H), copy.deepcopy(H), pickle.loads(pickle.dumps(H))]
     assert all(twin == H and type(twin) is Subgroup for twin in twins)
     assert len(checked) == 3
+
+
+# the three permutation tests that `symmetry._permutes` replaced, kept as
+# its references: a vertex permutation, a colour permutation and, on the
+# tuple `canonical_cycle` makes, a colour cycle
+def _vertex_perm_by_parent(p):
+    return (isinstance(p, (tuple, list)) and len(p) == 20
+            and all(type(x) is int for x in p) and sorted(p) == list(range(20)))
+
+
+def _colour_perm_by_parent(perm):
+    return (type(perm) is tuple and tuple(map(type, perm)) == (int,) * 5
+            and sorted(perm) == [1, 2, 3, 4, 5])
+
+
+def _colour_cycle_by_parent(order):
+    return tuple(map(type, order)) == (int,) * 5 and sorted(order) == [1, 2, 3, 4, 5]
+
+
+class _Int(int):
+    """Equal to an int, but of another type."""
+
+
+_VERTICES = tuple(range(20))
+_PERMUTATION_INPUTS = [
+    (1, 2, 3, 4, 5), (3, 1, 5, 2, 4), [2, 1, 3, 4, 5], (True, 2, 3, 4, 5), (1.0, 2, 3, 4, 5),
+    (_Int(1), 2, 3, 4, 5), (1, 2, 3, 4), (1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 1), (1, 1, 2, 3, 4),
+    (1, "2", 3, 4, 5), (0, 1, 2, 3, 4), (),
+    _VERTICES, _VERTICES[::-1], list(_VERTICES), _VERTICES[1:] + _VERTICES[:1],
+    (False, True) + _VERTICES[2:], (0.0,) + _VERTICES[1:], (_Int(0),) + _VERTICES[1:],
+    _VERTICES[:19], _VERTICES + (20,), _VERTICES[:19] + (0,), (0,) + _VERTICES[:19],
+    _VERTICES[:19] + ("19",), _VERTICES[:19] + (_Int(19),), tuple(range(1, 21)),
+]
+
+
+def _accepts(check, x):
+    try:
+        check(x)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("x", _PERMUTATION_INPUTS)
+def test_permutation_checks_match_the_parent_expressions(x):
+    assert _accepts(symmetry._check_vertex_perm, x) == _vertex_perm_by_parent(x)
+    assert _accepts(ColourSymmetry, x) == _colour_perm_by_parent(x)
+    assert _accepts(canonical_cycle, x) == _colour_cycle_by_parent(tuple(x))
+    assert symmetry._permutes(x, range(20)) == _vertex_perm_by_parent(list(x))
+    assert symmetry._permutes(x, range(1, 6)) == _colour_perm_by_parent(tuple(x))
