@@ -1,25 +1,26 @@
 """Face-rainbow colourings: validity, enumeration, the colour-group action,
 orbit partitioning, zigzag traces and cyclic-order parities.
 
-A colouring is a tuple of 20 colours in {1..5}, indexed by vertex id.  A
-`Rainbow` is such a tuple known to be face-rainbow, and it compares,
-hashes and sorts as the plain tuple.  One is made only after its faces
-are checked: scanned (`check_rainbow`, which `Rainbow(model, c)` runs, the
+A colouring is a tuple of 20 colours in {1..5}, indexed by vertex id.  One
+rule decides whether five colours are rainbow: their reading is one of the
+120 keys of `_FACE_ORDERS`.  The face scan, the antipodal rule and
+`face_parity_signature` apply it; colour bitmasks are left to the two
+searches.  A `Rainbow` is a face-rainbow colouring, and it compares, hashes
+and sorts as the plain tuple.  One is made only after its faces are
+checked: scanned (`check_rainbow`, which `Rainbow(model, c)` runs, the
 backtracking enumerator, and `act` on an antipodal image), or, for a replay
 colouring, by `_propagate`'s per-face bitmask check; or as a relabelling of
 a `Rainbow`, or as an image `orbit_partition` finds in its checked pool.
 Every entry that needs a rainbow colouring trusts a `Rainbow` and checks
-anything else once; `is_valid` and `first_violated_face` always scan,
-ORing each face's five colour bits (bit x for colour x) against `_ALL`.
-`face_parity_signature`'s lookup of each face reading is its own rainbow
-check.  In the same way `orbit_partition` trusts a `symmetry.Subgroup` and
-closes any other collection; `stabilizer` only type-checks one, and never
-closes it.  The colour action runs in one place, `_images` (for `act` and
-`orbit_partition`), on 20-byte copies: relabelling is one
-`bytes.translate` and the antipodal half of sign -1 one `itemgetter`
-gather, made at the first sign -1.  `stabilizer` applies no element of H:
-it reads the one candidate relabelling per sign off the colouring and
-checks that.  Colouring documents share one template, `_DOCUMENT`.
+anything else once; `is_valid` and `first_violated_face` always scan.  In
+the same way `orbit_partition` trusts a `symmetry.Subgroup` and closes any
+other collection; `stabilizer` only type-checks one, and never closes it.
+The colour action runs in one place, `_images` (for `act` and
+`orbit_partition`), on 20-byte copies: relabelling is one `bytes.translate`
+and the antipodal half of sign -1 one `itemgetter` gather, made at the
+first sign -1.  `stabilizer` applies no element of H: it reads the one
+candidate relabelling per sign off the colouring and checks that.
+Colouring documents share one template, `_DOCUMENT`.
 Two independent enumerators are provided: a brute-force backtracking search
 (`enumerate_colourings`) and a constraint-propagation replay
 (`enumerate_by_propagation`) that fixes the colours of the north pole and
@@ -45,7 +46,7 @@ COLOURS = (1, 2, 3, 4, 5)
 LEFT = "left"
 RIGHT = "right"
 LABELLING = "canonical-v1"
-_ALL = sum(1 << x for x in COLOURS)  # a face bitmask holding every colour
+_ALL = sum(1 << x for x in COLOURS)  # the searches' bitmask of every colour
 _COLOUR_SET = frozenset(COLOURS)
 _TWENTY_INTS = (int,) * 20
 _BAD_ANTIPODE = "the model's antipode does not map faces onto faces"
@@ -103,9 +104,8 @@ def first_violated_face(model: PolytopeModel, c) -> int | None:
 
 def _first_violated_face(model: PolytopeModel, c: Colouring) -> int | None:
     """`first_violated_face` on a colouring already known to be 20 colours."""
-    bits = [1 << x for x in c]
     for fid, (a, b, d, e, f) in enumerate(model.faces):
-        if bits[a] | bits[b] | bits[d] | bits[e] | bits[f] != _ALL:
+        if (c[a], c[b], c[d], c[e], c[f]) not in _FACE_ORDERS:
             return fid
     return None
 
@@ -464,8 +464,8 @@ def inverse_cycle(order) -> tuple[int, ...]:
     return c[:1] + c[:0:-1]
 
 
-# each rainbow face reading -> (canonical cyclic order, parity): the five
-# rotations of each of the 24 orders that start at colour 1
+# each rainbow reading of five colours -> (canonical cyclic order, parity):
+# the five rotations of the 24 orders from colour 1, all 120 orderings
 _FACE_ORDERS = {
     order[i:] + order[:i]: (order, parity)
     for order in ((1, *p) for p in permutations(COLOURS[1:]))
@@ -479,8 +479,7 @@ def face_parity_signature(model: PolytopeModel, c: Colouring):
 
     The cyclic order reads the face in the positive sense (counterclockwise
     from outside).  For a valid colouring all 12 parities agree and the 12
-    orders are pairwise distinct.  The lookup is the rainbow check: the
-    readings of five colours that are keys are the 120 rainbow ones.
+    orders are pairwise distinct.  The lookup is the rainbow check.
     """
     c = check_colouring(c)
     try:
@@ -502,14 +501,14 @@ def parity_class(model: PolytopeModel, c: Colouring) -> int:
 
 def antipodal_rule_holds(model: PolytopeModel, c: Colouring) -> bool:
     """Each antipode carries the one colour missing from a vertex and its
-    three neighbours.  Raises ValueError on a vertex without three
-    neighbours or an antipode that is no vertex id."""
-    bits = [1 << x for x in check_colouring(c)]
+    three neighbours: the five colours read as a rainbow face would.  Raises
+    ValueError on a vertex without three neighbours or an antipode that is
+    no vertex id."""
+    c = check_colouring(c)
     adjacency, antipode = model.adjacency, model.antipode
-    # the antipode's colour is the fifth iff the five colour bits make `_ALL`
     try:
         for v, (a, b, d) in enumerate(adjacency):
-            if bits[v] | bits[a] | bits[b] | bits[d] | bits[antipode[v]] != _ALL:
+            if (c[v], c[a], c[b], c[d], c[antipode[v]]) not in _FACE_ORDERS:
                 return False
     except ValueError:  # v's neighbours do not unpack into three
         raise ValueError(f"vertex {v} has {len(adjacency[v])} neighbours, expected 3") from None

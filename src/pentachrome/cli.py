@@ -99,21 +99,16 @@ def _write(path, text: str) -> int:
 def cmd_verify(args, model) -> int:
     from . import verify  # only this command runs the battery
 
-    checks = verify.run_checks(model)
-    failed = [c for c in checks if not c.ok]
+    checks = [c._asdict() for c in verify.run_checks(model)]  # name, ok, detail, section, seconds
+    failed = sum(not c["ok"] for c in checks)
+    doc = {"checks": checks, "passed": len(checks) - failed, "failed": failed}
     if args.json:
-        doc = {
-            "checks": [c._asdict() for c in checks],  # name, ok, detail, section, seconds
-            "passed": len(checks) - len(failed),
-            "failed": len(failed),
-        }
         print(json.dumps(doc, indent=2))
     else:
         for c in checks:
-            status = "PASS" if c.ok else "FAIL"
-            detail = f": {c.detail}" if c.detail else ""
-            print(f"{status}  {c.name}{detail}")
-        print(f"{len(checks) - len(failed)}/{len(checks)} checks passed")
+            detail = f": {c['detail']}" if c["detail"] else ""
+            print(f"{'PASS' if c['ok'] else 'FAIL'}  {c['name']}{detail}")
+        print(f"{doc['passed']}/{len(checks)} checks passed")
     return 0 if not failed else 1
 
 
@@ -123,26 +118,23 @@ def cmd_enumerate(args, model) -> int:
 
 def cmd_orbits(args, model) -> int:
     subgroup = args.subgroup_elements
-    all_c = chroma.enumerate_colourings(model)
-    orbits = chroma.orbit_partition(all_c, subgroup, model)
-    sizes = sorted({len(o) for o in orbits})
-    reps = [min(o) for o in orbits]
+    orbits = chroma.orbit_partition(chroma.enumerate_colourings(model), subgroup, model)
+    doc = {
+        "subgroup": args.subgroup,
+        "order": len(subgroup),
+        "orbit_count": len(orbits),
+        "orbit_sizes": [len(o) for o in orbits],
+        "representatives": [list(o[0]) for o in orbits],  # each orbit comes sorted
+    }
     if args.json:
-        doc = {
-            "subgroup": args.subgroup,
-            "order": len(subgroup),
-            "orbit_count": len(orbits),
-            "orbit_sizes": [len(o) for o in orbits],
-            "representatives": [list(r) for r in reps],
-        }
         print(json.dumps(doc, indent=2))
-    else:
-        print(f"subgroup order: {len(subgroup)}")
-        print(f"orbit count: {len(orbits)}")
-        print(f"orbit sizes: {sizes}")
-        print("representatives:")
-        for r in reps:
-            print("  " + "".join(map(str, r)))
+        return 0
+    print(f"subgroup order: {doc['order']}")
+    print(f"orbit count: {doc['orbit_count']}")
+    print(f"orbit sizes: {sorted(set(doc['orbit_sizes']))}")
+    print("representatives:")
+    for r in doc["representatives"]:
+        print("  " + "".join(map(str, r)))
     return 0
 
 
@@ -158,38 +150,35 @@ def cmd_classify(args, model) -> int:
         if args.json:
             print(json.dumps({"valid": False, "first_violated_face": face}))
         else:
-            colours = [c[v] for v in model.faces[face]]
-            print(f"INVALID: face {face} carries colours {colours}")
+            print(f"INVALID: face {face} carries colours {[c[v] for v in model.faces[face]]}")
         return 1
 
     comp, classes = compound_mod.classify_colouring(model, c)
     sig = chroma.face_parity_signature(model, c)
-    parity = "odd" if sig[0][2] == -1 else "even"
-    handedness = chroma.working_handedness(model, c)
+    parity_word = {1: "even", -1: "odd"}
+    doc = {
+        "valid": True,
+        "compound": comp.label,
+        "parity": parity_word[sig[0][2]],
+        "handedness": chroma.working_handedness(model, c),
+        "colour_classes": {str(col): list(t) for col, t in sorted(classes.items())},
+        "cyclic_orders": [
+            {"face": fid, "order": list(order), "parity": parity_word[p]} for fid, order, p in sig
+        ],
+    }
     if args.json:
-        doc = {
-            "valid": True,
-            "compound": comp.label,
-            "parity": parity,
-            "handedness": handedness,
-            "colour_classes": {str(col): list(t) for col, t in sorted(classes.items())},
-            "cyclic_orders": [
-                {"face": fid, "order": list(order), "parity": "odd" if p == -1 else "even"}
-                for fid, order, p in sig
-            ],
-        }
         print(json.dumps(doc, indent=2))
-    else:
-        print("valid: yes")
-        print(f"compound: {comp.label}")
-        print(f"cyclic-order parity: {parity} on all 12 faces")
-        print(f"working zigzag handedness: {handedness}")
-        print("colour classes (tetrahedra):")
-        for col, t in sorted(classes.items()):
-            print(f"  colour {col}: {t}")
-        print("face cyclic orders:")
-        for fid, order, p in sig:
-            print(f"  face {fid:2d}: {' '.join(map(str, order))}  ({'odd' if p == -1 else 'even'})")
+        return 0
+    print("valid: yes")
+    print(f"compound: {doc['compound']}")
+    print(f"cyclic-order parity: {doc['parity']} on all 12 faces")
+    print(f"working zigzag handedness: {doc['handedness']}")
+    print("colour classes (tetrahedra):")
+    for col, t in doc["colour_classes"].items():
+        print(f"  colour {col}: {tuple(t)}")
+    print("face cyclic orders:")
+    for f in doc["cyclic_orders"]:
+        print(f"  face {f['face']:2d}: {' '.join(map(str, f['order']))}  ({f['parity']})")
     return 0
 
 

@@ -59,10 +59,9 @@ def classify_colouring(model: PolytopeModel, c) -> tuple[Compound, dict[int, Tet
 class SpreadReport(NamedTuple):
     """The exact scan for vertex subsets spread at least a tetrahedron edge apart."""
 
-    max_size: int
+    max_size: int  # 5 if a well-spread 4-subset extends by a fifth vertex
     maximal_subsets: tuple[Tetra, ...]
     four_subsets_checked: int
-    five_extension_possible: bool
 
 
 def spread_subsets(model: PolytopeModel) -> SpreadReport:
@@ -85,7 +84,6 @@ def spread_subsets(model: PolytopeModel) -> SpreadReport:
         max_size=5 if extension else (4 if survivors else 3),
         maximal_subsets=survivors,
         four_subsets_checked=len(quads),
-        five_extension_possible=extension,
     )
 
 

@@ -1025,6 +1025,69 @@ def test_colour_checks_match_their_loop_references_on_every_colouring(model, col
         assert first_violated_face(model, c) is None and antipodal_rule_holds(model, c)
 
 
+def _rainbow_by_bits(colours):
+    """The colour-bit rule the one rainbow table replaced: five colours are
+    rainbow iff their bits (bit x for colour x) OR to every colour's bit."""
+    bits = 0
+    for x in colours:
+        bits |= 1 << x
+    return bits == sum(1 << x for x in COLOURS)
+
+
+def _first_violated_face_by_bits(model, c):
+    return next((fid for fid, f in enumerate(model.faces)
+                 if not _rainbow_by_bits([c[v] for v in f])), None)
+
+
+def _antipodal_rule_by_bits(model, c):
+    return all(_rainbow_by_bits([c[v], *(c[u] for u in adj), c[model.antipode[v]]])
+               for v, adj in enumerate(model.adjacency))
+
+
+def _act_by_bits(g, c, model):
+    """`act` with its input and its sign -1 image checked by the bit rule."""
+    if _first_violated_face_by_bits(model, c) is not None:
+        return ValueError, "colouring is not face-rainbow"
+    perm, sign = g
+    source = c if sign == 1 else [c[model.antipode[v]] for v in range(20)]
+    image = tuple(perm[x - 1] for x in source)
+    if _first_violated_face_by_bits(model, image) is not None:
+        return ValueError, "the model's antipode does not map faces onto faces"
+    return "returned", image
+
+
+def _swap_in(model, field, i, j, k):
+    """The model with one swap in a field: entries i and j exchanged, or,
+    for k >= 0, vertex k of entry i exchanged with vertex k of entry j."""
+    rows = list(getattr(model, field))
+    if k < 0 or field == "antipode":
+        rows[i], rows[j] = rows[j], rows[i]
+    else:
+        a, b = list(rows[i]), list(rows[j])
+        a[k], b[k] = b[k], a[k]
+        rows[i], rows[j] = tuple(a), tuple(b)
+    return model._replace(**{field: tuple(rows)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    base=st.integers(0, 239) | st.lists(st.integers(1, 5), min_size=20, max_size=20),
+    field=st.sampled_from([None, "faces", "adjacency", "antipode"]),
+    i=st.integers(0, 19), j=st.integers(0, 19), k=st.integers(-1, 2),
+    g=st.sampled_from(_G),
+)
+def test_rainbow_checks_match_the_colour_bit_rule(model, colourings, base, field, i, j, k, g):
+    c = tuple(colourings[base] if type(base) is int else base)
+    if field is not None:
+        n = len(getattr(model, field))
+        model = _swap_in(model, field, i % n, j % n, k)
+    face = _first_violated_face_by_bits(model, c)
+    assert first_violated_face(model, c) == face
+    assert is_valid(model, c) == (face is None)
+    assert antipodal_rule_holds(model, c) == _antipodal_rule_by_bits(model, c)
+    assert _outcome(act, g, c, model) == _act_by_bits(g, c, model)
+
+
 def test_documents_are_the_compact_json_dumps(colourings):
     docs = [{"labelling": LABELLING, "colours": list(c)} for c in colourings]
     for c, doc in zip(colourings, docs):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -10,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pentachrome
-from pentachrome import chroma, symmetry, verify
+from pentachrome import chroma, cli, symmetry, verify
 from pentachrome import compound as compound_mod
 from pentachrome.cli import main, parse_subgroup_spec
 from pentachrome.symmetry import COLOUR_IDENTITY, COLOUR_SWAP, NAMED_SUBGROUPS
@@ -389,6 +390,24 @@ _READ_COLOURINGS = (
     "enumeration export byte-stable",
     "colouring JSON round-trip is identity",
 )
+# the checks that read the antipode itself, not through the colour action
+_READ_ANTIPODE = (
+    "antipode negates positions, involutive, fixed-point free",
+    "antipode exchanges bands (C3=-C2, C4=-C1)",
+    "antipodal distance 2",
+    "full group = rotations + inversion coset, disjoint",
+    "all symmetries commute with the antipode",
+    "antipodal image of compound A is compound B",
+)
+# an antipode of vertex ids that does not map faces onto faces: its colour
+# swap leaves the enumerated colourings
+_ANTIPODE_LEAVES_COLOURINGS = {
+    "orbit of one colouring under the full colour group":
+        "ValueError: the model's antipode does not map faces onto faces",
+    **dict.fromkeys(["orbits under C2", "orbits under A5xC2", "orbits under S5xC2"],
+                    "ValueError: subgroup action leaves the given colouring set"),
+    "P1: handedness flips under the antipodal colour swap": "",
+}
 _COMPOUND_A_TAKES_B_0 = {
     "tetrahedra action: injective image = all 60 even permutations":
         "ValueError: symmetry does not stabilize the compound",
@@ -556,6 +575,37 @@ _SINGLE_FAULTS = [
              {"dual face map is a bijection": "",
               "dual face adjacency preserved both ways": ""},
              "dual-face-0-is-dual-face-1"),
+    # the checks that read the antipode itself name its first bad entry
+    _reports(lambda m: m._replace(antipode=m.antipode[:19]),
+             {**dict.fromkeys(_READ_ANTIPODE, "ValueError: antipode[19] is missing; "
+                              "the antipode must be 20 vertex ids"),
+              **_ANTIPODE_LEAVES_COLOURINGS,
+              "antipodal colour rule at all 20 vertices of all 240":
+                  "ValueError: the model's antipode does not map faces onto faces"},
+             "antipode-19-dropped"),
+    _reports(lambda m: m._replace(antipode=(*m.antipode, 5)),
+             {**dict.fromkeys(_READ_ANTIPODE, "ValueError: antipode[20] is 5; "
+                              "the antipode must be 20 vertex ids"),
+              **_ANTIPODE_LEAVES_COLOURINGS},
+             "antipode-20-added"),
+    _reports(lambda m: m._replace(antipode=(20, *m.antipode[1:])),
+             {**dict.fromkeys(_READ_ANTIPODE, "ValueError: antipode[0] is 20; "
+                              "the antipode must be 20 vertex ids"),
+              **dict.fromkeys(["orbit of one colouring under the full colour group",
+                               "all stabilizers trivial",
+                               "orbits under C2", "orbits under A5xC2", "orbits under S5xC2",
+                               "antipodal colour rule at all 20 vertices of all 240",
+                               "odd relabelling flips all parities, even preserves",
+                               "P1: handedness flips under the antipodal colour swap"],
+                              "ValueError: the model's antipode does not map faces onto faces")},
+             "antipode-0-out-of-range"),
+    # 20 vertex ids, but not a permutation: the checks measure it
+    _reports(lambda m: m._replace(antipode=(m.antipode[1], *m.antipode[1:])),
+             {**dict.fromkeys(_READ_ANTIPODE, ""),
+              "antipodal distance 2": "max dev 1.32e-01",
+              **_ANTIPODE_LEAVES_COLOURINGS,
+              "antipodal colour rule at all 20 vertices of all 240": ""},
+             "antipode-0-is-antipode-1"),
     # more pairs then lie at least a tetrahedron edge apart
     _reports(lambda m: m._replace(squared_distances=tuple(
         tuple(d + d for d in row) for row in m.squared_distances)),
@@ -677,6 +727,23 @@ def test_orbits_generator_spec(capsys):
     assert doc["orbit_count"] == 120
 
 
+@pytest.mark.parametrize(
+    "spec", [*NAMED_SUBGROUPS, "id,-1", "(1 2 3),+1", "(1 2)(3 4),-1; (1 5),+1"])
+def test_orbits_text_and_json_agree(capsys, spec):
+    code, text, _ = run_cli(capsys, "orbits", "--subgroup", spec)
+    json_code, out, _ = run_cli(capsys, "orbits", "--subgroup", spec, "--json")
+    doc = json.loads(out)
+    assert code == json_code == 0
+    assert doc["subgroup"] == spec and doc["orbit_count"] * doc["order"] == 240
+    assert text.splitlines() == [
+        f"subgroup order: {doc['order']}",
+        f"orbit count: {doc['orbit_count']}",
+        f"orbit sizes: {sorted(set(doc['orbit_sizes']))}",
+        "representatives:",
+        *("  " + "".join(map(str, r)) for r in doc["representatives"]),
+    ]
+
+
 def test_orbits_bad_spec_exits_two(capsys):
     for spec in ("garbage(((", ";"):
         with pytest.raises(SystemExit) as exc:
@@ -722,6 +789,53 @@ def test_classify_odd_relabelling_same_compound_flipped_parity(capsys, tmp_path,
     doc1, doc2 = json.loads(out1), json.loads(out2)
     assert doc1["compound"] == doc2["compound"] == "A"
     assert {doc1["parity"], doc2["parity"]} == {"even", "odd"}
+
+
+def _classify_text_as_document(text):
+    """The facts a text classify report states, as its JSON document states them."""
+    head, classes, orders = re.fullmatch(
+        r"(.*)\ncolour classes \(tetrahedra\):\n(.*)\nface cyclic orders:\n(.*)\n", text, re.S
+    ).groups()
+    lines = dict(line.split(": ", 1) for line in head.splitlines())
+    return {
+        "valid": lines["valid"] == "yes",
+        "compound": lines["compound"],
+        "parity": re.fullmatch(r"(\w+) on all 12 faces", lines["cyclic-order parity"])[1],
+        "handedness": lines["working zigzag handedness"],
+        "colour_classes": {
+            m[1]: [int(v) for v in m[2].split(", ")]
+            for m in re.finditer(r"^  colour (\d): \((.*)\)$", classes, re.M)
+        },
+        "cyclic_orders": [
+            {"face": int(m[1]), "order": [int(x) for x in m[2].split()], "parity": m[3]}
+            for m in re.finditer(r"^  face +(\d+): ([\d ]+?)  \((\w+)\)$", orders, re.M)
+        ],
+    }
+
+
+def test_classify_text_and_json_agree(capsys, tmp_path, model, colourings, monkeypatch):
+    monkeypatch.setattr(cli, "build_polytope", lambda: model)
+    mutants = []
+    for c in colourings[::24]:
+        mutants.append((c[1], c[0], *c[2:]))
+        mutants.append((c[0], *c[:19]))
+    path = tmp_path / "c.json"
+    for c in (*colourings, *mutants):
+        path.write_text(chroma.colouring_to_json(c))
+        code, text, _ = run_cli(capsys, "classify", "--in", str(path))
+        json_code, out, _ = run_cli(capsys, "classify", "--in", str(path), "--json")
+        doc = json.loads(out)
+        assert code == json_code == (0 if doc["valid"] else 1)
+        if not doc["valid"]:
+            face = doc["first_violated_face"]
+            assert face == chroma.first_violated_face(model, c) is not None
+            colours = [c[v] for v in model.faces[face]]
+            assert text == f"INVALID: face {face} carries colours {colours}\n"
+            continue
+        assert len(text.splitlines()) == 23 and len(doc["cyclic_orders"]) == 12
+        assert _classify_text_as_document(text) == doc
+        assert doc["compound"] == compound_mod.classify_colouring(model, c)[0].label
+    assert sum(chroma.is_valid(model, c) for c in mutants) == 0
 
 
 def test_classify_missing_file(capsys, tmp_path):

@@ -138,8 +138,7 @@ def test_classify_rejects_invalid(model):
 def test_spread_subsets(model):
     report = spread_subsets(model)
     assert report.four_subsets_checked == 4845
-    assert report.max_size == 4
-    assert not report.five_extension_possible
+    assert report.max_size == 4  # so no 4-subset extends by a fifth vertex
     assert set(report.maximal_subsets) == set(inscribed_tetrahedra(model))
 
 

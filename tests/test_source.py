@@ -62,3 +62,16 @@ def test_every_cli_option_is_read():
             unread += [f"{command}:{d}" for d in dests if d not in known]
     assert dests, "no subcommand options found in build_parser"
     assert unread == []
+
+
+def test_colour_bits_stay_in_the_two_searches():
+    # every other rainbow test looks the reading up in `_FACE_ORDERS`
+    (tree,) = (tree for path, tree in _trees() if path.name == "chroma.py")
+    found = set()
+    for node in tree.body:  # named by its function, or by what it assigns
+        name = getattr(node, "name", None) or ast.unparse(getattr(node, "targets", [node])[0])
+        for n in ast.walk(node):
+            shift = isinstance(n, ast.BinOp) and isinstance(n.op, ast.LShift)
+            if shift or (isinstance(n, ast.Name) and n.id == "_ALL" and isinstance(n.ctx, ast.Load)):
+                found.add(name)
+    assert found == {"_ALL", "enumerate_colourings", "_propagate"}
