@@ -49,7 +49,6 @@ LABELLING = "canonical-v1"
 _ALL = sum(1 << x for x in COLOURS)  # the searches' bitmask of every colour
 _COLOUR_SET = frozenset(COLOURS)
 _TWENTY_INTS = (int,) * 20
-_BAD_ANTIPODE = "the model's antipode does not map faces onto faces"
 
 
 class PropagationError(RuntimeError):
@@ -122,12 +121,13 @@ def check_rainbow(model: PolytopeModel, c) -> Rainbow:
     return tuple.__new__(Rainbow, c)
 
 
-def colour_classes(c: Colouring) -> dict[int, frozenset[int]]:
-    """colour -> the vertices carrying it; c must be 20 colours in 1..5."""
-    classes = {colour: [] for colour in COLOURS}
+def colour_classes(c: Colouring, kind=frozenset) -> dict:
+    """colour -> the vertices carrying it, as a frozenset, or for kind=tuple
+    in ascending order; c must be 20 colours in 1..5."""
+    classes = [], [], [], [], [], []  # indexed by colour; entry 0 stays empty
     for v, colour in enumerate(check_colouring(c)):
         classes[colour].append(v)
-    return {colour: frozenset(vs) for colour, vs in classes.items()}
+    return dict(zip(COLOURS, map(kind, classes[1:])))
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +282,8 @@ _RELABEL = {p: bytes.maketrans(b"\1\2\3\4\5", bytes(p)) for p in permutations(CO
 
 
 def _mirror(b: bytes, model: PolytopeModel) -> bytes:
-    """b with each vertex's colour read at its antipode; ValueError if one is out of range."""
-    try:
-        return bytes(itemgetter(*model.antipode)(b))
-    except IndexError:
-        raise ValueError(_BAD_ANTIPODE) from None
+    """b with each vertex's colour read at its antipode."""
+    return bytes(itemgetter(*model.antipode)(b))
 
 
 def _images(c, H, model: PolytopeModel):
@@ -310,12 +307,12 @@ def _images(c, H, model: PolytopeModel):
 def act(g: ColourSymmetry, c: Colouring, model: PolytopeModel) -> Rainbow:
     """Apply a colour symmetry: relabel colours, then for sign -1 take each
     vertex's colour from its antipode.  A sign -1 image is scanned, and
-    ValueError is raised unless it is 20 colours and rainbow."""
+    ValueError is raised unless it is rainbow."""
     if type(g) is not ColourSymmetry:
         _check_symmetries([g])
     (image,) = _images(check_rainbow(model, c), [g], model)
-    if g[1] == -1 and (len(image) != 20 or _first_violated_face(model, image) is not None):
-        raise ValueError(_BAD_ANTIPODE)
+    if g[1] == -1 and _first_violated_face(model, image) is not None:
+        raise ValueError("the model's antipode does not map faces onto faces")
     return tuple.__new__(Rainbow, image)
 
 
@@ -502,8 +499,7 @@ def parity_class(model: PolytopeModel, c: Colouring) -> int:
 def antipodal_rule_holds(model: PolytopeModel, c: Colouring) -> bool:
     """Each antipode carries the one colour missing from a vertex and its
     three neighbours: the five colours read as a rainbow face would.  Raises
-    ValueError on a vertex without three neighbours or an antipode that is
-    no vertex id."""
+    ValueError on a vertex without three neighbours."""
     c = check_colouring(c)
     adjacency, antipode = model.adjacency, model.antipode
     try:
@@ -512,10 +508,6 @@ def antipodal_rule_holds(model: PolytopeModel, c: Colouring) -> bool:
                 return False
     except ValueError:  # v's neighbours do not unpack into three
         raise ValueError(f"vertex {v} has {len(adjacency[v])} neighbours, expected 3") from None
-    except IndexError:
-        if v < len(antipode) and antipode[v] in range(20):
-            raise  # a neighbour id is out of range
-        raise ValueError(_BAD_ANTIPODE) from None
     return True
 
 

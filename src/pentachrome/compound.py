@@ -44,10 +44,7 @@ def classify_colouring(model: PolytopeModel, c) -> tuple[Compound, dict[int, Tet
     Raises ValueError if the colouring is invalid or the classes are not
     the tetrahedra of a single compound.
     """
-    members = {colour: [] for colour in chroma.COLOURS}
-    for v, colour in enumerate(chroma.check_rainbow(model, c)):
-        members[colour].append(v)
-    classes = {colour: tuple(vs) for colour, vs in members.items()}
+    classes = chroma.colour_classes(chroma.check_rainbow(model, c), tuple)
     class_set = set(classes.values())
     tets_a, tets_b = model.compounds
     for label, tets in (("A", tets_a), ("B", tets_b)):

@@ -54,6 +54,9 @@ class ZPhi(tuple):
     def __new__(cls, a: int, b: int = 0):
         return tuple.__new__(cls, (a, b))
 
+    def __getnewargs__(self):  # copy and pickle rebuild through __new__
+        return tuple(self)
+
     def __add__(self, other):
         return tuple.__new__(ZPhi, (self[0] + other[0], self[1] + other[1]))
 
@@ -93,8 +96,29 @@ class Vertex(NamedTuple):
     latitude: str
 
 
-class PolytopeModel(NamedTuple):
+class _ModelFields(NamedTuple):
+    vertices: tuple[Vertex, ...]
+    faces: tuple[tuple[int, int, int, int, int], ...]
+    edges: tuple[tuple[int, int], ...]
+    antipode: tuple[int, ...]
+    adjacency: tuple[tuple[int, int, int], ...]
+    vertex_faces: tuple[tuple[int, int, int], ...]
+    icosa_faces: tuple[tuple[int, int, int], ...]
+    dual_faces: tuple[int, ...]
+    turns: tuple[tuple[tuple[int, int] | None, ...], ...]
+    opposite_faces: tuple[int, ...]
+    tetrahedra: tuple[Tetra, ...]
+    compounds: tuple[tuple[Tetra, ...], tuple[Tetra, ...]]
+    exact_positions: tuple[ExactVec, ...]
+    squared_distances: tuple[tuple[ZPhi, ...], ...]
+
+
+class PolytopeModel(_ModelFields):
     """Immutable labelled dodecahedron; a variant is made with `_replace`.
+
+    Wherever a model is made (`build_polytope`, `_replace`, a copy, an
+    unpickled one) its antipode must be 20 ints, not bools, in 0..19, or
+    ValueError names the first bad index; `verify` measures all the rest.
 
     ``faces`` are oriented pentagons (positive sense = counterclockwise seen
     from outside), ``adjacency[v]`` holds the 3 neighbours of v, and
@@ -119,20 +143,22 @@ class PolytopeModel(NamedTuple):
     the exact squared distance between u and v.
     """
 
-    vertices: tuple[Vertex, ...]
-    faces: tuple[tuple[int, int, int, int, int], ...]
-    edges: tuple[tuple[int, int], ...]
-    antipode: tuple[int, ...]
-    adjacency: tuple[tuple[int, int, int], ...]
-    vertex_faces: tuple[tuple[int, int, int], ...]
-    icosa_faces: tuple[tuple[int, int, int], ...]
-    dual_faces: tuple[int, ...]
-    turns: tuple[tuple[tuple[int, int] | None, ...], ...]
-    opposite_faces: tuple[int, ...]
-    tetrahedra: tuple[Tetra, ...]
-    compounds: tuple[tuple[Tetra, ...], tuple[Tetra, ...]]
-    exact_positions: tuple[ExactVec, ...]
-    squared_distances: tuple[tuple[ZPhi, ...], ...]
+    __slots__ = ()
+
+    # typing.NamedTuple forbids overriding these two in its own body
+    def __new__(cls, *fields, **named):
+        model = super().__new__(cls, *fields, **named)
+        a = model.antipode
+        for i in range(max(len(a), 20)):
+            # bool is a subclass of int, but True is not vertex 1
+            if i >= len(a) or i > 19 or type(a[i]) is not int or not 0 <= a[i] < 20:
+                got = repr(a[i]) if i < len(a) else "missing"
+                raise ValueError(f"antipode[{i}] is {got}; the antipode must be 20 vertex ids")
+        return model
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +358,7 @@ def build_polytope() -> PolytopeModel:
             raise AssertionError("face vertices not coplanar")
 
     index = {p: v for v, p in enumerate(exact)}
-    antipode = [index.get(tuple(-x for x in p)) for p in exact]
-    if None in antipode:
-        raise AssertionError("antipodal vertex not found")
+    antipode = tuple(index.get(tuple(-x for x in p)) for p in exact)
 
     face_ids = {frozenset(f): fid for fid, f in enumerate(faces)}
     opposite_faces = tuple(face_ids.get(frozenset(antipode[v] for v in f)) for f in faces)
@@ -367,7 +391,7 @@ def build_polytope() -> PolytopeModel:
         vertices=vertices,
         faces=faces,
         edges=edges,
-        antipode=tuple(antipode),
+        antipode=antipode,
         adjacency=tuple(tuple(sorted(a)) for a in adj),
         vertex_faces=vertex_faces,
         icosa_faces=icosa_faces,

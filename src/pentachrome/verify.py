@@ -69,18 +69,6 @@ def _enumeration(b):
     return colourings, time.perf_counter() - t0
 
 
-def _antipode(b):
-    """The model's antipode once it is 20 vertex ids, repeats allowed."""
-    antipode = b.model.antipode
-    for i in range(max(len(antipode), 20)):
-        x = antipode[i] if i < len(antipode) else None
-        # bool is a subclass of int, but True is not vertex 1
-        if i > 19 or type(x) is not int or not 0 <= x < 20:
-            got = repr(x) if i < len(antipode) else "missing"
-            raise ValueError(f"antipode[{i}] is {got}; the antipode must be 20 vertex ids")
-    return antipode
-
-
 def _parities(b):
     """colouring -> its one parity, for each colouring whose 12 face orders
     are distinct and share one parity (P2)"""
@@ -122,7 +110,6 @@ _FACTS = {
     "enumeration": _enumeration,
     "colourings": lambda b: b.enumeration[0],
     "propagation": lambda b: chroma.enumerate_by_propagation(b.model),
-    "antipode": _antipode,
     "rot": lambda b: symmetry.rotation_group(b.model),
     "full": lambda b: symmetry.full_group(b.model),
     "G": lambda b: symmetry.colour_group(),
@@ -188,7 +175,7 @@ class _Battery:
     def antipode_bands(self):
         band_of = dict(enumerate(v.latitude for v in self.model.vertices))
         swap = dict(zip(BANDS, reversed(BANDS)))
-        return all(band_of[self.antipode[v]] == swap[band_of[v]] for v in range(20)), ""
+        return all(band_of[self.model.antipode[v]] == swap[band_of[v]] for v in range(20)), ""
 
     def edge_senses(self):
         directed = Counter((f[i], f[(i + 1) % 5]) for f in self.model.faces for i in range(5))
@@ -208,7 +195,7 @@ class _Battery:
         ), ""
 
     def mirror_coset(self):
-        mirrored = {symmetry.compose(self.antipode, g) for g in self.rot}
+        mirrored = {symmetry.compose(self.model.antipode, g) for g in self.rot}
         return set(self.full) == set(self.rot) | mirrored and not (set(self.rot) & mirrored), ""
 
     def transitive(self):
@@ -352,13 +339,13 @@ CHECKS = (
      lambda b: _below(norm(sub(b.positions[0], (0.0, 0.0, 1.0))), "offset {:.2e}")),
     ("polytope", "latitude band sizes", _Battery.band_sizes),
     ("polytope", "antipode negates positions, involutive, fixed-point free", lambda b: (all(
-        norm(add(b.positions[b.antipode[v]], b.positions[v])) < TOL
-        and b.antipode[b.antipode[v]] == v and b.antipode[v] != v
-        for v in range(20)
+        norm(add(b.positions[a], b.positions[v])) < TOL and b.model.antipode[a] == v != a
+        for v, a in enumerate(b.model.antipode)
     ), "")),
     ("polytope", "antipode exchanges bands (C3=-C2, C4=-C1)", _Battery.antipode_bands),
     ("polytope", "antipodal distance 2", lambda b: _below(max(
-        abs(norm(sub(b.positions[v], b.positions[b.antipode[v]])) - 2.0) for v in range(20)
+        abs(norm(sub(b.positions[v], b.positions[a])) - 2.0)
+        for v, a in enumerate(b.model.antipode)
     ), "max dev {:.2e}")),
     ("polytope", "each edge on 2 faces with opposite senses", _Battery.edge_senses),
     ("polytope", "distance spectrum: 190 pairs, 30 at the edge length", _Battery.spectrum_counts),
@@ -379,7 +366,7 @@ CHECKS = (
     ("symmetry", "rotations transitive on vertices, edges, faces", _Battery.transitive),
     ("symmetry", "stabilizer orders vertex/face/edge = 3/5/2", _Battery.stabilizer_orders),
     ("symmetry", "all symmetries commute with the antipode", lambda b: (all(
-        p[b.antipode[v]] == b.antipode[p[v]] for p in b.full for v in range(20)
+        p[a] == b.model.antipode[p[v]] for p in b.full for v, a in enumerate(b.model.antipode)
     ), "")),
     ("symmetry", "tetrahedra action: injective image = all 60 even permutations",
      _Battery.tetra_action),
@@ -406,7 +393,7 @@ CHECKS = (
      lambda b: (all(sum(v in t for t in b.tetrahedra) == 2 for v in range(20)), "")),
     ("compound", "tetrahedron edge equals third-smallest distance", _Battery.tetra_edge),
     ("compound", "antipodal image of compound A is compound B",
-     lambda b: (b.image_of_a(b.antipode) == set(b.compounds[1].tetrahedra), "")),
+     lambda b: (b.image_of_a(b.model.antipode) == set(b.compounds[1].tetrahedra), "")),
     ("compound", "every rotation stabilizes each compound", _Battery.rotations_keep_compounds),
     ("compound", "every orientation-reversing symmetry exchanges the compounds",
      _Battery.reflections_swap_compounds),

@@ -8,10 +8,10 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pentachrome import chroma, symmetry
+from pentachrome import chroma, symmetry, verify
 from pentachrome import compound as compound_mod
 from pentachrome.chroma import (
     COLOURS,
@@ -399,14 +399,20 @@ def test_act_rejects_invalid_colouring(model):
 
 
 _BAD_ANTIPODE = "^the model's antipode does not map faces onto faces$"
+_NOT_20_IDS = "; the antipode must be 20 vertex ids$"
 
 
-@pytest.mark.parametrize("edit", [
-    lambda a: a[:19],
-    lambda a: a[1:2] + a[1:],
-    lambda a: (20,) + a[1:],
+@pytest.mark.parametrize("edit,refused", [
+    (lambda a: a[:19], r"^antipode\[19\] is missing"),
+    (lambda a: a[1:2] + a[1:], None),
+    (lambda a: (20,) + a[1:], r"^antipode\[0\] is 20"),
 ], ids=["short", "entry-0-is-entry-1", "entry-0-out-of-range"])
-def test_act_rejects_a_malformed_antipode(model, colourings, edit):
+def test_act_rejects_a_malformed_antipode(model, colourings, edit, refused):
+    # an antipode that is not 20 vertex ids is refused where the model is made
+    if refused:
+        with pytest.raises(ValueError, match=refused + _NOT_20_IDS):
+            model._replace(antipode=edit(model.antipode))
+        return
     mutant = model._replace(antipode=edit(model.antipode))
     with pytest.raises(ValueError, match=_BAD_ANTIPODE):
         act(COLOUR_SWAP, colourings[0], mutant)
@@ -416,28 +422,51 @@ def test_act_rejects_a_malformed_antipode(model, colourings, edit):
 
 @settings(max_examples=200, deadline=None)
 @given(i=st.integers(0, 239), g=st.sampled_from(_G), v=st.integers(0, 19), w=st.integers(0, 19),
-       edit=st.sampled_from(["swap", "drop", "duplicate", "insert", "out of range"]),
-       far=st.sampled_from([20, 21, 99, -1, -20, -21]))
+       edit=st.sampled_from(["swap", "drop", "duplicate", "insert", "no vertex id"]),
+       far=st.sampled_from([20, 21, 99, -1, -20, -21, True]))
+@example(i=0, g=COLOUR_SWAP, v=3, w=0, edit="no vertex id", far=-1)
+@example(i=0, g=COLOUR_SWAP, v=3, w=0, edit="no vertex id", far=True)
 def test_act_after_a_single_antipode_edit_raises_or_is_rainbow(
         model, colourings, i, g, v, w, edit, far):
     a = list(model.antipode)
+    refused = None  # the start of the model's message, if it refuses the edit
     if edit == "swap":
         a[v], a[w] = a[w], a[v]
-    elif edit == "drop":
-        del a[v]
     elif edit == "duplicate":
         a[v] = a[w]
+    elif edit == "drop":
+        del a[v]
+        refused = r"^antipode\[19\] is missing"
     elif edit == "insert":
         a.insert(v, a[w])
+        refused = rf"^antipode\[20\] is {a[20]}"
     else:
         a[v] = far
+        refused = rf"^antipode\[{v}\] is {far!r}"
+    if refused:
+        with pytest.raises(ValueError, match=refused + _NOT_20_IDS):
+            model._replace(antipode=tuple(a))
+        return
     mutant = model._replace(antipode=tuple(a))
+    c = colourings[i]
     try:
-        image = act(g, colourings[i], mutant)
+        image = act(g, c, mutant)
     except ValueError as exc:
         assert re.match(_BAD_ANTIPODE, str(exc))
     else:
         assert type(image) is Rainbow and len(image) == 20 and is_valid(mutant, image)
+    # the other readers of the antipode raise ValueError or nothing
+    for read in (lambda: stabilizer(c, _G, mutant),
+                 lambda: orbit_partition(colourings, named_subgroup("C2"), mutant),
+                 lambda: antipodal_rule_holds(mutant, c)):
+        try:
+            read()
+        except ValueError:
+            pass
+    checks = verify.run_checks(mutant)
+    assert len(checks) == 61
+    assert [ch.detail for ch in checks
+            if not ch.ok and ch.detail.startswith(("IndexError", "TypeError", "KeyError"))] == []
 
 
 @pytest.mark.parametrize("bad", [None, (1, 2, 3), (0,) * 20], ids=["None", "short", "zeros"])
@@ -904,9 +933,9 @@ def test_antipodal_rule_fails_for_perturbed_assignment(model, colourings):
 
 
 def test_antipodal_rule_names_a_malformed_model(model, colourings):
-    short = model._replace(antipode=model.antipode[:19])
-    with pytest.raises(ValueError, match=_BAD_ANTIPODE):
-        antipodal_rule_holds(short, colourings[0])
+    # a short antipode is refused where the model is made, before the rule reads it
+    with pytest.raises(ValueError, match=r"^antipode\[19\] is missing" + _NOT_20_IDS):
+        model._replace(antipode=model.antipode[:19])
     adjacency = list(model.adjacency)
     adjacency[3] = adjacency[3][:2]
     with pytest.raises(ValueError, match="^vertex 3 has 2 neighbours, expected 3$"):

@@ -575,30 +575,6 @@ _SINGLE_FAULTS = [
              {"dual face map is a bijection": "",
               "dual face adjacency preserved both ways": ""},
              "dual-face-0-is-dual-face-1"),
-    # the checks that read the antipode itself name its first bad entry
-    _reports(lambda m: m._replace(antipode=m.antipode[:19]),
-             {**dict.fromkeys(_READ_ANTIPODE, "ValueError: antipode[19] is missing; "
-                              "the antipode must be 20 vertex ids"),
-              **_ANTIPODE_LEAVES_COLOURINGS,
-              "antipodal colour rule at all 20 vertices of all 240":
-                  "ValueError: the model's antipode does not map faces onto faces"},
-             "antipode-19-dropped"),
-    _reports(lambda m: m._replace(antipode=(*m.antipode, 5)),
-             {**dict.fromkeys(_READ_ANTIPODE, "ValueError: antipode[20] is 5; "
-                              "the antipode must be 20 vertex ids"),
-              **_ANTIPODE_LEAVES_COLOURINGS},
-             "antipode-20-added"),
-    _reports(lambda m: m._replace(antipode=(20, *m.antipode[1:])),
-             {**dict.fromkeys(_READ_ANTIPODE, "ValueError: antipode[0] is 20; "
-                              "the antipode must be 20 vertex ids"),
-              **dict.fromkeys(["orbit of one colouring under the full colour group",
-                               "all stabilizers trivial",
-                               "orbits under C2", "orbits under A5xC2", "orbits under S5xC2",
-                               "antipodal colour rule at all 20 vertices of all 240",
-                               "odd relabelling flips all parities, even preserves",
-                               "P1: handedness flips under the antipodal colour swap"],
-                              "ValueError: the model's antipode does not map faces onto faces")},
-             "antipode-0-out-of-range"),
     # 20 vertex ids, but not a permutation: the checks measure it
     _reports(lambda m: m._replace(antipode=(m.antipode[1], *m.antipode[1:])),
              {**dict.fromkeys(_READ_ANTIPODE, ""),
@@ -622,6 +598,21 @@ def test_verify_reports_a_single_fault_model(model, mutate, failed):
     checks = verify.run_checks(mutate(model))
     assert len(checks) == 61
     assert {c.name: c.detail for c in checks if not c.ok} == failed
+
+
+# Antipode edits that leave other than 20 vertex ids: the model refuses
+# them where it is made, naming the first bad entry, so no check reads them.
+_REFUSED_ANTIPODES = [
+    pytest.param(lambda a: a[:19], r"antipode\[19\] is missing", id="antipode-19-dropped"),
+    pytest.param(lambda a: (*a, 5), r"antipode\[20\] is 5", id="antipode-20-added"),
+    pytest.param(lambda a: (20, *a[1:]), r"antipode\[0\] is 20", id="antipode-0-out-of-range"),
+]
+
+
+@pytest.mark.parametrize("edit,refused", _REFUSED_ANTIPODES)
+def test_a_single_fault_antipode_is_refused_at_replace(model, edit, refused):
+    with pytest.raises(ValueError, match=f"^{refused}; the antipode must be 20 vertex ids$"):
+        model._replace(antipode=edit(model.antipode))
 
 
 def test_verify_computes_a_fact_that_raises_once(model, monkeypatch):

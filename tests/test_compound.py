@@ -109,6 +109,16 @@ def test_all_colourings_classify(model, colourings):
     assert labels["A"] == labels["B"] == 120
 
 
+def test_classes_are_the_colour_classes_in_ascending_order(model, colourings):
+    # both are read off one loop: the sets, and the tuples the compounds hold
+    for c in (*colourings, tuple(colourings[7]), (5,) * 19 + (1,)):
+        by_definition = {x: [v for v in range(20) if c[v] == x] for x in chroma.COLOURS}
+        assert chroma.colour_classes(c) == {x: frozenset(vs) for x, vs in by_definition.items()}
+        assert chroma.colour_classes(c, tuple) == {x: tuple(vs) for x, vs in by_definition.items()}
+        if chroma.is_valid(model, c):
+            assert classify_colouring(model, c)[1] == chroma.colour_classes(c, tuple)
+
+
 def test_classification_matches_zigzag_handedness(model, colourings):
     # the fixed global pairing of the two chirality detectors
     expected = {"A": chroma.LEFT, "B": chroma.RIGHT}

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -129,6 +131,50 @@ def test_antipode_exchanges_bands(model):
 
 def test_antipode_of_pole_is_south_pole(model):
     assert model.antipode[0] == 19
+
+
+@pytest.mark.parametrize("edit,refused", [
+    (lambda a: a[:19], r"antipode\[19\] is missing"),
+    (lambda a: (*a, 0), r"antipode\[20\] is 0"),
+    (lambda a: (*a[:3], 20, *a[4:]), r"antipode\[3\] is 20"),
+    (lambda a: (*a[:3], -1, *a[4:]), r"antipode\[3\] is -1"),
+    (lambda a: (*a[:3], True, *a[4:]), r"antipode\[3\] is True"),
+    (lambda a: (*a[:3], 7.0, *a[4:]), r"antipode\[3\] is 7\.0"),
+    (lambda a: (*a[:3], None, 20, *a[5:]), r"antipode\[3\] is None"),
+], ids=["19-entries", "21-entries", "entry-20", "entry-minus-1", "entry-True", "entry-float",
+        "first-of-two"])
+def test_a_model_refuses_an_antipode_of_other_than_20_vertex_ids(model, edit, refused):
+    bad = edit(model.antipode)
+    message = f"^{refused}; the antipode must be 20 vertex ids$"
+    for make in (lambda: model._replace(antipode=bad),
+                 lambda: polytope.PolytopeModel(*model[:3], bad, *model[4:]),
+                 lambda: polytope.PolytopeModel._make((*model[:3], bad, *model[4:])),
+                 lambda: polytope.PolytopeModel(**{**model._asdict(), "antipode": bad})):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+
+def test_a_model_keeps_a_repeated_antipode_entry_for_verify(model):
+    # 20 vertex ids that are no permutation: verify's checks measure it
+    repeated = model._replace(antipode=(model.antipode[1], *model.antipode[1:]))
+    assert type(repeated) is polytope.PolytopeModel
+    assert repeated.antipode[:2] == (model.antipode[1],) * 2
+
+
+def test_copies_and_pickles_are_equal_and_of_the_same_type(model):
+    for x in (ZPhi(3, 5), ZPhi(-2), model):
+        for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert twin == x and type(twin) is type(x)
+    twin = pickle.loads(pickle.dumps(model))
+    assert type(twin.exact_positions[0][0]) is type(twin.squared_distances[0][1]) is ZPhi
+    assert twin.squared_distances == model.squared_distances
+    # a copy or an unpickled model is made again, so a forged one is refused
+    forged = tuple.__new__(polytope.PolytopeModel, (*model[:3], model.antipode[:19], *model[4:]))
+    data = pickle.dumps(forged)
+    for make in (lambda: copy.copy(forged), lambda: copy.deepcopy(forged),
+                 lambda: pickle.loads(data)):
+        with pytest.raises(ValueError, match=r"^antipode\[19\] is missing"):
+            make()
 
 
 def test_opposite_faces_are_antipodal_images(model):

@@ -75,3 +75,11 @@ def test_colour_bits_stay_in_the_two_searches():
             if shift or (isinstance(n, ast.Name) and n.id == "_ALL" and isinstance(n.ctx, ast.Load)):
                 found.add(name)
     assert found == {"_ALL", "enumerate_colourings", "_propagate"}
+
+
+def test_no_index_error_is_caught():
+    # a shape fault is named where the model is made, not caught where it is read
+    found = [f"{path.name}:{node.lineno}" for path, tree in _trees()
+             for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler) and node.type
+             and "IndexError" in {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}]
+    assert found == []
