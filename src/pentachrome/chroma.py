@@ -143,7 +143,7 @@ def enumerate_colourings(model: PolytopeModel) -> tuple[Rainbow, ...]:
     19, passes the full check before it is returned.
     """
     vertex_faces = model.vertex_faces
-    face_used = [0] * 12
+    face_used = [0] * len(model.faces)
     col = [0] * 20
     out: list[Rainbow] = []
 
@@ -220,17 +220,15 @@ def frame_completions(model: PolytopeModel, frame) -> tuple[Rainbow, Rainbow]:
 
     A frame is a colouring's ``c[:4]``, the colours of the north pole and
     its C1 neighbours 1, 2, 3: a tuple or list of four distinct colours, or
-    ValueError is raised, as it is for a model without 12 faces.  Branches
-    on the two ways to finish the first face at the north pole; each branch
-    then propagates to a unique full colouring, which `_propagate`'s
-    per-face bitmask check has shown rainbow.
+    ValueError is raised.  Branches on the two ways to finish the first
+    face at the north pole; each branch then propagates to a unique full
+    colouring, which `_propagate`'s per-face bitmask check has shown
+    rainbow.
     """
     # bool is a subclass of int, but True is not colour 1
     if not (isinstance(frame, (tuple, list)) and tuple(map(type, frame)) == (int,) * 4
             and len(set(frame) & set(COLOURS)) == 4):
         raise ValueError(f"not a colour frame: {frame!r}")
-    if len(model.faces) != 12:
-        raise ValueError(f"propagation needs 12 faces, the model has {len(model.faces)}")
     base = [*frame] + [0] * 16
 
     first_face = model.faces[model.vertex_faces[0][0]]

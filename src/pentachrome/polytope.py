@@ -14,12 +14,13 @@ opposite faces, the 10 inscribed tetrahedra and the two compounds of five.
 Each fact is checked once, where it is derived: an orthogonal pole
 rotation, the unit sphere, the bands, vertex 0 at the pole, a 3-regular
 graph, nonzero turn determinants, right turns closing pentagons, coplanar
-faces, antipodal vertices and faces, the tetrahedra, distinct face triples
-and two compounds.  A fact that follows is not checked again: a 3-regular
-graph whose right-turn walks all close pentagons has 30 edges and 12
-faces, each edge on two of them in opposite senses.  Floats are only the
-exported embedding.  The model stays immutable and hashable, and no other
-module keeps derived state.  One exact rule orients faces and turns:
+faces, the tetrahedra, distinct face triples and two compounds; the
+model's shape contract names a vertex or face without an antipodal one.
+A fact that follows is not checked again: a 3-regular graph whose
+right-turn walks all close pentagons has 30 edges and 12 faces, each edge
+on two of them in opposite senses.  Floats are only the exported
+embedding.  The model stays immutable and hashable, and no other module
+keeps derived state.  One exact rule orients faces and turns:
 consecutive vertices u, w, x of a face run counterclockwise as seen from
 outside have det(u, w, x) > 0.  At the end of u -> w, right is that next
 face vertex x and left is w's third neighbour; a face is a closed walk of
@@ -96,29 +97,70 @@ class Vertex(NamedTuple):
     latitude: str
 
 
-class _ModelFields(NamedTuple):
-    vertices: tuple[Vertex, ...]
-    faces: tuple[tuple[int, int, int, int, int], ...]
-    edges: tuple[tuple[int, int], ...]
-    antipode: tuple[int, ...]
-    adjacency: tuple[tuple[int, int, int], ...]
-    vertex_faces: tuple[tuple[int, int, int], ...]
-    icosa_faces: tuple[tuple[int, int, int], ...]
-    dual_faces: tuple[int, ...]
-    turns: tuple[tuple[tuple[int, int] | None, ...], ...]
-    opposite_faces: tuple[int, ...]
-    tetrahedra: tuple[Tetra, ...]
-    compounds: tuple[tuple[Tetra, ...], tuple[Tetra, ...]]
-    exact_positions: tuple[ExactVec, ...]
-    squared_distances: tuple[tuple[ZPhi, ...], ...]
+# The model's fields, in order, each with its shape and the rule a fault
+# message states.  A spec is "vertex" (an int, not a bool, in 0..19),
+# "face" (one that indexes `faces`), the exact type of an entry, [spec] for
+# None or an entry of shape spec, or (lo, hi, entry): a tuple of lo to hi
+# entries, each of shape entry.
+_ANY = math.inf
+_SHAPE = {
+    "vertices": ((20, _ANY, Vertex), "a Vertex (3 floats, a band) for each of the 20 ids"),
+    "faces": ((0, _ANY, (5, 5, "vertex")), "5-tuples of vertex ids"),
+    "edges": ((0, _ANY, (2, 2, "vertex")), "pairs of vertex ids"),
+    "antipode": ((20, 20, "vertex"), "20 vertex ids"),
+    "adjacency": ((20, 20, (0, _ANY, "vertex")), "20 tuples of vertex ids"),
+    "vertex_faces": ((20, 20, (3, 3, "face")), "20 triples of face ids"),
+    "icosa_faces": ((20, 20, (0, _ANY, "face")), "20 tuples of face ids"),
+    "dual_faces": ((20, 20, "vertex"), "20 vertex ids"),
+    "turns": ((20, 20, (20, 20, [(2, 2, "vertex")])), "20 rows of 20 None or vertex-id pairs"),
+    "opposite_faces": ((0, _ANY, "face"), "face ids"),
+    "tetrahedra": ((0, _ANY, (0, _ANY, "vertex")), "tuples of vertex ids"),
+    "compounds": ((2, 2, (0, _ANY, (0, _ANY, "vertex"))), "a pair of tuples of vertex-id tuples"),
+    "exact_positions": ((20, 20, (3, 3, ZPhi)), "20 triples of ZPhi"),
+    "squared_distances": ((20, 20, (20, 20, ZPhi)), "20 rows of 20 ZPhi"),
+}
+_ModelFields = NamedTuple("_ModelFields", [(name, tuple) for name in _SHAPE])
+
+
+def _shape_fault(x, spec, faces):
+    """None if x has the shape spec, else the index path to its first bad
+    entry and what is there."""
+    if type(spec) is list:  # None, or the one spec listed
+        return None if x is None else _shape_fault(x, spec[0], faces)
+    if type(spec) is tuple:
+        if type(x) is not tuple:
+            return (), f"{x!r}, not a tuple"
+        lo, hi, entry = spec
+        for i in range(max(len(x), lo)):
+            if i >= len(x) or i >= hi:
+                return (i,), "missing" if i >= len(x) else repr(x[i])
+            if fault := _shape_fault(x[i], entry, faces):
+                return (i, *fault[0]), fault[1]
+        return None
+    if spec is Vertex:
+        ok = (type(x) is Vertex and not _shape_fault(x.position, (3, 3, float), faces)
+              and x.latitude in BANDS)
+    elif type(spec) is str:  # bool is a subclass of int, but True is not id 1
+        ok = type(x) is int and 0 <= x < (20 if spec == "vertex" else len(faces))
+    else:
+        ok = type(x) is spec
+    return None if ok else ((), repr(x))
 
 
 class PolytopeModel(_ModelFields):
     """Immutable labelled dodecahedron; a variant is made with `_replace`.
 
-    Wherever a model is made (`build_polytope`, `_replace`, a copy, an
-    unpickled one) its antipode must be 20 ints, not bools, in 0..19, or
-    ValueError names the first bad index; `verify` measures all the rest.
+    Wherever a model is made (`build_polytope`, the constructor, `_make`,
+    `_replace`, a copy, an unpickled one) it has the shape `_SHAPE`
+    declares, or ValueError names the field and its first bad index path,
+    as in ``vertex_faces[14][2] is 11; the vertex_faces must be 20 triples
+    of face ids``.  Each field and entry is a tuple, every vertex id an int,
+    not a bool, in 0..19, every face id indexes ``faces``, each table
+    indexed by vertex id has 20 entries, and an entry a reader unpacks has
+    its arity, so readers trust all of that.
+    Counts and structure are left to `verify`, which measures them: how
+    many vertices (at least 20), faces, edges and tetrahedra there are,
+    the adjacency's arity, and every fact such as an involutive antipode.
 
     ``faces`` are oriented pentagons (positive sense = counterclockwise seen
     from outside), ``adjacency[v]`` holds the 3 neighbours of v, and
@@ -148,12 +190,10 @@ class PolytopeModel(_ModelFields):
     # typing.NamedTuple forbids overriding these two in its own body
     def __new__(cls, *fields, **named):
         model = super().__new__(cls, *fields, **named)
-        a = model.antipode
-        for i in range(max(len(a), 20)):
-            # bool is a subclass of int, but True is not vertex 1
-            if i >= len(a) or i > 19 or type(a[i]) is not int or not 0 <= a[i] < 20:
-                got = repr(a[i]) if i < len(a) else "missing"
-                raise ValueError(f"antipode[{i}] is {got}; the antipode must be 20 vertex ids")
+        for name, (spec, rule) in _SHAPE.items():
+            if fault := _shape_fault(getattr(model, name), spec, model.faces):
+                path = name + "".join(f"[{i}]" for i in fault[0])
+                raise ValueError(f"{path} is {fault[1]}; the {name} must be {rule}")
         return model
 
     @classmethod
@@ -292,9 +332,11 @@ def build_polytope() -> PolytopeModel:
     model: a pole rotation that is not orthogonal, vertices off the unit
     sphere, malformed latitude bands, vertex 0 off the north pole, a graph
     that is not 3-regular, a zero turn determinant, right turns that do not
-    close a pentagon, a face that is not coplanar, a vertex or face without
-    an antipodal one, other than 10 tetrahedra or than 2 through a vertex,
-    two vertices on the same face triple, and other than 2 compounds.
+    close a pentagon, a face that is not coplanar, other than 10 tetrahedra
+    or than 2 through a vertex, two vertices on the same face triple, and
+    other than 2 compounds.  A vertex or face without an antipodal one
+    leaves None in ``antipode`` or ``opposite_faces``, which the model's
+    shape contract names with ValueError.
     """
     r = _pole_rotation()
     pos = [_rotate(r, p) for p in _raw_coordinates()]
@@ -362,8 +404,6 @@ def build_polytope() -> PolytopeModel:
 
     face_ids = {frozenset(f): fid for fid, f in enumerate(faces)}
     opposite_faces = tuple(face_ids.get(frozenset(antipode[v] for v in f)) for f in faces)
-    if None in opposite_faces:
-        raise AssertionError("no antipodal face found")
 
     # inscribed regular tetrahedra: 4-cliques of the pairs at squared distance
     # 8, the tetrahedron edge at circumradius sqrt(3)
@@ -438,7 +478,7 @@ def distance_spectrum(model: PolytopeModel) -> tuple[tuple[float, int], ...]:
     """
     pos = positions(model)
     groups: dict[ZPhi, list] = {}
-    for i, j in combinations(range(len(pos)), 2):
+    for i, j in combinations(range(20), 2):
         d2 = model.squared_distances[i][j]
         if d2 not in groups:
             groups[d2] = [norm(sub(pos[i], pos[j])), 0]
@@ -468,7 +508,7 @@ def _off_mesh(model: PolytopeModel, polygons, vertex_suffix=None) -> str:
     coordinates at 17 significant digits, which round-trip, followed by its
     suffix when given, and one line per polygon, its integers space-separated."""
     lines = ["COFF" if vertex_suffix else "OFF", f"20 {len(polygons)} 30"]
-    for v, vertex in enumerate(model.vertices):
+    for v, vertex in enumerate(model.vertices[:20]):
         coords = " ".join(format(x, ".17g") for x in vertex.position)
         lines.append(coords + vertex_suffix[v] if vertex_suffix else coords)
     lines += (" ".join(map(str, p)) for p in polygons)

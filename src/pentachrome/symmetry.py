@@ -116,7 +116,11 @@ def rotation_group(model: PolytopeModel) -> tuple[Perm, ...]:
 def full_group(model: PolytopeModel) -> tuple[Perm, ...]:
     """All 120 symmetries: each rotation, and each rotation after the
     side-swapping turn map that fixes 0 -> a, a = adjacency[0][0]."""
-    rot = rotation_group(model)
+    return _full_group(model, rotation_group(model))
+
+
+def _full_group(model: PolytopeModel, rot: tuple[Perm, ...]) -> tuple[Perm, ...]:
+    """`full_group` from the model's rotation group ``rot``."""
     mirror = _turn_map(model, 0, model.adjacency[0][0], -1)
     group = set(rot).union(compose(g, mirror) for g in rot)
     if len(group) != 120:

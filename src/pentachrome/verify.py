@@ -69,6 +69,14 @@ def _enumeration(b):
     return colourings, time.perf_counter() - t0
 
 
+def _colourings(b):
+    """The enumerated colourings; if there are none, no check that reads
+    them has anything to measure."""
+    if not b.enumeration[0]:
+        raise ValueError("the backtracking enumeration found no colouring")
+    return b.enumeration[0]
+
+
 def _parities(b):
     """colouring -> its one parity, for each colouring whose 12 face orders
     are distinct and share one parity (P2)"""
@@ -108,10 +116,10 @@ _RELABELLINGS = (symmetry.ColourSymmetry((2, 1, 3, 4, 5), 1),
 # the `_Battery` of one model.
 _FACTS = {
     "enumeration": _enumeration,
-    "colourings": lambda b: b.enumeration[0],
+    "colourings": _colourings,
     "propagation": lambda b: chroma.enumerate_by_propagation(b.model),
     "rot": lambda b: symmetry.rotation_group(b.model),
-    "full": lambda b: symmetry.full_group(b.model),
+    "full": lambda b: symmetry._full_group(b.model, b.rot),
     "G": lambda b: symmetry.colour_group(),
     # a colouring that does not classify has label None, which fails every
     # check that reads it

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pentachrome import chroma, symmetry, verify
+from pentachrome import chroma, polytope, symmetry, verify
 from pentachrome import compound as compound_mod
 from pentachrome.chroma import (
     COLOURS,
@@ -467,6 +467,93 @@ def test_act_after_a_single_antipode_edit_raises_or_is_rainbow(
     assert len(checks) == 61
     assert [ch.detail for ch in checks
             if not ch.ok and ch.detail.startswith(("IndexError", "TypeError", "KeyError"))] == []
+
+
+def _edit_entries(rows, edit, v, w, value):
+    """rows with one edit at entry v (mod its length): swapped with entry w,
+    dropped, made a copy of entry w, or replaced by value."""
+    rows = list(rows)
+    v, w = v % len(rows), w % len(rows)
+    if edit == "swap":
+        rows[v], rows[w] = rows[w], rows[v]
+    elif edit == "drop":
+        del rows[v]
+    elif edit == "duplicate":
+        rows[v] = rows[w]
+    else:
+        rows[v] = value
+    return tuple(rows)
+
+
+# the public entries that read a model, each called with the model, the
+# enumerated colourings, one colouring, a colour symmetry and a vertex id
+_MODEL_READERS = (
+    lambda m, cs, c, g, v: is_valid(m, c),
+    lambda m, cs, c, g, v: act(g, c, m),
+    lambda m, cs, c, g, v: stabilizer(c, _G, m),
+    lambda m, cs, c, g, v: orbit_partition(cs, named_subgroup("C2"), m),
+    lambda m, cs, c, g, v: frame_completions(m, c[:4]),
+    lambda m, cs, c, g, v: seed_colourings(m),
+    lambda m, cs, c, g, v: zigzag_trace(m, c, v, LEFT),
+    lambda m, cs, c, g, v: working_handedness(m, c),
+    lambda m, cs, c, g, v: parity_class(m, c),
+    lambda m, cs, c, g, v: antipodal_rule_holds(m, c),
+    lambda m, cs, c, g, v: chroma.colouring_to_off(m, c),
+    lambda m, cs, c, g, v: polytope.neighbours(m, v),
+    lambda m, cs, c, g, v: polytope.distance_spectrum(m),
+    lambda m, cs, c, g, v: dual_face_of(m, v),
+    lambda m, cs, c, g, v: (polytope.model_to_off(m), polytope.model_to_json(m)),
+    lambda m, cs, c, g, v: symmetry.full_group(m),
+    lambda m, cs, c, g, v: symmetry.spatial_determinant(m, tuple(range(20))),
+    lambda m, cs, c, g, v: compound_mod.classify_colouring(m, c),
+    lambda m, cs, c, g, v: compound_mod.spread_subsets(m),
+    lambda m, cs, c, g, v: [compound_mod.compound_to_off(m, k) for k in compound_mod.compounds(m)],
+)
+# the start of the message that refuses a model: the field, its first bad
+# index path, and the field's rule
+_REFUSED = r"^(\w+)(\[\d+\])* is .+; the \1 must be "
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from(polytope.PolytopeModel._fields),
+       edit=st.sampled_from(["swap", "drop", "duplicate", "replace"]), inner=st.booleans(),
+       v=st.integers(0, 19), w=st.integers(0, 19),
+       value=st.sampled_from([20, -1, 99, True, 7.0, None, "3", (0, 1), [0, 1]]),
+       i=st.integers(0, 239), g=st.sampled_from(_G))
+# a dropped face leaves face ids past the end of `faces` in `vertex_faces`
+@example(field="faces", edit="drop", inner=False, v=11, w=0, value=None, i=0, g=COLOUR_SWAP)
+# vertex 13 takes vertex 11's faces, and the search finds no colouring
+@example(field="vertex_faces", edit="duplicate", inner=False, v=13, w=11, value=None, i=0,
+         g=COLOUR_SWAP)
+@example(field="turns", edit="replace", inner=True, v=0, w=5, value=(0, 1), i=0, g=COLOUR_SWAP)
+@example(field="vertices", edit="replace", inner=False, v=3, w=0, value=(0, 1), i=0,
+         g=COLOUR_SWAP)
+def test_a_single_field_edit_is_refused_or_read_without_a_shape_error(
+        model, colourings, field, edit, inner, v, w, value, i, g):
+    # an edit of one field, or of one entry of it: the model refuses it where
+    # it is made, or every reader measures it or raises one of the errors
+    # that name what broke, never a raw IndexError, TypeError, KeyError or
+    # AttributeError
+    rows = getattr(model, field)
+    entry = rows[v % len(rows)]
+    if inner and type(entry) is tuple:  # the edit is made at entry w of entry v
+        rows = _edit_entries(rows, "replace", v, v, _edit_entries(entry, edit, w, v, value))
+    else:
+        rows = _edit_entries(rows, edit, v, w, value)
+    try:
+        mutant = model._replace(**{field: rows})
+    except ValueError as exc:
+        assert re.match(_REFUSED, str(exc)), str(exc)
+        return
+    checks = verify.run_checks(mutant)
+    assert len(checks) == 61
+    assert [ch.detail for ch in checks if not ch.ok and ch.detail.startswith(
+        ("IndexError", "TypeError", "KeyError", "AttributeError"))] == []
+    for read in _MODEL_READERS:
+        try:
+            read(mutant, colourings, colourings[i], g, v)
+        except (ValueError, AssertionError, PropagationError):
+            pass
 
 
 @pytest.mark.parametrize("bad", [None, (1, 2, 3), (0,) * 20], ids=["None", "short", "zeros"])
@@ -940,10 +1027,10 @@ def test_antipodal_rule_names_a_malformed_model(model, colourings):
     adjacency[3] = adjacency[3][:2]
     with pytest.raises(ValueError, match="^vertex 3 has 2 neighbours, expected 3$"):
         antipodal_rule_holds(model._replace(adjacency=tuple(adjacency)), colourings[0])
-    # a neighbour out of range is no fault of the antipode
+    # a neighbour out of range is refused where the model is made too
     adjacency[3] = (0, 7, 20)
-    with pytest.raises(IndexError):
-        antipodal_rule_holds(model._replace(adjacency=tuple(adjacency)), colourings[0])
+    with pytest.raises(ValueError, match=r"^adjacency\[3\]\[2\] is 20; "):
+        model._replace(adjacency=tuple(adjacency))
 
 
 def _antipodal_rule_by_definition(model, c):

@@ -190,6 +190,23 @@ def test_verify_closes_only_the_rotations_and_multiplies_no_colour_symmetries(mo
     assert products == []
 
 
+def test_verify_derives_each_symmetry_once(model, monkeypatch):
+    # the 60 rotations and the one side-swapping map that the full group
+    # multiplies them by: the full group is built on the rotations already
+    # derived, where deriving them again made 121 turn maps
+    calls = []
+    turn_map = symmetry._turn_map
+
+    def counted(*args):
+        calls.append(args)
+        return turn_map(*args)
+
+    monkeypatch.setattr(symmetry, "_turn_map", counted)
+    checks = verify.run_checks(model)
+    assert len(checks) == 61 and not [c.name for c in checks if not c.ok]
+    assert len(calls) == 61
+
+
 def _wrap_classify(monkeypatch, fail=None):
     """Record the package's `classify_colouring` calls by wrapping it, and
     make it raise ValueError on the colouring `fail`."""
@@ -471,6 +488,17 @@ _SINGLE_FAULTS = [
     _reports(lambda m: m._replace(vertex_faces=_swap(m.vertex_faces, 0, 1)),
              dict.fromkeys(_READ_COLOURINGS, "ValueError: colouring is not face-rainbow"),
              "vertex-faces-0-1"),
+    # vertex 13 then marks no colour on its own faces, and the search finds
+    # no colouring at all, so no check that reads the colourings measures one
+    _reports(lambda m: m._replace(vertex_faces=(
+        *m.vertex_faces[:13], m.vertex_faces[11], *m.vertex_faces[14:])),
+             {**dict.fromkeys(set(_READ_COLOURINGS) - {"backtracking enumeration under 1 s"},
+                              "ValueError: the backtracking enumeration found no colouring"),
+              **dict.fromkeys(["completions per colour frame",
+                               "propagation enumerator matches backtracking",
+                               "canonical seeds valid, distinct, classified A and B"],
+                              "PropagationError: no colour left for vertex 11")},
+             "vertex-faces-13-is-11"),
     # the propagation forces vertex 6 off every colour, and no colouring has
     # 12 distinct face orders of one parity any more
     _reports(lambda m: m._replace(faces=(m.faces[1],) + m.faces[1:]),
@@ -524,35 +552,20 @@ _SINGLE_FAULTS = [
               "4-element well-spread subsets are exactly the 10 tetrahedra":
                   "10 maximal subsets"},
              "tetrahedra-0-dropped"),
-    # the OFF export's count line and the propagation both read `faces`
-    _reports(lambda m: m._replace(faces=m.faces[:-1]),
-             {"face count": "11",
-              "Euler characteristic V-E+F": "1",
+    # a repeated face: the counts and the OFF export's count line measure it,
+    # and the propagation still completes every frame
+    _reports(lambda m: m._replace(faces=m.faces + m.faces[:1]),
+             {"face count": "13",
+              "Euler characteristic V-E+F": "3",
               "each edge on 2 faces with opposite senses": "",
-              **dict.fromkeys(["completions per colour frame",
-                               "propagation enumerator matches backtracking",
-                               "canonical seeds valid, distinct, classified A and B"],
-                              "ValueError: propagation needs 12 faces, the model has 11"),
-              "P2: 12 distinct cyclic orders of one parity per colouring": "",
-              "parity split 120 even / 120 odd": "even 0, odd 0",
-              "odd relabelling flips all parities, even preserves": "",
-              "compound and parity independent: 4 combinations of 60":
-                  "{('A', None): 120, ('B', None): 120}",
               "dodecahedron OFF header and stability": ""},
-             "face-11-dropped"),
-    # the checks that index positions by vertex id reach past the end
-    _reports(lambda m: m._replace(vertices=m.vertices[:-1]),
-             {"vertex count": "19",
-              "Euler characteristic V-E+F": "1",
-              "latitude band sizes": "(1, 3, 6, 6, 3, 0)",
-              "antipode exchanges bands (C3=-C2, C4=-C1)": "KeyError: 19",
-              "distance spectrum: 190 pairs, 30 at the edge length":
-                  "pairs 171, multiplicities [27, 54, 54, 27, 9]",
-              **dict.fromkeys(["antipode negates positions, involutive, fixed-point free",
-                               "antipodal distance 2",
-                               "tetrahedron edge equals third-smallest distance"],
-                              "IndexError: tuple index out of range")},
-             "vertex-19-dropped"),
+             "face-12-added"),
+    # a 21st vertex record: the readers index the 20 vertex ids only
+    _reports(lambda m: m._replace(vertices=m.vertices + m.vertices[:1]),
+             {"vertex count": "21",
+              "Euler characteristic V-E+F": "3",
+              "latitude band sizes": "(2, 3, 6, 6, 3, 1)"},
+             "vertex-20-added"),
     _reports(lambda m: _replace_vertex(m, 0, position=tuple(2 * x for x in m.vertices[0].position)),
              {"vertices on the unit sphere": "max |r-1| = 1.00e+00",
               "vertex 0 at the north pole": "offset 1.00e+00",
@@ -615,10 +628,30 @@ def test_a_single_fault_antipode_is_refused_at_replace(model, edit, refused):
         model._replace(antipode=edit(model.antipode))
 
 
+# Edits of other fields that break the model's shape: it refuses them where
+# it is made, naming the field and the first bad index path.
+_REFUSED_SHAPES = [
+    # face 11 is gone, so the face triples that name it index past `faces`
+    pytest.param(lambda m: m._replace(faces=m.faces[:-1]),
+                 r"vertex_faces\[14\]\[2\] is 11; the vertex_faces must be 20 triples of face ids",
+                 id="face-11-dropped"),
+    pytest.param(lambda m: m._replace(vertices=m.vertices[:-1]),
+                 r"vertices\[19\] is missing; the vertices must be a Vertex \(3 floats, a band\) "
+                 r"for each of the 20 ids",
+                 id="vertex-19-dropped"),
+]
+
+
+@pytest.mark.parametrize("mutate,refused", _REFUSED_SHAPES)
+def test_a_single_shape_fault_is_refused_at_replace(model, mutate, refused):
+    with pytest.raises(ValueError, match=f"^{refused}$"):
+        mutate(model)
+
+
 def test_verify_computes_a_fact_that_raises_once(model, monkeypatch):
     # eleven checks read the groups of this model, whose derivation raises:
-    # the rotation group is derived once for the rotations and once inside
-    # `full_group`, and each reader gets the kept exception
+    # the rotation group is derived once, the full group is built on it, and
+    # each reader gets the kept exception
     calls = []
     rotation_group = symmetry.rotation_group
 
@@ -629,7 +662,7 @@ def test_verify_computes_a_fact_that_raises_once(model, monkeypatch):
     monkeypatch.setattr(symmetry, "rotation_group", counted)
     checks = verify.run_checks(_swap_turn_at_0_1(model))
     assert len(checks) == 61
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_single_fault_models_reach_every_check():

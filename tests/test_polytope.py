@@ -16,6 +16,7 @@ from pentachrome.polytope import (
     BAND_SIZES,
     BANDS,
     TOL,
+    Vertex,
     ZPhi,
     _raw_coordinates,
     build_polytope,
@@ -141,8 +142,13 @@ def test_antipode_of_pole_is_south_pole(model):
     (lambda a: (*a[:3], True, *a[4:]), r"antipode\[3\] is True"),
     (lambda a: (*a[:3], 7.0, *a[4:]), r"antipode\[3\] is 7\.0"),
     (lambda a: (*a[:3], None, 20, *a[5:]), r"antipode\[3\] is None"),
+    (lambda a: None, r"antipode is None, not a tuple"),
+    (lambda a: 5, r"antipode is 5, not a tuple"),
+    (lambda a: iter(a), r"antipode is <tuple_iterator object at 0x[0-9a-f]+>, not a tuple"),
+    # a list would leave the model unhashable
+    (lambda a: list(a), r"antipode is \[19, 18, .*, 0\], not a tuple"),
 ], ids=["19-entries", "21-entries", "entry-20", "entry-minus-1", "entry-True", "entry-float",
-        "first-of-two"])
+        "first-of-two", "None", "int", "iterator", "list"])
 def test_a_model_refuses_an_antipode_of_other_than_20_vertex_ids(model, edit, refused):
     bad = edit(model.antipode)
     message = f"^{refused}; the antipode must be 20 vertex ids$"
@@ -152,6 +158,76 @@ def test_a_model_refuses_an_antipode_of_other_than_20_vertex_ids(model, edit, re
                  lambda: polytope.PolytopeModel(**{**model._asdict(), "antipode": bad})):
         with pytest.raises(ValueError, match=message):
             make()
+
+
+def _with(rows, i, entry):
+    """rows with entry i replaced."""
+    return (*rows[:i], entry, *rows[i + 1:])
+
+
+# One shape fault in each field, and the start of the message naming it
+_SHAPE_FAULTS = [
+    pytest.param(lambda m: {"vertices": m.vertices[:19]}, r"vertices\[19\] is missing",
+                 id="vertices-19-entries"),
+    pytest.param(lambda m: {"vertices": _with(m.vertices, 5, Vertex(m.vertices[5][0], "C5"))},
+                 r"vertices\[5\] is Vertex\(.*latitude='C5'\)", id="vertex-5-off-the-bands"),
+    pytest.param(lambda m: {"faces": list(m.faces)},
+                 r"faces is \[\(0, 1, 6, 7, 2\), .*\], not a tuple", id="faces-a-list"),
+    pytest.param(lambda m: {"edges": _with(m.edges, 0, (0, 1, 2))}, r"edges\[0\]\[2\] is 2",
+                 id="edge-0-a-triple"),
+    pytest.param(lambda m: {"adjacency": _with(m.adjacency, 3, (0, 7, 20))},
+                 r"adjacency\[3\]\[2\] is 20", id="adjacency-3-out-of-range"),
+    pytest.param(lambda m: {"vertex_faces": _with(m.vertex_faces, 0, (12, 1, 2))},
+                 r"vertex_faces\[0\]\[0\] is 12", id="vertex-faces-0-no-face"),
+    pytest.param(lambda m: {"icosa_faces": _with(m.icosa_faces, 0, (True, 1, 2))},
+                 r"icosa_faces\[0\]\[0\] is True", id="icosa-faces-0-a-bool"),
+    pytest.param(lambda m: {"dual_faces": m.dual_faces[:19]}, r"dual_faces\[19\] is missing",
+                 id="dual-faces-19-entries"),
+    pytest.param(lambda m: {"turns": _with(m.turns, 0, _with(m.turns[0], 1, (2,)))},
+                 r"turns\[0\]\[1\]\[1\] is missing", id="turn-0-1-one-vertex"),
+    pytest.param(lambda m: {"opposite_faces": _with(m.opposite_faces, 0, -1)},
+                 r"opposite_faces\[0\] is -1", id="opposite-face-0-out-of-range"),
+    pytest.param(lambda m: {"tetrahedra": _with(m.tetrahedra, 0, list(m.tetrahedra[0]))},
+                 r"tetrahedra\[0\] is \[0, 10, 12, 14\], not a tuple", id="tetrahedron-0-a-list"),
+    pytest.param(lambda m: {"compounds": m.compounds + m.compounds[:1]},
+                 r"compounds\[2\] is \(\(0, 10, 12, 14\), .*\)", id="compounds-3-entries"),
+    pytest.param(lambda m: {"exact_positions": _with(m.exact_positions, 0,
+                                                     _with(m.exact_positions[0], 0, (1, 0)))},
+                 r"exact_positions\[0\]\[0\] is \(1, 0\)", id="exact-position-0-no-zphi"),
+    pytest.param(lambda m: {"squared_distances": _with(m.squared_distances, 0,
+                                                       m.squared_distances[0][:19])},
+                 r"squared_distances\[0\]\[19\] is missing", id="distances-0-19-entries"),
+]
+
+
+def test_the_shape_faults_cover_every_field(model):
+    # the antipode's faults have their own test above
+    named = {next(iter(param.values[0](model))) for param in _SHAPE_FAULTS}
+    assert named | {"antipode"} == set(polytope.PolytopeModel._fields)
+
+
+@pytest.mark.parametrize("fault,refused", _SHAPE_FAULTS)
+def test_a_model_refuses_a_shape_fault_in_any_field(model, fault, refused):
+    ((field, bad),) = fault(model).items()
+    message = f"^{refused}; the {field} must be "
+    fields = {**model._asdict(), field: bad}
+    forged = tuple.__new__(polytope.PolytopeModel, fields.values())
+    data = pickle.dumps(forged)
+    for make in (lambda: model._replace(**{field: bad}),
+                 lambda: polytope.PolytopeModel(*fields.values()),
+                 lambda: polytope.PolytopeModel(**fields),
+                 lambda: polytope.PolytopeModel._make(fields.values()),
+                 lambda: copy.copy(forged), lambda: copy.deepcopy(forged),
+                 lambda: pickle.loads(data)):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+
+def test_build_polytope_makes_its_model_through_the_contract(model, monkeypatch):
+    compounds = polytope._compounds
+    monkeypatch.setattr(polytope, "_compounds", lambda tets: compounds(tets) + ((),))
+    with pytest.raises(ValueError, match=r"^compounds\[2\] is \(\); the compounds must be "):
+        build_polytope()
 
 
 def test_a_model_keeps_a_repeated_antipode_entry_for_verify(model):
