@@ -161,6 +161,8 @@ class PolytopeModel(_ModelFields):
     Counts and structure are left to `verify`, which measures them: how
     many vertices (at least 20), faces, edges and tetrahedra there are,
     the adjacency's arity, and every fact such as an involutive antipode.
+    `build_polytope` sorts ``edges`` and ``tetrahedra``; their order is no
+    part of the contract, and no check reads it.
 
     ``faces`` are oriented pentagons (positive sense = counterclockwise seen
     from outside), ``adjacency[v]`` holds the 3 neighbours of v, and

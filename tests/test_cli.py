@@ -293,46 +293,6 @@ def test_verify_fails_a_propagation_enumerator_that_duplicates_a_colouring(model
     }
 
 
-def test_verify_reports_a_reversed_face(model):
-    # its colour orders change parity, so no colouring has one parity and
-    # the odd relabelling's image has none to compare
-    face = model.faces[0]
-    faces = ((face[0],) + face[:0:-1],) + model.faces[1:]
-    checks = verify.run_checks(model._replace(faces=faces))
-    assert len(checks) == 61
-    assert {c.name for c in checks if not c.ok} == {
-        "each edge on 2 faces with opposite senses",
-        "P2: 12 distinct cyclic orders of one parity per colouring",
-        "parity split 120 even / 120 odd",
-        "odd relabelling flips all parities, even preserves",
-        "compound and parity independent: 4 combinations of 60",
-    }
-
-
-def test_verify_reports_two_swapped_antipodes(model):
-    # the colour swap then leaves the enumerated colourings; the reflections
-    # come from the turn table, so they exchange the compounds, but the
-    # corrupted antipode's coset is no longer the full group's other half
-    antipode = (model.antipode[1], model.antipode[0]) + model.antipode[2:]
-    checks = verify.run_checks(model._replace(antipode=antipode))
-    assert len(checks) == 61
-    failed = {c.name: c.detail for c in checks if not c.ok}
-    for label in ("C2", "A5xC2", "S5xC2"):
-        assert failed.pop(f"orbits under {label}") == (
-            "ValueError: subgroup action leaves the given colouring set")
-    assert set(failed) == {
-        "antipode negates positions, involutive, fixed-point free",
-        "antipode exchanges bands (C3=-C2, C4=-C1)",
-        "antipodal distance 2",
-        "full group = rotations + inversion coset, disjoint",
-        "all symmetries commute with the antipode",
-        "orbit of one colouring under the full colour group",
-        "antipodal colour rule at all 20 vertices of all 240",
-        "antipodal image of compound A is compound B",
-        "P1: handedness flips under the antipodal colour swap",
-    }
-
-
 def _swap(seq, i, j):
     out = list(seq)
     out[i], out[j] = out[j], out[i]
@@ -416,14 +376,28 @@ _READ_ANTIPODE = (
     "all symmetries commute with the antipode",
     "antipodal image of compound A is compound B",
 )
-# an antipode of vertex ids that does not map faces onto faces: its colour
-# swap leaves the enumerated colourings
-_ANTIPODE_LEAVES_COLOURINGS = {
+# an antipode of 20 vertex ids that is no involution: the reflections come
+# from the turn table, so they still exchange the compounds, but its colour
+# swap leaves the enumerated colourings, and its coset is no longer the full
+# group's other half
+_ANTIPODE_NO_INVOLUTION = {
+    **dict.fromkeys(_READ_ANTIPODE, ""),
+    "antipodal distance 2": "max dev 1.32e-01",
     "orbit of one colouring under the full colour group":
         "ValueError: the model's antipode does not map faces onto faces",
     **dict.fromkeys(["orbits under C2", "orbits under A5xC2", "orbits under S5xC2"],
                     "ValueError: subgroup action leaves the given colouring set"),
     "P1: handedness flips under the antipodal colour swap": "",
+    "antipodal colour rule at all 20 vertices of all 240": "",
+}
+# a face whose colour orders change parity: no colouring has one parity, and
+# the odd relabelling's image has none to compare
+_NO_PARITY = {
+    "P2: 12 distinct cyclic orders of one parity per colouring": "",
+    "parity split 120 even / 120 odd": "even 0, odd 0",
+    "odd relabelling flips all parities, even preserves": "",
+    "compound and parity independent: 4 combinations of 60":
+        "{('A', None): 120, ('B', None): 120}",
 }
 _COMPOUND_A_TAKES_B_0 = {
     "tetrahedra action: injective image = all 60 even permutations":
@@ -507,12 +481,10 @@ _SINGLE_FAULTS = [
                                "propagation enumerator matches backtracking",
                                "canonical seeds valid, distinct, classified A and B"],
                               "PropagationError: no colour left for vertex 6"),
-              "P2: 12 distinct cyclic orders of one parity per colouring": "",
-              "parity split 120 even / 120 odd": "even 0, odd 0",
-              "odd relabelling flips all parities, even preserves": "",
-              "compound and parity independent: 4 combinations of 60":
-                  "{('A', None): 120, ('B', None): 120}"},
+              **_NO_PARITY},
              "face-0-is-face-1"),
+    _reports(lambda m: m._replace(faces=((m.faces[0][0], *m.faces[0][:0:-1]), *m.faces[1:])),
+             {"each edge on 2 faces with opposite senses": "", **_NO_PARITY}, "face-0-reversed"),
     # the rotations onto the edge's two directions are lost: 58 rotations
     # and 116 symmetries are left
     _reports(lambda m: m._replace(edges=m.edges[1:]),
@@ -590,11 +562,9 @@ _SINGLE_FAULTS = [
              "dual-face-0-is-dual-face-1"),
     # 20 vertex ids, but not a permutation: the checks measure it
     _reports(lambda m: m._replace(antipode=(m.antipode[1], *m.antipode[1:])),
-             {**dict.fromkeys(_READ_ANTIPODE, ""),
-              "antipodal distance 2": "max dev 1.32e-01",
-              **_ANTIPODE_LEAVES_COLOURINGS,
-              "antipodal colour rule at all 20 vertices of all 240": ""},
-             "antipode-0-is-antipode-1"),
+             _ANTIPODE_NO_INVOLUTION, "antipode-0-is-antipode-1"),
+    _reports(lambda m: m._replace(antipode=_swap(m.antipode, 0, 1)),
+             _ANTIPODE_NO_INVOLUTION, "antipodes-0-1-swapped"),
     # more pairs then lie at least a tetrahedron edge apart
     _reports(lambda m: m._replace(squared_distances=tuple(
         tuple(d + d for d in row) for row in m.squared_distances)),
@@ -603,6 +573,21 @@ _SINGLE_FAULTS = [
               "4-element well-spread subsets are exactly the 10 tetrahedra":
                   "1510 maximal subsets"},
              "distances-doubled"),
+    # one distinct distance, so the spectrum has no third-smallest one
+    _reports(lambda m: m._replace(squared_distances=tuple(
+        tuple(m.squared_distances[0][1] for _ in row) for row in m.squared_distances)),
+             {"distance spectrum: 190 pairs, 30 at the edge length":
+                  "pairs 190, multiplicities [190]",
+              **dict.fromkeys(["third-smallest distance = inscribed tetrahedron edge",
+                               "tetrahedron edge equals third-smallest distance"],
+                              "ValueError: 1 distinct distances, no third-smallest"),
+              "well-spread subsets: max size 4, no 5th vertex extension":
+                  "max 3 over 4845 four-subsets",
+              "4-element well-spread subsets are exactly the 10 tetrahedra": "0 maximal subsets"},
+             "distances-all-equal"),
+    # `build_polytope` sorts these two, but their order is no part of the model
+    _reports(lambda m: m._replace(edges=m.edges[::-1]), {}, "edges-order-only"),
+    _reports(lambda m: m._replace(tetrahedra=m.tetrahedra[::-1]), {}, "tetrahedra-order-only"),
 ]
 
 
@@ -613,36 +598,23 @@ def test_verify_reports_a_single_fault_model(model, mutate, failed):
     assert {c.name: c.detail for c in checks if not c.ok} == failed
 
 
-# Antipode edits that leave other than 20 vertex ids: the model refuses
-# them where it is made, naming the first bad entry, so no check reads them.
-_REFUSED_ANTIPODES = [
-    pytest.param(lambda a: a[:19], r"antipode\[19\] is missing", id="antipode-19-dropped"),
-    pytest.param(lambda a: (*a, 5), r"antipode\[20\] is 5", id="antipode-20-added"),
-    pytest.param(lambda a: (20, *a[1:]), r"antipode\[0\] is 20", id="antipode-0-out-of-range"),
-]
-
-
-@pytest.mark.parametrize("edit,refused", _REFUSED_ANTIPODES)
+# Single faults that no check reads: the model refuses them where it is made,
+# naming the first bad entry
+@pytest.mark.parametrize("edit,refused", [
+    (lambda a: a[:19], r"antipode\[19\] is missing"),
+    (lambda a: (*a, 5), r"antipode\[20\] is 5"),
+    (lambda a: (20, *a[1:]), r"antipode\[0\] is 20"),
+], ids=["antipode-19-dropped", "antipode-20-added", "antipode-0-out-of-range"])
 def test_a_single_fault_antipode_is_refused_at_replace(model, edit, refused):
     with pytest.raises(ValueError, match=f"^{refused}; the antipode must be 20 vertex ids$"):
         model._replace(antipode=edit(model.antipode))
 
 
-# Edits of other fields that break the model's shape: it refuses them where
-# it is made, naming the field and the first bad index path.
-_REFUSED_SHAPES = [
-    # face 11 is gone, so the face triples that name it index past `faces`
-    pytest.param(lambda m: m._replace(faces=m.faces[:-1]),
-                 r"vertex_faces\[14\]\[2\] is 11; the vertex_faces must be 20 triples of face ids",
-                 id="face-11-dropped"),
-    pytest.param(lambda m: m._replace(vertices=m.vertices[:-1]),
-                 r"vertices\[19\] is missing; the vertices must be a Vertex \(3 floats, a band\) "
-                 r"for each of the 20 ids",
-                 id="vertex-19-dropped"),
-]
-
-
-@pytest.mark.parametrize("mutate,refused", _REFUSED_SHAPES)
+@pytest.mark.parametrize("mutate,refused", [
+    (lambda m: m._replace(vertices=m.vertices[:-1]),
+     r"vertices\[19\] is missing; the vertices must be a Vertex \(3 floats, a band\) "
+     r"for each of the 20 ids"),
+], ids=["vertex-19-dropped"])
 def test_a_single_shape_fault_is_refused_at_replace(model, mutate, refused):
     with pytest.raises(ValueError, match=f"^{refused}$"):
         mutate(model)
