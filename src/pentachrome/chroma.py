@@ -35,7 +35,7 @@ import json
 from itertools import compress, permutations
 from operator import itemgetter
 
-from .polytope import _PALETTE, PolytopeModel, _check_id, _listed, _off_mesh
+from .polytope import _PALETTE, PolytopeModel, _check_id, _least_neighbour, _listed, _off_mesh
 from .symmetry import (
     ColourSymmetry, Subgroup, _check_subgroup, _check_symmetries, _permutes, perm_parity,
 )
@@ -45,6 +45,8 @@ Colouring = tuple[int, ...]
 COLOURS = (1, 2, 3, 4, 5)
 LEFT = "left"
 RIGHT = "right"
+# the 12 turns of a zigzag: how far back from u, in w's ring, each leaves w
+_ZIGZAG_WORDS = {RIGHT: (1, 2, 1, 1, 2, 2) * 2, LEFT: (2, 1, 2, 2, 1, 1) * 2}
 LABELLING = "canonical-v1"
 _ALL = sum(1 << x for x in COLOURS)  # the searches' bitmask of every colour
 _COLOUR_SET = frozenset(COLOURS)
@@ -249,11 +251,7 @@ def frame_completions(model: PolytopeModel, frame) -> tuple[Rainbow, Rainbow]:
 
 def enumerate_by_propagation(model: PolytopeModel) -> tuple[Rainbow, ...]:
     """All colourings via frame-by-frame propagation, sorted lexicographically."""
-    out = []
-    for frame in permutations(COLOURS, 4):
-        out.extend(frame_completions(model, frame))
-    out.sort()
-    return tuple(out)
+    return tuple(sorted(c for f in permutations(COLOURS, 4) for c in frame_completions(model, f)))
 
 
 def seed_colourings(model: PolytopeModel) -> tuple[Rainbow, Rainbow]:
@@ -376,29 +374,29 @@ def zigzag_walk(model: PolytopeModel, start: int, first: int, handedness: str) -
     The walk takes exactly 12 turns, repeating the 6-turn word: each
     three-edge block turns to the handedness side and then to the opposite
     side, and the turns at the block boundaries alternate sides.  Raises
-    AssertionError where the turn table has no pair, or unless the 12th
+    AssertionError where a ring it reads has no turns, or unless the 12th
     edge ends at ``start`` and the next leaves along the edge to ``first``.
     Returns the 13 vertices of the walk, both endpoints equal to ``start``.
     """
     _check_id(start, "vertex")
     _check_id(first, "vertex")
-    if first not in model.adjacency[start]:
+    adjacency = model.adjacency
+    if first not in adjacency[start]:
         raise ValueError(f"{first} is not a neighbour of {start}")
-    if handedness not in (LEFT, RIGHT):
+    word = _ZIGZAG_WORDS.get(handedness) if type(handedness) is str else None
+    if word is None:
         raise ValueError(f"handedness must be 'left' or 'right': {handedness!r}")
-    side = (LEFT, RIGHT).index(handedness)  # into model.turns' (left, right) pairs
-    turns = model.turns
     u, w = start, first
     seq = [start, first]
     try:
-        for s in (side, 1 - side, side, side, 1 - side, 1 - side) * 2:
-            u, w = w, turns[u][w][s]
+        for back in word:
+            _, _, _ = ring = adjacency[w]  # unless w has 3 neighbours, ValueError
+            u, w = w, ring[ring.index(u) - back]
             seq.append(w)
-    except TypeError:  # the turn table holds None for u -> w
-        raise AssertionError(f"the turn table has no pair for {u} -> {w}") from None
+    except ValueError:  # w's ring is not 3 neighbours, or lacks u
+        raise AssertionError(f"the ring of {w} has no turns at the end of {u} -> {w}") from None
     if (seq[12], seq[13]) != (start, first):
-        raise AssertionError(
-            f"zigzag walk from {start} -> {first} failed to close after 12 edges")
+        raise AssertionError(f"zigzag walk from {start} -> {first} failed to close after 12 edges")
     return tuple(seq[:13])
 
 
@@ -412,14 +410,14 @@ def zigzag_trace(model: PolytopeModel, c: Colouring, v: int, handedness: str) ->
     """
     check_rainbow(model, c)
     _check_id(v, "vertex")
-    return frozenset(zigzag_walk(model, v, min(model.adjacency[v]), handedness)[::3])
+    return frozenset(zigzag_walk(model, v, _least_neighbour(model, v), handedness)[::3])
 
 
 def working_handedness(model: PolytopeModel, c: Colouring) -> str:
     """The handedness whose zigzag checkpoints reproduce colour classes."""
     c = check_rainbow(model, c)
     class0 = frozenset(compress(range(20), map(c[0].__eq__, c)))
-    first = min(model.adjacency[0])  # as `zigzag_trace` from vertex 0
+    first = _least_neighbour(model, 0)  # as `zigzag_trace` from vertex 0
     hits = [h for h in (LEFT, RIGHT) if frozenset(zigzag_walk(model, 0, first, h)[::3]) == class0]
     if len(hits) != 1:
         raise AssertionError("exactly one handedness must reproduce the class")

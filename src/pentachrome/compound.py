@@ -33,8 +33,7 @@ def compounds(model: PolytopeModel) -> tuple[Compound, Compound]:
     Compound A is the one whose tetrahedron at vertex 0 has the
     lexicographically smaller member tuple.
     """
-    tets_a, tets_b = model.compounds
-    return Compound("A", tets_a), Compound("B", tets_b)
+    return tuple(map(Compound, "AB", model.compounds))
 
 
 def classify_colouring(model: PolytopeModel, c) -> tuple[Compound, dict[int, Tetra]]:
@@ -46,8 +45,7 @@ def classify_colouring(model: PolytopeModel, c) -> tuple[Compound, dict[int, Tet
     """
     classes = chroma.colour_classes(chroma.check_rainbow(model, c), tuple)
     class_set = set(classes.values())
-    tets_a, tets_b = model.compounds
-    for label, tets in (("A", tets_a), ("B", tets_b)):
+    for label, tets in zip("AB", model.compounds):
         if class_set == set(tets):
             return Compound(label, tets), classes
     raise ValueError("colour classes do not form a compound")

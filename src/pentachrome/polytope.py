@@ -8,23 +8,19 @@ are numbered top to bottom, each band ordered by azimuth.
 
 All combinatorial structure is derived once, in `build_polytope`, from the
 raw coordinates held exactly in Z[phi], by equality and exact sign tests
-with no tolerance, and frozen as integer tuples on the model: edges,
-faces, the antipode, the dual icosahedron, the zigzag turn table, the
-opposite faces, the 10 inscribed tetrahedra and the two compounds of five.
-Each fact is checked once, where it is derived: an orthogonal pole
-rotation, the unit sphere, the bands, vertex 0 at the pole, a 3-regular
-graph, nonzero turn determinants, right turns closing pentagons, coplanar
-faces, the tetrahedra, distinct face triples and two compounds; the
-model's shape contract names a vertex or face without an antipodal one.
-A fact that follows is not checked again: a 3-regular graph whose
-right-turn walks all close pentagons has 30 edges and 12 faces, each edge
-on two of them in opposite senses.  Floats are only the exported
-embedding.  The model stays immutable and hashable, and no other module
-keeps derived state.  One exact rule orients faces and turns:
+with no tolerance, and frozen as integer tuples on the model.  Each fact is
+checked once, where it is derived; one that follows is not checked again: a
+3-regular graph whose right-turn walks all close pentagons has 30 edges and
+12 faces, each edge on two of them in opposite senses.  Floats are only the
+exported embedding.  The model stays immutable and hashable, and no other
+module keeps derived state.  One exact rule orients faces and turns:
 consecutive vertices u, w, x of a face run counterclockwise as seen from
 outside have det(u, w, x) > 0.  At the end of u -> w, right is that next
 face vertex x and left is w's third neighbour; a face is a closed walk of
-right turns, smallest vertex id first.
+right turns, smallest vertex id first.  A vertex's ring lists its
+neighbours counterclockwise as seen from outside, so the right turn at the
+end of u -> w is the neighbour before u in w's ring and the left turn the
+one after.
 """
 
 from __future__ import annotations
@@ -99,9 +95,8 @@ class Vertex(NamedTuple):
 
 # The model's fields, in order, each with its shape and the rule a fault
 # message states.  A spec is "vertex" (an int, not a bool, in 0..19),
-# "face" (one that indexes `faces`), the exact type of an entry, [spec] for
-# None or an entry of shape spec, or (lo, hi, entry): a tuple of lo to hi
-# entries, each of shape entry.
+# "face" (one that indexes `faces`), the exact type of an entry, or
+# (lo, hi, entry): a tuple of lo to hi entries, each of shape entry.
 _ANY = math.inf
 _SHAPE = {
     "vertices": ((20, _ANY, Vertex), "a Vertex (3 floats, a band) for each of the 20 ids"),
@@ -112,7 +107,6 @@ _SHAPE = {
     "vertex_faces": ((20, 20, (3, 3, "face")), "20 triples of face ids"),
     "icosa_faces": ((20, 20, (0, _ANY, "face")), "20 tuples of face ids"),
     "dual_faces": ((20, 20, "vertex"), "20 vertex ids"),
-    "turns": ((20, 20, (20, 20, [(2, 2, "vertex")])), "20 rows of 20 None or vertex-id pairs"),
     "opposite_faces": ((0, _ANY, "face"), "face ids"),
     "tetrahedra": ((0, _ANY, (0, _ANY, "vertex")), "tuples of vertex ids"),
     "compounds": ((2, 2, (0, _ANY, (0, _ANY, "vertex"))), "a pair of tuples of vertex-id tuples"),
@@ -125,8 +119,6 @@ _ModelFields = NamedTuple("_ModelFields", [(name, tuple) for name in _SHAPE])
 def _shape_fault(x, spec, faces):
     """None if x has the shape spec, else the index path to its first bad
     entry and what is there."""
-    if type(spec) is list:  # None, or the one spec listed
-        return None if x is None else _shape_fault(x, spec[0], faces)
     if type(spec) is tuple:
         if type(x) is not tuple:
             return (), f"{x!r}, not a tuple"
@@ -165,17 +157,13 @@ class PolytopeModel(_ModelFields):
     part of the contract, and no check reads it.
 
     ``faces`` are oriented pentagons (positive sense = counterclockwise seen
-    from outside), ``adjacency[v]`` holds the 3 neighbours of v, and
-    ``vertex_faces[v]`` the 3 faces through v.  ``icosa_faces`` lists the 20
-    faces of the dual icosahedron as sorted triples of dodecahedron face ids
-    (icosahedron vertex i is the centre of dodecahedron face i);
-    ``dual_faces[k]`` is the dodecahedron vertex corresponding to
-    icosahedron face k.
-
-    ``turns[u][w]`` is the (left, right) pair of outgoing edges at w for
-    the directed edge u -> w, and None where uw is not an edge: right is
-    the neighbour x of w with det(u, w, x) > 0, the next vertex of the
-    counterclockwise face through u -> w, and left is w's third neighbour.
+    from outside), ``adjacency[v]`` is v's ring, its 3 neighbours
+    counterclockwise as seen from outside from the smallest (which one a
+    ring starts at is no part of the contract), and ``vertex_faces[v]`` the
+    3 faces through v.  ``icosa_faces`` lists the 20 faces of the dual
+    icosahedron as sorted triples of dodecahedron face ids (icosahedron
+    vertex i is the centre of dodecahedron face i); ``dual_faces[k]`` is the
+    dodecahedron vertex corresponding to icosahedron face k.
     ``opposite_faces[f]`` is the face antipodal to face f.  ``tetrahedra``
     are the 10 inscribed regular tetrahedra as sorted 4-tuples, and
     ``compounds`` the two partitions of the vertices into five of them:
@@ -311,10 +299,6 @@ def _band_partition(exact) -> list[list[int]]:
     return bands
 
 
-def _azimuth(p) -> float:
-    return math.atan2(p[1], p[0]) % (2.0 * math.pi)
-
-
 def _compounds(tets) -> tuple[tuple[Tetra, ...], tuple[Tetra, ...]]:
     """The two compounds: the sets of five tetrahedra that cover all 20
     vertices (five 4-sets covering 20 vertices are pairwise disjoint),
@@ -350,7 +334,7 @@ def build_polytope() -> PolytopeModel:
     ids_in_order: list[int] = []
     latitudes: list[str] = []
     for band, raw_ids in zip(BANDS, bands):
-        raw_ids.sort(key=lambda i: _azimuth(pos[i]))
+        raw_ids.sort(key=lambda i: math.atan2(pos[i][1], pos[i][0]) % (2.0 * math.pi))
         ids_in_order.extend(raw_ids)
         latitudes.extend([band] * len(raw_ids))
     pos = [pos[i] for i in ids_in_order]
@@ -370,24 +354,23 @@ def build_polytope() -> PolytopeModel:
     if not all(len(a) == 3 for a in adj):
         raise AssertionError("graph is not 3-regular")
     edges = tuple(sorted((v, u) for v in range(20) for u in adj[v] if v < u))
-    directed_edges = edges + tuple((v, u) for u, v in edges)
 
     # right at the end of u -> w has det(u, w, right) > 0; left, its mirror
     # through the plane of u, w and the centre, has the opposite sign
-    turns = [[None] * 20 for _ in range(20)]
-    for u, w in directed_edges:
+    right = {}
+    for u, w in edges + tuple((v, u) for u, v in edges):
         x, y = adj[w] - {u}
         s = det3((exact[u], exact[w], exact[x])).sign()
         if s == 0:
             raise AssertionError(f"zero determinant at the end of {u} -> {w}")
-        turns[u][w] = (y, x) if s > 0 else (x, y)
+        right[u, w] = x if s > 0 else y
 
     # each face is the closed walk of right turns, rotated to its smallest id
     walks = set()
-    for u, w in directed_edges:
+    for u, w in right:
         walk = [u, w]
         for _ in range(5):
-            walk.append(turns[walk[-2]][walk[-1]][1])
+            walk.append(right[walk[-2], walk[-1]])
         f = walk[:5]
         # so right turns permute the 60 directed edges in twelve 5-cycles, the faces
         if len(set(f)) != 5 or walk[5:] != walk[:2]:
@@ -428,17 +411,18 @@ def build_polytope() -> PolytopeModel:
         raise AssertionError("two vertices share their face triple")
     dual_faces = tuple(sorted(range(20), key=vertex_faces.__getitem__))
     icosa_faces = tuple(vertex_faces[v] for v in dual_faces)
+    # as every directed edge is on a face, right turns cycle w's neighbours
+    rings = tuple((p, right[right[p, w], w], right[p, w]) for w, p in enumerate(map(min, adj)))
 
     return PolytopeModel(
         vertices=vertices,
         faces=faces,
         edges=edges,
         antipode=antipode,
-        adjacency=tuple(tuple(sorted(a)) for a in adj),
+        adjacency=rings,
         vertex_faces=vertex_faces,
         icosa_faces=icosa_faces,
         dual_faces=dual_faces,
-        turns=tuple(tuple(row) for row in turns),
         opposite_faces=opposite_faces,
         tetrahedra=tetrahedra,
         compounds=_compounds(tetrahedra),
@@ -469,6 +453,13 @@ def neighbours(model: PolytopeModel, v: int) -> frozenset[int]:
     """The 3 vertices joined to v by an edge."""
     _check_id(v, "vertex")
     return frozenset(model.adjacency[v])
+
+
+def _least_neighbour(model: PolytopeModel, v: int) -> int:
+    """v's smallest neighbour; AssertionError if v has none."""
+    if not model.adjacency[v]:
+        raise AssertionError(f"vertex {v} has no neighbours")
+    return min(model.adjacency[v])
 
 
 def distance_spectrum(model: PolytopeModel) -> tuple[tuple[float, int], ...]:

@@ -2,12 +2,11 @@
 the colour-side group.
 
 Vertex permutations are plain tuples of 20 images.  A symmetry is read off
-the turn table: it follows the turns from the edge 0 -> a, a =
-adjacency[0][0], onto a directed edge, keeping left and right (the 60
-rotations) or swapping them (the 60 others).  The rule that orients the
-turns, det(u, w, right) > 0, makes a symmetry's spatial determinant the sign
-of one exact determinant.  Groups are returned sorted lexicographically on
-image tuples so set equality is bit-exact.
+the rings: it follows the turns from the edge 0 -> a, a the least neighbour
+of 0, onto a directed edge, keeping left and right (the 60 rotations) or
+swapping them (the 60 others).  The rule that orients the turns,
+det(u, w, right) > 0, makes a symmetry's spatial determinant the sign of one
+exact determinant.  Groups are sorted on image tuples, so equality is exact.
 
 A colour symmetry is the pair (perm, sign) itself, validated once when it is
 built; its action on colourings is `chroma._images`.  A `Subgroup` is a
@@ -22,7 +21,7 @@ import math
 import operator
 from itertools import permutations, repeat
 
-from .polytope import PolytopeModel, _listed, det3
+from .polytope import PolytopeModel, _least_neighbour, _listed, det3
 
 Perm = tuple[int, ...]
 
@@ -46,7 +45,11 @@ def _check_vertex_perm(p) -> Perm:
 
 
 def compose(p: Perm, q: Perm) -> Perm:
-    """p after q: (p . q)(v) = p[q[v]]."""
+    """p after q: (p . q)(v) = p[q[v]].  ValueError unless p is a tuple or
+    list and q a tuple or list that permutes p's indices."""
+    if not (isinstance(p, (tuple, list)) and isinstance(q, (tuple, list))
+            and _permutes(q, range(len(p)))):
+        raise ValueError(f"cannot compose {p!r} after {q!r}")
     return tuple(p[q[v]] for v in range(len(p)))
 
 
@@ -81,28 +84,27 @@ def perm_order(p: Perm) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the symmetries of the dodecahedron, read off the turn table
+# the symmetries of the dodecahedron, read off the rings
 
 def _turn_map(model: PolytopeModel, u: int, w: int, hand: int) -> Perm:
-    """The vertex map that follows the turn table from the edge 0 -> a,
-    a = adjacency[0][0], onto u -> w.  Hand +1 keeps each turn's left and
-    right; hand -1 swaps them.  Raises AssertionError if an edge it follows
-    has no turn pair, or unless the result is a permutation."""
-    turns, a = model.turns, model.adjacency[0][0]
-    image = {0: u, a: w}
-    edges = [(0, a)]
-    for x, y in edges:  # grows by an edge to each newly reached vertex
-        pair, pair2 = turns[x][y], turns[image[x]][image[y]]
-        if pair is None or pair2 is None:
-            s, t = (x, y) if pair is None else (image[x], image[y])
-            raise AssertionError(f"the turn table has no pair for {s} -> {t}")
-        (left, right), (left2, right2) = pair, pair2[::hand]
-        if left not in image:
-            image[left] = left2
-            edges.append((y, left))
-        if right not in image:
-            image[right] = right2
-            edges.append((y, right))
+    """The vertex map following the turns from the edge 0 -> a, a the least
+    neighbour of 0, onto u -> w: hand +1 keeps each turn's side, -1 swaps it.
+    Raises AssertionError if 0 has no neighbour, where a ring it reads is not
+    3 neighbours, the vertex entered from among them, or unless it permutes."""
+    adjacency, a = model.adjacency, _least_neighbour(model, 0)
+    image, edges = {0: u, a: w}, [(0, a)]
+    try:
+        for x, y in edges:  # grows by an edge to each newly reached vertex
+            _, _, _ = ring = adjacency[y]
+            _, _, _ = ring2 = adjacency[image[y]][::hand]  # hand -1 reads it clockwise
+            i, j = ring.index(x), ring2.index(image[x])
+            for back in (2, 1):  # the left turn, then the right
+                if (z := ring[i - back]) not in image:
+                    image[z] = ring2[j - back]
+                    edges.append((y, z))
+    except ValueError:  # unpacking or index: name the ring without the turn
+        s, t = (x, y) if len(adjacency[y]) != 3 or x not in adjacency[y] else (image[x], image[y])
+        raise AssertionError(f"the ring of {t} has no turns at the end of {s} -> {t}") from None
     if sorted(image.values()) != list(range(20)):
         raise AssertionError(f"the turn map onto {u} -> {w} is not a permutation")
     return tuple(map(image.__getitem__, range(20)))
@@ -115,13 +117,13 @@ def rotation_group(model: PolytopeModel) -> tuple[Perm, ...]:
 
 def full_group(model: PolytopeModel) -> tuple[Perm, ...]:
     """All 120 symmetries: each rotation, and each rotation after the
-    side-swapping turn map that fixes 0 -> a, a = adjacency[0][0]."""
+    side-swapping turn map that fixes 0 -> a, a the least neighbour of 0."""
     return _full_group(model, rotation_group(model))
 
 
 def _full_group(model: PolytopeModel, rot: tuple[Perm, ...]) -> tuple[Perm, ...]:
     """`full_group` from the model's rotation group ``rot``."""
-    mirror = _turn_map(model, 0, model.adjacency[0][0], -1)
+    mirror = _turn_map(model, 0, _least_neighbour(model, 0), -1)
     group = set(rot).union(compose(g, mirror) for g in rot)
     if len(group) != 120:
         raise AssertionError(f"full group has {len(group)} elements")
@@ -134,17 +136,22 @@ def spatial_determinant(model: PolytopeModel, p: Perm) -> int:
     p must be a vertex permutation keeping every exact squared distance, or
     ValueError is raised; then an orthogonal map M realizes it, and det M
     has the sign of det(images of 0, a and r), as the turn rule makes
-    det(0, a, r) > 0 for a = adjacency[0][0] and r the right turn after 0 -> a.
-    Raises AssertionError if the turn table has no pair for 0 -> a.
+    det(0, a, r) > 0 for a the least neighbour of 0 and r the right turn
+    after 0 -> a.  Raises AssertionError if 0 has no neighbour, a's ring has
+    no turns at the end of 0 -> a, or that determinant is zero.
     """
     p = _check_vertex_perm(p)
     d2, image = model.squared_distances, operator.itemgetter(*p)
     if any(image(d2[p[u]]) != d2[u] for u in range(20)):
         raise ValueError("permutation does not keep the vertex distances")
-    x, a = model.exact_positions, model.adjacency[0][0]
-    if model.turns[0][a] is None:
-        raise AssertionError(f"the turn table has no pair for 0 -> {a}")
-    return det3((x[p[0]], x[p[a]], x[p[model.turns[0][a][1]]])).sign()
+    x, a = model.exact_positions, _least_neighbour(model, 0)
+    ring = model.adjacency[a]
+    if len(ring) != 3 or 0 not in ring:
+        raise AssertionError(f"the ring of {a} has no turns at the end of 0 -> {a}")
+    sign = det3((x[p[0]], x[p[a]], x[p[ring[ring.index(0) - 1]]])).sign()
+    if sign == 0:
+        raise AssertionError(f"zero determinant at the end of 0 -> {a}")
+    return sign
 
 
 def tetra_action(g: Perm, tetrahedra) -> Perm:

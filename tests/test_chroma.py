@@ -53,6 +53,7 @@ from pentachrome.symmetry import (
     ColourSymmetry,
     Subgroup,
     colour_group,
+    compose,
     generate_subgroup,
     invert,
     named_subgroup,
@@ -235,6 +236,11 @@ def test_two_completions_per_frame(model):
      "^not five distinct 4-tuples of vertex ids"),
     (lambda model: invert(None), "^not a permutation of the 20 vertex ids: None$"),
     (lambda model: invert((5, 5)), r"^not a permutation of the 20 vertex ids: \(5, 5\)$"),
+    (lambda model: compose((1, 2), (5,)), r"^cannot compose \(1, 2\) after \(5,\)$"),
+    (lambda model: compose((1, 2), (1, 1)), r"^cannot compose \(1, 2\) after \(1, 1\)$"),
+    (lambda model: compose((1, 2), (True, 0)), r"^cannot compose \(1, 2\) after \(True, 0\)$"),
+    (lambda model: compose(None, None), "^cannot compose None after None$"),
+    (lambda model: compose("ab", (1, 0)), r"^cannot compose 'ab' after \(1, 0\)$"),
     (lambda model: colouring_from_json(None), "^expected a JSON document, not None$"),
     (lambda model: enumeration_to_json(None), "^expected colourings, not None$"),
 ], ids=[
@@ -242,6 +248,7 @@ def test_two_completions_per_frame(model):
     "frame-short-triple", "frame-no-triple", "parity-None", "parity-str", "parity-bool",
     "canonical-short", "inverse-short", "inverse-None", "subgroup-list", "orbits-None",
     "tetrahedra-None", "tetrahedra-ints", "tetrahedra-three", "invert-None", "invert-short",
+    "compose-short", "compose-repeat", "compose-bool", "compose-None", "compose-str",
     "from-json-None", "enumeration-None",
 ])
 def test_entry_points_raise_value_error_on_bad_input(model, call, match):
@@ -507,7 +514,8 @@ _REFUSED = r"^(\w+)(\[\d+\])* is .+; the \1 must be "
 # vertex 13 takes vertex 11's faces, and the search finds no colouring
 @example(field="vertex_faces", edit="duplicate", inner=False, v=13, w=11, value=None, i=0,
          g=COLOUR_SWAP)
-@example(field="turns", edit="replace", inner=True, v=0, w=5, value=(0, 1), i=0, g=COLOUR_SWAP)
+# ring 1 loses vertex 0: the turn maps and the zigzags from 0 -> 1 name it
+@example(field="adjacency", edit="replace", inner=True, v=1, w=0, value=5, i=0, g=COLOUR_SWAP)
 @example(field="vertices", edit="replace", inner=False, v=3, w=0, value=(0, 1), i=0,
          g=COLOUR_SWAP)
 def test_a_single_field_edit_is_refused_or_read_without_a_shape_error(
@@ -515,7 +523,7 @@ def test_a_single_field_edit_is_refused_or_read_without_a_shape_error(
     # an edit of one field, or of one entry of it: the model refuses it where
     # it is made, or every reader measures it or raises one of the errors
     # that name what broke, never a raw IndexError, TypeError, KeyError or
-    # AttributeError
+    # AttributeError, nor tuple.index's own ValueError
     rows = getattr(model, field)
     entry = rows[v % len(rows)]
     if inner and type(entry) is tuple and edit == "fill":
@@ -532,8 +540,9 @@ def test_a_single_field_edit_is_refused_or_read_without_a_shape_error(
         return
     checks = verify.run_checks(mutant)
     assert len(checks) == 61
-    assert [ch.detail for ch in checks if not ch.ok and ch.detail.startswith(
-        ("IndexError", "TypeError", "KeyError", "AttributeError"))] == []
+    assert [ch.detail for ch in checks if not ch.ok and (ch.detail.startswith(
+        ("IndexError", "TypeError", "KeyError", "AttributeError"))
+        or "tuple.index(" in ch.detail)] == []
     # act checks a plain tuple on the mutant, where it trusts a Rainbow on
     # any model: the image is rainbow there, or the error names the fault
     try:
@@ -781,23 +790,20 @@ def test_a5_orbits_are_parity_times_compound(model, colourings):
 # ---------------------------------------------------------------------------
 # P1: zigzag traces
 
-def test_turn_table_matches_geometric_rule(model):
-    # "left" at w is the outgoing edge with positive component along
-    # (incoming direction x outward normal at w), a float rule independent
-    # of the exact determinant that builds the table
+def test_each_ring_runs_counterclockwise(model):
+    # float rules independent of the exact determinants that build the
+    # rings: seen from outside, each neighbour of w turns counterclockwise
+    # into the next, and at the end of u -> w "left", the neighbour after u,
+    # has a positive component along (incoming direction x outward normal
+    # at w), "right", the one before u, a negative one
     pos = np.array(positions(model))
-    table = {
-        (u, w): turn
-        for u, row in enumerate(model.turns)
-        for w, turn in enumerate(row)
-        if turn is not None
-    }
-    assert set(table) == {(u, w) for u in range(20) for w in model.adjacency[u]}
-    for (u, w), (left, right) in table.items():
-        ref = np.cross(pos[w] - pos[u], pos[w])
-        side = {x: float((pos[x] - pos[w]) @ ref) for x in model.adjacency[w] if x != u}
-        assert side[left] > 1e-6
-        assert side[right] < -1e-6
+    for w, ring in enumerate(model.adjacency):
+        assert len(ring) == 3 and ring[0] == min(ring)
+        for i, u in enumerate(ring):
+            assert float(np.cross(pos[u] - pos[w], pos[ring[i - 2]] - pos[w]) @ pos[w]) > 1e-6
+            ref = np.cross(pos[w] - pos[u], pos[w])
+            assert float((pos[ring[i - 2]] - pos[w]) @ ref) > 1e-6
+            assert float((pos[ring[i - 1]] - pos[w]) @ ref) < -1e-6
 
 
 def test_zigzag_walk_closes_after_twelve_edges(model):
@@ -813,13 +819,12 @@ def test_zigzag_walk_closes_after_twelve_edges(model):
 @pytest.mark.parametrize("h", [LEFT, RIGHT])
 @pytest.mark.parametrize("at", [0, 5, 11])
 def test_zigzag_walk_raises_on_a_swapped_turn_pair(model, h, at):
-    # one directed edge of the walk turns the wrong way, so the 12 turns end
-    # off the first edge: the walk raises instead of returning another length
-    walk = zigzag_walk(model, 0, 1, h)
-    u, w = walk[at], walk[at + 1]
-    turns = [list(row) for row in model.turns]
-    turns[u][w] = turns[u][w][::-1]
-    broken = model._replace(turns=tuple(map(tuple, turns)))
+    # the ring at the end of one edge of the walk runs clockwise, so the walk
+    # turns the wrong way there and its 12 turns end off the first edge: it
+    # raises instead of returning another length
+    w = zigzag_walk(model, 0, 1, h)[at + 1]
+    broken = model._replace(adjacency=tuple(
+        ring[::-1] if v == w else ring for v, ring in enumerate(model.adjacency)))
     with pytest.raises(AssertionError, match="failed to close after 12 edges"):
         zigzag_walk(broken, 0, 1, h)
 

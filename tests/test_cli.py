@@ -167,7 +167,7 @@ def test_a_library_request_on_a_plain_tuple_makes_eight_face_scans(model, colour
 
 
 def test_verify_closes_only_the_rotations_and_multiplies_no_colour_symmetries(model, monkeypatch):
-    # the vertex symmetries are read off the turn table, and the colour
+    # the vertex symmetries are read off the rings, and the colour
     # subgroups come from their builders already checked, so nothing is
     # closed: no orbit partition re-closes a subgroup
     closures, products = [], []
@@ -305,10 +305,11 @@ def _replace_vertex(model, v, **fields):
     return model._replace(vertices=tuple(vertices))
 
 
-def _swap_turn_at_0_1(model):
-    rows = [list(row) for row in model.turns]
-    rows[0][1] = rows[0][1][::-1]
-    return model._replace(turns=tuple(tuple(row) for row in rows))
+def _reverse_rings(model, *vertices):
+    """model with the rings of ``vertices`` run clockwise: each turn at the
+    end of an edge into one of them swaps sides."""
+    return model._replace(adjacency=tuple(
+        ring[::-1] if w in vertices else ring for w, ring in enumerate(model.adjacency)))
 
 
 def _swap_distances_0_1_and_0_19(model):
@@ -377,7 +378,7 @@ _READ_ANTIPODE = (
     "antipodal image of compound A is compound B",
 )
 # an antipode of 20 vertex ids that is no involution: the reflections come
-# from the turn table, so they still exchange the compounds, but its colour
+# from the rings, so they still exchange the compounds, but its colour
 # swap leaves the enumerated colourings, and its coset is no longer the full
 # group's other half
 _ANTIPODE_NO_INVOLUTION = {
@@ -433,8 +434,7 @@ _SINGLE_FAULTS = [
         tuple(-x for x in p) for p in m.exact_positions)),
         {"rotations have determinant +1": "[-1]"}, "exact-positions-negated"),
     # the same, and the zigzags exchange their handedness
-    _reports(lambda m: m._replace(turns=tuple(
-        tuple(pair and pair[::-1] for pair in row) for row in m.turns)),
+    _reports(lambda m: _reverse_rings(m, *range(20)),
         {"rotations have determinant +1": "[-1]",
          "fixed pairing: compound A works left, compound B works right":
              "[('A', 'right'), ('B', 'left')]"},
@@ -445,14 +445,31 @@ _SINGLE_FAULTS = [
                                              m.compounds[1])),
              _COMPOUND_A_TAKES_B_0, "compound-a-takes-b-0"),
     _reports(_swap_distances_0_1_and_0_19, _DISTANCES_0_1_AND_0_19, "distances-0-1-and-0-19"),
-    # a = adjacency[0][0] is then 0, and the edge 0 -> 0 has no turn pair
+    # vertex 0 then has vertex 1's neighbours, 0 among them, and the ring of
+    # its neighbour 5 does not hold it
     _reports(lambda m: m._replace(adjacency=_swap(m.adjacency, 0, 1)),
              {**dict.fromkeys((*_READ_GROUPS, *_READ_HANDS), "AssertionError: "
-                              "the turn table has no pair for 0 -> 0"),
+                              "the ring of 5 has no turns at the end of 0 -> 5"),
               "dual face adjacency preserved both ways": "",
               "antipodal colour rule at all 20 vertices of all 240": ""},
              "adjacency-0-1"),
-    _reports(_swap_turn_at_0_1,
+    # a ring without its neighbours: no base edge to read a symmetry or a
+    # zigzag from
+    _reports(lambda m: m._replace(adjacency=((),) + m.adjacency[1:]),
+             {**dict.fromkeys((*_READ_GROUPS, *_READ_HANDS),
+                              "AssertionError: vertex 0 has no neighbours"),
+              "vertex degree 3": "degrees [0, 3]",
+              "dual face adjacency preserved both ways": "",
+              "antipodal colour rule at all 20 vertices of all 240":
+                  "ValueError: vertex 0 has 0 neighbours, expected 3"},
+             "adjacency-0-empty"),
+    # which neighbour a ring starts at is no part of the model
+    _reports(lambda m: m._replace(adjacency=(m.adjacency[0][1:] + m.adjacency[0][:1],
+                                             *m.adjacency[1:])), {}, "ring-0-rotated"),
+    _reports(lambda m: m._replace(adjacency=tuple(r[1:] + r[:1] for r in m.adjacency)), {},
+             "rings-rotated"),
+    # the turns at the end of 0 -> 1, and of the other edges into 1, swap sides
+    _reports(lambda m: _reverse_rings(m, 1),
              {**dict.fromkeys(_READ_GROUPS, "AssertionError: "
                               "the turn map onto 1 -> 0 is not a permutation"),
               **dict.fromkeys(_READ_HANDS, "AssertionError: "
@@ -552,7 +569,11 @@ _SINGLE_FAULTS = [
               "antipode exchanges bands (C3=-C2, C4=-C1)": ""},
              "vertex-0-in-band-C1"),
     _reports(lambda m: m._replace(adjacency=m.adjacency[:-1] + (m.adjacency[-1][:2],)),
-             {"vertex degree 3": "degrees [2, 3]",
+             {**dict.fromkeys(_READ_GROUPS, "AssertionError: "
+                              "the ring of 19 has no turns at the end of 16 -> 19"),
+              **dict.fromkeys(_READ_HANDS, "AssertionError: "
+                              "the ring of 19 has no turns at the end of 17 -> 19"),
+              "vertex degree 3": "degrees [2, 3]",
               "antipodal colour rule at all 20 vertices of all 240":
                   "ValueError: vertex 19 has 2 neighbours, expected 3"},
              "adjacency-19-short"),
@@ -632,7 +653,7 @@ def test_verify_computes_a_fact_that_raises_once(model, monkeypatch):
         return rotation_group(model)
 
     monkeypatch.setattr(symmetry, "rotation_group", counted)
-    checks = verify.run_checks(_swap_turn_at_0_1(model))
+    checks = verify.run_checks(_reverse_rings(model, 1))
     assert len(checks) == 61
     assert len(calls) == 1
 
