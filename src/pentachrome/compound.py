@@ -22,9 +22,9 @@ class Compound(NamedTuple):
 
 
 def inscribed_tetrahedra(model: PolytopeModel) -> tuple[Tetra, ...]:
-    """The 10 regular tetrahedra with vertices among the dodecahedron's,
-    as sorted 4-tuples (derived by `build_polytope`)."""
-    return model.tetrahedra
+    """The inscribed regular tetrahedra: the distinct tetrahedra of the two
+    compounds, sorted (the 10 sorted 4-tuples on the canonical model)."""
+    return tuple(sorted({t for comp in model.compounds for t in comp}))
 
 
 def compounds(model: PolytopeModel) -> tuple[Compound, Compound]:

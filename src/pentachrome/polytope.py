@@ -101,14 +101,12 @@ _ANY = math.inf
 _SHAPE = {
     "vertices": ((20, _ANY, Vertex), "a Vertex (3 floats, a band) for each of the 20 ids"),
     "faces": ((0, _ANY, (5, 5, "vertex")), "5-tuples of vertex ids"),
-    "edges": ((0, _ANY, (2, 2, "vertex")), "pairs of vertex ids"),
     "antipode": ((20, 20, "vertex"), "20 vertex ids"),
     "adjacency": ((20, 20, (0, _ANY, "vertex")), "20 tuples of vertex ids"),
     "vertex_faces": ((20, 20, (3, 3, "face")), "20 triples of face ids"),
     "icosa_faces": ((20, 20, (0, _ANY, "face")), "20 tuples of face ids"),
     "dual_faces": ((20, 20, "vertex"), "20 vertex ids"),
     "opposite_faces": ((0, _ANY, "face"), "face ids"),
-    "tetrahedra": ((0, _ANY, (0, _ANY, "vertex")), "tuples of vertex ids"),
     "compounds": ((2, 2, (0, _ANY, (0, _ANY, "vertex"))), "a pair of tuples of vertex-id tuples"),
     "exact_positions": ((20, 20, (3, 3, ZPhi)), "20 triples of ZPhi"),
     "squared_distances": ((20, 20, (20, 20, ZPhi)), "20 rows of 20 ZPhi"),
@@ -153,22 +151,21 @@ class PolytopeModel(_ModelFields):
     Counts and structure are left to `verify`, which measures them: how
     many vertices (at least 20), faces, edges and tetrahedra there are,
     the adjacency's arity, and every fact such as an involutive antipode.
-    `build_polytope` sorts ``edges`` and ``tetrahedra``; their order is no
-    part of the contract, and no check reads it.
 
     ``faces`` are oriented pentagons (positive sense = counterclockwise seen
     from outside), ``adjacency[v]`` is v's ring, its 3 neighbours
     counterclockwise as seen from outside from the smallest (which one a
     ring starts at is no part of the contract), and ``vertex_faces[v]`` the
-    3 faces through v.  ``icosa_faces`` lists the 20 faces of the dual
-    icosahedron as sorted triples of dodecahedron face ids (icosahedron
-    vertex i is the centre of dodecahedron face i); ``dual_faces[k]`` is the
-    dodecahedron vertex corresponding to icosahedron face k.
-    ``opposite_faces[f]`` is the face antipodal to face f.  ``tetrahedra``
-    are the 10 inscribed regular tetrahedra as sorted 4-tuples, and
-    ``compounds`` the two partitions of the vertices into five of them:
-    compound A first, the one whose tetrahedron at vertex 0 is the
-    lexicographically smaller.
+    3 faces through v.  The rings are the graph: its edges are the pairs
+    (u, w), u < w, with w in u's ring.  ``icosa_faces`` lists the 20 faces
+    of the dual icosahedron as sorted triples of dodecahedron face ids
+    (icosahedron vertex i is the centre of dodecahedron face i);
+    ``dual_faces[k]`` is the dodecahedron vertex corresponding to
+    icosahedron face k.
+    ``opposite_faces[f]`` is the face antipodal to face f, and
+    ``compounds`` the two partitions of the vertices into five of the 10
+    inscribed regular tetrahedra, each a sorted 4-tuple: compound A first,
+    the one whose tetrahedron at vertex 0 is the lexicographically smaller.
 
     ``exact_positions[v]`` is vertex v's raw coordinate triple in Z[phi]
     (circumradius sqrt(3), not rotated), and ``squared_distances[u][v]``
@@ -417,14 +414,12 @@ def build_polytope() -> PolytopeModel:
     return PolytopeModel(
         vertices=vertices,
         faces=faces,
-        edges=edges,
         antipode=antipode,
         adjacency=rings,
         vertex_faces=vertex_faces,
         icosa_faces=icosa_faces,
         dual_faces=dual_faces,
         opposite_faces=opposite_faces,
-        tetrahedra=tetrahedra,
         compounds=_compounds(tetrahedra),
         exact_positions=exact,
         squared_distances=tuple(tuple(row) for row in d2),

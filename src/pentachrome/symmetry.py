@@ -111,8 +111,9 @@ def _turn_map(model: PolytopeModel, u: int, w: int, hand: int) -> Perm:
 
 
 def rotation_group(model: PolytopeModel) -> tuple[Perm, ...]:
-    """The 60 rotations: the side-keeping turn map onto each directed edge."""
-    return tuple(sorted(_turn_map(model, u, w, 1) for e in model.edges for u, w in (e, e[::-1])))
+    """The 60 rotations: the side-keeping turn map onto each directed edge of the rings."""
+    return tuple(sorted(_turn_map(model, u, w, 1)
+                        for u, ring in enumerate(model.adjacency) for w in ring))
 
 
 def full_group(model: PolytopeModel) -> tuple[Perm, ...]:

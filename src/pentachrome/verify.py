@@ -144,6 +144,9 @@ _FACTS = {
     "spectrum": lambda b: distance_spectrum(b.model),
     "third": _third_distance,
     "positions": lambda b: positions(b.model),
+    # the graph the rings state: each pair of ring neighbours once, sorted
+    "edges": lambda b: sorted({(min(u, w), max(u, w))
+                               for u, ring in enumerate(b.model.adjacency) for w in ring}),
     "compounds": lambda b: compound_mod.compounds(b.model),
     "tetrahedra": lambda b: compound_mod.inscribed_tetrahedra(b.model),
     "spread": lambda b: compound_mod.spread_subsets(b.model),
@@ -179,9 +182,9 @@ class _Battery:
         return {tuple(sorted(p[v] for v in t)) for t in self.compounds[0].tetrahedra}
 
     def faces_are_5_cycles(self):
-        edge_set = set(self.model.edges)
+        rings = self.model.adjacency
         return all(
-            (min(f[i], f[(i + 1) % 5]), max(f[i], f[(i + 1) % 5])) in edge_set
+            f[i - 1] in rings[f[i]] and f[i] in rings[f[i - 1]]
             for f in self.model.faces for i in range(5)
         ) and all(len(set(f)) == 5 for f in self.model.faces), ""
 
@@ -196,7 +199,7 @@ class _Battery:
 
     def edge_senses(self):
         directed = Counter((f[i], f[(i + 1) % 5]) for f in self.model.faces for i in range(5))
-        return all(directed[(u, v)] == 1 and directed[(v, u)] == 1 for u, v in self.model.edges), ""
+        return all(directed[u, w] == directed[w, u] == 1 for u, w in self.edges), ""
 
     def spectrum_counts(self):
         counts = [c for _, c in self.spectrum]
@@ -216,10 +219,10 @@ class _Battery:
         return set(self.full) == set(self.rot) | mirrored and not (set(self.rot) & mirrored), ""
 
     def transitive(self):
-        rot, model = self.rot, self.model
+        rot, (u, w) = self.rot, self.edges[0]
         v_orbit = {p[0] for p in rot}
-        e_orbit = {tuple(sorted((p[u], p[v]))) for p in rot for (u, v) in [model.edges[0]]}
-        f_orbit = {tuple(sorted(p[v] for v in model.faces[0])) for p in rot}
+        e_orbit = {tuple(sorted((p[u], p[w]))) for p in rot}
+        f_orbit = {tuple(sorted(p[v] for v in self.model.faces[0])) for p in rot}
         sizes = (len(v_orbit), len(e_orbit), len(f_orbit))
         return sizes == (20, 30, 12), "orbit sizes {}/{}/{}".format(*sizes)
 
@@ -228,7 +231,7 @@ class _Battery:
         v_stab = sum(1 for p in rot if p[0] == 0)
         f0 = set(self.model.faces[0])
         f_stab = sum(1 for p in rot if {p[v] for v in f0} == f0)
-        e0 = set(self.model.edges[0])
+        e0 = set(self.edges[0])
         e_stab = sum(1 for p in rot if {p[v] for v in e0} == e0)
         return (v_stab, f_stab, e_stab) == (3, 5, 2), f"{v_stab}/{f_stab}/{e_stab}"
 
@@ -342,9 +345,9 @@ _INVERSE_CYCLE = {(1, *p): chroma.inverse_cycle((1, *p)) for p in permutations((
 CHECKS = (
     ("polytope", "vertex count", lambda b: _equals(len(b.model.vertices), 20)),
     ("polytope", "face count", lambda b: _equals(len(b.model.faces), 12)),
-    ("polytope", "edge count", lambda b: _equals(len(b.model.edges), 30)),
+    ("polytope", "edge count", lambda b: _equals(len(b.edges), 30)),
     ("polytope", "Euler characteristic V-E+F",
-     lambda b: _equals(len(b.model.vertices) - len(b.model.edges) + len(b.model.faces), 2)),
+     lambda b: _equals(len(b.model.vertices) - len(b.edges) + len(b.model.faces), 2)),
     ("polytope", "vertex degree 3", lambda b: (
         all(len(a) == 3 for a in b.model.adjacency),
         f"degrees {sorted({len(a) for a in b.model.adjacency})}",

@@ -17,6 +17,12 @@ def model():
 
 
 @pytest.fixture(scope="session")
+def edges(model):
+    """The 30 edges the rings state: (u, w), u < w, with w in u's ring, sorted."""
+    return tuple(sorted((u, w) for u, ring in enumerate(model.adjacency) for w in ring if u < w))
+
+
+@pytest.fixture(scope="session")
 def colourings(model):
     return chroma.enumerate_colourings(model)
 

@@ -123,10 +123,10 @@ def test_criterion_07_colour_class_structure(model, colourings):
         split[comp.label] += 1
     assert split["A"] == split["B"] == 120
     # why a labelled compound is rainbow: each face meets each tetrahedron once
-    for f in model.faces:
-        for t in model.tetrahedra:
-            assert len(set(f) & set(t)) == 1
     tets_a, tets_b = model.compounds
+    for f in model.faces:
+        for t in tets_a + tets_b:
+            assert len(set(f) & set(t)) == 1
     anti = model.antipode
     images = [tets_b.index(tuple(sorted(anti[v] for v in t))) for t in tets_a]
     assert images == [4, 3, 1, 2, 0]

@@ -518,6 +518,9 @@ _REFUSED = r"^(\w+)(\[\d+\])* is .+; the \1 must be "
 @example(field="adjacency", edit="replace", inner=True, v=1, w=0, value=5, i=0, g=COLOUR_SWAP)
 @example(field="vertices", edit="replace", inner=False, v=3, w=0, value=(0, 1), i=0,
          g=COLOUR_SWAP)
+# compound B's tetrahedron at 0 also in compound A: the compounds hold 9
+@example(field="compounds", edit="replace", inner=True, v=0, w=4, value=(0, 11, 13, 15), i=0,
+         g=COLOUR_SWAP)
 def test_a_single_field_edit_is_refused_or_read_without_a_shape_error(
         model, colourings, field, edit, inner, v, w, value, i, g):
     # an edit of one field, or of one entry of it: the model refuses it where

@@ -400,7 +400,11 @@ _NO_PARITY = {
     "compound and parity independent: 4 combinations of 60":
         "{('A', None): 120, ('B', None): 120}",
 }
+# compound A then shares B's tetrahedron at 0: 9 distinct tetrahedra are left
 _COMPOUND_A_TAKES_B_0 = {
+    "inscribed tetrahedra": "9",
+    "each vertex lies in exactly 2 tetrahedra": "",
+    "4-element well-spread subsets are exactly the 10 tetrahedra": "10 maximal subsets",
     "tetrahedra action: injective image = all 60 even permutations":
         "ValueError: symmetry does not stabilize the compound",
     "canonical seeds valid, distinct, classified A and B": "seed compounds None/B",
@@ -446,10 +450,14 @@ _SINGLE_FAULTS = [
              _COMPOUND_A_TAKES_B_0, "compound-a-takes-b-0"),
     _reports(_swap_distances_0_1_and_0_19, _DISTANCES_0_1_AND_0_19, "distances-0-1-and-0-19"),
     # vertex 0 then has vertex 1's neighbours, 0 among them, and the ring of
-    # its neighbour 5 does not hold it
+    # its neighbour 5 does not hold it; the rings state 35 edges
     _reports(lambda m: m._replace(adjacency=_swap(m.adjacency, 0, 1)),
              {**dict.fromkeys((*_READ_GROUPS, *_READ_HANDS), "AssertionError: "
                               "the ring of 5 has no turns at the end of 0 -> 5"),
+              "edge count": "35",
+              "Euler characteristic V-E+F": "-3",
+              "faces are 5-cycles in the edge set": "",
+              "each edge on 2 faces with opposite senses": "",
               "dual face adjacency preserved both ways": "",
               "antipodal colour rule at all 20 vertices of all 240": ""},
              "adjacency-0-1"),
@@ -459,6 +467,7 @@ _SINGLE_FAULTS = [
              {**dict.fromkeys((*_READ_GROUPS, *_READ_HANDS),
                               "AssertionError: vertex 0 has no neighbours"),
               "vertex degree 3": "degrees [0, 3]",
+              "faces are 5-cycles in the edge set": "",
               "dual face adjacency preserved both ways": "",
               "antipodal colour rule at all 20 vertices of all 240":
                   "ValueError: vertex 0 has 0 neighbours, expected 3"},
@@ -471,7 +480,7 @@ _SINGLE_FAULTS = [
     # the turns at the end of 0 -> 1, and of the other edges into 1, swap sides
     _reports(lambda m: _reverse_rings(m, 1),
              {**dict.fromkeys(_READ_GROUPS, "AssertionError: "
-                              "the turn map onto 1 -> 0 is not a permutation"),
+                              "the turn map onto 0 -> 2 is not a permutation"),
               **dict.fromkeys(_READ_HANDS, "AssertionError: "
                               "zigzag walk from 0 -> 1 failed to close after 12 edges")},
              "turn-pair-0-1"),
@@ -502,22 +511,21 @@ _SINGLE_FAULTS = [
              "face-0-is-face-1"),
     _reports(lambda m: m._replace(faces=((m.faces[0][0], *m.faces[0][:0:-1]), *m.faces[1:])),
              {"each edge on 2 faces with opposite senses": "", **_NO_PARITY}, "face-0-reversed"),
-    # the rotations onto the edge's two directions are lost: 58 rotations
-    # and 116 symmetries are left
-    _reports(lambda m: m._replace(edges=m.edges[1:]),
+    # edge 0 -> 1 gone from both rings: the faces through it leave the edge
+    # set, and the turns at the end of an edge into 0 or 1 are lost
+    _reports(lambda m: m._replace(adjacency=(m.adjacency[0][1:], m.adjacency[1][1:],
+                                             *m.adjacency[2:])),
              {"edge count": "29",
               "Euler characteristic V-E+F": "3",
+              "vertex degree 3": "degrees [2, 3]",
               "faces are 5-cycles in the edge set": "",
-              "rotation group order": "58",
-              **dict.fromkeys(["full group order",
-                               "full group = rotations + inversion coset, disjoint",
-                               "all symmetries commute with the antipode",
-                               "every orientation-reversing symmetry exchanges the compounds"],
-                              "AssertionError: full group has 116 elements"),
-              "rotation element orders {1,2,3,5}": "[2, 3, 5]",
-              "stabilizer orders vertex/face/edge = 3/5/2": "2/4/1",
-              "tetrahedra action: injective image = all 60 even permutations":
-                  "image size 58, all even: True"},
+              "dual face adjacency preserved both ways": "",
+              **dict.fromkeys(_READ_GROUPS, "AssertionError: "
+                              "the ring of 1 has no turns at the end of 6 -> 1"),
+              **dict.fromkeys(_READ_HANDS, "AssertionError: "
+                              "the ring of 0 has no turns at the end of 3 -> 0"),
+              "antipodal colour rule at all 20 vertices of all 240":
+                  "ValueError: vertex 0 has 2 neighbours, expected 3"},
              "edge-0-dropped"),
     # the records move, and with them the positions and bands the checks measure
     _reports(lambda m: m._replace(vertices=_swap(m.vertices, 0, 1)),
@@ -535,11 +543,20 @@ _SINGLE_FAULTS = [
              {"dual face adjacency preserved both ways": ""}, "dual-faces-0-1"),
     _reports(lambda m: m._replace(opposite_faces=_swap(m.opposite_faces, 0, 1)),
              {"P2: opposite faces carry inverse cyclic orders": ""}, "opposite-faces-0-1"),
-    _reports(lambda m: m._replace(tetrahedra=m.tetrahedra[1:]),
+    # compound B's tetrahedron at 0 gone: 9 tetrahedra, and no colouring of
+    # compound B classifies
+    _reports(lambda m: m._replace(compounds=(m.compounds[0], m.compounds[1][1:])),
              {"inscribed tetrahedra": "9",
               "each vertex lies in exactly 2 tetrahedra": "",
               "4-element well-spread subsets are exactly the 10 tetrahedra":
-                  "10 maximal subsets"},
+                  "10 maximal subsets",
+              "antipodal image of compound A is compound B": "",
+              "every orientation-reversing symmetry exchanges the compounds": "",
+              "canonical seeds valid, distinct, classified A and B": "seed compounds A/None",
+              "colour classes of all 240 form one compound": "classified 120",
+              "120 colourings per compound": "A: 120, B: 0",
+              "fixed pairing: compound A works left, compound B works right":
+                  "[('A', 'left'), (None, 'right')]"},
              "tetrahedra-0-dropped"),
     # a repeated face: the counts and the OFF export's count line measure it,
     # and the propagation still completes every frame
@@ -574,6 +591,7 @@ _SINGLE_FAULTS = [
               **dict.fromkeys(_READ_HANDS, "AssertionError: "
                               "the ring of 19 has no turns at the end of 17 -> 19"),
               "vertex degree 3": "degrees [2, 3]",
+              "faces are 5-cycles in the edge set": "",
               "antipodal colour rule at all 20 vertices of all 240":
                   "ValueError: vertex 19 has 2 neighbours, expected 3"},
              "adjacency-19-short"),
@@ -606,9 +624,6 @@ _SINGLE_FAULTS = [
                   "max 3 over 4845 four-subsets",
               "4-element well-spread subsets are exactly the 10 tetrahedra": "0 maximal subsets"},
              "distances-all-equal"),
-    # `build_polytope` sorts these two, but their order is no part of the model
-    _reports(lambda m: m._replace(edges=m.edges[::-1]), {}, "edges-order-only"),
-    _reports(lambda m: m._replace(tetrahedra=m.tetrahedra[::-1]), {}, "tetrahedra-order-only"),
 ]
 
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pentachrome import polytope
+from pentachrome.compound import inscribed_tetrahedra
 from pentachrome.polytope import (
     BAND_SIZES,
     BANDS,
@@ -31,11 +32,11 @@ from pentachrome.polytope import (
 )
 
 
-def test_counts(model):
+def test_counts(model, edges):
     assert len(model.vertices) == 20
     assert len(model.faces) == 12
-    assert len(model.edges) == 30
-    assert len(model.vertices) - len(model.edges) + len(model.faces) == 2
+    assert len(edges) == 30
+    assert len(model.vertices) - len(edges) + len(model.faces) == 2
 
 
 def test_construction_deterministic(model):
@@ -86,8 +87,8 @@ def test_neighbours_rejects_bad_id(model):
         neighbours(model, True)
 
 
-def test_faces_are_pentagon_cycles(model):
-    edge_set = set(model.edges)
+def test_faces_are_pentagon_cycles(model, edges):
+    edge_set = set(edges)
     for f in model.faces:
         assert len(set(f)) == 5
         for i in range(5):
@@ -95,12 +96,12 @@ def test_faces_are_pentagon_cycles(model):
             assert (min(u, v), max(u, v)) in edge_set
 
 
-def test_each_edge_on_two_faces_opposite_senses(model):
+def test_each_edge_on_two_faces_opposite_senses(model, edges):
     directed = Counter()
     for f in model.faces:
         for i in range(5):
             directed[(f[i], f[(i + 1) % 5])] += 1
-    for u, v in model.edges:
+    for u, v in edges:
         assert directed[(u, v)] == 1
         assert directed[(v, u)] == 1
 
@@ -148,8 +149,6 @@ _SHAPE_FAULTS = [
                  r"vertices\[5\] is Vertex\(.*latitude='C5'\)", id="vertex-5-off-the-bands"),
     pytest.param(lambda m: {"faces": list(m.faces)},
                  r"faces is \[\(0, 1, 6, 7, 2\), .*\], not a tuple", id="faces-a-list"),
-    pytest.param(lambda m: {"edges": _with(m.edges, 0, (0, 1, 2))}, r"edges\[0\]\[2\] is 2",
-                 id="edge-0-a-triple"),
     pytest.param(lambda m: {"adjacency": _with(m.adjacency, 3, (0, 7, 20))},
                  r"adjacency\[3\]\[2\] is 20", id="adjacency-3-out-of-range"),
     pytest.param(lambda m: {"vertex_faces": _with(m.vertex_faces, 0, (12, 1, 2))},
@@ -160,8 +159,6 @@ _SHAPE_FAULTS = [
                  id="dual-faces-19-entries"),
     pytest.param(lambda m: {"opposite_faces": _with(m.opposite_faces, 0, -1)},
                  r"opposite_faces\[0\] is -1", id="opposite-face-0-out-of-range"),
-    pytest.param(lambda m: {"tetrahedra": _with(m.tetrahedra, 0, list(m.tetrahedra[0]))},
-                 r"tetrahedra\[0\] is \[0, 10, 12, 14\], not a tuple", id="tetrahedron-0-a-list"),
     pytest.param(lambda m: {"compounds": m.compounds + m.compounds[:1]},
                  r"compounds\[2\] is \(\(0, 10, 12, 14\), .*\)", id="compounds-3-entries"),
     pytest.param(lambda m: {"exact_positions": _with(m.exact_positions, 0,
@@ -429,7 +426,7 @@ def test_exact_derivation_matches_float_route(model):
         q for q in combinations(range(20), 4)
         if all(abs(dist[a, b] - tetra_edge) < 1e-9 for a, b in combinations(q, 2))
     )
-    assert tetrahedra == model.tetrahedra
+    assert tetrahedra == inscribed_tetrahedra(model)
 
 
 def test_squared_distances_are_exact_classes(model):
@@ -500,7 +497,7 @@ def test_orientation_rule_rejects_a_broken_determinant(monkeypatch, det, message
 
 
 def test_compounds_rejects_a_tetrahedron_set_with_one_cover(model):
-    tets = tuple(t for t in model.tetrahedra if t != model.compounds[1][0])
+    tets = tuple(t for t in inscribed_tetrahedra(model) if t != model.compounds[1][0])
     with pytest.raises(AssertionError, match="^expected 2 compounds, found 1$"):
         polytope._compounds(tets)
 

@@ -142,19 +142,19 @@ def test_rotation_permutation_rejects_non_symmetry(model):
         rotation_permutation(model, (0.0, 0.0, 1.0), 2.0 * math.pi / 5.0)
 
 
-def test_transitivity(model, rotations):
+def test_transitivity(model, edges, rotations):
     assert {p[0] for p in rotations} == set(range(20))
-    e0 = model.edges[0]
+    e0 = edges[0]
     assert len({tuple(sorted((p[e0[0]], p[e0[1]]))) for p in rotations}) == 30
     f0 = model.faces[0]
     assert len({tuple(sorted(p[v] for v in f0)) for p in rotations}) == 12
 
 
-def test_stabilizer_orders(model, rotations):
+def test_stabilizer_orders(model, edges, rotations):
     assert sum(1 for p in rotations if p[0] == 0) == 3
     f0 = set(model.faces[0])
     assert sum(1 for p in rotations if {p[v] for v in f0} == f0) == 5
-    e0 = set(model.edges[0])
+    e0 = set(edges[0])
     assert sum(1 for p in rotations if {p[v] for v in e0} == e0) == 2
 
 
@@ -164,11 +164,11 @@ def test_antipode_equivariance(model, full_symmetries):
         assert all(p[anti[v]] == anti[p[v]] for v in range(20))
 
 
-def test_edges_and_faces_preserved(model, full_symmetries):
-    edge_set = {frozenset(e) for e in model.edges}
+def test_edges_and_faces_preserved(model, edges, full_symmetries):
+    edge_set = {frozenset(e) for e in edges}
     face_sets = {frozenset(f) for f in model.faces}
     for p in full_symmetries:
-        assert {frozenset((p[u], p[v])) for u, v in model.edges} == edge_set
+        assert {frozenset((p[u], p[v])) for u, v in edges} == edge_set
         assert {frozenset(p[v] for v in f) for f in model.faces} == face_sets
 
 
