@@ -54,45 +54,3 @@ from .symmetry import (
     rotation_group,
     tetra_action,
 )
-
-__all__ = [
-    "Colouring",
-    "ColourSymmetry",
-    "Compound",
-    "PolytopeModel",
-    "SpreadReport",
-    "act",
-    "antipodal_rule_holds",
-    "build_polytope",
-    "classify_colouring",
-    "colour_classes",
-    "colour_group",
-    "colouring_from_json",
-    "colouring_to_json",
-    "compose",
-    "compounds",
-    "distance_spectrum",
-    "dual_face_of",
-    "enumerate_by_propagation",
-    "enumerate_colourings",
-    "enumeration_to_json",
-    "face_parity_signature",
-    "full_group",
-    "generate_subgroup",
-    "inscribed_tetrahedra",
-    "invert",
-    "is_valid",
-    "model_to_json",
-    "model_to_off",
-    "named_subgroup",
-    "neighbours",
-    "orbit_partition",
-    "parity_class",
-    "rotation_group",
-    "seed_colourings",
-    "spread_subsets",
-    "tetra_action",
-    "working_handedness",
-    "zigzag_trace",
-    "zigzag_walk",
-]

@@ -12,15 +12,16 @@ with no tolerance, and frozen as integer tuples on the model.  Each fact is
 checked once, where it is derived; one that follows is not checked again: a
 3-regular graph whose right-turn walks all close pentagons has 30 edges and
 12 faces, each edge on two of them in opposite senses.  Floats are only the
-exported embedding.  The model stays immutable and hashable, and no other
-module keeps derived state.  One exact rule orients faces and turns:
-consecutive vertices u, w, x of a face run counterclockwise as seen from
-outside have det(u, w, x) > 0.  At the end of u -> w, right is that next
-face vertex x and left is w's third neighbour; a face is a closed walk of
-right turns, smallest vertex id first.  A vertex's ring lists its
-neighbours counterclockwise as seen from outside, so the right turn at the
-end of u -> w is the neighbour before u in w's ring and the left turn the
-one after.
+exported embedding, which `positions` derives from the exact coordinates.
+The model stays immutable and hashable, and no other module keeps derived
+state.  One exact rule orients faces and turns: consecutive vertices
+u, w, x of a face run counterclockwise as seen from outside have
+det(u, w, x) > 0.  At the end of u -> w, right is that next face vertex x
+and left is w's third neighbour; a face is a closed walk of right turns,
+smallest vertex id first.  A vertex's ring lists its neighbours
+counterclockwise as seen from outside, so the right turn at the end of
+u -> w is the neighbour before u in w's ring and the left turn the one
+after.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from typing import NamedTuple
 
 TOL = 1e-9
 
-BANDS = ("north_pole", "C1", "C2", "C3", "C4", "south_pole")
 BAND_SIZES = (1, 3, 6, 6, 3, 1)
 
 _PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -87,28 +87,28 @@ Tetra = tuple[int, int, int, int]
 
 _TETRA_EDGE2 = ZPhi(8)
 
-
-class Vertex(NamedTuple):
-    position: tuple[float, float, float]
-    latitude: str
+# each exact coordinate a model admits -> its float; 1.0 / _PHI is not the
+# correctly rounded 1/phi, but it is the value the exported bytes hold
+_MAGNITUDES = ((ZPhi(1), 1.0), (ZPhi(0, 1), _PHI), (ZPhi(-1, 1), 1.0 / _PHI))
+_FLOATS = {ZPhi(0): 0.0, **dict(_MAGNITUDES), **{-x: -f for x, f in _MAGNITUDES}}
 
 
 # The model's fields, in order, each with its shape and the rule a fault
 # message states.  A spec is "vertex" (an int, not a bool, in 0..19),
-# "face" (one that indexes `faces`), the exact type of an entry, or
-# (lo, hi, entry): a tuple of lo to hi entries, each of shape entry.
+# "face" (one that indexes `faces`), the exact type of an entry, a dict
+# (a ZPhi among its keys), or (lo, hi, entry): a tuple of lo to hi entries,
+# each of shape entry.
 _ANY = math.inf
 _SHAPE = {
-    "vertices": ((20, _ANY, Vertex), "a Vertex (3 floats, a band) for each of the 20 ids"),
     "faces": ((0, _ANY, (5, 5, "vertex")), "5-tuples of vertex ids"),
     "antipode": ((20, 20, "vertex"), "20 vertex ids"),
     "adjacency": ((20, 20, (0, _ANY, "vertex")), "20 tuples of vertex ids"),
     "vertex_faces": ((20, 20, (3, 3, "face")), "20 triples of face ids"),
     "icosa_faces": ((20, 20, (0, _ANY, "face")), "20 tuples of face ids"),
     "dual_faces": ((20, 20, "vertex"), "20 vertex ids"),
-    "opposite_faces": ((0, _ANY, "face"), "face ids"),
     "compounds": ((2, 2, (0, _ANY, (0, _ANY, "vertex"))), "a pair of tuples of vertex-id tuples"),
-    "exact_positions": ((20, 20, (3, 3, ZPhi)), "20 triples of ZPhi"),
+    "exact_positions": ((20, _ANY, (3, 3, _FLOATS)),
+                        "at least 20 triples of ZPhi, each 0, +-1, +-phi or +-1/phi"),
     "squared_distances": ((20, 20, (20, 20, ZPhi)), "20 rows of 20 ZPhi"),
 }
 _ModelFields = NamedTuple("_ModelFields", [(name, tuple) for name in _SHAPE])
@@ -127,11 +127,10 @@ def _shape_fault(x, spec, faces):
             if fault := _shape_fault(x[i], entry, faces):
                 return (i, *fault[0]), fault[1]
         return None
-    if spec is Vertex:
-        ok = (type(x) is Vertex and not _shape_fault(x.position, (3, 3, float), faces)
-              and x.latitude in BANDS)
-    elif type(spec) is str:  # bool is a subclass of int, but True is not id 1
+    if type(spec) is str:  # bool is a subclass of int, but True is not id 1
         ok = type(x) is int and 0 <= x < (20 if spec == "vertex" else len(faces))
+    elif type(spec) is dict:  # a ZPhi of ints, not an equal plain tuple
+        ok = type(x) is ZPhi and all(type(c) is int for c in x) and x in spec
     else:
         ok = type(x) is spec
     return None if ok else ((), repr(x))
@@ -146,11 +145,12 @@ class PolytopeModel(_ModelFields):
     as in ``vertex_faces[14][2] is 11; the vertex_faces must be 20 triples
     of face ids``.  Each field and entry is a tuple, every vertex id an int,
     not a bool, in 0..19, every face id indexes ``faces``, each table
-    indexed by vertex id has 20 entries, and an entry a reader unpacks has
-    its arity, so readers trust all of that.
+    indexed by vertex id has 20 entries (``exact_positions`` at least 20,
+    each coordinate 0, +-1, +-phi or +-1/phi), and an entry a reader
+    unpacks has its arity, so readers trust all of that.
     Counts and structure are left to `verify`, which measures them: how
-    many vertices (at least 20), faces, edges and tetrahedra there are,
-    the adjacency's arity, and every fact such as an involutive antipode.
+    many vertices, faces, edges and tetrahedra there are, the adjacency's
+    arity, and every fact such as an involutive antipode.
 
     ``faces`` are oriented pentagons (positive sense = counterclockwise seen
     from outside), ``adjacency[v]`` is v's ring, its 3 neighbours
@@ -162,14 +162,15 @@ class PolytopeModel(_ModelFields):
     (icosahedron vertex i is the centre of dodecahedron face i);
     ``dual_faces[k]`` is the dodecahedron vertex corresponding to
     icosahedron face k.
-    ``opposite_faces[f]`` is the face antipodal to face f, and
-    ``compounds`` the two partitions of the vertices into five of the 10
+    ``compounds`` are the two partitions of the vertices into five of the 10
     inscribed regular tetrahedra, each a sorted 4-tuple: compound A first,
     the one whose tetrahedron at vertex 0 is the lexicographically smaller.
 
     ``exact_positions[v]`` is vertex v's raw coordinate triple in Z[phi]
     (circumradius sqrt(3), not rotated), and ``squared_distances[u][v]``
-    the exact squared distance between u and v.
+    the exact squared distance between u and v.  The exact positions are
+    the embedding: `positions` derives the float coordinates from them,
+    and `latitude_bands` the bands.
     """
 
     __slots__ = ()
@@ -248,14 +249,6 @@ def _exact_coordinates() -> tuple[ExactVec, ...]:
     return tuple(pts)
 
 
-def _raw_coordinates() -> tuple[Vec, ...]:
-    """The exact vertices as floats, normalised to the unit sphere; each
-    entry is +- one of the four magnitudes 0, 1, phi and 1/phi."""
-    f = {ZPhi(0): 0.0, ZPhi(1): 1.0, ZPhi(0, 1): _PHI, ZPhi(-1, 1): 1.0 / _PHI}
-    s = math.sqrt(3.0)
-    return tuple(tuple((f[x] if x in f else -f[-x]) / s for x in p) for p in _exact_coordinates())
-
-
 def _pole_rotation() -> Mat:
     """Rotation taking (1,1,1)/sqrt(3) onto (0,0,1) along the shortest arc:
     I + K + K^2 (1 - u.v) / |w|^2, with K the cross-product matrix of w = u x v."""
@@ -284,16 +277,21 @@ def _rotate(r: Mat, p: Vec) -> Vec:
     return tuple(fma(p[2], row[2], fma(p[1], row[1], p[0] * row[0])) for row in r)
 
 
-def _band_partition(exact) -> list[list[int]]:
-    """Group vertex indices into latitude bands, top to bottom.  The pole
-    axis is (1, 1, 1), so a vertex's height is its exact x + y + z."""
+def _embedding(exact) -> tuple[Vec, ...]:
+    """The exact points as floats on the unit sphere, rotated so that
+    (1, 1, 1) lands on the north pole."""
+    r, s = _pole_rotation(), math.sqrt(3.0)
+    return tuple(_rotate(r, tuple(_FLOATS[x] / s for x in p)) for p in exact)
+
+
+def latitude_bands(exact) -> list[list[int]]:
+    """The indices of the exact points grouped into latitude bands, top to
+    bottom, each in index order.  The pole axis is (1, 1, 1), so a point's
+    height is its exact x + y + z."""
     by_height: dict[ZPhi, list[int]] = {}
     for i, (x, y, z) in enumerate(exact):
         by_height.setdefault(x + y + z, []).append(i)
-    bands = [by_height[h] for h in sorted(by_height, key=_exact_key, reverse=True)]
-    if [len(b) for b in bands] != list(BAND_SIZES):
-        raise AssertionError("latitude bands malformed")
-    return bands
+    return [by_height[h] for h in sorted(by_height, key=_exact_key, reverse=True)]
 
 
 def _compounds(tets) -> tuple[tuple[Tetra, ...], tuple[Tetra, ...]]:
@@ -317,29 +315,22 @@ def build_polytope() -> PolytopeModel:
     that is not 3-regular, a zero turn determinant, right turns that do not
     close a pentagon, a face that is not coplanar, other than 10 tetrahedra
     or than 2 through a vertex, two vertices on the same face triple, and
-    other than 2 compounds.  A vertex or face without an antipodal one
-    leaves None in ``antipode`` or ``opposite_faces``, which the model's
-    shape contract names with ValueError.
+    other than 2 compounds.  A vertex without an antipodal one leaves None
+    in ``antipode``, which the model's shape contract names with ValueError.
     """
-    r = _pole_rotation()
-    pos = [_rotate(r, p) for p in _raw_coordinates()]
+    exact = _exact_coordinates()
+    pos = _embedding(exact)
     if not all(abs(norm(p) - 1.0) < TOL for p in pos):
         raise AssertionError("vertices not on the unit sphere")
-    exact = _exact_coordinates()
-
-    bands = _band_partition(exact)
-    ids_in_order: list[int] = []
-    latitudes: list[str] = []
-    for band, raw_ids in zip(BANDS, bands):
-        raw_ids.sort(key=lambda i: math.atan2(pos[i][1], pos[i][0]) % (2.0 * math.pi))
-        ids_in_order.extend(raw_ids)
-        latitudes.extend([band] * len(raw_ids))
-    pos = [pos[i] for i in ids_in_order]
-    exact = tuple(exact[i] for i in ids_in_order)
-    if norm(sub(pos[0], (0.0, 0.0, 1.0))) >= TOL:
+    bands = latitude_bands(exact)
+    if [len(b) for b in bands] != list(BAND_SIZES):
+        raise AssertionError("latitude bands malformed")
+    # the ids run down the bands, each band by azimuth
+    order = [i for band in bands for i in sorted(
+        band, key=lambda i: math.atan2(pos[i][1], pos[i][0]) % (2.0 * math.pi))]
+    if norm(sub(pos[order[0]], (0.0, 0.0, 1.0))) >= TOL:
         raise AssertionError("vertex 0 is not the north pole")
-
-    vertices = tuple(map(Vertex, pos, latitudes))
+    exact = tuple(exact[i] for i in order)
 
     # adjacency: the 3 vertices at the minimal exact squared distance
     d2 = [[ZPhi(0)] * 20 for _ in range(20)]
@@ -384,9 +375,6 @@ def build_polytope() -> PolytopeModel:
     index = {p: v for v, p in enumerate(exact)}
     antipode = tuple(index.get(tuple(-x for x in p)) for p in exact)
 
-    face_ids = {frozenset(f): fid for fid, f in enumerate(faces)}
-    opposite_faces = tuple(face_ids.get(frozenset(antipode[v] for v in f)) for f in faces)
-
     # inscribed regular tetrahedra: 4-cliques of the pairs at squared distance
     # 8, the tetrahedron edge at circumradius sqrt(3)
     far = [{u for u in range(20) if d2[v][u] == _TETRA_EDGE2} for v in range(20)]
@@ -412,14 +400,12 @@ def build_polytope() -> PolytopeModel:
     rings = tuple((p, right[right[p, w], w], right[p, w]) for w, p in enumerate(map(min, adj)))
 
     return PolytopeModel(
-        vertices=vertices,
         faces=faces,
         antipode=antipode,
         adjacency=rings,
         vertex_faces=vertex_faces,
         icosa_faces=icosa_faces,
         dual_faces=dual_faces,
-        opposite_faces=opposite_faces,
         compounds=_compounds(tetrahedra),
         exact_positions=exact,
         squared_distances=tuple(tuple(row) for row in d2),
@@ -427,7 +413,9 @@ def build_polytope() -> PolytopeModel:
 
 
 def positions(model: PolytopeModel) -> tuple[Vec, ...]:
-    return tuple(v.position for v in model.vertices)
+    """The float embedding: each exact position on the unit sphere, rotated
+    so that the canonical vertex 0 is the north pole (0, 0, 1)."""
+    return _embedding(model.exact_positions)
 
 
 def _check_id(x: int, kind: str) -> None:
@@ -496,8 +484,8 @@ def _off_mesh(model: PolytopeModel, polygons, vertex_suffix=None) -> str:
     coordinates at 17 significant digits, which round-trip, followed by its
     suffix when given, and one line per polygon, its integers space-separated."""
     lines = ["COFF" if vertex_suffix else "OFF", f"20 {len(polygons)} 30"]
-    for v, vertex in enumerate(model.vertices[:20]):
-        coords = " ".join(format(x, ".17g") for x in vertex.position)
+    for v, p in enumerate(positions(model)[:20]):
+        coords = " ".join(format(x, ".17g") for x in p)
         lines.append(coords + vertex_suffix[v] if vertex_suffix else coords)
     lines += (" ".join(map(str, p)) for p in polygons)
     return "\n".join(lines) + "\n"
@@ -511,7 +499,7 @@ def model_to_off(model: PolytopeModel) -> str:
 def model_to_json(model: PolytopeModel) -> str:
     """JSON document with vertices, faces and the antipodal map; byte-stable."""
     doc = {
-        "vertices": [list(v.position) for v in model.vertices],
+        "vertices": [list(p) for p in positions(model)],
         "faces": [list(f) for f in model.faces],
         "antipode": list(model.antipode),
     }

@@ -21,11 +21,11 @@ from . import chroma, symmetry
 from . import compound as compound_mod
 from .polytope import (
     BAND_SIZES,
-    BANDS,
     TOL,
     PolytopeModel,
     add,
     distance_spectrum,
+    latitude_bands,
     model_to_json,
     model_to_off,
     norm,
@@ -83,6 +83,16 @@ def _third_distance(b):
     if len(b.spectrum) < 3:
         raise ValueError(f"{len(b.spectrum)} distinct distances, no third-smallest")
     return b.spectrum[2][0]
+
+
+def _opposite_faces(b):
+    """face id -> the id of the face its antipodal image is; ValueError
+    names the first face whose image is no face."""
+    face_ids = {frozenset(f): fid for fid, f in enumerate(b.model.faces)}
+    images = [frozenset(b.model.antipode[v] for v in f) for f in b.model.faces]
+    if lost := [fid for fid, image in enumerate(images) if image not in face_ids]:
+        raise ValueError(f"the antipode maps face {lost[0]} onto no face")
+    return [face_ids[image] for image in images]
 
 
 def _parities(b):
@@ -144,6 +154,8 @@ _FACTS = {
     "spectrum": lambda b: distance_spectrum(b.model),
     "third": _third_distance,
     "positions": lambda b: positions(b.model),
+    "bands": lambda b: latitude_bands(b.model.exact_positions),
+    "opposite_faces": _opposite_faces,
     # the graph the rings state: each pair of ring neighbours once, sorted
     "edges": lambda b: sorted({(min(u, w), max(u, w))
                                for u, ring in enumerate(b.model.adjacency) for w in ring}),
@@ -188,14 +200,11 @@ class _Battery:
             for f in self.model.faces for i in range(5)
         ) and all(len(set(f)) == 5 for f in self.model.faces), ""
 
-    def band_sizes(self):
-        sizes = Counter(v.latitude for v in self.model.vertices)
-        return _equals(tuple(sizes[b] for b in BANDS), BAND_SIZES)
-
     def antipode_bands(self):
-        band_of = dict(enumerate(v.latitude for v in self.model.vertices))
-        swap = dict(zip(BANDS, reversed(BANDS)))
-        return all(band_of[self.model.antipode[v]] == swap[band_of[v]] for v in range(20)), ""
+        # band i and band n - 1 - i, counted from the top, are exchanged
+        last = len(self.bands) - 1
+        band_of = {v: i for i, band in enumerate(self.bands) for v in band}
+        return all(band_of[a] == last - band_of[v] for v, a in enumerate(self.model.antipode)), ""
 
     def edge_senses(self):
         directed = Counter((f[i], f[(i + 1) % 5]) for f in self.model.faces for i in range(5))
@@ -287,10 +296,11 @@ class _Battery:
     def inverse_orders(self):
         # over the colourings P2 holds for: P2's own check reports the others;
         # a signature lists the faces in order, so entry opp is face opp
+        opposite = self.opposite_faces
         return all(
             sig[opp][1] == _INVERSE_CYCLE[order]
             for sig in map(self.signatures.get, self.parities)
-            for opp, (_, order, _) in zip(self.model.opposite_faces, sig)
+            for opp, (_, order, _) in zip(opposite, sig)
         ), ""
 
     def parity_split(self):
@@ -343,11 +353,11 @@ _INVERSE_CYCLE = {(1, *p): chroma.inverse_cycle((1, *p)) for p in permutations((
 # The battery in report order: (section, name, check), where a check takes
 # the `_Battery` of one model and returns (ok, detail).
 CHECKS = (
-    ("polytope", "vertex count", lambda b: _equals(len(b.model.vertices), 20)),
+    ("polytope", "vertex count", lambda b: _equals(len(b.model.exact_positions), 20)),
     ("polytope", "face count", lambda b: _equals(len(b.model.faces), 12)),
     ("polytope", "edge count", lambda b: _equals(len(b.edges), 30)),
     ("polytope", "Euler characteristic V-E+F",
-     lambda b: _equals(len(b.model.vertices) - len(b.edges) + len(b.model.faces), 2)),
+     lambda b: _equals(len(b.model.exact_positions) - len(b.edges) + len(b.model.faces), 2)),
     ("polytope", "vertex degree 3", lambda b: (
         all(len(a) == 3 for a in b.model.adjacency),
         f"degrees {sorted({len(a) for a in b.model.adjacency})}",
@@ -357,7 +367,8 @@ CHECKS = (
      lambda b: _below(max(abs(norm(p) - 1.0) for p in b.positions), "max |r-1| = {:.2e}")),
     ("polytope", "vertex 0 at the north pole",
      lambda b: _below(norm(sub(b.positions[0], (0.0, 0.0, 1.0))), "offset {:.2e}")),
-    ("polytope", "latitude band sizes", _Battery.band_sizes),
+    ("polytope", "latitude band sizes",
+     lambda b: _equals(tuple(map(len, b.bands)), BAND_SIZES)),
     ("polytope", "antipode negates positions, involutive, fixed-point free", lambda b: (all(
         norm(add(b.positions[a], b.positions[v])) < TOL and b.model.antipode[a] == v != a
         for v, a in enumerate(b.model.antipode)

@@ -23,6 +23,13 @@ def edges(model):
 
 
 @pytest.fixture(scope="session")
+def opposite_faces(model):
+    """face id -> the id of the face its antipodal image is."""
+    faces = [set(f) for f in model.faces]
+    return tuple(faces.index({model.antipode[v] for v in f}) for f in model.faces)
+
+
+@pytest.fixture(scope="session")
 def colourings(model):
     return chroma.enumerate_colourings(model)
 

@@ -12,7 +12,7 @@ from itertools import combinations, permutations
 
 from pentachrome import chroma
 from pentachrome import compound as compound_mod
-from pentachrome.polytope import model_to_json, model_to_off
+from pentachrome.polytope import model_to_json, model_to_off, positions
 from pentachrome.symmetry import (
     COLOUR_SWAP,
     ColourSymmetry,
@@ -135,7 +135,7 @@ def test_criterion_07_colour_class_structure(model, colourings):
 
 
 def test_criterion_08_spread_oracle(model):
-    pts = [v.position for v in model.vertices]
+    pts = positions(model)
     threshold = math.sqrt(8.0 / 3.0) - GEOM_TOL
     spread_quads = []
     checked = 0
@@ -154,7 +154,7 @@ def test_criterion_08_spread_oracle(model):
     _report(8, "4845 four-subsets scanned: spread maximisers are the 10 tetrahedra, no 5th vertex")
 
 
-def test_criterion_09_cyclic_order_parity(model, colourings):
+def test_criterion_09_cyclic_order_parity(model, colourings, opposite_faces):
     from itertools import permutations as _perms
 
     per_parity = {
@@ -175,7 +175,7 @@ def test_criterion_09_cyclic_order_parity(model, colourings):
         shared = parities.pop()
         assert orders == per_parity[shared]  # all 12 of that parity, each once
         for fid, order, _ in sig:
-            opp = model.opposite_faces[fid]
+            opp = opposite_faces[fid]
             opp_order = chroma.canonical_cycle(tuple(c[v] for v in model.faces[opp]))
             assert opp_order == chroma.inverse_cycle(order)
         assert chroma.parity_class(model, chroma.act(odd, c, model)) == -shared
@@ -231,13 +231,13 @@ def test_criterion_12_determinism_and_round_trips(model, colourings, tmp_path):
     lines = model_to_off(model).splitlines()
     verts = [tuple(float(t) for t in ln.split()) for ln in lines[2:22]]
     faces = [tuple(int(t) for t in ln.split()[1:]) for ln in lines[22:]]
-    assert verts == [v.position for v in model.vertices]
+    assert verts == list(positions(model))
     assert tuple(faces) == model.faces
 
     import json
 
     doc = json.loads(model_to_json(model))
-    assert [tuple(p) for p in doc["vertices"]] == [v.position for v in model.vertices]
+    assert [tuple(p) for p in doc["vertices"]] == list(positions(model))
     assert [tuple(f) for f in doc["faces"]] == list(model.faces)
     assert tuple(doc["antipode"]) == model.antipode
     _report(12, "enumerate output byte-identical across runs; OFF/JSON round-trips lossless")

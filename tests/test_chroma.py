@@ -516,7 +516,9 @@ _REFUSED = r"^(\w+)(\[\d+\])* is .+; the \1 must be "
          g=COLOUR_SWAP)
 # ring 1 loses vertex 0: the turn maps and the zigzags from 0 -> 1 name it
 @example(field="adjacency", edit="replace", inner=True, v=1, w=0, value=5, i=0, g=COLOUR_SWAP)
-@example(field="vertices", edit="replace", inner=False, v=3, w=0, value=(0, 1), i=0,
+# vertex 0 at vertex 1's position: the turn at the end of 0 -> 1 has a zero
+# determinant
+@example(field="exact_positions", edit="duplicate", inner=False, v=0, w=1, value=None, i=0,
          g=COLOUR_SWAP)
 # compound B's tetrahedron at 0 also in compound A: the compounds hold 9
 @example(field="compounds", edit="replace", inner=True, v=0, w=4, value=(0, 11, 13, 15), i=0,
@@ -992,11 +994,11 @@ def test_face_parity_signature_rejection_messages(model, bad, message):
         face_parity_signature(model, bad)
 
 
-def test_opposite_faces_inverse_orders(model, colourings):
+def test_opposite_faces_inverse_orders(model, colourings, opposite_faces):
     for c in colourings[:30]:
         sig = face_parity_signature(model, c)
         for fid, order, _ in sig:
-            opp = model.opposite_faces[fid]
+            opp = opposite_faces[fid]
             opp_order = canonical_cycle(tuple(c[v] for v in model.faces[opp]))
             assert opp_order == inverse_cycle(order)
 

@@ -14,6 +14,7 @@ import pentachrome
 from pentachrome import chroma, cli, symmetry, verify
 from pentachrome import compound as compound_mod
 from pentachrome.cli import main, parse_subgroup_spec
+from pentachrome.polytope import ZPhi
 from pentachrome.symmetry import COLOUR_IDENTITY, COLOUR_SWAP, NAMED_SUBGROUPS
 
 
@@ -299,10 +300,10 @@ def _swap(seq, i, j):
     return tuple(out)
 
 
-def _replace_vertex(model, v, **fields):
-    vertices = list(model.vertices)
-    vertices[v] = vertices[v]._replace(**fields)
-    return model._replace(vertices=tuple(vertices))
+def _place(model, v, p):
+    """model with vertex v at the exact position p."""
+    exact = model.exact_positions
+    return model._replace(exact_positions=(*exact[:v], p, *exact[v + 1:]))
 
 
 def _reverse_rings(model, *vertices):
@@ -416,6 +417,16 @@ _COMPOUND_A_TAKES_B_0 = {
     "fixed pairing: compound A works left, compound B works right":
         "[('B', 'right'), (None, 'left')]",
 }
+# vertex 0 placed where vertex 1 is: the float checks measure the move
+_VERTEX_0_AT_1 = {
+    "vertex 0 at the north pole": "offset 7.14e-01",
+    "antipode negates positions, involutive, fixed-point free": "",
+    "antipode exchanges bands (C3=-C2, C4=-C1)": "",
+    "antipodal distance 2": "max dev 1.32e-01",
+    "third-smallest distance = inscribed tetrahedron edge":
+        "1.154700538379 vs sqrt(8/3) = 1.632993161855",
+    "tetrahedron edge equals third-smallest distance": "spectrum[2] = 1.154700538",
+}
 _DISTANCES_0_1_AND_0_19 = {
     "distance spectrum: 190 pairs, 30 at the edge length":
         "pairs 190, multiplicities [10, 30, 60, 60, 30]",
@@ -433,18 +444,22 @@ _DISTANCES_0_1_AND_0_19 = {
 # raises, or reads a fact that raised, reports the exception.
 _SINGLE_FAULTS = [
     # every face and turn then runs clockwise: the rotations read off the
-    # turns are unchanged, but each right turn has a negative determinant
+    # turns are unchanged, but each right turn has a negative determinant,
+    # and vertex 0 is at the south pole
     _reports(lambda m: m._replace(exact_positions=tuple(
         tuple(-x for x in p) for p in m.exact_positions)),
-        {"rotations have determinant +1": "[-1]"}, "exact-positions-negated"),
+        {"rotations have determinant +1": "[-1]",
+         "vertex 0 at the north pole": "offset 2.00e+00"}, "exact-positions-negated"),
     # the same, and the zigzags exchange their handedness
     _reports(lambda m: _reverse_rings(m, *range(20)),
         {"rotations have determinant +1": "[-1]",
          "fixed pairing: compound A works left, compound B works right":
              "[('A', 'right'), ('B', 'left')]"},
         "turn-pairs-reversed"),
+    # the positions move, and with them the bands the checks measure
     _reports(lambda m: m._replace(exact_positions=_swap(m.exact_positions, 0, 1)),
-             {"rotations have determinant +1": "[-1, 1]"}, "exact-positions-0-1"),
+             {"rotations have determinant +1": "[-1, 1]", **_VERTEX_0_AT_1},
+             "exact-positions-0-1"),
     _reports(lambda m: m._replace(compounds=(m.compounds[0][:4] + m.compounds[1][:1],
                                              m.compounds[1])),
              _COMPOUND_A_TAKES_B_0, "compound-a-takes-b-0"),
@@ -499,10 +514,13 @@ _SINGLE_FAULTS = [
                                "canonical seeds valid, distinct, classified A and B"],
                               "PropagationError: no colour left for vertex 11")},
              "vertex-faces-13-is-11"),
-    # the propagation forces vertex 6 off every colour, and no colouring has
-    # 12 distinct face orders of one parity any more
+    # the propagation forces vertex 6 off every colour, no colouring has 12
+    # distinct face orders of one parity any more, and face 11's antipodal
+    # image, face 0, is gone
     _reports(lambda m: m._replace(faces=(m.faces[1],) + m.faces[1:]),
              {"each edge on 2 faces with opposite senses": "",
+              "P2: opposite faces carry inverse cyclic orders":
+                  "ValueError: the antipode maps face 11 onto no face",
               **dict.fromkeys(["completions per colour frame",
                                "propagation enumerator matches backtracking",
                                "canonical seeds valid, distinct, classified A and B"],
@@ -527,22 +545,10 @@ _SINGLE_FAULTS = [
               "antipodal colour rule at all 20 vertices of all 240":
                   "ValueError: vertex 0 has 2 neighbours, expected 3"},
              "edge-0-dropped"),
-    # the records move, and with them the positions and bands the checks measure
-    _reports(lambda m: m._replace(vertices=_swap(m.vertices, 0, 1)),
-             {"vertex 0 at the north pole": "offset 7.14e-01",
-              "antipode negates positions, involutive, fixed-point free": "",
-              "antipode exchanges bands (C3=-C2, C4=-C1)": "",
-              "antipodal distance 2": "max dev 1.32e-01",
-              "third-smallest distance = inscribed tetrahedron edge":
-                  "1.154700538379 vs sqrt(8/3) = 1.632993161855",
-              "tetrahedron edge equals third-smallest distance": "spectrum[2] = 1.154700538"},
-             "vertices-0-1"),
     _reports(lambda m: m._replace(icosa_faces=_swap(m.icosa_faces, 0, 1)),
              {"dual face adjacency preserved both ways": ""}, "icosa-faces-0-1"),
     _reports(lambda m: m._replace(dual_faces=_swap(m.dual_faces, 0, 1)),
              {"dual face adjacency preserved both ways": ""}, "dual-faces-0-1"),
-    _reports(lambda m: m._replace(opposite_faces=_swap(m.opposite_faces, 0, 1)),
-             {"P2: opposite faces carry inverse cyclic orders": ""}, "opposite-faces-0-1"),
     # compound B's tetrahedron at 0 gone: 9 tetrahedra, and no colouring of
     # compound B classifies
     _reports(lambda m: m._replace(compounds=(m.compounds[0], m.compounds[1][1:])),
@@ -566,24 +572,30 @@ _SINGLE_FAULTS = [
               "each edge on 2 faces with opposite senses": "",
               "dodecahedron OFF header and stability": ""},
              "face-12-added"),
-    # a 21st vertex record: the readers index the 20 vertex ids only
-    _reports(lambda m: m._replace(vertices=m.vertices + m.vertices[:1]),
+    # a 21st exact position, a copy of the pole's: the readers index the 20
+    # vertex ids only
+    _reports(lambda m: m._replace(exact_positions=m.exact_positions + m.exact_positions[:1]),
              {"vertex count": "21",
               "Euler characteristic V-E+F": "3",
               "latitude band sizes": "(2, 3, 6, 6, 3, 1)"},
              "vertex-20-added"),
-    _reports(lambda m: _replace_vertex(m, 0, position=tuple(2 * x for x in m.vertices[0].position)),
-             {"vertices on the unit sphere": "max |r-1| = 1.00e+00",
-              "vertex 0 at the north pole": "offset 1.00e+00",
+    # vertex 0 at phi times its position: on its own band, off the sphere
+    _reports(lambda m: _place(m, 0, (ZPhi(0, 1),) * 3),
+             {"vertices on the unit sphere": "max |r-1| = 6.18e-01",
+              "vertex 0 at the north pole": "offset 6.18e-01",
               "antipode negates positions, involutive, fixed-point free": "",
-              "antipodal distance 2": "max dev 1.00e+00",
+              "antipodal distance 2": "max dev 6.18e-01",
               "third-smallest distance = inscribed tetrahedron edge":
-                  "2.516611478424 vs sqrt(8/3) = 1.632993161855",
-              "tetrahedron edge equals third-smallest distance": "spectrum[2] = 2.516611478"},
+                  "2.167192495969 vs sqrt(8/3) = 1.632993161855",
+              "tetrahedron edge equals third-smallest distance": "spectrum[2] = 2.167192496"},
              "vertex-0-scaled"),
-    _reports(lambda m: _replace_vertex(m, 0, latitude="C1"),
-             {"latitude band sizes": "(0, 4, 6, 6, 3, 1)",
-              "antipode exchanges bands (C3=-C2, C4=-C1)": ""},
+    # vertex 0 at vertex 1's position: the pole's band is empty, and the
+    # turn at the end of 0 -> 1 has a zero determinant
+    _reports(lambda m: _place(m, 0, m.exact_positions[1]),
+             {"latitude band sizes": "(4, 6, 6, 3, 1)",
+              "rotations have determinant +1":
+                  "AssertionError: zero determinant at the end of 0 -> 1",
+              **_VERTEX_0_AT_1},
              "vertex-0-in-band-C1"),
     _reports(lambda m: m._replace(adjacency=m.adjacency[:-1] + (m.adjacency[-1][:2],)),
              {**dict.fromkeys(_READ_GROUPS, "AssertionError: "
@@ -601,9 +613,13 @@ _SINGLE_FAULTS = [
              "dual-face-0-is-dual-face-1"),
     # 20 vertex ids, but not a permutation: the checks measure it
     _reports(lambda m: m._replace(antipode=(m.antipode[1], *m.antipode[1:])),
-             _ANTIPODE_NO_INVOLUTION, "antipode-0-is-antipode-1"),
+             {**_ANTIPODE_NO_INVOLUTION, "P2: opposite faces carry inverse cyclic orders":
+                  "ValueError: the antipode maps face 0 onto no face"},
+             "antipode-0-is-antipode-1"),
     _reports(lambda m: m._replace(antipode=_swap(m.antipode, 0, 1)),
-             _ANTIPODE_NO_INVOLUTION, "antipodes-0-1-swapped"),
+             {**_ANTIPODE_NO_INVOLUTION, "P2: opposite faces carry inverse cyclic orders":
+                  "ValueError: the antipode maps face 1 onto no face"},
+             "antipodes-0-1-swapped"),
     # more pairs then lie at least a tetrahedron edge apart
     _reports(lambda m: m._replace(squared_distances=tuple(
         tuple(d + d for d in row) for row in m.squared_distances)),
@@ -647,9 +663,9 @@ def test_a_single_fault_antipode_is_refused_at_replace(model, edit, refused):
 
 
 @pytest.mark.parametrize("mutate,refused", [
-    (lambda m: m._replace(vertices=m.vertices[:-1]),
-     r"vertices\[19\] is missing; the vertices must be a Vertex \(3 floats, a band\) "
-     r"for each of the 20 ids"),
+    (lambda m: m._replace(exact_positions=m.exact_positions[:-1]),
+     r"exact_positions\[19\] is missing; the exact_positions must be at least 20 triples of "
+     r"ZPhi, each 0, \+-1, \+-phi or \+-1/phi"),
 ], ids=["vertex-19-dropped"])
 def test_a_single_shape_fault_is_refused_at_replace(model, mutate, refused):
     with pytest.raises(ValueError, match=f"^{refused}$"):

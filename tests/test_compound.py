@@ -14,13 +14,13 @@ from pentachrome.compound import (
     inscribed_tetrahedra,
     spread_subsets,
 )
-from pentachrome.polytope import distance_spectrum
+from pentachrome.polytope import distance_spectrum, positions
 from pentachrome.symmetry import full_group, rotation_group
 
 
 def brute_force_equilateral_quads(model):
     """Independent oracle: scan all C(20,4) subsets with plain math."""
-    pts = [v.position for v in model.vertices]
+    pts = positions(model)
     quads = []
     for quad in combinations(range(20), 4):
         dists = [math.dist(pts[a], pts[b]) for a, b in combinations(quad, 2)]
@@ -44,7 +44,7 @@ def test_every_vertex_in_exactly_two(model):
 def test_common_edge_is_third_smallest_distance(model):
     spectrum = distance_spectrum(model)
     assert abs(TETRA_EDGE - spectrum[2][0]) < 1e-9
-    pts = [v.position for v in model.vertices]
+    pts = positions(model)
     for t in inscribed_tetrahedra(model):
         for a, b in combinations(t, 2):
             assert abs(math.dist(pts[a], pts[b]) - TETRA_EDGE) < 1e-9
@@ -153,7 +153,7 @@ def test_spread_subsets(model):
 
 
 def test_spread_fifth_vertex_always_too_close(model):
-    pts = [v.position for v in model.vertices]
+    pts = positions(model)
     threshold = TETRA_EDGE - 1e-9
     for t in inscribed_tetrahedra(model):
         for e in range(20):

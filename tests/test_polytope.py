@@ -16,15 +16,13 @@ from pentachrome import polytope
 from pentachrome.compound import inscribed_tetrahedra
 from pentachrome.polytope import (
     BAND_SIZES,
-    BANDS,
     TOL,
-    Vertex,
     ZPhi,
-    _raw_coordinates,
     build_polytope,
     distance_spectrum,
     dual_face_of,
     fma,
+    latitude_bands,
     model_to_json,
     model_to_off,
     neighbours,
@@ -33,10 +31,10 @@ from pentachrome.polytope import (
 
 
 def test_counts(model, edges):
-    assert len(model.vertices) == 20
+    assert len(model.exact_positions) == 20
     assert len(model.faces) == 12
     assert len(edges) == 30
-    assert len(model.vertices) - len(edges) + len(model.faces) == 2
+    assert len(model.exact_positions) - len(edges) + len(model.faces) == 2
 
 
 def test_construction_deterministic(model):
@@ -46,24 +44,23 @@ def test_construction_deterministic(model):
 
 
 def test_vertices_on_unit_sphere(model):
-    for v in model.vertices:
-        assert abs(math.dist(v.position, (0, 0, 0)) - 1.0) < TOL
+    for p in positions(model):
+        assert abs(math.dist(p, (0, 0, 0)) - 1.0) < TOL
 
 
 def test_vertex_zero_is_north_pole(model):
-    assert math.dist(model.vertices[0].position, (0.0, 0.0, 1.0)) < TOL
-    assert model.vertices[0].latitude == "north_pole"
-    assert model.vertices[19].latitude == "south_pole"
+    assert math.dist(positions(model)[0], (0.0, 0.0, 1.0)) < TOL
+    bands = latitude_bands(model.exact_positions)
+    assert (bands[0], bands[-1]) == ([0], [19])
 
 
 def test_band_sizes(model):
-    sizes = Counter(v.latitude for v in model.vertices)
-    assert tuple(sizes[b] for b in BANDS) == BAND_SIZES
+    assert tuple(map(len, latitude_bands(model.exact_positions))) == BAND_SIZES
 
 
 def test_ids_ordered_by_band(model):
-    bands = [v.latitude for v in model.vertices]
-    assert bands == sorted(bands, key=BANDS.index)
+    bands = latitude_bands(model.exact_positions)
+    assert [v for band in bands for v in band] == list(range(20))
 
 
 def test_three_regular(model):
@@ -74,7 +71,7 @@ def test_three_regular(model):
 
 
 def test_neighbours_of_pole_are_c1(model):
-    c1 = {v for v, vertex in enumerate(model.vertices) if vertex.latitude == "C1"}
+    c1 = latitude_bands(model.exact_positions)[1]
     assert neighbours(model, 0) == frozenset(c1)
 
 
@@ -125,11 +122,10 @@ def test_antipode_structure(model):
 
 
 def test_antipode_exchanges_bands(model):
-    swap = {"north_pole": "south_pole", "south_pole": "north_pole",
-            "C1": "C4", "C4": "C1", "C2": "C3", "C3": "C2"}
-    band_of = [v.latitude for v in model.vertices]
+    # the pole with the pole, C1 with C4 and C2 with C3
+    band_of = {v: i for i, band in enumerate(latitude_bands(model.exact_positions)) for v in band}
     for v in range(20):
-        assert band_of[model.antipode[v]] == swap[band_of[v]]
+        assert band_of[model.antipode[v]] == 5 - band_of[v]
 
 
 def test_antipode_of_pole_is_south_pole(model):
@@ -143,10 +139,6 @@ def _with(rows, i, entry):
 
 # One shape fault in each field, and the start of the message naming it
 _SHAPE_FAULTS = [
-    pytest.param(lambda m: {"vertices": m.vertices[:19]}, r"vertices\[19\] is missing",
-                 id="vertices-19-entries"),
-    pytest.param(lambda m: {"vertices": _with(m.vertices, 5, Vertex(m.vertices[5][0], "C5"))},
-                 r"vertices\[5\] is Vertex\(.*latitude='C5'\)", id="vertex-5-off-the-bands"),
     pytest.param(lambda m: {"faces": list(m.faces)},
                  r"faces is \[\(0, 1, 6, 7, 2\), .*\], not a tuple", id="faces-a-list"),
     pytest.param(lambda m: {"adjacency": _with(m.adjacency, 3, (0, 7, 20))},
@@ -157,13 +149,27 @@ _SHAPE_FAULTS = [
                  r"icosa_faces\[0\]\[0\] is True", id="icosa-faces-0-a-bool"),
     pytest.param(lambda m: {"dual_faces": m.dual_faces[:19]}, r"dual_faces\[19\] is missing",
                  id="dual-faces-19-entries"),
-    pytest.param(lambda m: {"opposite_faces": _with(m.opposite_faces, 0, -1)},
-                 r"opposite_faces\[0\] is -1", id="opposite-face-0-out-of-range"),
     pytest.param(lambda m: {"compounds": m.compounds + m.compounds[:1]},
                  r"compounds\[2\] is \(\(0, 10, 12, 14\), .*\)", id="compounds-3-entries"),
     pytest.param(lambda m: {"exact_positions": _with(m.exact_positions, 0,
                                                      _with(m.exact_positions[0], 0, (1, 0)))},
                  r"exact_positions\[0\]\[0\] is \(1, 0\)", id="exact-position-0-no-zphi"),
+    pytest.param(lambda m: {"exact_positions": m.exact_positions[:19]},
+                 r"exact_positions\[19\] is missing", id="exact-positions-19-entries"),
+    # a ZPhi, but no coordinate of a dodecahedron vertex at circumradius sqrt(3)
+    pytest.param(lambda m: {"exact_positions": _with(m.exact_positions, 3,
+                                                     _with(m.exact_positions[3], 1, ZPhi(2)))},
+                 r"exact_positions\[3\]\[1\] is \(2, 0\)", id="exact-position-3-is-2"),
+    pytest.param(lambda m: {"exact_positions": _with(m.exact_positions, 3,
+                                                     _with(m.exact_positions[3], 2, ZPhi(1, 1)))},
+                 r"exact_positions\[3\]\[2\] is \(1, 1\)", id="exact-position-3-is-phi-squared"),
+    # parts that are not ints: a float equal to 1, and a list, which no table can look up
+    pytest.param(lambda m: {"exact_positions": _with(m.exact_positions, 3,
+                                                     _with(m.exact_positions[3], 0, ZPhi(1.0)))},
+                 r"exact_positions\[3\]\[0\] is \(1\.0, 0\)", id="exact-position-3-a-float"),
+    pytest.param(lambda m: {"exact_positions": _with(m.exact_positions, 3,
+                                                     _with(m.exact_positions[3], 0, ZPhi([1])))},
+                 r"exact_positions\[3\]\[0\] is \(\[1\], 0\)", id="exact-position-3-a-list"),
     pytest.param(lambda m: {"squared_distances": _with(m.squared_distances, 0,
                                                        m.squared_distances[0][:19])},
                  r"squared_distances\[0\]\[19\] is missing", id="distances-0-19-entries"),
@@ -253,12 +259,11 @@ def test_copies_and_pickles_are_equal_and_of_the_same_type(model):
     assert twin.squared_distances == model.squared_distances
 
 
-def test_opposite_faces_are_antipodal_images(model):
-    opposite = model.opposite_faces
+def test_opposite_faces_are_antipodal_images(model, opposite_faces):
     for f in range(12):
-        assert opposite[f] != f
-        assert opposite[opposite[f]] == f
-        assert set(model.faces[opposite[f]]) == {model.antipode[v] for v in model.faces[f]}
+        assert opposite_faces[f] != f
+        assert opposite_faces[opposite_faces[f]] == f
+        assert set(model.faces[opposite_faces[f]]) == {model.antipode[v] for v in model.faces[f]}
 
 
 def test_distance_spectrum_multiplicities(model):
@@ -270,7 +275,7 @@ def test_distance_spectrum_multiplicities(model):
 
 def test_distance_spectrum_against_raw_pairwise_oracle(model):
     # independent recomputation with plain math, no shared code path
-    pts = [v.position for v in model.vertices]
+    pts = positions(model)
     raw = sorted(math.dist(pts[i], pts[j]) for i, j in combinations(range(20), 2))
     spectrum = distance_spectrum(model)
     expanded = [d for d, c in spectrum for _ in range(c)]
@@ -331,13 +336,13 @@ def test_off_round_trip(model):
     verts = [tuple(float(t) for t in ln.split()) for ln in lines[2:22]]
     faces = [tuple(int(t) for t in ln.split()[1:]) for ln in lines[22:]]
     assert all(ln.split()[0] == "5" for ln in lines[22:])
-    assert verts == [v.position for v in model.vertices]  # .17g round-trips exactly
+    assert verts == list(positions(model))  # .17g round-trips exactly
     assert tuple(faces) == model.faces
 
 
 def test_json_round_trip(model):
     doc = json.loads(model_to_json(model))
-    assert [tuple(p) for p in doc["vertices"]] == [v.position for v in model.vertices]
+    assert [tuple(p) for p in doc["vertices"]] == list(positions(model))
     assert [tuple(f) for f in doc["faces"]] == list(model.faces)
     assert tuple(doc["antipode"]) == model.antipode
     assert model_to_json(model) == model_to_json(build_polytope())
@@ -417,9 +422,7 @@ def test_exact_derivation_matches_float_route(model):
             bands[-1].append(v)
         else:
             bands.append([v])
-    assert [sorted(b) for b in bands] == [
-        [v for v, vertex in enumerate(model.vertices) if vertex.latitude == band] for band in BANDS
-    ]
+    assert [sorted(b) for b in bands] == latitude_bands(model.exact_positions)
 
     tetra_edge = math.sqrt(8.0 / 3.0)
     tetrahedra = tuple(
@@ -444,16 +447,14 @@ def test_squared_distances_are_exact_classes(model):
 
 def test_positions_match_numpy_rotation(model):
     # the pole rotation rebuilt with numpy (Rodrigues on u x v) and applied
-    # to the raw coordinates as one matrix product
+    # to the exact positions, each a + b phi as a float, as one matrix product
     u = np.ones(3) / math.sqrt(3.0)
     w = np.cross(u, [0.0, 0.0, 1.0])
     k = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
     r = np.eye(3) + k + (k @ k) * ((1.0 - u[2]) / float(w @ w))
-    rotated = np.array(_raw_coordinates()) @ r.T
-    pos = np.array(positions(model))
-    match = [int(np.argmin(np.linalg.norm(rotated - p, axis=1))) for p in pos]
-    assert sorted(match) == list(range(20))
-    assert np.abs(rotated[match] - pos).max() <= 1e-15
+    raw = np.array([[a + b * _PHI for a, b in p] for p in model.exact_positions]) / math.sqrt(3.0)
+    rotated = raw @ r.T
+    assert np.abs(rotated - np.array(positions(model))).max() <= 1e-15
 
 
 def test_fma_rounds_once():
@@ -509,8 +510,8 @@ def test_invariant_checks_survive_python_O(run_python):
 
         if __debug__:
             raise SystemExit("not running under -O")
-        raw = polytope._raw_coordinates()
-        polytope._raw_coordinates = lambda: (tuple(1.01 * x for x in raw[0]),) + raw[1:]
+        exact, phi = polytope._exact_coordinates(), polytope.ZPhi(0, 1)
+        polytope._exact_coordinates = lambda: ((phi, phi, phi),) + exact[1:]
         try:
             polytope.build_polytope()
         except AssertionError as exc:

@@ -115,9 +115,10 @@ def test_full_group_equals_graph_automorphisms(model, full_symmetries):
 def test_generator_independence(model, rotations):
     # a generator pair matched by the float reference route must build the
     # same group as the turn maps
-    r3 = rotation_permutation(model, model.vertices[7].position, 2.0 * math.pi / 3.0)
+    pos = positions(model)
+    r3 = rotation_permutation(model, pos[7], 2.0 * math.pi / 3.0)
     face = model.faces[model.vertex_faces[19][-1]]
-    centre = np.mean([model.vertices[v].position for v in face], axis=0)
+    centre = np.mean([pos[v] for v in face], axis=0)
     r5 = rotation_permutation(model, centre, 2.0 * math.pi / 5.0)
     assert symmetry._closure([r3, r5], tuple(range(20)), compose) == frozenset(rotations)
 
