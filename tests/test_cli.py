@@ -313,6 +313,21 @@ def _reverse_rings(model, *vertices):
         ring[::-1] if w in vertices else ring for w, ring in enumerate(model.adjacency)))
 
 
+def _relabel(model, u, w):
+    """model with vertices u and w exchanging their ids in every field."""
+    s = lambda v: w if v == u else u if v == w else v
+    return model._replace(
+        exact_positions=_swap(model.exact_positions, u, w),
+        adjacency=_swap(tuple(tuple(map(s, ring)) for ring in model.adjacency), u, w),
+        faces=tuple(tuple(map(s, f)) for f in model.faces),
+        antipode=_swap(tuple(map(s, model.antipode)), u, w),
+        vertex_faces=_swap(model.vertex_faces, u, w),
+        dual_faces=tuple(map(s, model.dual_faces)),
+        compounds=tuple(tuple(tuple(sorted(map(s, t))) for t in c) for c in model.compounds),
+        squared_distances=_swap(tuple(_swap(row, u, w) for row in model.squared_distances),
+                                u, w))
+
+
 def _swap_distances_0_1_and_0_19(model):
     d = [list(row) for row in model.squared_distances]
     d[0][1], d[0][19] = d[0][19], d[0][1]
@@ -460,6 +475,12 @@ _SINGLE_FAULTS = [
     _reports(lambda m: m._replace(exact_positions=_swap(m.exact_positions, 0, 1)),
              {"rotations have determinant +1": "[-1, 1]", **_VERTEX_0_AT_1},
              "exact-positions-0-1"),
+    # vertices 0 and 1 exchange their ids throughout: every fact holds, and
+    # only the checks that pin vertex 0 and the seeds' compounds see it
+    _reports(lambda m: _relabel(m, 0, 1),
+             {"vertex 0 at the north pole": "offset 7.14e-01",
+              "canonical seeds valid, distinct, classified A and B": "seed compounds B/A"},
+             "vertices-0-1"),
     _reports(lambda m: m._replace(compounds=(m.compounds[0][:4] + m.compounds[1][:1],
                                              m.compounds[1])),
              _COMPOUND_A_TAKES_B_0, "compound-a-takes-b-0"),
