@@ -35,7 +35,9 @@ import json
 from itertools import compress, permutations
 from operator import itemgetter
 
-from .polytope import _PALETTE, PolytopeModel, _check_id, _least_neighbour, _listed, _off_mesh
+from .polytope import (
+    _PALETTE, PolytopeModel, _check_id, _least_neighbour, _listed, _off_mesh, _turn,
+)
 from .symmetry import (
     ColourSymmetry, Subgroup, _check_subgroup, _check_symmetries, _permutes, perm_parity,
 )
@@ -45,16 +47,12 @@ Colouring = tuple[int, ...]
 COLOURS = (1, 2, 3, 4, 5)
 LEFT = "left"
 RIGHT = "right"
-# the 12 turns of a zigzag: how far back from u, in w's ring, each leaves w
-_ZIGZAG_WORDS = {RIGHT: (1, 2, 1, 1, 2, 2) * 2, LEFT: (2, 1, 2, 2, 1, 1) * 2}
+# the 12 turns of a zigzag, each a side: +1 left, -1 right (`polytope._turn`)
+_ZIGZAG_WORDS = {RIGHT: (-1, 1, -1, -1, 1, 1) * 2, LEFT: (1, -1, 1, 1, -1, -1) * 2}
 LABELLING = "canonical-v1"
 _ALL = sum(1 << x for x in COLOURS)  # the searches' bitmask of every colour
 _COLOUR_SET = frozenset(COLOURS)
 _TWENTY_INTS = (int,) * 20
-
-
-class PropagationError(RuntimeError):
-    """Constraint propagation contradicted itself or stalled."""
 
 
 class Rainbow(tuple):
@@ -180,7 +178,7 @@ def _propagate(model: PolytopeModel, col: list[int]) -> None:
     Each face keeps a bitmask of the colours on it (bit x for colour x), and
     a vertex's candidates are the colours on none of its three faces.  The
     one forcing rule is the naked single: a vertex with a single candidate
-    gets it.  Raises PropagationError on contradiction, or if the fixpoint
+    gets it.  Raises ValueError on contradiction, or if the fixpoint
     leaves a vertex uncoloured.  So it returns only with every vertex
     coloured and one colour bit per vertex on each face: every face rainbow.
     """
@@ -197,7 +195,7 @@ def _propagate(model: PolytopeModel, col: list[int]) -> None:
             f0, f1, f2 = vertex_faces[v]
             cand = _ALL & ~(used[f0] | used[f1] | used[f2])
             if not cand:
-                raise PropagationError(f"no colour left for vertex {v}")
+                raise ValueError(f"no colour left for vertex {v}")
             if not cand & (cand - 1):
                 col[v] = cand.bit_length() - 1
                 used[f0] |= cand
@@ -212,9 +210,9 @@ def _propagate(model: PolytopeModel, col: list[int]) -> None:
     for u, (a, b, d, e, f) in zip(used, faces):
         coloured = (col[a] > 0) + (col[b] > 0) + (col[d] > 0) + (col[e] > 0) + (col[f] > 0)
         if u.bit_count() != coloured:
-            raise PropagationError("face carries a colour twice")
+            raise ValueError("face carries a colour twice")
     if open_vs:
-        raise PropagationError("propagation stalled before completion")
+        raise ValueError("propagation stalled before completion")
 
 
 def frame_completions(model: PolytopeModel, frame) -> tuple[Rainbow, Rainbow]:
@@ -236,7 +234,7 @@ def frame_completions(model: PolytopeModel, frame) -> tuple[Rainbow, Rainbow]:
     first_face = model.faces[model.vertex_faces[0][0]]
     open_vs = sorted(v for v in first_face if not base[v])
     if len(open_vs) != 2:
-        raise AssertionError(f"frame leaves {len(open_vs)} open vertices on the first face")
+        raise ValueError(f"frame leaves {len(open_vs)} open vertices on the first face")
     # three distinct frame colours on the face leave two
     missing = sorted(set(COLOURS) - {base[v] for v in first_face})
 
@@ -266,7 +264,7 @@ def seed_colourings(model: PolytopeModel) -> tuple[Rainbow, Rainbow]:
     if parity_class(model, a) != 1:
         a, b = b, a
     if not (parity_class(model, a) == 1 and parity_class(model, b) == -1):
-        raise AssertionError("the seeds do not have opposite parities")
+        raise ValueError("the seeds do not have opposite parities")
     return a, b
 
 
@@ -374,29 +372,25 @@ def zigzag_walk(model: PolytopeModel, start: int, first: int, handedness: str) -
     The walk takes exactly 12 turns, repeating the 6-turn word: each
     three-edge block turns to the handedness side and then to the opposite
     side, and the turns at the block boundaries alternate sides.  Raises
-    AssertionError where a ring it reads has no turns, or unless the 12th
-    edge ends at ``start`` and the next leaves along the edge to ``first``.
+    ValueError where a turn it takes has none (`polytope._turn`), or unless
+    the 12th edge ends at ``start`` and the next leaves along the edge to
+    ``first``.
     Returns the 13 vertices of the walk, both endpoints equal to ``start``.
     """
     _check_id(start, "vertex")
     _check_id(first, "vertex")
-    adjacency = model.adjacency
-    if first not in adjacency[start]:
+    if first not in model.adjacency[start]:
         raise ValueError(f"{first} is not a neighbour of {start}")
     word = _ZIGZAG_WORDS.get(handedness) if type(handedness) is str else None
     if word is None:
         raise ValueError(f"handedness must be 'left' or 'right': {handedness!r}")
     u, w = start, first
     seq = [start, first]
-    try:
-        for back in word:
-            _, _, _ = ring = adjacency[w]  # unless w has 3 neighbours, ValueError
-            u, w = w, ring[ring.index(u) - back]
-            seq.append(w)
-    except ValueError:  # w's ring is not 3 neighbours, or lacks u
-        raise AssertionError(f"the ring of {w} has no turns at the end of {u} -> {w}") from None
+    for side in word:
+        u, w = w, _turn(model, u, w, side)
+        seq.append(w)
     if (seq[12], seq[13]) != (start, first):
-        raise AssertionError(f"zigzag walk from {start} -> {first} failed to close after 12 edges")
+        raise ValueError(f"zigzag walk from {start} -> {first} failed to close after 12 edges")
     return tuple(seq[:13])
 
 
@@ -420,7 +414,7 @@ def working_handedness(model: PolytopeModel, c: Colouring) -> str:
     first = _least_neighbour(model, 0)  # as `zigzag_trace` from vertex 0
     hits = [h for h in (LEFT, RIGHT) if frozenset(zigzag_walk(model, 0, first, h)[::3]) == class0]
     if len(hits) != 1:
-        raise AssertionError("exactly one handedness must reproduce the class")
+        raise ValueError("exactly one handedness must reproduce the class")
     return hits[0]
 
 
@@ -488,7 +482,7 @@ def parity_class(model: PolytopeModel, c: Colouring) -> int:
     """The shared parity of all 12 face cyclic orders (+1 even, -1 odd)."""
     parities = {p for _, _, p in face_parity_signature(model, c)}
     if len(parities) != 1:
-        raise AssertionError("face parities are not uniform")
+        raise ValueError("face parities are not uniform")
     return parities.pop()
 
 

@@ -21,7 +21,7 @@ and left is w's third neighbour; a face is a closed walk of right turns,
 smallest vertex id first.  A vertex's ring lists its neighbours
 counterclockwise as seen from outside, so the right turn at the end of
 u -> w is the neighbour before u in w's ring and the left turn the one
-after.
+after; every module takes its turns from `_turn`.
 """
 
 from __future__ import annotations
@@ -95,9 +95,9 @@ _FLOATS = {ZPhi(0): 0.0, **dict(_MAGNITUDES), **{-x: -f for x, f in _MAGNITUDES}
 
 # The model's fields, in order, each with its shape and the rule a fault
 # message states.  A spec is "vertex" (an int, not a bool, in 0..19),
-# "face" (one that indexes `faces`), the exact type of an entry, a dict
-# (a ZPhi among its keys), or (lo, hi, entry): a tuple of lo to hi entries,
-# each of shape entry.
+# "face" (one that indexes `faces`), ZPhi (a ZPhi of two int parts), a dict
+# (such a ZPhi among its keys), or (lo, hi, entry): a tuple of lo to hi
+# entries, each of shape entry.
 _ANY = math.inf
 _SHAPE = {
     "faces": ((0, _ANY, (5, 5, "vertex")), "5-tuples of vertex ids"),
@@ -109,7 +109,7 @@ _SHAPE = {
     "compounds": ((2, 2, (0, _ANY, (0, _ANY, "vertex"))), "a pair of tuples of vertex-id tuples"),
     "exact_positions": ((20, _ANY, (3, 3, _FLOATS)),
                         "at least 20 triples of ZPhi, each 0, +-1, +-phi or +-1/phi"),
-    "squared_distances": ((20, 20, (20, 20, ZPhi)), "20 rows of 20 ZPhi"),
+    "squared_distances": ((20, 20, (20, 20, ZPhi)), "20 rows of 20 ZPhi of int parts"),
 }
 _ModelFields = NamedTuple("_ModelFields", [(name, tuple) for name in _SHAPE])
 
@@ -129,10 +129,8 @@ def _shape_fault(x, spec, faces):
         return None
     if type(spec) is str:  # bool is a subclass of int, but True is not id 1
         ok = type(x) is int and 0 <= x < (20 if spec == "vertex" else len(faces))
-    elif type(spec) is dict:  # a ZPhi of ints, not an equal plain tuple
-        ok = type(x) is ZPhi and all(type(c) is int for c in x) and x in spec
-    else:
-        ok = type(x) is spec
+    else:  # a ZPhi of ints, not an equal plain tuple
+        ok = type(x) is ZPhi and type(x[0]) is type(x[1]) is int and (spec is ZPhi or x in spec)
     return None if ok else ((), repr(x))
 
 
@@ -439,10 +437,23 @@ def neighbours(model: PolytopeModel, v: int) -> frozenset[int]:
 
 
 def _least_neighbour(model: PolytopeModel, v: int) -> int:
-    """v's smallest neighbour; AssertionError if v has none."""
+    """v's smallest neighbour; ValueError if v has none."""
     if not model.adjacency[v]:
-        raise AssertionError(f"vertex {v} has no neighbours")
+        raise ValueError(f"vertex {v} has no neighbours")
     return min(model.adjacency[v])
+
+
+def _turn(model: PolytopeModel, u: int, w: int, side: int) -> int:
+    """The turn at the end of u -> w: the neighbour after u in w's ring for
+    side +1 (left), the one before it for side -1 (right).  Raises
+    ValueError unless w's ring is 3 neighbours, u among them."""
+    ring = model.adjacency[w]
+    if len(ring) == 3:
+        try:
+            return ring[(ring.index(u) + side) % 3]
+        except ValueError:  # u is not in the ring
+            pass
+    raise ValueError(f"the ring of {w} has no turns at the end of {u} -> {w}")
 
 
 def distance_spectrum(model: PolytopeModel) -> tuple[tuple[float, int], ...]:

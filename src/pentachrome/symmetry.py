@@ -21,7 +21,7 @@ import math
 import operator
 from itertools import permutations, repeat
 
-from .polytope import PolytopeModel, _least_neighbour, _listed, det3
+from .polytope import PolytopeModel, _least_neighbour, _listed, _turn, det3
 
 Perm = tuple[int, ...]
 
@@ -89,24 +89,17 @@ def perm_order(p: Perm) -> int:
 def _turn_map(model: PolytopeModel, u: int, w: int, hand: int) -> Perm:
     """The vertex map following the turns from the edge 0 -> a, a the least
     neighbour of 0, onto u -> w: hand +1 keeps each turn's side, -1 swaps it.
-    Raises AssertionError if 0 has no neighbour, where a ring it reads is not
-    3 neighbours, the vertex entered from among them, or unless it permutes."""
-    adjacency, a = model.adjacency, _least_neighbour(model, 0)
+    Raises ValueError if 0 has no neighbour, where a turn it takes has none
+    (`_turn`), or unless it permutes."""
+    a = _least_neighbour(model, 0)
     image, edges = {0: u, a: w}, [(0, a)]
-    try:
-        for x, y in edges:  # grows by an edge to each newly reached vertex
-            _, _, _ = ring = adjacency[y]
-            _, _, _ = ring2 = adjacency[image[y]][::hand]  # hand -1 reads it clockwise
-            i, j = ring.index(x), ring2.index(image[x])
-            for back in (2, 1):  # the left turn, then the right
-                if (z := ring[i - back]) not in image:
-                    image[z] = ring2[j - back]
-                    edges.append((y, z))
-    except ValueError:  # unpacking or index: name the ring without the turn
-        s, t = (x, y) if len(adjacency[y]) != 3 or x not in adjacency[y] else (image[x], image[y])
-        raise AssertionError(f"the ring of {t} has no turns at the end of {s} -> {t}") from None
+    for x, y in edges:  # grows by an edge to each newly reached vertex
+        for side in (1, -1):  # the left turn, then the right
+            if (z := _turn(model, x, y, side)) not in image:
+                image[z] = _turn(model, image[x], image[y], side * hand)
+                edges.append((y, z))
     if sorted(image.values()) != list(range(20)):
-        raise AssertionError(f"the turn map onto {u} -> {w} is not a permutation")
+        raise ValueError(f"the turn map onto {u} -> {w} is not a permutation")
     return tuple(map(image.__getitem__, range(20)))
 
 
@@ -127,7 +120,7 @@ def _full_group(model: PolytopeModel, rot: tuple[Perm, ...]) -> tuple[Perm, ...]
     mirror = _turn_map(model, 0, _least_neighbour(model, 0), -1)
     group = set(rot).union(compose(g, mirror) for g in rot)
     if len(group) != 120:
-        raise AssertionError(f"full group has {len(group)} elements")
+        raise ValueError(f"full group has {len(group)} elements")
     return tuple(sorted(group))
 
 
@@ -138,20 +131,17 @@ def spatial_determinant(model: PolytopeModel, p: Perm) -> int:
     ValueError is raised; then an orthogonal map M realizes it, and det M
     has the sign of det(images of 0, a and r), as the turn rule makes
     det(0, a, r) > 0 for a the least neighbour of 0 and r the right turn
-    after 0 -> a.  Raises AssertionError if 0 has no neighbour, a's ring has
-    no turns at the end of 0 -> a, or that determinant is zero.
+    after 0 -> a.  Raises ValueError if 0 has no neighbour, that turn has
+    none (`_turn`), or that determinant is zero.
     """
     p = _check_vertex_perm(p)
     d2, image = model.squared_distances, operator.itemgetter(*p)
     if any(image(d2[p[u]]) != d2[u] for u in range(20)):
         raise ValueError("permutation does not keep the vertex distances")
     x, a = model.exact_positions, _least_neighbour(model, 0)
-    ring = model.adjacency[a]
-    if len(ring) != 3 or 0 not in ring:
-        raise AssertionError(f"the ring of {a} has no turns at the end of 0 -> {a}")
-    sign = det3((x[p[0]], x[p[a]], x[p[ring[ring.index(0) - 1]]])).sign()
+    sign = det3((x[p[0]], x[p[a]], x[p[_turn(model, 0, a, -1)]])).sign()
     if sign == 0:
-        raise AssertionError(f"zero determinant at the end of 0 -> {a}")
+        raise ValueError(f"zero determinant at the end of 0 -> {a}")
     return sign
 
 

@@ -488,7 +488,7 @@ _SINGLE_FAULTS = [
     # vertex 0 then has vertex 1's neighbours, 0 among them, and the ring of
     # its neighbour 5 does not hold it; the rings state 35 edges
     _reports(lambda m: m._replace(adjacency=_swap(m.adjacency, 0, 1)),
-             {**dict.fromkeys((*_READ_GROUPS, *_READ_HANDS), "AssertionError: "
+             {**dict.fromkeys((*_READ_GROUPS, *_READ_HANDS), "ValueError: "
                               "the ring of 5 has no turns at the end of 0 -> 5"),
               "edge count": "35",
               "Euler characteristic V-E+F": "-3",
@@ -501,7 +501,7 @@ _SINGLE_FAULTS = [
     # zigzag from
     _reports(lambda m: m._replace(adjacency=((),) + m.adjacency[1:]),
              {**dict.fromkeys((*_READ_GROUPS, *_READ_HANDS),
-                              "AssertionError: vertex 0 has no neighbours"),
+                              "ValueError: vertex 0 has no neighbours"),
               "vertex degree 3": "degrees [0, 3]",
               "faces are 5-cycles in the edge set": "",
               "dual face adjacency preserved both ways": "",
@@ -515,9 +515,9 @@ _SINGLE_FAULTS = [
              "rings-rotated"),
     # the turns at the end of 0 -> 1, and of the other edges into 1, swap sides
     _reports(lambda m: _reverse_rings(m, 1),
-             {**dict.fromkeys(_READ_GROUPS, "AssertionError: "
+             {**dict.fromkeys(_READ_GROUPS, "ValueError: "
                               "the turn map onto 0 -> 2 is not a permutation"),
-              **dict.fromkeys(_READ_HANDS, "AssertionError: "
+              **dict.fromkeys(_READ_HANDS, "ValueError: "
                               "zigzag walk from 0 -> 1 failed to close after 12 edges")},
              "turn-pair-0-1"),
     # the backtracking search then makes a colouring that the face scan rejects
@@ -533,7 +533,7 @@ _SINGLE_FAULTS = [
               **dict.fromkeys(["completions per colour frame",
                                "propagation enumerator matches backtracking",
                                "canonical seeds valid, distinct, classified A and B"],
-                              "PropagationError: no colour left for vertex 11")},
+                              "ValueError: no colour left for vertex 11")},
              "vertex-faces-13-is-11"),
     # the propagation forces vertex 6 off every colour, no colouring has 12
     # distinct face orders of one parity any more, and face 11's antipodal
@@ -545,7 +545,7 @@ _SINGLE_FAULTS = [
               **dict.fromkeys(["completions per colour frame",
                                "propagation enumerator matches backtracking",
                                "canonical seeds valid, distinct, classified A and B"],
-                              "PropagationError: no colour left for vertex 6"),
+                              "ValueError: no colour left for vertex 6"),
               **_NO_PARITY},
              "face-0-is-face-1"),
     _reports(lambda m: m._replace(faces=((m.faces[0][0], *m.faces[0][:0:-1]), *m.faces[1:])),
@@ -559,9 +559,9 @@ _SINGLE_FAULTS = [
               "vertex degree 3": "degrees [2, 3]",
               "faces are 5-cycles in the edge set": "",
               "dual face adjacency preserved both ways": "",
-              **dict.fromkeys(_READ_GROUPS, "AssertionError: "
+              **dict.fromkeys(_READ_GROUPS, "ValueError: "
                               "the ring of 1 has no turns at the end of 6 -> 1"),
-              **dict.fromkeys(_READ_HANDS, "AssertionError: "
+              **dict.fromkeys(_READ_HANDS, "ValueError: "
                               "the ring of 0 has no turns at the end of 3 -> 0"),
               "antipodal colour rule at all 20 vertices of all 240":
                   "ValueError: vertex 0 has 2 neighbours, expected 3"},
@@ -615,13 +615,13 @@ _SINGLE_FAULTS = [
     _reports(lambda m: _place(m, 0, m.exact_positions[1]),
              {"latitude band sizes": "(4, 6, 6, 3, 1)",
               "rotations have determinant +1":
-                  "AssertionError: zero determinant at the end of 0 -> 1",
+                  "ValueError: zero determinant at the end of 0 -> 1",
               **_VERTEX_0_AT_1},
              "vertex-0-in-band-C1"),
     _reports(lambda m: m._replace(adjacency=m.adjacency[:-1] + (m.adjacency[-1][:2],)),
-             {**dict.fromkeys(_READ_GROUPS, "AssertionError: "
+             {**dict.fromkeys(_READ_GROUPS, "ValueError: "
                               "the ring of 19 has no turns at the end of 16 -> 19"),
-              **dict.fromkeys(_READ_HANDS, "AssertionError: "
+              **dict.fromkeys(_READ_HANDS, "ValueError: "
                               "the ring of 19 has no turns at the end of 17 -> 19"),
               "vertex degree 3": "degrees [2, 3]",
               "faces are 5-cycles in the edge set": "",

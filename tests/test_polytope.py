@@ -103,6 +103,27 @@ def test_each_edge_on_two_faces_opposite_senses(model, edges):
         assert directed[(v, u)] == 1
 
 
+def test_turn_reads_the_faces_and_the_third_neighbour(model, edges):
+    # over the 60 directed edges: right continues the face that runs u -> w,
+    # and left is w's neighbour that is neither u nor that
+    after = {(f[i - 2], f[i - 1]): f[i] for f in model.faces for i in range(5)}
+    directed = [*edges, *((w, u) for u, w in edges)]
+    assert len(directed) == 60 and set(after) == set(directed)
+    for u, w in directed:
+        right = polytope._turn(model, u, w, -1)
+        assert right == after[u, w]
+        assert {u, right, polytope._turn(model, u, w, 1)} == neighbours(model, w)
+
+
+@pytest.mark.parametrize("ring", [(16, 18), (16, 17, 15)], ids=["two-neighbours", "lacks-u"])
+def test_turn_refuses_a_ring_without_turns_at_the_edge(model, ring):
+    broken = model._replace(adjacency=model.adjacency[:19] + (ring,))
+    message = "^the ring of 19 has no turns at the end of 18 -> 19$"
+    for side in (1, -1):
+        with pytest.raises(ValueError, match=message):
+            polytope._turn(broken, 18, 19, side)
+
+
 def test_faces_counterclockwise_from_outside(model):
     pos = np.array(positions(model))
     for f in model.faces:
@@ -173,6 +194,10 @@ _SHAPE_FAULTS = [
     pytest.param(lambda m: {"squared_distances": _with(m.squared_distances, 0,
                                                        m.squared_distances[0][:19])},
                  r"squared_distances\[0\]\[19\] is missing", id="distances-0-19-entries"),
+    # a ZPhi whose parts are not ints, which no distance comparison can read
+    pytest.param(lambda m: {"squared_distances": _with(
+                     m.squared_distances, 0, _with(m.squared_distances[0], 1, ZPhi([8])))},
+                 r"squared_distances\[0\]\[1\] is \(\[8\], 0\)", id="distance-0-1-a-list"),
     # face 11 is gone, so the face triples that name it index past `faces`
     pytest.param(lambda m: {"faces": m.faces[:-1]}, r"vertex_faces\[14\]\[2\] is 11",
                  id="face-11-dropped"),

@@ -36,6 +36,25 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_only_the_builder_raises_assertion_error():
+    # build_polytope's input is fixed, so its faults are its own; a reader's
+    # fault is in the model it is given, and raises ValueError
+    raising, defined = set(), []
+    for path, tree in _trees():
+        functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "PropagationError":
+                defined.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.Raise) and node.exc and "AssertionError" in {
+                    n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}:
+                # named by the innermost function around it
+                around = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                raising.add(f"{path.name}:{around[-1] if around else '<module>'}")
+    assert raising == {"polytope.py:build_polytope", "polytope.py:_pole_rotation",
+                       "polytope.py:_compounds"}
+    assert defined == []
+
+
 def test_every_cli_option_is_read():
     # an option that neither its command nor `_dispatch` reads carries no information
     (tree,) = (tree for path, tree in _trees() if path.name == "cli.py")

@@ -126,7 +126,7 @@ def test_generator_independence(model, rotations):
 def test_rotation_group_rejects_a_reversed_ring(model):
     # ring 1 runs clockwise, so the turns at the end of 0 -> 1 swap sides
     adjacency = (model.adjacency[0], model.adjacency[1][::-1], *model.adjacency[2:])
-    with pytest.raises(AssertionError, match="is not a permutation"):
+    with pytest.raises(ValueError, match="is not a permutation"):
         symmetry.rotation_group(model._replace(adjacency=adjacency))
 
 
@@ -134,7 +134,7 @@ def test_turn_map_names_the_image_ring_without_a_turn(model):
     # ring 7 loses vertex 2; the map onto 1 -> 0 takes the edge 5 -> 4 onto
     # 2 -> 7, so it is the image's ring that has no turns
     adjacency = model.adjacency[:7] + ((12, 17, 13),) + model.adjacency[8:]
-    with pytest.raises(AssertionError, match="^the ring of 7 has no turns at the end of 2 -> 7$"):
+    with pytest.raises(ValueError, match="^the ring of 7 has no turns at the end of 2 -> 7$"):
         symmetry._turn_map(model._replace(adjacency=adjacency), 1, 0, 1)
 
 
@@ -214,7 +214,7 @@ def test_spatial_determinant_reports_a_missing_turn_pair(model):
     # vertex 0 then has vertex 1's neighbours, so a is 0 itself, and the turn
     # at the end of 0 -> 0 spans no volume
     adjacency = (model.adjacency[1], model.adjacency[0]) + model.adjacency[2:]
-    with pytest.raises(AssertionError, match="^zero determinant at the end of 0 -> 0$"):
+    with pytest.raises(ValueError, match="^zero determinant at the end of 0 -> 0$"):
         spatial_determinant(model._replace(adjacency=adjacency), tuple(range(20)))
 
 
