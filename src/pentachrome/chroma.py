@@ -7,10 +7,12 @@ rule decides whether five colours are rainbow: their reading is one of the
 `face_parity_signature` apply it; colour bitmasks are left to the two
 searches.  A `Rainbow` is a face-rainbow colouring, and it compares, hashes
 and sorts as the plain tuple.  One is made only after its faces are
-checked: scanned (`check_rainbow`, which `Rainbow(model, c)` runs, the
-backtracking enumerator, and `act` on an antipodal image), or, for a replay
-colouring, by `_propagate`'s per-face bitmask check; or as a relabelling of
-a `Rainbow`, or as an image `orbit_partition` finds in its checked pool.
+checked: scanned (`check_rainbow`, which `Rainbow(model, c)` runs, and the
+backtracking enumerator), or, for a replay colouring, by `_propagate`'s
+per-face bitmask check; or as a relabelling of a `Rainbow`, as an
+antipodal image of one where the model's antipode maps faces onto faces
+(and else as a scanned one), or as an image `orbit_partition` finds in its
+checked pool.
 Every entry that needs a rainbow colouring trusts a `Rainbow` and checks
 anything else once; `is_valid` and `first_violated_face` always scan.  In
 the same way `orbit_partition` trusts a `symmetry.Subgroup` and closes any
@@ -20,6 +22,11 @@ The colour action runs in one place, `_images` (for `act` and
 and the antipodal half of sign -1 one `itemgetter` gather, made at the
 first sign -1.  `stabilizer` applies no element of H: it reads the one
 candidate relabelling per sign off the colouring and checks that.
+Facts of the model alone are derived once per distinct value of the
+fields they read, in bounded `functools.lru_cache` memos: the zigzag
+checkpoint sets (`_checkpoints`, on the rings) and whether the antipode
+maps faces onto faces (`_antipode_keeps_faces`, on the faces and the
+antipode).  A fault raises and is not kept.
 Colouring documents share one template, `_DOCUMENT`.
 Two independent enumerators are provided: a brute-force backtracking search
 (`enumerate_colourings`) and a constraint-propagation replay
@@ -32,6 +39,7 @@ one colour gets that colour.  The two must produce identical sets.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from itertools import compress, permutations
 from operator import itemgetter
 
@@ -298,14 +306,25 @@ def _images(c, H, model: PolytopeModel):
             yield mirrored.translate(_RELABEL[g[0]])
 
 
+@lru_cache(maxsize=64)
+def _antipode_keeps_faces(faces, antipode) -> bool:
+    """True iff the antipode maps every face onto a face, as vertex sets:
+    then the antipodal image of a face-rainbow colouring is face-rainbow.
+    A fact of these two fields alone, kept for each distinct pair of values."""
+    face_sets = set(map(frozenset, faces))
+    return all(frozenset(map(antipode.__getitem__, f)) in face_sets for f in faces)
+
+
 def act(g: ColourSymmetry, c: Colouring, model: PolytopeModel) -> Rainbow:
     """Apply a colour symmetry: relabel colours, then for sign -1 take each
-    vertex's colour from its antipode.  A sign -1 image is scanned, and
-    ValueError is raised unless it is rainbow."""
+    vertex's colour from its antipode.  A sign -1 image is scanned unless
+    the model's antipode maps faces onto faces (`_antipode_keeps_faces`),
+    and ValueError is raised unless it is rainbow."""
     if type(g) is not ColourSymmetry:
         _check_symmetries([g])
     (image,) = _images(check_rainbow(model, c), [g], model)
-    if g[1] == -1 and _first_violated_face(model, image) is not None:
+    if (g[1] == -1 and not _antipode_keeps_faces(model.faces, model.antipode)
+            and _first_violated_face(model, image) is not None):
         raise ValueError("the model's antipode does not map faces onto faces")
     return tuple.__new__(Rainbow, image)
 
@@ -366,6 +385,13 @@ def stabilizer(c: Colouring, H, model: PolytopeModel) -> list[ColourSymmetry]:
 # ---------------------------------------------------------------------------
 # zigzag walks (property P1)
 
+def _check_handedness(handedness) -> str:
+    # the type goes first, as an unhashable handedness would make the lookup raise TypeError
+    if type(handedness) is not str or handedness not in _ZIGZAG_WORDS:
+        raise ValueError(f"handedness must be 'left' or 'right': {handedness!r}")
+    return handedness
+
+
 def zigzag_walk(model: PolytopeModel, start: int, first: int, handedness: str) -> tuple[int, ...]:
     """The closed zigzag walk from ``start`` leaving along the edge to ``first``.
 
@@ -381,17 +407,28 @@ def zigzag_walk(model: PolytopeModel, start: int, first: int, handedness: str) -
     _check_id(first, "vertex")
     if first not in model.adjacency[start]:
         raise ValueError(f"{first} is not a neighbour of {start}")
-    word = _ZIGZAG_WORDS.get(handedness) if type(handedness) is str else None
-    if word is None:
-        raise ValueError(f"handedness must be 'left' or 'right': {handedness!r}")
+    return _walk(model.adjacency, start, first, _ZIGZAG_WORDS[_check_handedness(handedness)])
+
+
+def _walk(rings, start: int, first: int, word) -> tuple[int, ...]:
+    """`zigzag_walk` on a model's rings, taking the turns of ``word``."""
     u, w = start, first
     seq = [start, first]
     for side in word:
-        u, w = w, _turn(model, u, w, side)
+        u, w = w, _turn(rings, u, w, side)
         seq.append(w)
     if (seq[12], seq[13]) != (start, first):
         raise ValueError(f"zigzag walk from {start} -> {first} failed to close after 12 edges")
     return tuple(seq[:13])
+
+
+@lru_cache(maxsize=256)
+def _checkpoints(rings, v: int, handedness: str) -> frozenset[int]:
+    """Every 3rd vertex of the zigzag walk from v that leaves along v's
+    least neighbour: a fact of the rings alone, kept for each distinct
+    value of them.  A walk that raises is not kept, so it raises again."""
+    word = _ZIGZAG_WORDS[handedness]
+    return frozenset(_walk(rings, v, _least_neighbour(rings, v), word)[::3])
 
 
 def zigzag_trace(model: PolytopeModel, c: Colouring, v: int, handedness: str) -> frozenset[int]:
@@ -400,19 +437,20 @@ def zigzag_trace(model: PolytopeModel, c: Colouring, v: int, handedness: str) ->
     For exactly one handedness (fixed by the chirality class of the
     colouring) this set is the colour class of v.  The set is independent
     of the outgoing edge and of the colouring, which is checked but not
-    read, so the walk leaves along the lowest-id neighbour.
+    read, so the walk leaves along the lowest-id neighbour and its set is
+    read from the model's memo (`_checkpoints`).
     """
     check_rainbow(model, c)
     _check_id(v, "vertex")
-    return frozenset(zigzag_walk(model, v, _least_neighbour(model, v), handedness)[::3])
+    return _checkpoints(model.adjacency, v, _check_handedness(handedness))
 
 
 def working_handedness(model: PolytopeModel, c: Colouring) -> str:
     """The handedness whose zigzag checkpoints reproduce colour classes."""
     c = check_rainbow(model, c)
     class0 = frozenset(compress(range(20), map(c[0].__eq__, c)))
-    first = _least_neighbour(model, 0)  # as `zigzag_trace` from vertex 0
-    hits = [h for h in (LEFT, RIGHT) if frozenset(zigzag_walk(model, 0, first, h)[::3]) == class0]
+    # as `zigzag_trace` from vertex 0
+    hits = [h for h in (LEFT, RIGHT) if _checkpoints(model.adjacency, 0, h) == class0]
     if len(hits) != 1:
         raise ValueError("exactly one handedness must reproduce the class")
     return hits[0]

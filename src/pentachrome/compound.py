@@ -1,10 +1,15 @@
 """Inscribed regular tetrahedra, the two chiral compounds of five, colour
-class classification, and the distance-spread brute force."""
+class classification, and the distance-spread brute force.
+
+`classify_colouring` looks the set of colour classes up in a map from each
+compound's set of tetrahedra to the compound, kept for each distinct value
+of `model.compounds` (`_by_tetrahedra`)."""
 
 from __future__ import annotations
 
 import json
 import math
+from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -44,11 +49,17 @@ def classify_colouring(model: PolytopeModel, c) -> tuple[Compound, dict[int, Tet
     the tetrahedra of a single compound.
     """
     classes = chroma.colour_classes(chroma.check_rainbow(model, c), tuple)
-    class_set = set(classes.values())
-    for label, tets in zip("AB", model.compounds):
-        if class_set == set(tets):
-            return Compound(label, tets), classes
-    raise ValueError("colour classes do not form a compound")
+    comp = _by_tetrahedra(model.compounds).get(frozenset(classes.values()))
+    if comp is None:
+        raise ValueError("colour classes do not form a compound")
+    return comp, classes
+
+
+@lru_cache(maxsize=64)
+def _by_tetrahedra(pair) -> dict[frozenset[Tetra], Compound]:
+    """The set of a compound's tetrahedra -> the compound, for a model's
+    `compounds` pair, kept for each distinct value of it; A wins a tie."""
+    return {frozenset(tets): Compound(label, tets) for label, tets in zip("BA", pair[::-1])}
 
 
 class SpreadReport(NamedTuple):

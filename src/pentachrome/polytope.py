@@ -13,15 +13,16 @@ checked once, where it is derived; one that follows is not checked again: a
 3-regular graph whose right-turn walks all close pentagons has 30 edges and
 12 faces, each edge on two of them in opposite senses.  Floats are only the
 exported embedding, which `positions` derives from the exact coordinates.
-The model stays immutable and hashable, and no other module keeps derived
-state.  One exact rule orients faces and turns: consecutive vertices
-u, w, x of a face run counterclockwise as seen from outside have
-det(u, w, x) > 0.  At the end of u -> w, right is that next face vertex x
-and left is w's third neighbour; a face is a closed walk of right turns,
-smallest vertex id first.  A vertex's ring lists its neighbours
-counterclockwise as seen from outside, so the right turn at the end of
-u -> w is the neighbour before u in w's ring and the left turn the one
-after; every module takes its turns from `_turn`.
+The model stays immutable and hashable; the memos of `chroma` and
+`compound` are keyed on the values of the fields they read.  One exact
+rule orients faces and turns: consecutive vertices u, w, x of a face run
+counterclockwise as seen from outside have det(u, w, x) > 0.  At the end
+of u -> w, right is that next face vertex x and left is w's third
+neighbour; a face is a closed walk of right turns, smallest vertex id
+first.  A vertex's ring lists its neighbours counterclockwise as seen from
+outside, so the right turn at the end of u -> w is the neighbour before u
+in w's ring and the left turn the one after; every module takes its turns
+from `_turn`, which reads the rings alone.
 """
 
 from __future__ import annotations
@@ -436,18 +437,19 @@ def neighbours(model: PolytopeModel, v: int) -> frozenset[int]:
     return frozenset(model.adjacency[v])
 
 
-def _least_neighbour(model: PolytopeModel, v: int) -> int:
-    """v's smallest neighbour; ValueError if v has none."""
-    if not model.adjacency[v]:
+def _least_neighbour(rings, v: int) -> int:
+    """v's smallest neighbour in a model's rings; ValueError if v has none."""
+    if not rings[v]:
         raise ValueError(f"vertex {v} has no neighbours")
-    return min(model.adjacency[v])
+    return min(rings[v])
 
 
-def _turn(model: PolytopeModel, u: int, w: int, side: int) -> int:
-    """The turn at the end of u -> w: the neighbour after u in w's ring for
-    side +1 (left), the one before it for side -1 (right).  Raises
-    ValueError unless w's ring is 3 neighbours, u among them."""
-    ring = model.adjacency[w]
+def _turn(rings, u: int, w: int, side: int) -> int:
+    """The turn at the end of u -> w on a model's rings (`adjacency`): the
+    neighbour after u in w's ring for side +1 (left), the one before it for
+    side -1 (right).  Raises ValueError unless w's ring is 3 neighbours, u
+    among them."""
+    ring = rings[w]
     if len(ring) == 3:
         try:
             return ring[(ring.index(u) + side) % 3]

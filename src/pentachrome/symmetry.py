@@ -91,12 +91,13 @@ def _turn_map(model: PolytopeModel, u: int, w: int, hand: int) -> Perm:
     neighbour of 0, onto u -> w: hand +1 keeps each turn's side, -1 swaps it.
     Raises ValueError if 0 has no neighbour, where a turn it takes has none
     (`_turn`), or unless it permutes."""
-    a = _least_neighbour(model, 0)
+    rings = model.adjacency
+    a = _least_neighbour(rings, 0)
     image, edges = {0: u, a: w}, [(0, a)]
     for x, y in edges:  # grows by an edge to each newly reached vertex
         for side in (1, -1):  # the left turn, then the right
-            if (z := _turn(model, x, y, side)) not in image:
-                image[z] = _turn(model, image[x], image[y], side * hand)
+            if (z := _turn(rings, x, y, side)) not in image:
+                image[z] = _turn(rings, image[x], image[y], side * hand)
                 edges.append((y, z))
     if sorted(image.values()) != list(range(20)):
         raise ValueError(f"the turn map onto {u} -> {w} is not a permutation")
@@ -117,7 +118,7 @@ def full_group(model: PolytopeModel) -> tuple[Perm, ...]:
 
 def _full_group(model: PolytopeModel, rot: tuple[Perm, ...]) -> tuple[Perm, ...]:
     """`full_group` from the model's rotation group ``rot``."""
-    mirror = _turn_map(model, 0, _least_neighbour(model, 0), -1)
+    mirror = _turn_map(model, 0, _least_neighbour(model.adjacency, 0), -1)
     group = set(rot).union(compose(g, mirror) for g in rot)
     if len(group) != 120:
         raise ValueError(f"full group has {len(group)} elements")
@@ -138,8 +139,9 @@ def spatial_determinant(model: PolytopeModel, p: Perm) -> int:
     d2, image = model.squared_distances, operator.itemgetter(*p)
     if any(image(d2[p[u]]) != d2[u] for u in range(20)):
         raise ValueError("permutation does not keep the vertex distances")
-    x, a = model.exact_positions, _least_neighbour(model, 0)
-    sign = det3((x[p[0]], x[p[a]], x[p[_turn(model, 0, a, -1)]])).sign()
+    x, rings = model.exact_positions, model.adjacency
+    a = _least_neighbour(rings, 0)
+    sign = det3((x[p[0]], x[p[a]], x[p[_turn(rings, 0, a, -1)]])).sign()
     if sign == 0:
         raise ValueError(f"zero determinant at the end of 0 -> {a}")
     return sign

@@ -655,6 +655,29 @@ def test_stabilizer_on_a_rainbow_from_another_model(model, colourings):
         assert stabilizer(c, G, mutant) == _fixing_by_brute_force(c, G, mutant)
 
 
+def test_act_scans_where_the_antipode_breaks_faces(model, colourings):
+    # the mutant's antipode does not map its faces onto faces, so `act`
+    # scans each sign -1 image there and raises on one that is not rainbow;
+    # interleaved with the canonical model, whose antipode spares the scan
+    mutant, image = _mutant_rainbow(model, colourings)
+    assert chroma._antipode_keeps_faces(model.faces, model.antipode)
+    assert not chroma._antipode_keeps_faces(mutant.faces, mutant.antipode)
+    c = colourings[0]
+    inputs = [(model, c), (mutant, c), (mutant, image), (mutant, (c[1], c[0], *c[2:]))]
+    raised = 0
+    for g in sorted(colour_group()):
+        perm, sign = g
+        for m, x in inputs:
+            want = tuple(perm[x[m.antipode[v] if sign == -1 else v] - 1] for v in range(20))
+            if sign == -1 and not is_valid(m, want):
+                raised += 1
+                assert _outcome(act, g, x, m) == (
+                    ValueError, "the model's antipode does not map faces onto faces")
+            else:
+                assert _outcome(act, g, x, m) == ("returned", want)
+    assert raised
+
+
 def test_orbit_partition_counts(model, colourings):
     for name, want_orbits in [
         ("trivial", 240),

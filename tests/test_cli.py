@@ -128,27 +128,25 @@ def _count_face_scans(monkeypatch):
 
 
 def test_verify_scans_each_made_colouring_once(model, monkeypatch):
-    # 480 scans for the two backtracking enumerations, 120 for the antipodal
-    # images `act` makes in the orbit of one colouring and 2 for the seed
+    # 480 scans for the two backtracking enumerations and 2 for the seed
     # validity check: the propagation replay and the seeds are shown rainbow
-    # by propagation's own per-face check, which spares 242 scans
+    # by propagation's own per-face check, which spares 242 scans, and the
+    # antipodal images `act` makes in the orbit of one colouring by the
+    # model's antipode mapping faces onto faces, which spares 120
     scans = _count_face_scans(monkeypatch)
     checks = verify.run_checks(model)
     assert len(checks) == 61 and not [c.name for c in checks if not c.ok]
-    assert len(scans) <= 602
+    assert len(scans) == 482
     scans.clear()
     assert len(chroma.enumerate_by_propagation(model)) == 240
     assert scans == []
 
 
-def test_a_library_request_on_a_plain_tuple_makes_eight_face_scans(model, colourings, monkeypatch):
-    # the questions of one library request: validity of the colouring and of
-    # a mutant, the mutant's classification, one action, the classification,
-    # the parity signature, the handedness, a trace, the antipodal rule and a
-    # JSON round trip; the action scans its colouring and its antipodal
-    # image, and 9 scans were made if the signature ran the full check as well
-    scans = _count_face_scans(monkeypatch)
-    c = tuple(colourings[37])
+def _library_request(model, c):
+    """The questions of one library request on c: validity of the colouring
+    and of a mutant, the mutant's classification, one action, the
+    classification, the parity signature, the handedness, a trace, the
+    antipodal rule and a JSON round trip."""
     v = next(v for v in range(20) if c[v] != c[0])
     mutant = (c[v], *c[1:v], c[0], *c[v + 1:])
     assert chroma.is_valid(model, c) and not chroma.is_valid(model, mutant)
@@ -160,11 +158,101 @@ def test_a_library_request_on_a_plain_tuple_makes_eight_face_scans(model, colour
     chroma.zigzag_trace(model, c, 5, chroma.working_handedness(model, c))
     assert chroma.antipodal_rule_holds(model, c)
     assert chroma.colouring_from_json(chroma.colouring_to_json(c)) == c
-    assert len(scans) == 8
+
+
+def test_a_library_request_on_a_plain_tuple_makes_seven_face_scans(model, colourings, monkeypatch):
+    # the action scans its colouring but not its antipodal image, as the
+    # model's antipode maps faces onto faces; 8 scans were made if the
+    # signature ran the full check as well
+    scans = _count_face_scans(monkeypatch)
+    c = tuple(colourings[37])
+    _library_request(model, c)
+    assert len(scans) == 7
     # the signature's lookup is its own rainbow check
     scans.clear()
     chroma.face_parity_signature(model, c)
     assert scans == []
+
+
+def test_a_warm_library_request_takes_no_turns(model, colourings, monkeypatch):
+    # the checkpoint sets are facts of the rings: the handedness walks both
+    # zigzags from vertex 0 and the trace one from vertex 5, 36 turns, once
+    # for each value of the rings
+    turns = []
+    turn = chroma._turn
+
+    def counted(rings, u, w, side):
+        turns.append((u, w))
+        return turn(rings, u, w, side)
+
+    monkeypatch.setattr(chroma, "_turn", counted)
+    chroma._checkpoints.cache_clear()
+    c = tuple(colourings[37])
+    _library_request(model, c)
+    assert len(turns) == 36
+    turns.clear()
+    _library_request(model, c)
+    assert turns == []
+
+
+def _outcome(f, *args):
+    """What f returns, or the type and message of the ValueError it raises."""
+    try:
+        return "returned", f(*args)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+def test_model_memos_keep_each_model_apart(model, colourings):
+    # the memos are keyed on the values of the fields they read: calls
+    # interleaved on three models each read their own model's facts, and a
+    # cut ring raises on every call, as a fault is never kept
+    c = colourings[37]
+    models = [
+        (model, tuple(c)),
+        (_relabel(model, 0, 1), (c[1], c[0], *c[2:])),
+        (model._replace(adjacency=model.adjacency[:19] + (model.adjacency[19][:2],)), tuple(c)),
+    ]
+
+    def fresh_trace(m, x, v, h):
+        return frozenset(chroma.zigzag_walk(m, v, min(m.adjacency[v]), h)[::3])
+
+    def fresh_hand(m, x):
+        class0 = frozenset(u for u in range(20) if x[u] == x[0])
+        (hand,) = [h for h in (chroma.LEFT, chroma.RIGHT) if fresh_trace(m, x, 0, h) == class0]
+        return hand
+
+    raised = 0
+    for v in range(20):
+        for h in (chroma.LEFT, chroma.RIGHT):
+            for m, x in models:
+                want = _outcome(fresh_trace, m, x, v, h)
+                # twice in a row: a kept set reads the same, a fault raises again
+                for _ in range(2):
+                    assert _outcome(chroma.zigzag_trace, m, x, v, h) == want
+                raised += want[0] is ValueError
+    assert raised
+    for m, x in models * 2:
+        assert _outcome(chroma.working_handedness, m, x) == _outcome(fresh_hand, m, x)
+
+
+def test_classify_reads_the_labels_of_its_own_model(model, colourings):
+    # a model with its two compounds swapped swaps every label, interleaved
+    # with the canonical model; where both compounds hold one set of
+    # tetrahedra, A wins
+    swapped = model._replace(compounds=model.compounds[::-1])
+    a = model.compounds[0]
+    twins = model._replace(compounds=(a, a[::-1]))
+    other = {"A": "B", "B": "A"}
+    for c in colourings[::7]:
+        comp, classes = compound_mod.classify_colouring(model, c)
+        comp_s, classes_s = compound_mod.classify_colouring(swapped, c)
+        assert comp_s == (other[comp.label], comp.tetrahedra) and classes_s == classes
+        if comp.label == "A":
+            assert compound_mod.classify_colouring(twins, c) == (("A", a), classes)
+        else:
+            with pytest.raises(ValueError, match="^colour classes do not form a compound$"):
+                compound_mod.classify_colouring(twins, c)
 
 
 def test_verify_closes_only_the_rotations_and_multiplies_no_colour_symmetries(model, monkeypatch):

@@ -110,9 +110,9 @@ def test_turn_reads_the_faces_and_the_third_neighbour(model, edges):
     directed = [*edges, *((w, u) for u, w in edges)]
     assert len(directed) == 60 and set(after) == set(directed)
     for u, w in directed:
-        right = polytope._turn(model, u, w, -1)
+        right = polytope._turn(model.adjacency, u, w, -1)
         assert right == after[u, w]
-        assert {u, right, polytope._turn(model, u, w, 1)} == neighbours(model, w)
+        assert {u, right, polytope._turn(model.adjacency, u, w, 1)} == neighbours(model, w)
 
 
 @pytest.mark.parametrize("ring", [(16, 18), (16, 17, 15)], ids=["two-neighbours", "lacks-u"])
@@ -121,7 +121,7 @@ def test_turn_refuses_a_ring_without_turns_at_the_edge(model, ring):
     message = "^the ring of 19 has no turns at the end of 18 -> 19$"
     for side in (1, -1):
         with pytest.raises(ValueError, match=message):
-            polytope._turn(broken, 18, 19, side)
+            polytope._turn(broken.adjacency, 18, 19, side)
 
 
 def test_faces_counterclockwise_from_outside(model):
