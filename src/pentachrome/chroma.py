@@ -7,16 +7,17 @@ rule decides whether five colours are rainbow: their reading is one of the
 `face_parity_signature` apply it; colour bitmasks are left to the two
 searches.  A `Rainbow` is a face-rainbow colouring, and it compares, hashes
 and sorts as the plain tuple.  One is made only after its faces are
-checked: scanned (`check_rainbow`, which `Rainbow(model, c)` runs, and the
+checked: read (`check_rainbow`, which `Rainbow(model, c)` runs, and the
 backtracking enumerator), or, for a replay colouring, by `_propagate`'s
 per-face bitmask check; or as a relabelling of a `Rainbow`, as an
 antipodal image of one where the model's antipode maps faces onto faces
 (and else as a scanned one), or as an image `orbit_partition` finds in its
 checked pool.
 Every entry that needs a rainbow colouring trusts a `Rainbow` and checks
-anything else once; `is_valid` and `first_violated_face` always scan.  In
-the same way `orbit_partition` trusts a `symmetry.Subgroup` and closes any
-other collection; `stabilizer` only type-checks one, and never closes it.
+anything else once, by reading its faces; `is_valid` and
+`first_violated_face` always scan.  In the same way `orbit_partition`
+trusts a `symmetry.Subgroup` and closes any other collection; `stabilizer`
+only type-checks one, and never closes it.
 The colour action runs in one place, `_images` (for `act` and
 `orbit_partition`), on 20-byte copies: relabelling is one `bytes.translate`
 and the antipodal half of sign -1 one `itemgetter` gather, made at the
@@ -26,7 +27,10 @@ Facts of the model alone are derived once per distinct value of the
 fields they read, in bounded `functools.lru_cache` memos: the zigzag
 checkpoint sets (`_checkpoints`, on the rings) and whether the antipode
 maps faces onto faces (`_antipode_keeps_faces`, on the faces and the
-antipode).  A fault raises and is not kept.
+antipode).  So are a colouring's face readings, its cyclic order and
+parity per face (`_signature`, on the faces and the colouring, consulted
+only after `check_colouring`); `check_rainbow` and `face_parity_signature`
+read them.  A fault raises and is not kept.
 Colouring documents share one template, `_DOCUMENT`.
 Two independent enumerators are provided: a brute-force backtracking search
 (`enumerate_colourings`) and a constraint-propagation replay
@@ -120,12 +124,13 @@ def _first_violated_face(model: PolytopeModel, c: Colouring) -> int | None:
 def check_rainbow(model: PolytopeModel, c) -> Rainbow:
     """The full check made once at each public entry: 20 colours in 1..5
     and every face rainbow.  Returns a `Rainbow` unchanged, and anything
-    else that passes as a new `Rainbow`; raises ValueError otherwise."""
+    else that passes as a new `Rainbow`; raises ValueError otherwise.  The
+    face check is the face readings' lookup (`_signature`), made once per
+    value of the faces and the colouring."""
     if type(c) is Rainbow:
         return c
     c = check_colouring(c)
-    if _first_violated_face(model, c) is not None:
-        raise ValueError("colouring is not face-rainbow")
+    _signature(model.faces, c)  # raises unless every face is rainbow
     return tuple.__new__(Rainbow, c)
 
 
@@ -506,11 +511,19 @@ def face_parity_signature(model: PolytopeModel, c: Colouring):
     from outside).  For a valid colouring all 12 parities agree and the 12
     orders are pairwise distinct.  The lookup is the rainbow check.
     """
-    c = check_colouring(c)
+    return _signature(model.faces, check_colouring(c))
+
+
+@lru_cache(maxsize=256)
+def _signature(faces, c: Colouring):
+    """`face_parity_signature` on a colouring already known to be 20 colours
+    in 1..5: a fact of the faces and the colouring alone, kept for each
+    distinct pair of values (a model has 240 rainbow colourings).  A
+    colouring that is not face-rainbow raises and is not kept."""
     try:
         return tuple(
             (fid, *_FACE_ORDERS[c[a], c[b], c[d], c[e], c[f]])
-            for fid, (a, b, d, e, f) in enumerate(model.faces)
+            for fid, (a, b, d, e, f) in enumerate(faces)
         )
     except KeyError:
         raise ValueError("colouring is not face-rainbow") from None

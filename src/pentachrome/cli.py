@@ -144,7 +144,7 @@ def cmd_classify(args, model) -> int:
         return 1
 
     try:
-        c = chroma.check_rainbow(model, c)  # the one face scan on the valid path
+        c = chroma.check_rainbow(model, c)  # the one face read on the valid path
     except ValueError:  # c has 20 colours in 1..5, so a face is not rainbow
         face = chroma.first_violated_face(model, c)
         if args.json:

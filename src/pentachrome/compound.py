@@ -3,7 +3,9 @@ class classification, and the distance-spread brute force.
 
 `classify_colouring` looks the set of colour classes up in a map from each
 compound's set of tetrahedra to the compound, kept for each distinct value
-of `model.compounds` (`_by_tetrahedra`)."""
+of `model.compounds` (`_by_tetrahedra`).  Its answer for a checked
+colouring is kept for each distinct value of the compounds and the
+colouring (`_classify`), and each call returns a fresh classes dict."""
 
 from __future__ import annotations
 
@@ -48,11 +50,21 @@ def classify_colouring(model: PolytopeModel, c) -> tuple[Compound, dict[int, Tet
     Raises ValueError if the colouring is invalid or the classes are not
     the tetrahedra of a single compound.
     """
-    classes = chroma.colour_classes(chroma.check_rainbow(model, c), tuple)
-    comp = _by_tetrahedra(model.compounds).get(frozenset(classes.values()))
+    comp, items = _classify(model.compounds, chroma.check_rainbow(model, c))
+    return comp, dict(items)
+
+
+@lru_cache(maxsize=256)
+def _classify(pair, c: chroma.Rainbow) -> tuple[Compound, tuple[tuple[int, Tetra], ...]]:
+    """The compound of c's colour classes and the (colour, class) items, for
+    a model's `compounds` pair and a face-rainbow colouring, kept for each
+    distinct pair of values (a model has 240 rainbow colourings).  Classes
+    that form no compound raise, and are not kept."""
+    classes = chroma.colour_classes(c, tuple)
+    comp = _by_tetrahedra(pair).get(frozenset(classes.values()))
     if comp is None:
         raise ValueError("colour classes do not form a compound")
-    return comp, classes
+    return comp, tuple(classes.items())
 
 
 @lru_cache(maxsize=64)

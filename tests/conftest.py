@@ -7,8 +7,17 @@ from pathlib import Path
 import pytest
 
 import pentachrome
-from pentachrome import chroma, symmetry
+from pentachrome import chroma, compound, symmetry
 from pentachrome.polytope import build_polytope
+
+
+@pytest.fixture(autouse=True)
+def _empty_memos():
+    """Each test starts with the package's memos empty, so no count a test
+    pins depends on which tests ran before it."""
+    for memo in (chroma._checkpoints, chroma._antipode_keeps_faces, chroma._signature,
+                 compound._by_tetrahedra, compound._classify):
+        memo.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -114,32 +114,45 @@ def test_verify_json(capsys):
     assert all(c["seconds"] >= 0 for c in doc["checks"])
 
 
-def _count_face_scans(monkeypatch):
-    """Count the package's face scans by wrapping its scan function."""
-    calls = []
+def _count_face_reads(monkeypatch):
+    """Count the package's two kinds of face read: scans, the calls of its
+    scan function, and readings, the misses of its face-readings memo (each
+    reads all 12 faces of one colouring).  Returns a function that gives
+    (scans, readings) since its last call, or since this one."""
+    scans = []
     scan = chroma._first_violated_face
 
     def counted(model, c):
-        calls.append(c)
+        scans.append(c)
         return scan(model, c)
 
     monkeypatch.setattr(chroma, "_first_violated_face", counted)
-    return calls
+    misses = chroma._signature.cache_info().misses
+
+    def reads():
+        nonlocal misses
+        now = chroma._signature.cache_info().misses
+        counts = len(scans), now - misses
+        scans.clear()
+        misses = now
+        return counts
+
+    return reads
 
 
 def test_verify_scans_each_made_colouring_once(model, monkeypatch):
-    # 480 scans for the two backtracking enumerations and 2 for the seed
-    # validity check: the propagation replay and the seeds are shown rainbow
-    # by propagation's own per-face check, which spares 242 scans, and the
-    # antipodal images `act` makes in the orbit of one colouring by the
-    # model's antipode mapping faces onto faces, which spares 120
-    scans = _count_face_scans(monkeypatch)
+    # 2 scans for the seed validity check and 240 readings: the first
+    # backtracking enumeration reads each colouring it makes, and the second
+    # and the signatures find the readings kept.  The propagation replay and
+    # the seeds are shown rainbow by propagation's own per-face check, and
+    # the antipodal images `act` makes in the orbit of one colouring by the
+    # model's antipode mapping faces onto faces
+    reads = _count_face_reads(monkeypatch)
     checks = verify.run_checks(model)
     assert len(checks) == 61 and not [c.name for c in checks if not c.ok]
-    assert len(scans) == 482
-    scans.clear()
+    assert reads() == (2, 240)
     assert len(chroma.enumerate_by_propagation(model)) == 240
-    assert scans == []
+    assert reads() == (0, 0)
 
 
 def _library_request(model, c):
@@ -160,18 +173,21 @@ def _library_request(model, c):
     assert chroma.colouring_from_json(chroma.colouring_to_json(c)) == c
 
 
-def test_a_library_request_on_a_plain_tuple_makes_seven_face_scans(model, colourings, monkeypatch):
-    # the action scans its colouring but not its antipodal image, as the
-    # model's antipode maps faces onto faces; 8 scans were made if the
-    # signature ran the full check as well
-    scans = _count_face_scans(monkeypatch)
+def test_a_library_request_on_a_plain_tuple_reads_its_colouring_once(model, colourings, monkeypatch):
+    # the two validity predicates scan; the action reads the colouring's
+    # faces, and the classification, the signature, the handedness and the
+    # trace find the readings kept; the action does not scan its antipodal
+    # image, as the model's antipode maps faces onto faces.  The mutant,
+    # which is not rainbow, is read on each request, as a fault is not kept
+    reads = _count_face_reads(monkeypatch)
     c = tuple(colourings[37])
     _library_request(model, c)
-    assert len(scans) == 7
+    assert reads() == (2, 2)
+    _library_request(model, c)
+    assert reads() == (2, 1)
     # the signature's lookup is its own rainbow check
-    scans.clear()
-    chroma.face_parity_signature(model, c)
-    assert scans == []
+    chroma.face_parity_signature(model, tuple(colourings[38]))
+    assert reads() == (0, 1)
 
 
 def test_a_warm_library_request_takes_no_turns(model, colourings, monkeypatch):
@@ -186,7 +202,6 @@ def test_a_warm_library_request_takes_no_turns(model, colourings, monkeypatch):
         return turn(rings, u, w, side)
 
     monkeypatch.setattr(chroma, "_turn", counted)
-    chroma._checkpoints.cache_clear()
     c = tuple(colourings[37])
     _library_request(model, c)
     assert len(turns) == 36
@@ -235,6 +250,33 @@ def test_model_memos_keep_each_model_apart(model, colourings):
     for m, x in models * 2:
         assert _outcome(chroma.working_handedness, m, x) == _outcome(fresh_hand, m, x)
 
+    # the face readings are keyed on the faces and the colouring: on the
+    # canonical and the relabelled model, interleaved, each colouring reads
+    # as a fresh reading of that model's faces
+    def fresh_signature(m, x):
+        orders = [tuple(x[v] for v in face) for face in m.faces]
+        if any(sorted(order) != [1, 2, 3, 4, 5] for order in orders):
+            raise ValueError("colouring is not face-rainbow")
+        return tuple((fid, chroma.canonical_cycle(order), chroma.cyclic_order_parity(order))
+                     for fid, order in enumerate(orders))
+
+    for m, _ in models[:2] * 2:
+        for _, x in models[:2]:
+            want = _outcome(fresh_signature, m, x)
+            assert _outcome(chroma.face_parity_signature, m, x) == want
+            rainbow = want if want[0] is ValueError else ("returned", x)
+            assert _outcome(chroma.check_rainbow, m, x) == rainbow
+    # they are read only after the type and range checks: once c is kept, a
+    # colour True or 1.0 at its vertex 0 compares and hashes as the kept 1,
+    # yet raises as it did before
+    assert c[0] == 1
+    for read in (chroma.check_rainbow, chroma.face_parity_signature, compound_mod.classify_colouring):
+        read(model, tuple(c))
+        for bad in ((True, *c[1:]), (1.0, *c[1:])):
+            assert bad == c and hash(bad) == hash(c)
+            assert _outcome(read, model, bad) == (ValueError, f"vertex 0 has colour {bad[0]!r}, "
+                                                              "expected 1..5")
+
 
 def test_classify_reads_the_labels_of_its_own_model(model, colourings):
     # a model with its two compounds swapped swaps every label, interleaved
@@ -253,6 +295,11 @@ def test_classify_reads_the_labels_of_its_own_model(model, colourings):
         else:
             with pytest.raises(ValueError, match="^colour classes do not form a compound$"):
                 compound_mod.classify_colouring(twins, c)
+    # each call returns a dict of its own: a caller's edit is not kept
+    comp, classes = compound_mod.classify_colouring(model, colourings[0])
+    want = dict(classes)
+    classes.clear()
+    assert compound_mod.classify_colouring(model, colourings[0]) == (comp, want)
 
 
 def test_verify_closes_only_the_rotations_and_multiplies_no_colour_symmetries(model, monkeypatch):
@@ -805,14 +852,14 @@ def test_single_fault_models_reach_every_check():
     assert reached == {name for _, name, _ in verify.CHECKS}
 
 
-def test_classify_scans_the_colouring_once(capsys, tmp_path, model, monkeypatch):
-    seed_a, _ = chroma.seed_colourings(model)
+def test_classify_reads_the_colouring_once(capsys, tmp_path, colourings, monkeypatch):
+    # the full check reads the faces, and the signature finds the readings kept
     path = tmp_path / "a.json"
-    path.write_text(chroma.colouring_to_json(seed_a))
-    scans = _count_face_scans(monkeypatch)
+    path.write_text(chroma.colouring_to_json(colourings[0]))
+    reads = _count_face_reads(monkeypatch)
     code, out, _ = run_cli(capsys, "classify", "--in", str(path), "--json")
     assert code == 0 and json.loads(out)["valid"] is True
-    assert len(scans) == 1
+    assert reads() == (0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,10 @@ oracles of ``perfbench/oracles.py``.
 
 It prints the median request time of each package, then the change/parent
 ratio of the medians next to the copy/change ratio: two loads of the same
-code, the noise floor of the measurement.  Timings are reported, never
+code, the noise floor of the measurement.  The same loop also times each of
+a request's ten calls (``CALLS``), and the same two ratios are printed for
+each call by name, so a saving shows in the calls that make it.  Timings
+are reported, never
 gated: the exit status is 1 only if a package gives a wrong output, and 2
 on a usage error, such as a revision git cannot archive.
 """
@@ -28,6 +31,7 @@ import gc
 import importlib.util
 import io
 import json
+import math
 import random
 import statistics
 import subprocess
@@ -68,23 +72,42 @@ def extract(rev: str, into: Path) -> Path:
     return into
 
 
-def request(pkg, model, x):
-    """One library-stream request; returns what the check needs."""
+# a request's calls, in the order `request` makes them
+CALLS = ("is_valid", "is_valid mutant", "classify mutant", "act", "classify_colouring",
+         "face_parity_signature", "working_handedness", "zigzag_trace",
+         "antipodal_rule_holds", "JSON round trip")
+
+
+def request(pkg, model, x, stamps):
+    """One library-stream request; returns what the check needs.  Appends
+    the clock to stamps after each of its calls, in the order of CALLS."""
     chroma, compound = pkg.chroma, pkg.compound
+    clock = time.perf_counter
     c, mutant = x["c"], x["mutant"]
-    r = {"valid": chroma.is_valid(model, c), "mutant_valid": chroma.is_valid(model, mutant)}
+    r = {"valid": chroma.is_valid(model, c)}
+    stamps.append(clock())
+    r["mutant_valid"] = chroma.is_valid(model, mutant)
+    stamps.append(clock())
     try:
         compound.classify_colouring(model, mutant)
         r["mutant_raised"] = False
     except ValueError:
         r["mutant_raised"] = True
+    stamps.append(clock())
     r["image"] = chroma.act(x["symmetry"][pkg.__name__], c, model)
+    stamps.append(clock())
     r["compound"], r["classes"] = compound.classify_colouring(model, c)
+    stamps.append(clock())
     r["signature"] = chroma.face_parity_signature(model, c)
+    stamps.append(clock())
     r["hand"] = chroma.working_handedness(model, c)
+    stamps.append(clock())
     r["trace"] = chroma.zigzag_trace(model, c, x["vertex"], r["hand"])
+    stamps.append(clock())
     r["antipodal"] = chroma.antipodal_rule_holds(model, c)
+    stamps.append(clock())
     r["round_trip"] = chroma.colouring_from_json(chroma.colouring_to_json(c))
+    stamps.append(clock())
     return r
 
 
@@ -155,42 +178,58 @@ def main(argv=None) -> int:
     wrong = []
 
     def timed(label, x, where):
-        """One request on a package: its seconds, with any wrong output noted."""
-        t0 = time.perf_counter()
+        """One request on a package: its seconds and the seconds of each of
+        its calls, with any wrong output noted."""
+        stamps = [time.perf_counter()]
         try:
-            r = request(pkgs[label], models[label], x)
+            r = request(pkgs[label], models[label], x, stamps)
         except Exception as exc:  # the package failed the request
             r = exc
-        seconds = time.perf_counter() - t0
+        seconds = time.perf_counter() - stamps[0]
         p = repr(r) if isinstance(r, Exception) else problem(oracle, compounds, x, r)
         if p is not None:
             wrong.append(f"{label}, {where}, on {x['c']}: {p}")
-        return seconds
+        return seconds, [b - a for a, b in zip(stamps, stamps[1:])]
 
     for x in inputs[:WARM_REQUESTS]:  # the first calls fill each package's memos
         for label in labels:
             timed(label, x, "warm-up")
-    medians = {label: [] for label in labels}
+    # label -> timed part (the request, or one of its calls) -> median per round, in us
+    medians = {label: {part: [] for part in ("request", *CALLS)} for label in labels}
     for rnd in range(1, args.rounds + 1):
-        times = {label: [] for label in labels}
+        times = {label: {part: [] for part in ("request", *CALLS)} for label in labels}
         gc.collect()
         for i, x in enumerate(inputs):
             k = i % len(labels)  # each package goes first in turn
             for label in labels[k:] + labels[:k]:
-                times[label].append(timed(label, x, f"round {rnd} request {i}"))
+                seconds, calls = timed(label, x, f"round {rnd} request {i}")
+                times[label]["request"].append(seconds)
+                for name, call_seconds in zip(CALLS, calls):
+                    times[label][name].append(call_seconds)
         for label in labels:
-            medians[label].append(statistics.median(times[label]) * 1e6)
-        print(f"round {rnd}: " + ", ".join(f"{label} {medians[label][-1]:.1f} us"
+            for part, samples in times[label].items():
+                if samples:  # empty only where every request failed before this call
+                    medians[label][part].append(statistics.median(samples) * 1e6)
+        print(f"round {rnd}: " + ", ".join(f"{label} {medians[label]['request'][-1]:.1f} us"
                                            for label in labels))
 
-    def ratio(a, b):
-        rs = sorted(x / y for x, y in zip(medians[a], medians[b]))
+    def ratio(a, b, part="request"):
+        rs = sorted(x / y for x, y in zip(medians[a][part], medians[b][part]))
+        if not rs:
+            return "n/a"
         return f"{statistics.median(rs):.3f} (range {rs[0]:.3f}-{rs[-1]:.3f})"
 
-    print("median request: " + ", ".join(f"{label} {statistics.median(medians[label]):.1f} us"
-                                          for label in labels))
+    def median_us(label, part="request"):
+        return f"{statistics.median(medians[label][part] or [math.nan]):.2f} us"
+
+    print("median request: " + ", ".join(f"{label} {median_us(label)}" for label in labels))
     print(f"change/parent {ratio('change', 'parent')}; "
           f"copy/change {ratio('copy', 'change')}, the noise floor")
+    print("per call: parent and change medians, change/parent, copy/change (the noise floor)")
+    width = max(map(len, CALLS))
+    for name in CALLS:
+        print(f"  {name:<{width}}  {median_us('parent', name):>9} -> {median_us('change', name):>9}"
+              f"  {ratio('change', 'parent', name)}  {ratio('copy', 'change', name)}")
     for line in wrong[:5]:
         print(f"wrong output: {line}", file=sys.stderr)
     if wrong:
