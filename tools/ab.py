@@ -19,9 +19,9 @@ ratio of the medians next to the copy/change ratio: two loads of the same
 code, the noise floor of the measurement.  The same loop also times each of
 a request's ten calls (``CALLS``), and the same two ratios are printed for
 each call by name, so a saving shows in the calls that make it.  Timings
-are reported, never
-gated: the exit status is 1 only if a package gives a wrong output, and 2
-on a usage error, such as a revision git cannot archive.
+are reported, never gated: the exit status is 1 only if a package gives a
+wrong output, and 2 on a usage error, such as a revision git cannot
+archive.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import gc
 import importlib.util
 import io
 import json
-import math
 import random
 import statistics
 import subprocess
@@ -220,7 +219,7 @@ def main(argv=None) -> int:
         return f"{statistics.median(rs):.3f} (range {rs[0]:.3f}-{rs[-1]:.3f})"
 
     def median_us(label, part="request"):
-        return f"{statistics.median(medians[label][part] or [math.nan]):.2f} us"
+        return f"{statistics.median(medians[label][part] or [float('nan')]):.2f} us"
 
     print("median request: " + ", ".join(f"{label} {median_us(label)}" for label in labels))
     print(f"change/parent {ratio('change', 'parent')}; "
