@@ -5,19 +5,14 @@ A colouring is a tuple of 20 colours in {1..5}, indexed by vertex id.  One
 rule decides whether five colours are rainbow: their reading is one of the
 120 keys of `_FACE_ORDERS`.  The face scan, the antipodal rule and
 `face_parity_signature` apply it; colour bitmasks are left to the two
-searches.  A `Rainbow` is a face-rainbow colouring, and it compares, hashes
-and sorts as the plain tuple.  One is made only after its faces are
-checked: read (`check_rainbow`, which `Rainbow(model, c)` runs, and the
-backtracking enumerator), or, for a replay colouring, by `_propagate`'s
-per-face bitmask check; or as a relabelling of a `Rainbow`, as an
-antipodal image of one where the model's antipode maps faces onto faces
-(and else as a scanned one), or as an image `orbit_partition` finds in its
-checked pool.
-Every entry that needs a rainbow colouring trusts a `Rainbow` and checks
-anything else once, by reading its faces; `is_valid` and
-`first_violated_face` always scan.  In the same way `orbit_partition`
-trusts a `symmetry.Subgroup` and closes any other collection; `stabilizer`
-only type-checks one, and never closes it.
+searches.  A colouring is checked where it is used, once per value of the
+faces and the colouring: every entry that needs a face-rainbow colouring
+runs `check_rainbow`, whose face check reads the colouring's face readings
+on that entry's model, so a colouring is judged on the model it is used
+with.  `is_valid` and `first_violated_face` always scan, and every entry
+returns plain tuples.  In the same way `orbit_partition` trusts a
+`symmetry.Subgroup` and closes any other collection; `stabilizer` only
+type-checks one, and never closes it.
 The colour action runs in one place, `_images` (for `act` and
 `orbit_partition`), on 20-byte copies: relabelling is one `bytes.translate`
 and the antipodal half of sign -1 one `itemgetter` gather, made at the
@@ -67,29 +62,8 @@ _COLOUR_SET = frozenset(COLOURS)
 _TWENTY_INTS = (int,) * 20
 
 
-class Rainbow(tuple):
-    """A face-rainbow colouring: the tuple of its 20 colours, checked once.
-
-    ``Rainbow(model, c)`` runs the full check (`check_rainbow`) and raises
-    ValueError unless c is a face-rainbow colouring of the model.  Equality,
-    hashing, ordering, indexing and repr are the plain tuple's; a copy or
-    an unpickled instance is a plain tuple, checked again where it is used.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, model: PolytopeModel, c) -> "Rainbow":
-        return check_rainbow(model, c)
-
-    def __reduce__(self):
-        return tuple, (tuple(self),)
-
-
 def check_colouring(c) -> Colouring:
-    """Validate shape and colour range; returns the colouring as a tuple,
-    or a `Rainbow` unchanged."""
-    if type(c) is Rainbow:
-        return c
+    """Validate shape and colour range; returns the colouring as a tuple."""
     try:
         c = tuple(c)
     except TypeError:
@@ -121,17 +95,15 @@ def _first_violated_face(model: PolytopeModel, c: Colouring) -> int | None:
     return None
 
 
-def check_rainbow(model: PolytopeModel, c) -> Rainbow:
-    """The full check made once at each public entry: 20 colours in 1..5
-    and every face rainbow.  Returns a `Rainbow` unchanged, and anything
-    else that passes as a new `Rainbow`; raises ValueError otherwise.  The
-    face check is the face readings' lookup (`_signature`), made once per
-    value of the faces and the colouring."""
-    if type(c) is Rainbow:
-        return c
+def check_rainbow(model: PolytopeModel, c) -> Colouring:
+    """The full check made at each public entry that needs a face-rainbow
+    colouring: 20 colours in 1..5 (`check_colouring`), then every face of
+    this model rainbow.  Returns the colouring as a tuple; raises
+    ValueError otherwise.  The face check is the face readings' lookup
+    (`_signature`), made once per value of the faces and the colouring."""
     c = check_colouring(c)
     _signature(model.faces, c)  # raises unless every face is rainbow
-    return tuple.__new__(Rainbow, c)
+    return c
 
 
 def colour_classes(c: Colouring, kind=frozenset) -> dict:
@@ -146,7 +118,7 @@ def colour_classes(c: Colouring, kind=frozenset) -> dict:
 # ---------------------------------------------------------------------------
 # enumeration, route one: depth-first backtracking
 
-def enumerate_colourings(model: PolytopeModel) -> tuple[Rainbow, ...]:
+def enumerate_colourings(model: PolytopeModel) -> tuple[Colouring, ...]:
     """Every face-rainbow colouring, in lexicographic order.
 
     Vertices are assigned in id order, each trying ascending the colours on
@@ -158,7 +130,7 @@ def enumerate_colourings(model: PolytopeModel) -> tuple[Rainbow, ...]:
     vertex_faces = model.vertex_faces
     face_used = [0] * len(model.faces)
     col = [0] * 20
-    out: list[Rainbow] = []
+    out: list[Colouring] = []
 
     def extend(v: int) -> None:
         f0, f1, f2 = vertex_faces[v]
@@ -228,7 +200,7 @@ def _propagate(model: PolytopeModel, col: list[int]) -> None:
         raise ValueError("propagation stalled before completion")
 
 
-def frame_completions(model: PolytopeModel, frame) -> tuple[Rainbow, Rainbow]:
+def frame_completions(model: PolytopeModel, frame) -> tuple[Colouring, Colouring]:
     """The exactly-two colourings extending a colour frame.
 
     A frame is a colouring's ``c[:4]``, the colours of the north pole and
@@ -256,16 +228,16 @@ def frame_completions(model: PolytopeModel, frame) -> tuple[Rainbow, Rainbow]:
         col = list(base)
         col[open_vs[0]], col[open_vs[1]] = pair
         _propagate(model, col)
-        results.append(tuple.__new__(Rainbow, col))
+        results.append(tuple(col))
     return results[0], results[1]
 
 
-def enumerate_by_propagation(model: PolytopeModel) -> tuple[Rainbow, ...]:
+def enumerate_by_propagation(model: PolytopeModel) -> tuple[Colouring, ...]:
     """All colourings via frame-by-frame propagation, sorted lexicographically."""
     return tuple(sorted(c for f in permutations(COLOURS, 4) for c in frame_completions(model, f)))
 
 
-def seed_colourings(model: PolytopeModel) -> tuple[Rainbow, Rainbow]:
+def seed_colourings(model: PolytopeModel) -> tuple[Colouring, Colouring]:
     """The two canonical colourings: north pole 1, neighbours 2, 3, 4.
 
     Seed A is the branch whose face cyclic orders are even; under the
@@ -320,7 +292,7 @@ def _antipode_keeps_faces(faces, antipode) -> bool:
     return all(frozenset(map(antipode.__getitem__, f)) in face_sets for f in faces)
 
 
-def act(g: ColourSymmetry, c: Colouring, model: PolytopeModel) -> Rainbow:
+def act(g: ColourSymmetry, c: Colouring, model: PolytopeModel) -> Colouring:
     """Apply a colour symmetry: relabel colours, then for sign -1 take each
     vertex's colour from its antipode.  A sign -1 image is scanned unless
     the model's antipode maps faces onto faces (`_antipode_keeps_faces`),
@@ -331,10 +303,10 @@ def act(g: ColourSymmetry, c: Colouring, model: PolytopeModel) -> Rainbow:
     if (g[1] == -1 and not _antipode_keeps_faces(model.faces, model.antipode)
             and _first_violated_face(model, image) is not None):
         raise ValueError("the model's antipode does not map faces onto faces")
-    return tuple.__new__(Rainbow, image)
+    return tuple(image)
 
 
-def orbit_partition(colourings, H, model: PolytopeModel) -> tuple[tuple[Rainbow, ...], ...]:
+def orbit_partition(colourings, H, model: PolytopeModel) -> tuple[tuple[Colouring, ...], ...]:
     """Partition colourings into orbits of the subgroup H.
 
     Sweeps the sorted pool: a colouring not yet placed is the smallest
@@ -361,7 +333,7 @@ def orbit_partition(colourings, H, model: PolytopeModel) -> tuple[tuple[Rainbow,
         if not orbit <= members:
             raise ValueError("subgroup action leaves the given colouring set")
         placed |= orbit
-        orbits.append(tuple(tuple.__new__(Rainbow, o) for o in sorted(orbit)))
+        orbits.append(tuple(map(tuple, sorted(orbit))))
     return tuple(orbits)
 
 

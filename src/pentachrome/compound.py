@@ -1,11 +1,10 @@
 """Inscribed regular tetrahedra, the two chiral compounds of five, colour
 class classification, and the distance-spread brute force.
 
-`classify_colouring` looks the set of colour classes up in a map from each
-compound's set of tetrahedra to the compound, kept for each distinct value
-of `model.compounds` (`_by_tetrahedra`).  Its answer for a checked
-colouring is kept for each distinct value of the compounds and the
-colouring (`_classify`), and each call returns a fresh classes dict."""
+`classify_colouring` checks the colouring on its model and matches the set
+of its colour classes with each compound's set of tetrahedra, A first.  Its
+answer is kept for each distinct value of the compounds and the colouring
+(`_classify`), and each call returns a fresh classes dict."""
 
 from __future__ import annotations
 
@@ -55,23 +54,17 @@ def classify_colouring(model: PolytopeModel, c) -> tuple[Compound, dict[int, Tet
 
 
 @lru_cache(maxsize=256)
-def _classify(pair, c: chroma.Rainbow) -> tuple[Compound, tuple[tuple[int, Tetra], ...]]:
+def _classify(pair, c: chroma.Colouring) -> tuple[Compound, tuple[tuple[int, Tetra], ...]]:
     """The compound of c's colour classes and the (colour, class) items, for
     a model's `compounds` pair and a face-rainbow colouring, kept for each
-    distinct pair of values (a model has 240 rainbow colourings).  Classes
-    that form no compound raise, and are not kept."""
+    distinct pair of values (a model has 240 rainbow colourings).  A wins a
+    tie; classes that form no compound raise, and are not kept."""
     classes = chroma.colour_classes(c, tuple)
-    comp = _by_tetrahedra(pair).get(frozenset(classes.values()))
-    if comp is None:
-        raise ValueError("colour classes do not form a compound")
-    return comp, tuple(classes.items())
-
-
-@lru_cache(maxsize=64)
-def _by_tetrahedra(pair) -> dict[frozenset[Tetra], Compound]:
-    """The set of a compound's tetrahedra -> the compound, for a model's
-    `compounds` pair, kept for each distinct value of it; A wins a tie."""
-    return {frozenset(tets): Compound(label, tets) for label, tets in zip("BA", pair[::-1])}
+    tets = frozenset(classes.values())
+    for label, comp in zip("AB", pair):
+        if frozenset(comp) == tets:
+            return Compound(label, comp), tuple(classes.items())
+    raise ValueError("colour classes do not form a compound")
 
 
 class SpreadReport(NamedTuple):

@@ -16,7 +16,7 @@ def _empty_memos():
     """Each test starts with the package's memos empty, so no count a test
     pins depends on which tests ran before it."""
     for memo in (chroma._checkpoints, chroma._antipode_keeps_faces, chroma._signature,
-                 compound._by_tetrahedra, compound._classify):
+                 compound._classify):
         memo.cache_clear()
 
 

@@ -18,7 +18,6 @@ from pentachrome.chroma import (
     LABELLING,
     LEFT,
     RIGHT,
-    Rainbow,
     act,
     antipodal_rule_holds,
     canonical_cycle,
@@ -100,24 +99,6 @@ def test_single_swap_breaks_validity(model, colourings):
     assert first_violated_face(model, tuple(c)) is not None
 
 
-def test_rainbow_is_its_tuple(model, colourings):
-    plain = [tuple(c) for c in colourings]
-    assert all(type(c) is Rainbow for c in colourings)
-    assert all(c == t and hash(c) == hash(t) and repr(c) == repr(t)
-               for c, t in zip(colourings, plain))
-    assert {c: i for i, c in enumerate(colourings)} == {t: i for i, t in enumerate(plain)}
-    shuffled = random.Random(5).sample(colourings, 240)
-    assert sorted(shuffled) == plain and sorted(shuffled + plain)[::2] == plain
-    assert colourings[0] < plain[1] and plain[0] < colourings[1]
-    for c in colourings[:10]:
-        for twin in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
-            # a copy is a plain tuple, checked again where it is used
-            assert twin == c and hash(twin) == hash(c) and type(twin) is tuple
-    assert type(Rainbow(model, plain[3])) is Rainbow and Rainbow(model, plain[3]) == plain[3]
-    assert check_rainbow(model, colourings[3]) is colourings[3]
-    assert check_colouring(colourings[3]) is colourings[3]
-
-
 def _non_rainbow(colourings):
     """Well-formed colourings with a face that is not rainbow."""
     swapped = list(colourings[0])
@@ -132,7 +113,6 @@ def test_no_entry_makes_a_rainbow_of_a_non_rainbow(model, colourings):
         doc = json.dumps({"labelling": LABELLING, "colours": list(bad)})
         assert type(colouring_from_json(doc)) is tuple
         for call in (
-            lambda: Rainbow(model, bad),
             lambda: check_rainbow(model, bad),
             lambda: act(COLOUR_IDENTITY, bad, model),
             lambda: orbit_partition([bad], trivial, model),
@@ -142,7 +122,7 @@ def test_no_entry_makes_a_rainbow_of_a_non_rainbow(model, colourings):
                 call()
     for bad in (None, (1, 2, 3), (0,) * 20):
         with pytest.raises(ValueError):
-            Rainbow(model, bad)
+            check_rainbow(model, bad)
 
 
 @settings(max_examples=200, deadline=None)
@@ -158,26 +138,8 @@ def test_mutated_colourings_are_rainbow_exactly_when_valid(model, colourings, i,
     except ValueError:
         assert not valid
     else:
-        assert valid and type(checked) is Rainbow and checked == c
+        assert valid and type(checked) is tuple and checked == c
     assert type(check_colouring(c)) is tuple
-
-
-def test_is_valid_scans_a_forged_rainbow(model, colourings):
-    # a Rainbow made without the check is still judged by its faces
-    for bad in _non_rainbow(colourings):
-        forged = tuple.__new__(Rainbow, bad)
-        assert not is_valid(model, forged)
-        assert first_violated_face(model, forged) == first_violated_face(model, tuple(bad))
-
-
-def test_made_colourings_are_rainbows(model, colourings):
-    assert all(type(c) is Rainbow for c in enumerate_by_propagation(model))
-    assert all(type(c) is Rainbow for c in seed_colourings(model))
-    assert all(type(c) is Rainbow for c in frame_completions(model, (2, 1, 5, 4)))
-    plain = [tuple(c) for c in colourings]
-    for orbit in orbit_partition(plain, named_subgroup("A5"), model):
-        assert all(type(c) is Rainbow for c in orbit)
-    assert all(type(act(g, plain[7], model)) is Rainbow for g in _G)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +253,7 @@ def test_propagation_restores_any_one_blanked_vertex(model, colourings):
     changes=st.dictionaries(st.integers(0, 19), st.integers(1, 5), max_size=3),
 )
 def test_propagation_returns_only_a_rainbow_colouring(model, colourings, i, blanked, changes):
-    # `frame_completions` makes a Rainbow of whatever `_propagate` returns
+    # `frame_completions` returns whatever `_propagate` completes, unread
     col = list(colourings[i])
     for v in blanked:
         col[v] = 0
@@ -442,7 +404,7 @@ def test_act_after_a_single_antipode_edit_raises_or_is_rainbow(model, colourings
         except ValueError as exc:
             assert str(exc) == _BAD_ANTIPODE, antipode
         else:
-            assert type(image) is Rainbow and is_valid(mutant, image), antipode
+            assert is_valid(mutant, image), antipode
 
 
 def _edit_entries(rows, edit, v, w, value):
@@ -544,14 +506,14 @@ def test_a_single_field_edit_is_refused_or_read_without_a_shape_error(
     assert [ch.detail for ch in checks if not ch.ok and (ch.detail.startswith(
         ("IndexError", "TypeError", "KeyError", "AttributeError"))
         or "tuple.index(" in ch.detail)] == []
-    # act checks a plain tuple on the mutant, where it trusts a Rainbow on
-    # any model: the image is rainbow there, or the error names the fault
+    # act checks the colouring on the mutant: the image is rainbow there, or
+    # the error names the fault
     try:
-        image = act(g, tuple(colourings[i]), mutant)
+        image = act(g, colourings[i], mutant)
     except ValueError as exc:
         assert str(exc) in ("colouring is not face-rainbow", _BAD_ANTIPODE), str(exc)
     else:
-        assert type(image) is Rainbow and is_valid(mutant, image)
+        assert is_valid(mutant, image)
     for read in _MODEL_READERS:
         try:
             read(mutant, colourings, colourings[i], g, v)
@@ -627,32 +589,49 @@ def test_stabilizer_of_random_subsets(model, colourings, H, identity, i):
 
 def _mutant_rainbow(model, colourings):
     """A model whose faces and antipode have entries 0 and 1 exchanged, and
-    a Rainbow of the canonical model that is not rainbow there.  The
-    mutant's antipode still maps its faces onto the canonical ones, so
-    `act` maps such a Rainbow onto images that are rainbow on the mutant."""
+    an image `act` makes on the canonical model that is not rainbow on the
+    mutant.  The mutant's antipode still maps its faces onto the canonical
+    ones."""
     exchange = {0: 1, 1: 0}
     anti = list(model.antipode)
     anti[0], anti[1] = anti[1], anti[0]
     mutant = model._replace(faces=tuple(tuple(exchange.get(v, v) for v in f) for f in model.faces),
                             antipode=tuple(anti))
     image = act(COLOUR_SWAP, colourings[0], model)
-    assert type(image) is Rainbow and not is_valid(mutant, image)
+    assert is_valid(model, image) and not is_valid(mutant, image)
     return mutant, image
 
 
-def test_rainbow_from_another_model_raises_value_error(model, colourings):
-    mutant, image = _mutant_rainbow(model, colourings)
-    with pytest.raises(ValueError, match="^colouring is not face-rainbow$"):
-        face_parity_signature(mutant, image)
-    with pytest.raises(ValueError, match="^colouring is not face-rainbow$"):
-        parity_class(mutant, image)
+# the public entries that need a face-rainbow colouring, each called with a
+# model and a colouring
+_RAINBOW_READERS = (
+    lambda m, c: act(COLOUR_IDENTITY, c, m),
+    lambda m, c: orbit_partition([c], named_subgroup("trivial"), m),
+    lambda m, c: stabilizer(c, colour_group(), m),
+    lambda m, c: zigzag_trace(m, c, 0, LEFT),
+    lambda m, c: working_handedness(m, c),
+    lambda m, c: compound_mod.classify_colouring(m, c),
+    lambda m, c: face_parity_signature(m, c),
+    lambda m, c: parity_class(m, c),
+)
 
 
-def test_stabilizer_on_a_rainbow_from_another_model(model, colourings):
+def test_a_colouring_is_judged_on_the_model_it_is_used_with(model, colourings):
+    # an image made on the canonical model, the equal tuple and the colouring
+    # it was made from are checked again on the mutant, where they are not
+    # rainbow; each first reads rainbow on the canonical model, so no answer
+    # kept there is trusted
     mutant, image = _mutant_rainbow(model, colourings)
+    c = colourings[0]
+    for x in (image, tuple(image), c):
+        for read in _RAINBOW_READERS:
+            read(model, x)
+            with pytest.raises(ValueError, match="^colouring is not face-rainbow$"):
+                read(mutant, x)
+    # c with colours 0 and 1 exchanged is rainbow on the mutant, and read there
     G = colour_group()
-    for c in (image, colourings[0]):
-        assert stabilizer(c, G, mutant) == _fixing_by_brute_force(c, G, mutant)
+    x = (c[1], c[0], *c[2:])
+    assert stabilizer(x, G, mutant) == stabilizer(c, G, model) == [COLOUR_IDENTITY]
 
 
 def test_act_scans_where_the_antipode_breaks_faces(model, colourings):
@@ -664,18 +643,21 @@ def test_act_scans_where_the_antipode_breaks_faces(model, colourings):
     assert not chroma._antipode_keeps_faces(mutant.faces, mutant.antipode)
     c = colourings[0]
     inputs = [(model, c), (mutant, c), (mutant, image), (mutant, (c[1], c[0], *c[2:]))]
-    raised = 0
+    rejected = raised = 0
     for g in sorted(colour_group()):
         perm, sign = g
         for m, x in inputs:
             want = tuple(perm[x[m.antipode[v] if sign == -1 else v] - 1] for v in range(20))
-            if sign == -1 and not is_valid(m, want):
+            if not is_valid(m, x):  # c and its image are judged on the mutant
+                rejected += 1
+                assert _outcome(act, g, x, m) == (ValueError, "colouring is not face-rainbow")
+            elif sign == -1 and not is_valid(m, want):
                 raised += 1
                 assert _outcome(act, g, x, m) == (
                     ValueError, "the model's antipode does not map faces onto faces")
             else:
                 assert _outcome(act, g, x, m) == ("returned", want)
-    assert raised
+    assert raised and rejected == 2 * 240
 
 
 def test_orbit_partition_counts(model, colourings):
@@ -905,13 +887,13 @@ def test_working_handedness_checks_the_colouring_once(model, colourings, monkeyp
 
     monkeypatch.setattr(chroma, "check_colouring", counted)
     for c in colourings[:6]:
-        calls.clear()
-        working_handedness(model, tuple(c))
-        assert len(calls) == 1
-        # an enumerated colouring was checked when it was made
-        calls.clear()
-        working_handedness(model, c)
-        assert calls == []
+        # every call checks the colouring; the repeat finds its face readings kept
+        for misses in (1, 0):
+            calls.clear()
+            before = chroma._signature.cache_info().misses
+            working_handedness(model, c)
+            assert len(calls) == 1
+            assert chroma._signature.cache_info().misses - before == misses
 
 
 def test_zigzag_rejects_bad_handedness(model, colourings):
