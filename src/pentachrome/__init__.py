@@ -38,7 +38,6 @@ from .polytope import (
     PolytopeModel,
     build_polytope,
     distance_spectrum,
-    dual_face_of,
     model_to_json,
     model_to_off,
     neighbours,
@@ -49,7 +48,6 @@ from .symmetry import (
     compose,
     full_group,
     generate_subgroup,
-    invert,
     named_subgroup,
     rotation_group,
     tetra_action,

@@ -3,29 +3,27 @@ orbit partitioning, zigzag traces and cyclic-order parities.
 
 A colouring is a tuple of 20 colours in {1..5}, indexed by vertex id.  One
 rule decides whether five colours are rainbow: their reading is one of the
-120 keys of `_FACE_ORDERS`.  The face scan, the antipodal rule and
-`face_parity_signature` apply it; colour bitmasks are left to the two
-searches.  A colouring is checked where it is used, once per value of the
-faces and the colouring: every entry that needs a face-rainbow colouring
-runs `check_rainbow`, whose face check reads the colouring's face readings
-on that entry's model, so a colouring is judged on the model it is used
-with.  `is_valid` and `first_violated_face` always scan, and every entry
-returns plain tuples.  In the same way `orbit_partition` trusts a
-`symmetry.Subgroup` and closes any other collection; `stabilizer` only
-type-checks one, and never closes it.
+120 keys of `_FACE_ORDERS`.  The face readings (`_signature`) and the
+antipodal rule apply it; colour bitmasks are left to the two searches.
+A colouring's faces have one reader, `_signature`, which gives its first
+face that is not rainbow, or its cyclic order and parity per face, once
+per value of the faces and the colouring, and only after
+`check_colouring`.  `is_valid`, `first_violated_face`, `check_rainbow`,
+`face_parity_signature` and `act`'s check of a sign -1 image all read it.
+Every entry that needs a face-rainbow colouring runs `check_rainbow` on
+that entry's model, so a colouring is judged on the model it is used
+with, and every entry returns plain tuples.  In the same way
+`orbit_partition` trusts a `symmetry.Subgroup` and closes any other
+collection; `stabilizer` only type-checks one, and never closes it.
 The colour action runs in one place, `_images` (for `act` and
 `orbit_partition`), on 20-byte copies: relabelling is one `bytes.translate`
 and the antipodal half of sign -1 one `itemgetter` gather, made at the
 first sign -1.  `stabilizer` applies no element of H: it reads the one
 candidate relabelling per sign off the colouring and checks that.
-Facts of the model alone are derived once per distinct value of the
-fields they read, in bounded `functools.lru_cache` memos: the zigzag
-checkpoint sets (`_checkpoints`, on the rings) and whether the antipode
-maps faces onto faces (`_antipode_keeps_faces`, on the faces and the
-antipode).  So are a colouring's face readings, its cyclic order and
-parity per face (`_signature`, on the faces and the colouring, consulted
-only after `check_colouring`); `check_rainbow` and `face_parity_signature`
-read them.  A fault raises and is not kept.
+The face readings and the zigzag checkpoint sets (`_checkpoints`, on the
+rings) are bounded `functools.lru_cache` memos, each keyed on the values
+it reads.  The face readings never raise, so a colouring that is not
+rainbow is kept too; a fault of the rings raises and is not kept.
 Colouring documents share one template, `_DOCUMENT`.
 Two independent enumerators are provided: a brute-force backtracking search
 (`enumerate_colourings`) and a constraint-propagation replay
@@ -84,15 +82,10 @@ def is_valid(model: PolytopeModel, c) -> bool:
 
 
 def first_violated_face(model: PolytopeModel, c) -> int | None:
-    return _first_violated_face(model, check_colouring(c))
-
-
-def _first_violated_face(model: PolytopeModel, c: Colouring) -> int | None:
-    """`first_violated_face` on a colouring already known to be 20 colours."""
-    for fid, (a, b, d, e, f) in enumerate(model.faces):
-        if (c[a], c[b], c[d], c[e], c[f]) not in _FACE_ORDERS:
-            return fid
-    return None
+    """The id of the first face of this model that does not carry all five
+    colours, or None; ValueError unless c is 20 colours in 1..5.  Read off
+    the colouring's face readings (`_signature`)."""
+    return _signature(model.faces, check_colouring(c))[0]
 
 
 def check_rainbow(model: PolytopeModel, c) -> Colouring:
@@ -102,7 +95,8 @@ def check_rainbow(model: PolytopeModel, c) -> Colouring:
     ValueError otherwise.  The face check is the face readings' lookup
     (`_signature`), made once per value of the faces and the colouring."""
     c = check_colouring(c)
-    _signature(model.faces, c)  # raises unless every face is rainbow
+    if _signature(model.faces, c)[0] is not None:
+        raise ValueError("colouring is not face-rainbow")
     return c
 
 
@@ -283,27 +277,18 @@ def _images(c, H, model: PolytopeModel):
             yield mirrored.translate(_RELABEL[g[0]])
 
 
-@lru_cache(maxsize=64)
-def _antipode_keeps_faces(faces, antipode) -> bool:
-    """True iff the antipode maps every face onto a face, as vertex sets:
-    then the antipodal image of a face-rainbow colouring is face-rainbow.
-    A fact of these two fields alone, kept for each distinct pair of values."""
-    face_sets = set(map(frozenset, faces))
-    return all(frozenset(map(antipode.__getitem__, f)) in face_sets for f in faces)
-
-
 def act(g: ColourSymmetry, c: Colouring, model: PolytopeModel) -> Colouring:
     """Apply a colour symmetry: relabel colours, then for sign -1 take each
-    vertex's colour from its antipode.  A sign -1 image is scanned unless
-    the model's antipode maps faces onto faces (`_antipode_keeps_faces`),
-    and ValueError is raised unless it is rainbow."""
+    vertex's colour from its antipode.  A relabelling keeps faces rainbow;
+    a sign -1 image's face readings are looked up (`_signature`), and
+    ValueError is raised unless it is rainbow."""
     if type(g) is not ColourSymmetry:
         _check_symmetries([g])
     (image,) = _images(check_rainbow(model, c), [g], model)
-    if (g[1] == -1 and not _antipode_keeps_faces(model.faces, model.antipode)
-            and _first_violated_face(model, image) is not None):
+    image = tuple(image)
+    if g[1] == -1 and _signature(model.faces, image)[0] is not None:
         raise ValueError("the model's antipode does not map faces onto faces")
-    return tuple(image)
+    return image
 
 
 def orbit_partition(colourings, H, model: PolytopeModel) -> tuple[tuple[Colouring, ...], ...]:
@@ -380,8 +365,8 @@ def zigzag_walk(model: PolytopeModel, start: int, first: int, handedness: str) -
     ``first``.
     Returns the 13 vertices of the walk, both endpoints equal to ``start``.
     """
-    _check_id(start, "vertex")
-    _check_id(first, "vertex")
+    _check_id(start)
+    _check_id(first)
     if first not in model.adjacency[start]:
         raise ValueError(f"{first} is not a neighbour of {start}")
     return _walk(model.adjacency, start, first, _ZIGZAG_WORDS[_check_handedness(handedness)])
@@ -418,7 +403,7 @@ def zigzag_trace(model: PolytopeModel, c: Colouring, v: int, handedness: str) ->
     read from the model's memo (`_checkpoints`).
     """
     check_rainbow(model, c)
-    _check_id(v, "vertex")
+    _check_id(v)
     return _checkpoints(model.adjacency, v, _check_handedness(handedness))
 
 
@@ -483,22 +468,29 @@ def face_parity_signature(model: PolytopeModel, c: Colouring):
     from outside).  For a valid colouring all 12 parities agree and the 12
     orders are pairwise distinct.  The lookup is the rainbow check.
     """
-    return _signature(model.faces, check_colouring(c))
+    face, readings = _signature(model.faces, check_colouring(c))
+    if face is not None:
+        raise ValueError("colouring is not face-rainbow")
+    return readings
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1024)
 def _signature(faces, c: Colouring):
-    """`face_parity_signature` on a colouring already known to be 20 colours
-    in 1..5: a fact of the faces and the colouring alone, kept for each
-    distinct pair of values (a model has 240 rainbow colourings).  A
-    colouring that is not face-rainbow raises and is not kept."""
-    try:
-        return tuple(
-            (fid, *_FACE_ORDERS[c[a], c[b], c[d], c[e], c[f]])
-            for fid, (a, b, d, e, f) in enumerate(faces)
-        )
-    except KeyError:
-        raise ValueError("colouring is not face-rainbow") from None
+    """The one reader of a colouring's faces, for a colouring already known
+    to be 20 colours in 1..5: (None, the 12 readings (face id, canonical
+    cyclic colour order, parity)) if every face is rainbow, else (the id of
+    the first face that is not, None).  It never raises, so every answer is
+    a fact of the faces and the colouring alone, kept for each distinct
+    pair of values.  A model has 240 rainbow colourings; the bound leaves
+    room beside them for the non-rainbow ones read since, so these do not
+    push the rainbow ones out."""
+    readings = []
+    for fid, (a, b, d, e, f) in enumerate(faces):
+        reading = _FACE_ORDERS.get((c[a], c[b], c[d], c[e], c[f]))
+        if reading is None:
+            return fid, None
+        readings.append((fid, *reading))
+    return None, tuple(readings)
 
 
 def parity_class(model: PolytopeModel, c: Colouring) -> int:

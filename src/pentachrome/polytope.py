@@ -417,10 +417,10 @@ def positions(model: PolytopeModel) -> tuple[Vec, ...]:
     return _embedding(model.exact_positions)
 
 
-def _check_id(x: int, kind: str) -> None:
+def _check_id(x: int) -> None:
     # bool is a subclass of int, but True is not id 1
     if type(x) is not int or not 0 <= x < 20:
-        raise ValueError(f"{kind} id out of range: {x!r}")
+        raise ValueError(f"vertex id out of range: {x!r}")
 
 
 def _listed(items, kind: str) -> list:
@@ -433,7 +433,7 @@ def _listed(items, kind: str) -> list:
 
 def neighbours(model: PolytopeModel, v: int) -> frozenset[int]:
     """The 3 vertices joined to v by an edge."""
-    _check_id(v, "vertex")
+    _check_id(v)
     return frozenset(model.adjacency[v])
 
 
@@ -473,12 +473,6 @@ def distance_spectrum(model: PolytopeModel) -> tuple[tuple[float, int], ...]:
             groups[d2] = [norm(sub(pos[i], pos[j])), 0]
         groups[d2][1] += 1
     return tuple(sorted((d, c) for d, c in groups.values()))
-
-
-def dual_face_of(model: PolytopeModel, icosa_face: int) -> int:
-    """The dodecahedron vertex corresponding to a face of the dual icosahedron."""
-    _check_id(icosa_face, "icosahedron face")
-    return model.dual_faces[icosa_face]
 
 
 # the colour of each colouring colour, and of each tetrahedron of a compound

@@ -53,11 +53,6 @@ def compose(p: Perm, q: Perm) -> Perm:
     return tuple(p[q[v]] for v in range(len(p)))
 
 
-def invert(p: Perm) -> Perm:
-    """The inverse of a vertex permutation; ValueError on anything else."""
-    return tuple(sorted(range(20), key=_check_vertex_perm(p).__getitem__))
-
-
 def _cycle_lengths(p: Perm) -> list[int]:
     """The lengths of p's cycles, fixed points included."""
     seen = [False] * len(p)

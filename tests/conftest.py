@@ -15,8 +15,7 @@ from pentachrome.polytope import build_polytope
 def _empty_memos():
     """Each test starts with the package's memos empty, so no count a test
     pins depends on which tests ran before it."""
-    for memo in (chroma._checkpoints, chroma._antipode_keeps_faces, chroma._signature,
-                 compound._classify):
+    for memo in (chroma._checkpoints, chroma._signature, compound._classify):
         memo.cache_clear()
 
 

@@ -43,7 +43,7 @@ from pentachrome.chroma import (
     zigzag_trace,
     zigzag_walk,
 )
-from pentachrome.polytope import dual_face_of, positions
+from pentachrome.polytope import positions
 from pentachrome.symmetry import (
     COLOUR_IDENTITY,
     COLOUR_SWAP,
@@ -53,7 +53,6 @@ from pentachrome.symmetry import (
     colour_group,
     compose,
     generate_subgroup,
-    invert,
     named_subgroup,
     tetra_action,
 )
@@ -195,8 +194,6 @@ def test_two_completions_per_frame(model):
      "^not five distinct 4-tuples of vertex ids"),
     (lambda model: tetra_action(tuple(range(20)), model.compounds[0][:3]),
      "^not five distinct 4-tuples of vertex ids"),
-    (lambda model: invert(None), "^not a permutation of the 20 vertex ids: None$"),
-    (lambda model: invert((5, 5)), r"^not a permutation of the 20 vertex ids: \(5, 5\)$"),
     (lambda model: compose((1, 2), (5,)), r"^cannot compose \(1, 2\) after \(5,\)$"),
     (lambda model: compose((1, 2), (1, 1)), r"^cannot compose \(1, 2\) after \(1, 1\)$"),
     (lambda model: compose((1, 2), (True, 0)), r"^cannot compose \(1, 2\) after \(True, 0\)$"),
@@ -208,9 +205,8 @@ def test_two_completions_per_frame(model):
     "frame-repeats-a-colour", "frame-pole-7", "frame-pole-0", "frame-float", "frame-bool",
     "frame-short-triple", "frame-no-triple", "parity-None", "parity-str", "parity-bool",
     "canonical-short", "inverse-short", "inverse-None", "subgroup-list", "orbits-None",
-    "tetrahedra-None", "tetrahedra-ints", "tetrahedra-three", "invert-None", "invert-short",
-    "compose-short", "compose-repeat", "compose-bool", "compose-None", "compose-str",
-    "from-json-None", "enumeration-None",
+    "tetrahedra-None", "tetrahedra-ints", "tetrahedra-three", "compose-short", "compose-repeat",
+    "compose-bool", "compose-None", "compose-str", "from-json-None", "enumeration-None",
 ])
 def test_entry_points_raise_value_error_on_bad_input(model, call, match):
     with pytest.raises(ValueError, match=match):
@@ -442,7 +438,6 @@ _MODEL_READERS = (
     lambda m, cs, c, g, v: chroma.colouring_to_off(m, c),
     lambda m, cs, c, g, v: polytope.neighbours(m, v),
     lambda m, cs, c, g, v: polytope.distance_spectrum(m),
-    lambda m, cs, c, g, v: dual_face_of(m, v),
     lambda m, cs, c, g, v: (polytope.model_to_off(m), polytope.model_to_json(m)),
     lambda m, cs, c, g, v: symmetry.full_group(m),
     lambda m, cs, c, g, v: symmetry.spatial_determinant(m, tuple(range(20))),
@@ -462,7 +457,7 @@ _REFUSED = r"^(\w+)(\[\d+\])* is .+; the \1 must be "
        value=st.sampled_from([20, -1, -20, 99, True, 7.0, None, "3", (0, 1), [0, 1]]),
        i=st.integers(0, 239), g=st.sampled_from(_G))
 # with the antipodes of 0 and 5 swapped, the colour swap's image is no
-# rainbow: only act's scan of that image refuses it
+# rainbow: only act's check of that image refuses it
 @example(field="antipode", edit="swap", inner=False, v=0, w=5, value=None, i=0, g=COLOUR_SWAP)
 # every squared distance the edge's: the spectrum has no third-smallest distance
 @example(field="squared_distances", edit="fill", inner=True, v=0, w=1, value=None, i=0,
@@ -634,13 +629,11 @@ def test_a_colouring_is_judged_on_the_model_it_is_used_with(model, colourings):
     assert stabilizer(x, G, mutant) == stabilizer(c, G, model) == [COLOUR_IDENTITY]
 
 
-def test_act_scans_where_the_antipode_breaks_faces(model, colourings):
+def test_act_raises_where_the_antipode_breaks_faces(model, colourings):
     # the mutant's antipode does not map its faces onto faces, so `act`
-    # scans each sign -1 image there and raises on one that is not rainbow;
-    # interleaved with the canonical model, whose antipode spares the scan
+    # raises there on a sign -1 image that is not rainbow; interleaved with
+    # the canonical model, where every image is rainbow
     mutant, image = _mutant_rainbow(model, colourings)
-    assert chroma._antipode_keeps_faces(model.faces, model.antipode)
-    assert not chroma._antipode_keeps_faces(mutant.faces, mutant.antipode)
     c = colourings[0]
     inputs = [(model, c), (mutant, c), (mutant, image), (mutant, (c[1], c[0], *c[2:]))]
     rejected = raised = 0
@@ -912,7 +905,6 @@ def test_id_entry_points_reject_bad_ids(model, colourings, bad):
         lambda: zigzag_walk(model, bad, 0, LEFT),
         lambda: zigzag_walk(model, 0, bad, LEFT),
         lambda: zigzag_trace(model, colourings[0], bad, LEFT),
-        lambda: dual_face_of(model, bad),
     )
     for call in calls:
         with pytest.raises(ValueError):
@@ -1136,6 +1128,21 @@ def test_colour_checks_match_their_loop_references_on_every_colouring(model, col
     for c in colourings:
         _assert_checks_match_references(model, tuple(c))
         assert first_violated_face(model, c) is None and antipodal_rule_holds(model, c)
+
+
+def test_a_colouring_that_is_not_rainbow_is_read_once(model, colourings):
+    # the validity check reads the faces, and each classification finds the
+    # reading kept, first violated face included, and raises without
+    # reading again
+    c = colourings[0]
+    bad = (c[1], c[0], *c[2:])
+    misses = chroma._signature.cache_info().misses
+    assert not is_valid(model, bad)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^colouring is not face-rainbow$"):
+            compound_mod.classify_colouring(model, bad)
+    assert chroma._signature.cache_info().misses - misses == 1
+    assert first_violated_face(model, bad) == _first_violated_face_by_sets(model, bad) is not None
 
 
 def _rainbow_by_bits(colours):

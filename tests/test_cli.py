@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -114,45 +115,33 @@ def test_verify_json(capsys):
     assert all(c["seconds"] >= 0 for c in doc["checks"])
 
 
-def _count_face_reads(monkeypatch):
-    """Count the package's two kinds of face read: scans, the calls of its
-    scan function, and readings, the misses of its face-readings memo (each
-    reads all 12 faces of one colouring).  Returns a function that gives
-    (scans, readings) since its last call, or since this one."""
-    scans = []
-    scan = chroma._first_violated_face
-
-    def counted(model, c):
-        scans.append(c)
-        return scan(model, c)
-
-    monkeypatch.setattr(chroma, "_first_violated_face", counted)
+def _count_face_reads():
+    """Count the package's face readings, the misses of its one face reader
+    (`chroma._signature`; each reads the faces of one colouring).  Returns a
+    function that gives the count since its last call, or since this one."""
     misses = chroma._signature.cache_info().misses
 
     def reads():
         nonlocal misses
         now = chroma._signature.cache_info().misses
-        counts = len(scans), now - misses
-        scans.clear()
-        misses = now
-        return counts
+        count, misses = now - misses, now
+        return count
 
     return reads
 
 
-def test_verify_scans_each_made_colouring_once(model, monkeypatch):
-    # 2 scans for the seed validity check and 240 readings: the first
-    # backtracking enumeration reads each colouring it makes, and the second
-    # and the signatures find the readings kept.  The propagation replay and
-    # the seeds are shown rainbow by propagation's own per-face check, and
-    # the antipodal images `act` makes in the orbit of one colouring by the
-    # model's antipode mapping faces onto faces
-    reads = _count_face_reads(monkeypatch)
+def test_verify_reads_each_made_colouring_once(model):
+    # the first backtracking enumeration reads each colouring it makes; the
+    # second, the seed validity check, the signatures and the antipodal
+    # images `act` makes in the orbit of one colouring find the readings
+    # kept.  The propagation replay shows its colourings rainbow by its own
+    # per-face check
+    reads = _count_face_reads()
     checks = verify.run_checks(model)
     assert len(checks) == 61 and not [c.name for c in checks if not c.ok]
-    assert reads() == (2, 240)
+    assert reads() == 240
     assert len(chroma.enumerate_by_propagation(model)) == 240
-    assert reads() == (0, 0)
+    assert reads() == 0
 
 
 def _library_request(model, c):
@@ -173,21 +162,38 @@ def _library_request(model, c):
     assert chroma.colouring_from_json(chroma.colouring_to_json(c)) == c
 
 
-def test_a_library_request_on_a_plain_tuple_reads_its_colouring_once(model, colourings, monkeypatch):
-    # the two validity predicates scan; the action reads the colouring's
-    # faces, and the classification, the signature, the handedness and the
-    # trace find the readings kept; the action does not scan its antipodal
-    # image, as the model's antipode maps faces onto faces.  The mutant,
-    # which is not rainbow, is read on each request, as a fault is not kept
-    reads = _count_face_reads(monkeypatch)
+def test_a_library_request_on_a_plain_tuple_reads_its_colouring_once(model, colourings):
+    # the validity of the colouring and of the mutant reads each once, and
+    # the action reads its antipodal image; the mutant's classification and
+    # every later question find the readings kept, so a warm request reads
+    # nothing
+    reads = _count_face_reads()
     c = tuple(colourings[37])
     _library_request(model, c)
-    assert reads() == (2, 2)
+    assert reads() == 3
     _library_request(model, c)
-    assert reads() == (2, 1)
+    assert reads() == 0
     # the signature's lookup is its own rainbow check
     chroma.face_parity_signature(model, tuple(colourings[38]))
-    assert reads() == (0, 1)
+    assert reads() == 1
+
+
+def test_kept_non_rainbow_readings_do_not_push_out_the_rainbow_ones(model, colourings):
+    # as in a stream of library requests, each on a rainbow colouring and a
+    # new non-rainbow one (the base-5 digits of n, so vertices 5..19 all
+    # colour 1): once the 240 are read, only the new ones are
+    rng = random.Random(5)
+    reads = _count_face_reads()
+    for c in colourings:
+        assert chroma.is_valid(model, c)
+    assert reads() == 240
+    for n in range(3 * 240):
+        assert chroma.is_valid(model, rng.choice(colourings))
+        assert not chroma.is_valid(model, tuple(1 + n // 5 ** k % 5 for k in range(20)))
+    assert reads() == 3 * 240
+    for c in colourings:
+        assert chroma.is_valid(model, c)
+    assert reads() == 0
 
 
 def test_a_warm_library_request_takes_no_turns(model, colourings, monkeypatch):
@@ -852,14 +858,14 @@ def test_single_fault_models_reach_every_check():
     assert reached == {name for _, name, _ in verify.CHECKS}
 
 
-def test_classify_reads_the_colouring_once(capsys, tmp_path, colourings, monkeypatch):
+def test_classify_reads_the_colouring_once(capsys, tmp_path, colourings):
     # the full check reads the faces, and the signature finds the readings kept
     path = tmp_path / "a.json"
     path.write_text(chroma.colouring_to_json(colourings[0]))
-    reads = _count_face_reads(monkeypatch)
+    reads = _count_face_reads()
     code, out, _ = run_cli(capsys, "classify", "--in", str(path), "--json")
     assert code == 0 and json.loads(out)["valid"] is True
-    assert reads() == (0, 1)
+    assert reads() == 1
 
 
 # ---------------------------------------------------------------------------

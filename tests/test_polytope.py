@@ -20,7 +20,6 @@ from pentachrome.polytope import (
     ZPhi,
     build_polytope,
     distance_spectrum,
-    dual_face_of,
     fma,
     latitude_bands,
     model_to_json,
@@ -321,10 +320,7 @@ def test_edge_length_closed_form(model):
 
 
 def test_dual_face_map_is_bijection(model):
-    images = [dual_face_of(model, k) for k in range(20)]
-    assert sorted(images) == list(range(20))
-    with pytest.raises(ValueError):
-        dual_face_of(model, 20)
+    assert sorted(model.dual_faces) == list(range(20))
 
 
 def test_dual_adjacency_preserved_exhaustively(model):
@@ -332,7 +328,7 @@ def test_dual_adjacency_preserved_exhaustively(model):
     # 2 common dodecahedron faces) iff their dodecahedron vertices are adjacent
     for i, j in combinations(range(20), 2):
         share = len(set(model.icosa_faces[i]) & set(model.icosa_faces[j])) == 2
-        adjacent = dual_face_of(model, j) in model.adjacency[dual_face_of(model, i)]
+        adjacent = model.dual_faces[j] in model.adjacency[model.dual_faces[i]]
         assert share == adjacent
 
 
@@ -340,7 +336,7 @@ def test_dual_pullback_gives_vertex_rainbow_icosahedron(model, colourings):
     # a valid vertex colouring, pulled back to icosahedron faces, puts all
     # five colours around every icosahedron vertex (= dodecahedron face)
     c = colourings[0]
-    face_colour = {k: c[dual_face_of(model, k)] for k in range(20)}
+    face_colour = {k: c[model.dual_faces[k]] for k in range(20)}
     for dodeca_face in range(12):
         incident = [k for k in range(20) if dodeca_face in model.icosa_faces[k]]
         assert len(incident) == 5
