@@ -40,7 +40,6 @@ from .polytope import (
     distance_spectrum,
     model_to_json,
     model_to_off,
-    neighbours,
 )
 from .symmetry import (
     ColourSymmetry,

@@ -50,6 +50,8 @@ def parse_subgroup_spec(text: str) -> frozenset[ColourSymmetry]:
     Examples: 'A5', 'trivial', '(1 2),+1', '(1 2 3 4 5),+1; id,-1'.
     The closure of the generators is always computed.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"expected a subgroup spec, not {text!r}")
     text = text.strip()
     if text in NAMED_SUBGROUPS:
         return named_subgroup(text)

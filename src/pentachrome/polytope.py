@@ -431,12 +431,6 @@ def _listed(items, kind: str) -> list:
         raise ValueError(f"expected {kind}, not {items!r}") from None
 
 
-def neighbours(model: PolytopeModel, v: int) -> frozenset[int]:
-    """The 3 vertices joined to v by an edge."""
-    _check_id(v)
-    return frozenset(model.adjacency[v])
-
-
 def _least_neighbour(rings, v: int) -> int:
     """v's smallest neighbour in a model's rings; ValueError if v has none."""
     if not rings[v]:

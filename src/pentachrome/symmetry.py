@@ -54,7 +54,10 @@ def compose(p: Perm, q: Perm) -> Perm:
 
 
 def _cycle_lengths(p: Perm) -> list[int]:
-    """The lengths of p's cycles, fixed points included."""
+    """The lengths of p's cycles, fixed points included.  ValueError unless
+    p is a tuple or list that permutes its indices."""
+    if not (isinstance(p, (tuple, list)) and _permutes(p, range(len(p)))):
+        raise ValueError(f"not a permutation: {p!r}")
     seen = [False] * len(p)
     lengths = []
     for v in range(len(p)):
@@ -71,7 +74,8 @@ def _cycle_lengths(p: Perm) -> list[int]:
 
 def perm_parity(p: Perm) -> int:
     """+1 for even, -1 for odd: the parity of n minus the number of cycles."""
-    return 1 if (len(p) - len(_cycle_lengths(p))) % 2 == 0 else -1
+    cycles = _cycle_lengths(p)
+    return 1 if (len(p) - len(cycles)) % 2 == 0 else -1
 
 
 def perm_order(p: Perm) -> int:
@@ -201,14 +205,6 @@ class ColourSymmetry(tuple):
         return tuple.__new__(ColourSymmetry, (perm, self[1] * other.sign))
 
     __rmul__ = __mul__  # not tuple repetition: an int factor raises in __mul__
-
-    def inverse(self) -> "ColourSymmetry":
-        perm = self[0]
-        inv = sorted(range(1, 6), key=lambda x: perm[x - 1])  # the colours by their images
-        return tuple.__new__(ColourSymmetry, (tuple(inv), self[1]))
-
-    def parity(self) -> int:
-        return perm_parity(tuple(v - 1 for v in self[0]))
 
 
 COLOUR_IDENTITY = ColourSymmetry((1, 2, 3, 4, 5), 1)

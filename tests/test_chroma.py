@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pentachrome import chroma, polytope, symmetry, verify
+from pentachrome import chroma, cli, polytope, symmetry, verify
 from pentachrome import compound as compound_mod
 from pentachrome.chroma import (
     COLOURS,
@@ -201,12 +201,19 @@ def test_two_completions_per_frame(model):
     (lambda model: compose("ab", (1, 0)), r"^cannot compose 'ab' after \(1, 0\)$"),
     (lambda model: colouring_from_json(None), "^expected a JSON document, not None$"),
     (lambda model: enumeration_to_json(None), "^expected colourings, not None$"),
+    (lambda model: symmetry.perm_parity((1, 1)), r"^not a permutation: \(1, 1\)$"),
+    (lambda model: symmetry.perm_parity(None), "^not a permutation: None$"),
+    (lambda model: symmetry.perm_order((-1, 0)), r"^not a permutation: \(-1, 0\)$"),
+    (lambda model: symmetry.perm_order({1: 2}), r"^not a permutation: \{1: 2\}$"),
+    (lambda model: cli.parse_subgroup_spec(None), "^expected a subgroup spec, not None$"),
 ], ids=[
     "frame-repeats-a-colour", "frame-pole-7", "frame-pole-0", "frame-float", "frame-bool",
     "frame-short-triple", "frame-no-triple", "parity-None", "parity-str", "parity-bool",
     "canonical-short", "inverse-short", "inverse-None", "subgroup-list", "orbits-None",
     "tetrahedra-None", "tetrahedra-ints", "tetrahedra-three", "compose-short", "compose-repeat",
     "compose-bool", "compose-None", "compose-str", "from-json-None", "enumeration-None",
+    "perm-parity-repeat", "perm-parity-None", "perm-order-negative", "perm-order-dict",
+    "spec-None",
 ])
 def test_entry_points_raise_value_error_on_bad_input(model, call, match):
     with pytest.raises(ValueError, match=match):
@@ -332,7 +339,7 @@ def test_colour_symmetry_is_its_pair(model, colourings):
     assert all(g == pair and hash(g) == hash(pair) for g, pair in pairs.items())
     assert [pairs[g] for g in _G] == sorted(pairs.values())
     g, h = _G[17], _G[203]
-    assert type(g * h) is ColourSymmetry and type(g.inverse()) is ColourSymmetry
+    assert type(g * h) is ColourSymmetry
     assert repr(COLOUR_SWAP) == "ColourSymmetry(perm=(1, 2, 3, 4, 5), sign=-1)"
     assert pickle.loads(pickle.dumps(g)) == copy.deepcopy(g) == g
     with pytest.raises((TypeError, AttributeError)):  # not tuple repetition
@@ -436,7 +443,6 @@ _MODEL_READERS = (
     lambda m, cs, c, g, v: working_handedness(m, c),
     lambda m, cs, c, g, v: parity_class(m, c),
     lambda m, cs, c, g, v: chroma.colouring_to_off(m, c),
-    lambda m, cs, c, g, v: polytope.neighbours(m, v),
     lambda m, cs, c, g, v: polytope.distance_spectrum(m),
     lambda m, cs, c, g, v: (polytope.model_to_off(m), polytope.model_to_json(m)),
     lambda m, cs, c, g, v: symmetry.full_group(m),
@@ -554,7 +560,7 @@ def test_stabilizer_matches_brute_force(model, colourings):
 
 def test_stabilizer_takes_any_iterable_of_symmetries(model, colourings):
     G = colour_group()
-    odd = [g for g in _G if g.parity() == -1]
+    odd = [g for g in _G if symmetry.perm_parity(tuple(x - 1 for x in g.perm)) == -1]
     forms = {
         "list": lambda H: list(H),
         "generator": lambda H: (g for g in H),
@@ -870,23 +876,13 @@ def test_seed_handedness_and_pole_trace(model):
         assert [seed[v] for v in walk[:4]] == [1, 2, 5, 1]
 
 
-def test_working_handedness_checks_the_colouring_once(model, colourings, monkeypatch):
-    calls = []
-    check = chroma.check_colouring
-
-    def counted(c):
-        calls.append(c)
-        return check(c)
-
-    monkeypatch.setattr(chroma, "check_colouring", counted)
+def test_working_handedness_checks_the_colouring_once(model, colourings, census):
     for c in colourings[:6]:
         # every call checks the colouring; the repeat finds its face readings kept
-        for misses in (1, 0):
-            calls.clear()
-            before = chroma._signature.cache_info().misses
-            working_handedness(model, c)
-            assert len(calls) == 1
-            assert chroma._signature.cache_info().misses - before == misses
+        first, repeat = census(lambda: working_handedness(model, c),
+                               lambda: working_handedness(model, c))
+        assert [first["chroma.check_colouring"], repeat["chroma.check_colouring"]] == [1, 1]
+        assert [first["chroma._signature"], repeat["chroma._signature"]] == [1, 0]
 
 
 def test_zigzag_rejects_bad_handedness(model, colourings):
@@ -1130,18 +1126,20 @@ def test_colour_checks_match_their_loop_references_on_every_colouring(model, col
         assert first_violated_face(model, c) is None and antipodal_rule_holds(model, c)
 
 
-def test_a_colouring_that_is_not_rainbow_is_read_once(model, colourings):
+def test_a_colouring_that_is_not_rainbow_is_read_once(model, colourings, census):
     # the validity check reads the faces, and each classification finds the
     # reading kept, first violated face included, and raises without
     # reading again
     c = colourings[0]
     bad = (c[1], c[0], *c[2:])
-    misses = chroma._signature.cache_info().misses
-    assert not is_valid(model, bad)
-    for _ in range(2):
-        with pytest.raises(ValueError, match="^colouring is not face-rainbow$"):
-            compound_mod.classify_colouring(model, bad)
-    assert chroma._signature.cache_info().misses - misses == 1
+
+    def classify_twice():
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^colouring is not face-rainbow$"):
+                compound_mod.classify_colouring(model, bad)
+
+    validity, classifications = census(lambda: is_valid(model, bad), classify_twice)
+    assert [validity["chroma._signature"], classifications["chroma._signature"]] == [1, 0]
     assert first_violated_face(model, bad) == _first_violated_face_by_sets(model, bad) is not None
 
 

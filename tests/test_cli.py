@@ -115,33 +115,23 @@ def test_verify_json(capsys):
     assert all(c["seconds"] >= 0 for c in doc["checks"])
 
 
-def _count_face_reads():
-    """Count the package's face readings, the misses of its one face reader
-    (`chroma._signature`; each reads the faces of one colouring).  Returns a
-    function that gives the count since its last call, or since this one."""
-    misses = chroma._signature.cache_info().misses
-
-    def reads():
-        nonlocal misses
-        now = chroma._signature.cache_info().misses
-        count, misses = now - misses, now
-        return count
-
-    return reads
-
-
-def test_verify_reads_each_made_colouring_once(model):
-    # the first backtracking enumeration reads each colouring it makes; the
-    # second, the seed validity check, the signatures and the antipodal
-    # images `act` makes in the orbit of one colouring find the readings
-    # kept.  The propagation replay shows its colourings rainbow by its own
-    # per-face check
-    reads = _count_face_reads()
+def _run_checks_passing(model):
     checks = verify.run_checks(model)
     assert len(checks) == 61 and not [c.name for c in checks if not c.ok]
-    assert reads() == 240
-    assert len(chroma.enumerate_by_propagation(model)) == 240
-    assert reads() == 0
+
+
+def test_verify_reads_each_made_colouring_once(model, census):
+    # the first backtracking enumeration reads each colouring it makes
+    # (`chroma._signature`, the one face reader); the second, the seed
+    # validity check, the signatures and the antipodal images `act` makes in
+    # the orbit of one colouring find the readings kept.  The propagation
+    # replay shows its colourings rainbow by its own per-face check
+    def replay():
+        assert len(chroma.enumerate_by_propagation(model)) == 240
+
+    verify_run, replayed = census(lambda: _run_checks_passing(model), replay)
+    assert verify_run["chroma._signature"] == 240
+    assert replayed["chroma._signature"] == 0
 
 
 def _library_request(model, c):
@@ -162,58 +152,45 @@ def _library_request(model, c):
     assert chroma.colouring_from_json(chroma.colouring_to_json(c)) == c
 
 
-def test_a_library_request_on_a_plain_tuple_reads_its_colouring_once(model, colourings):
+def test_a_library_request_on_a_plain_tuple_reads_its_colouring_once(model, colourings, census):
     # the validity of the colouring and of the mutant reads each once, and
     # the action reads its antipodal image; the mutant's classification and
     # every later question find the readings kept, so a warm request reads
-    # nothing
-    reads = _count_face_reads()
+    # nothing.  The signature's lookup is its own rainbow check
     c = tuple(colourings[37])
-    _library_request(model, c)
-    assert reads() == 3
-    _library_request(model, c)
-    assert reads() == 0
-    # the signature's lookup is its own rainbow check
-    chroma.face_parity_signature(model, tuple(colourings[38]))
-    assert reads() == 1
+    cold, warm, signature = census(
+        lambda: _library_request(model, c), lambda: _library_request(model, c),
+        lambda: chroma.face_parity_signature(model, tuple(colourings[38])))
+    assert [cold["chroma._signature"], warm["chroma._signature"],
+            signature["chroma._signature"]] == [3, 0, 1]
 
 
-def test_kept_non_rainbow_readings_do_not_push_out_the_rainbow_ones(model, colourings):
+def test_kept_non_rainbow_readings_do_not_push_out_the_rainbow_ones(model, colourings, census):
     # as in a stream of library requests, each on a rainbow colouring and a
     # new non-rainbow one (the base-5 digits of n, so vertices 5..19 all
     # colour 1): once the 240 are read, only the new ones are
     rng = random.Random(5)
-    reads = _count_face_reads()
-    for c in colourings:
-        assert chroma.is_valid(model, c)
-    assert reads() == 240
-    for n in range(3 * 240):
-        assert chroma.is_valid(model, rng.choice(colourings))
-        assert not chroma.is_valid(model, tuple(1 + n // 5 ** k % 5 for k in range(20)))
-    assert reads() == 3 * 240
-    for c in colourings:
-        assert chroma.is_valid(model, c)
-    assert reads() == 0
+
+    def all_valid():
+        assert all(chroma.is_valid(model, c) for c in colourings)
+
+    def stream():
+        for n in range(3 * 240):
+            assert chroma.is_valid(model, rng.choice(colourings))
+            assert not chroma.is_valid(model, tuple(1 + n // 5 ** k % 5 for k in range(20)))
+
+    counts = census(all_valid, stream, all_valid)
+    assert [count["chroma._signature"] for count in counts] == [240, 3 * 240, 0]
 
 
-def test_a_warm_library_request_takes_no_turns(model, colourings, monkeypatch):
+def test_a_warm_library_request_takes_no_turns(model, colourings, census):
     # the checkpoint sets are facts of the rings: the handedness walks both
     # zigzags from vertex 0 and the trace one from vertex 5, 36 turns, once
     # for each value of the rings
-    turns = []
-    turn = chroma._turn
-
-    def counted(rings, u, w, side):
-        turns.append((u, w))
-        return turn(rings, u, w, side)
-
-    monkeypatch.setattr(chroma, "_turn", counted)
     c = tuple(colourings[37])
-    _library_request(model, c)
-    assert len(turns) == 36
-    turns.clear()
-    _library_request(model, c)
-    assert turns == []
+    cold, warm = census(lambda: _library_request(model, c), lambda: _library_request(model, c))
+    assert cold["polytope._turn"] == 36
+    assert warm["polytope._turn"] == 0
 
 
 def _outcome(f, *args):
@@ -284,6 +261,14 @@ def test_model_memos_keep_each_model_apart(model, colourings):
                                                               "expected 1..5")
 
 
+def test_every_memo_is_a_bounded_lru_cache(memos):
+    # the memos the census empties: each has the `cache_parameters` of a
+    # `functools.lru_cache`, with an int bound, so a `functools.cache` fails
+    assert memos
+    for memo in memos:
+        assert type(memo.cache_parameters()["maxsize"]) is int, memo.__qualname__
+
+
 def test_classify_reads_the_labels_of_its_own_model(model, colourings):
     # a model with its two compounds swapped swaps every label, interleaved
     # with the canonical model; where both compounds hold one set of
@@ -308,70 +293,42 @@ def test_classify_reads_the_labels_of_its_own_model(model, colourings):
     assert compound_mod.classify_colouring(model, colourings[0]) == (comp, want)
 
 
-def test_verify_closes_only_the_rotations_and_multiplies_no_colour_symmetries(model, monkeypatch):
+def test_verify_closes_only_the_rotations_and_multiplies_no_colour_symmetries(model, census):
     # the vertex symmetries are read off the rings, and the colour
     # subgroups come from their builders already checked, so nothing is
-    # closed: no orbit partition re-closes a subgroup
-    closures, products = [], []
-    closure, mul = symmetry._closure, symmetry.ColourSymmetry.__mul__
-
-    def counted_closure(gens, identity, product):
-        closures.append(identity)
-        return closure(gens, identity, product)
-
-    def counted_mul(g, h):
-        products.append((g, h))
-        return mul(g, h)
-
-    monkeypatch.setattr(symmetry, "_closure", counted_closure)
-    monkeypatch.setattr(symmetry.ColourSymmetry, "__mul__", counted_mul)
-    monkeypatch.setattr(symmetry.ColourSymmetry, "__rmul__", counted_mul)
-    checks = verify.run_checks(model)
-    assert len(checks) == 61 and not [c.name for c in checks if not c.ok]
-    assert closures == []
-    assert products == []
+    # closed: no orbit partition re-closes a subgroup.  `__rmul__` is
+    # `__mul__`, so one count holds both
+    (calls,) = census(lambda: _run_checks_passing(model))
+    assert calls["symmetry._closure"] == 0
+    assert calls["symmetry.__mul__"] == 0
 
 
-def test_verify_derives_each_symmetry_once(model, monkeypatch):
+def test_verify_derives_each_symmetry_once(model, census):
     # the 60 rotations and the one side-swapping map that the full group
     # multiplies them by: the full group is built on the rotations already
     # derived, where deriving them again made 121 turn maps
-    calls = []
-    turn_map = symmetry._turn_map
-
-    def counted(*args):
-        calls.append(args)
-        return turn_map(*args)
-
-    monkeypatch.setattr(symmetry, "_turn_map", counted)
-    checks = verify.run_checks(model)
-    assert len(checks) == 61 and not [c.name for c in checks if not c.ok]
-    assert len(calls) == 61
+    (calls,) = census(lambda: _run_checks_passing(model))
+    assert calls["symmetry._turn_map"] == 61
 
 
-def _wrap_classify(monkeypatch, fail=None):
-    """Record the package's `classify_colouring` calls by wrapping it, and
-    make it raise ValueError on the colouring `fail`."""
-    calls = []
+def _wrap_classify(monkeypatch, fail):
+    """Make the package's `classify_colouring` raise ValueError on the
+    colouring `fail`."""
     classify = compound_mod.classify_colouring
 
     def wrapped(model, c):
-        calls.append(c)
         if c == fail:
             raise ValueError("colour classes do not form a compound")
         return classify(model, c)
 
     monkeypatch.setattr(compound_mod, "classify_colouring", wrapped)
-    return calls
 
 
-def test_verify_classifies_each_colouring_once(model, monkeypatch):
+def test_verify_classifies_each_colouring_once(model, census):
     # the 240 enumerated colourings and the 2 seeds; 482 when the structure
     # section classified all 240 a second time
-    calls = _wrap_classify(monkeypatch)
-    checks = verify.run_checks(model)
-    assert len(checks) == 61 and not [c.name for c in checks if not c.ok]
-    assert len(calls) == 242
+    (calls,) = census(lambda: _run_checks_passing(model))
+    assert calls["compound.classify_colouring"] == 242
 
 
 def test_verify_reports_a_colouring_it_cannot_classify(model, colourings, monkeypatch):
@@ -834,21 +791,17 @@ def test_a_single_shape_fault_is_refused_at_replace(model, mutate, refused):
         mutate(model)
 
 
-def test_verify_computes_a_fact_that_raises_once(model, monkeypatch):
+def test_verify_computes_a_fact_that_raises_once(model, census):
     # eleven checks read the groups of this model, whose derivation raises:
     # the rotation group is derived once, the full group is built on it, and
     # each reader gets the kept exception
-    calls = []
-    rotation_group = symmetry.rotation_group
+    reversed_rings = _reverse_rings(model, 1)
 
-    def counted(model):
-        calls.append(model)
-        return rotation_group(model)
+    def run():
+        assert len(verify.run_checks(reversed_rings)) == 61
 
-    monkeypatch.setattr(symmetry, "rotation_group", counted)
-    checks = verify.run_checks(_reverse_rings(model, 1))
-    assert len(checks) == 61
-    assert len(calls) == 1
+    (calls,) = census(run)
+    assert calls["symmetry.rotation_group"] == 1
 
 
 def test_single_fault_models_reach_every_check():
@@ -858,14 +811,17 @@ def test_single_fault_models_reach_every_check():
     assert reached == {name for _, name, _ in verify.CHECKS}
 
 
-def test_classify_reads_the_colouring_once(capsys, tmp_path, colourings):
+def test_classify_reads_the_colouring_once(capsys, tmp_path, colourings, census):
     # the full check reads the faces, and the signature finds the readings kept
     path = tmp_path / "a.json"
     path.write_text(chroma.colouring_to_json(colourings[0]))
-    reads = _count_face_reads()
-    code, out, _ = run_cli(capsys, "classify", "--in", str(path), "--json")
-    assert code == 0 and json.loads(out)["valid"] is True
-    assert reads() == 1
+
+    def classify():
+        code, out, _ = run_cli(capsys, "classify", "--in", str(path), "--json")
+        assert code == 0 and json.loads(out)["valid"] is True
+
+    (calls,) = census(classify)
+    assert calls["chroma._signature"] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from pentachrome.polytope import (
     latitude_bands,
     model_to_json,
     model_to_off,
-    neighbours,
     positions,
 )
 
@@ -64,23 +63,14 @@ def test_ids_ordered_by_band(model):
 
 def test_three_regular(model):
     for v in range(20):
-        nbrs = neighbours(model, v)
+        nbrs = frozenset(model.adjacency[v])
         assert len(nbrs) == 3
         assert v not in nbrs
 
 
 def test_neighbours_of_pole_are_c1(model):
     c1 = latitude_bands(model.exact_positions)[1]
-    assert neighbours(model, 0) == frozenset(c1)
-
-
-def test_neighbours_rejects_bad_id(model):
-    with pytest.raises(ValueError):
-        neighbours(model, 20)
-    with pytest.raises(ValueError):
-        neighbours(model, -1)
-    with pytest.raises(ValueError):
-        neighbours(model, True)
+    assert frozenset(model.adjacency[0]) == frozenset(c1)
 
 
 def test_faces_are_pentagon_cycles(model, edges):
@@ -111,7 +101,7 @@ def test_turn_reads_the_faces_and_the_third_neighbour(model, edges):
     for u, w in directed:
         right = polytope._turn(model.adjacency, u, w, -1)
         assert right == after[u, w]
-        assert {u, right, polytope._turn(model.adjacency, u, w, 1)} == neighbours(model, w)
+        assert {u, right, polytope._turn(model.adjacency, u, w, 1)} == set(model.adjacency[w])
 
 
 @pytest.mark.parametrize("ring", [(16, 18), (16, 17, 15)], ids=["two-neighbours", "lacks-u"])
