@@ -41,7 +41,7 @@ from itertools import compress, permutations
 from operator import itemgetter
 
 from .polytope import (
-    _PALETTE, PolytopeModel, _check_id, _least_neighbour, _listed, _off_mesh, _turn,
+    _PALETTE, PolytopeModel, _check_id, _least_neighbour, _listed, _off_mesh, _turn, _vertex_faces,
 )
 from .symmetry import (
     ColourSymmetry, Subgroup, _check_subgroup, _check_symmetries, _permutes, perm_parity,
@@ -119,9 +119,10 @@ def enumerate_colourings(model: PolytopeModel) -> tuple[Colouring, ...]:
     none of its three faces, so a colour is rejected as soon as it repeats
     on a face through the vertex.  No symmetry assumptions are made, so this
     is the assumption-free oracle: each complete assignment, made at vertex
-    19, passes the full check before it is returned.
+    19, passes the full check before it is returned.  ValueError names a
+    vertex on other than three faces (`polytope._vertex_faces`).
     """
-    vertex_faces = model.vertex_faces
+    vertex_faces = _vertex_faces(model.faces)
     face_used = [0] * len(model.faces)
     col = [0] * 20
     out: list[Colouring] = []
@@ -151,18 +152,17 @@ def enumerate_colourings(model: PolytopeModel) -> tuple[Colouring, ...]:
 # ---------------------------------------------------------------------------
 # enumeration, route two: propagation replay
 
-def _propagate(model: PolytopeModel, col: list[int]) -> None:
+def _propagate(faces, vertex_faces, col: list[int]) -> None:
     """Run naked-singles propagation to a fixpoint, in place.
 
     Each face keeps a bitmask of the colours on it (bit x for colour x), and
-    a vertex's candidates are the colours on none of its three faces.  The
+    a vertex's candidates are the colours on none of its three faces, as
+    `polytope._vertex_faces` worked them out from the faces.  The
     one forcing rule is the naked single: a vertex with a single candidate
     gets it.  Raises ValueError on contradiction, or if the fixpoint
     leaves a vertex uncoloured.  So it returns only with every vertex
     coloured and one colour bit per vertex on each face: every face rainbow.
     """
-    faces = model.faces
-    vertex_faces = model.vertex_faces
     # bit 0 comes from the uncoloured vertices
     used = [(1 << col[a] | 1 << col[b] | 1 << col[d] | 1 << col[e] | 1 << col[f]) & _ALL
             for a, b, d, e, f in faces]
@@ -202,7 +202,8 @@ def frame_completions(model: PolytopeModel, frame) -> tuple[Colouring, Colouring
     ValueError is raised.  Branches on the two ways to finish the first
     face at the north pole; each branch then propagates to a unique full
     colouring, which `_propagate`'s per-face bitmask check has shown
-    rainbow.
+    rainbow.  ValueError names a vertex on other than three faces
+    (`polytope._vertex_faces`).
     """
     # bool is a subclass of int, but True is not colour 1
     if not (isinstance(frame, (tuple, list)) and tuple(map(type, frame)) == (int,) * 4
@@ -210,7 +211,8 @@ def frame_completions(model: PolytopeModel, frame) -> tuple[Colouring, Colouring
         raise ValueError(f"not a colour frame: {frame!r}")
     base = [*frame] + [0] * 16
 
-    first_face = model.faces[model.vertex_faces[0][0]]
+    vertex_faces = _vertex_faces(model.faces)
+    first_face = model.faces[vertex_faces[0][0]]
     open_vs = sorted(v for v in first_face if not base[v])
     if len(open_vs) != 2:
         raise ValueError(f"frame leaves {len(open_vs)} open vertices on the first face")
@@ -221,7 +223,7 @@ def frame_completions(model: PolytopeModel, frame) -> tuple[Colouring, Colouring
     for pair in (missing, missing[::-1]):
         col = list(base)
         col[open_vs[0]], col[open_vs[1]] = pair
-        _propagate(model, col)
+        _propagate(model.faces, vertex_faces, col)
         results.append(tuple(col))
     return results[0], results[1]
 

@@ -16,7 +16,7 @@ import sys
 from . import chroma
 from . import compound as compound_mod
 from .polytope import build_polytope, model_to_json, model_to_off
-from .symmetry import NAMED_SUBGROUPS, ColourSymmetry, generate_subgroup, named_subgroup
+from .symmetry import NAMED_SUBGROUPS, ColourSymmetry, Subgroup, generate_subgroup, named_subgroup
 
 # the text is stripped, so only the space after a cycle is matched; a leading
 # \s* too lets cycles split the spaces between them and backtrack exponentially
@@ -44,11 +44,12 @@ def _parse_colour_perm(text: str) -> tuple[int, int, int, int, int]:
     return tuple(image[i] for i in range(1, 6))
 
 
-def parse_subgroup_spec(text: str) -> frozenset[ColourSymmetry]:
+def parse_subgroup_spec(text: str) -> Subgroup:
     """A named subgroup, or a ';'-separated generator list of 'cycles,sign'.
 
     Examples: 'A5', 'trivial', '(1 2),+1', '(1 2 3 4 5),+1; id,-1'.
-    The closure of the generators is always computed.
+    The closure of the generators is always computed, so the result is a
+    `symmetry.Subgroup`, which `orbit_partition` takes without a check.
     """
     if not isinstance(text, str):
         raise ValueError(f"expected a subgroup spec, not {text!r}")

@@ -104,7 +104,6 @@ _SHAPE = {
     "faces": ((0, _ANY, (5, 5, "vertex")), "5-tuples of vertex ids"),
     "antipode": ((20, 20, "vertex"), "20 vertex ids"),
     "adjacency": ((20, 20, (0, _ANY, "vertex")), "20 tuples of vertex ids"),
-    "vertex_faces": ((20, 20, (3, 3, "face")), "20 triples of face ids"),
     "icosa_faces": ((20, 20, (0, _ANY, "face")), "20 tuples of face ids"),
     "dual_faces": ((20, 20, "vertex"), "20 vertex ids"),
     "compounds": ((2, 2, (0, _ANY, (0, _ANY, "vertex"))), "a pair of tuples of vertex-id tuples"),
@@ -141,26 +140,27 @@ class PolytopeModel(_ModelFields):
     Wherever a model is made (`build_polytope`, the constructor, `_make`,
     `_replace`, a copy, an unpickled one) it has the shape `_SHAPE`
     declares, or ValueError names the field and its first bad index path,
-    as in ``vertex_faces[14][2] is 11; the vertex_faces must be 20 triples
-    of face ids``.  Each field and entry is a tuple, every vertex id an int,
+    as in ``icosa_faces[14][2] is 11; the icosa_faces must be 20 tuples of
+    face ids``.  Each field and entry is a tuple, every vertex id an int,
     not a bool, in 0..19, every face id indexes ``faces``, each table
     indexed by vertex id has 20 entries (``exact_positions`` at least 20,
     each coordinate 0, +-1, +-phi or +-1/phi), and an entry a reader
     unpacks has its arity, so readers trust all of that.
     Counts and structure are left to `verify`, which measures them: how
     many vertices, faces, edges and tetrahedra there are, the adjacency's
-    arity, and every fact such as an involutive antipode.
+    arity, and every fact such as an involutive antipode.  Which faces
+    meet at a vertex is a fact of ``faces`` alone: `_vertex_faces` works it
+    out, and names a vertex on other than 3 faces.
 
     ``faces`` are oriented pentagons (positive sense = counterclockwise seen
     from outside), ``adjacency[v]`` is v's ring, its 3 neighbours
     counterclockwise as seen from outside from the smallest (which one a
-    ring starts at is no part of the contract), and ``vertex_faces[v]`` the
-    3 faces through v.  The rings are the graph: its edges are the pairs
-    (u, w), u < w, with w in u's ring.  ``icosa_faces`` lists the 20 faces
-    of the dual icosahedron as sorted triples of dodecahedron face ids
-    (icosahedron vertex i is the centre of dodecahedron face i);
-    ``dual_faces[k]`` is the dodecahedron vertex corresponding to
-    icosahedron face k.
+    ring starts at is no part of the contract).  The rings are the graph:
+    its edges are the pairs (u, w), u < w, with w in u's ring.
+    ``icosa_faces`` lists the 20 faces of the dual icosahedron as sorted
+    triples of dodecahedron face ids (icosahedron vertex i is the centre of
+    dodecahedron face i); ``dual_faces[k]`` is the dodecahedron vertex
+    corresponding to icosahedron face k.
     ``compounds`` are the two partitions of the vertices into five of the 10
     inscribed regular tetrahedra, each a sorted 4-tuple: compound A first,
     the one whose tetrahedron at vertex 0 is the lexicographically smaller.
@@ -390,7 +390,7 @@ def build_polytope() -> PolytopeModel:
             raise AssertionError(f"vertex {v} is not on exactly 2 tetrahedra")
 
     # v is on 3 faces: one per outgoing edge, and a face visits v once
-    vertex_faces = tuple(tuple(fid for fid, f in enumerate(faces) if v in f) for v in range(20))
+    vertex_faces = _vertex_faces(faces)
     if len(set(vertex_faces)) != 20:
         raise AssertionError("two vertices share their face triple")
     dual_faces = tuple(sorted(range(20), key=vertex_faces.__getitem__))
@@ -402,7 +402,6 @@ def build_polytope() -> PolytopeModel:
         faces=faces,
         antipode=antipode,
         adjacency=rings,
-        vertex_faces=vertex_faces,
         icosa_faces=icosa_faces,
         dual_faces=dual_faces,
         compounds=_compounds(tetrahedra),
@@ -436,6 +435,18 @@ def _least_neighbour(rings, v: int) -> int:
     if not rings[v]:
         raise ValueError(f"vertex {v} has no neighbours")
     return min(rings[v])
+
+
+def _vertex_faces(faces) -> tuple[tuple[int, int, int], ...]:
+    """The ids of the faces through each vertex, ascending, worked out from
+    a model's faces; ValueError names a vertex on other than 3 faces."""
+    held = [[] for _ in range(20)]
+    for fid, f in enumerate(faces):
+        for v in set(f):
+            held[v].append(fid)
+    if off := [v for v in range(20) if len(held[v]) != 3]:
+        raise ValueError(f"vertex {off[0]} is on {len(held[off[0]])} faces, expected 3")
+    return tuple(map(tuple, held))
 
 
 def _turn(rings, u: int, w: int, side: int) -> int:

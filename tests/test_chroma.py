@@ -167,6 +167,20 @@ def test_two_completions_per_frame(model):
         assert a[:4] == b[:4] == frame
 
 
+def _face_0_is_face_1(model):
+    """model with face 0 a copy of face 1: vertex 1 is then on 2 faces."""
+    return model._replace(faces=(model.faces[1],) + model.faces[1:])
+
+
+def _face_12_added(model):
+    """model with face 0 repeated: vertex 0 is then on 4 faces."""
+    return model._replace(faces=model.faces + model.faces[:1])
+
+
+_ON_2_FACES = "^vertex 1 is on 2 faces, expected 3$"
+_ON_4_FACES = "^vertex 0 is on 4 faces, expected 3$"
+
+
 @pytest.mark.parametrize("call,match", [
     (lambda model: frame_completions(model, (1, 1, 2, 3)),
      r"^not a colour frame: \(1, 1, 2, 3\)$"),
@@ -206,6 +220,14 @@ def test_two_completions_per_frame(model):
     (lambda model: symmetry.perm_order((-1, 0)), r"^not a permutation: \(-1, 0\)$"),
     (lambda model: symmetry.perm_order({1: 2}), r"^not a permutation: \{1: 2\}$"),
     (lambda model: cli.parse_subgroup_spec(None), "^expected a subgroup spec, not None$"),
+    (lambda model: enumerate_colourings(_face_0_is_face_1(model)), _ON_2_FACES),
+    (lambda model: enumerate_by_propagation(_face_0_is_face_1(model)), _ON_2_FACES),
+    (lambda model: frame_completions(_face_0_is_face_1(model), (1, 2, 3, 4)), _ON_2_FACES),
+    (lambda model: seed_colourings(_face_0_is_face_1(model)), _ON_2_FACES),
+    (lambda model: enumerate_colourings(_face_12_added(model)), _ON_4_FACES),
+    (lambda model: enumerate_by_propagation(_face_12_added(model)), _ON_4_FACES),
+    (lambda model: frame_completions(_face_12_added(model), (1, 2, 3, 4)), _ON_4_FACES),
+    (lambda model: seed_colourings(_face_12_added(model)), _ON_4_FACES),
 ], ids=[
     "frame-repeats-a-colour", "frame-pole-7", "frame-pole-0", "frame-float", "frame-bool",
     "frame-short-triple", "frame-no-triple", "parity-None", "parity-str", "parity-bool",
@@ -213,11 +235,18 @@ def test_two_completions_per_frame(model):
     "tetrahedra-None", "tetrahedra-ints", "tetrahedra-three", "compose-short", "compose-repeat",
     "compose-bool", "compose-None", "compose-str", "from-json-None", "enumeration-None",
     "perm-parity-repeat", "perm-parity-None", "perm-order-negative", "perm-order-dict",
-    "spec-None",
+    "spec-None", "enumerate-on-2-faces", "propagation-on-2-faces", "frame-on-2-faces",
+    "seeds-on-2-faces", "enumerate-on-4-faces", "propagation-on-4-faces", "frame-on-4-faces",
+    "seeds-on-4-faces",
 ])
 def test_entry_points_raise_value_error_on_bad_input(model, call, match):
     with pytest.raises(ValueError, match=match):
         call(model)
+
+
+def _propagate(model, col):
+    """`chroma._propagate` on the model's faces, as `frame_completions` runs it."""
+    chroma._propagate(model.faces, polytope._vertex_faces(model.faces), col)
 
 
 def test_propagation_detects_contradiction(model):
@@ -225,7 +254,7 @@ def test_propagation_detects_contradiction(model):
     col[0] = 1
     col[1] = 1  # neighbour of the pole with the same colour
     with pytest.raises(ValueError, match="^face carries a colour twice$"):
-        chroma._propagate(model, col)
+        _propagate(model, col)
 
 
 def test_propagation_raises_on_empty_vertex_or_stall(model, colourings):
@@ -234,10 +263,10 @@ def test_propagation_raises_on_empty_vertex_or_stall(model, colourings):
     col[model.adjacency[0][0]] = col[0]
     col[0] = 0
     with pytest.raises(ValueError, match="no colour left for vertex 0"):
-        chroma._propagate(model, col)
+        _propagate(model, col)
     # with nothing coloured, nothing is forced
     with pytest.raises(ValueError, match="propagation stalled"):
-        chroma._propagate(model, [0] * 20)
+        _propagate(model, [0] * 20)
 
 
 def test_propagation_restores_any_one_blanked_vertex(model, colourings):
@@ -245,7 +274,7 @@ def test_propagation_restores_any_one_blanked_vertex(model, colourings):
         for v in range(20):
             col = list(c)
             col[v] = 0
-            chroma._propagate(model, col)
+            _propagate(model, col)
             assert tuple(col) == c
 
 
@@ -263,7 +292,7 @@ def test_propagation_returns_only_a_rainbow_colouring(model, colourings, i, blan
     for v, x in changes.items():
         col[v] = x
     try:
-        chroma._propagate(model, col)
+        _propagate(model, col)
     except ValueError:
         return
     assert 0 not in col and is_valid(model, col)
@@ -468,10 +497,11 @@ _REFUSED = r"^(\w+)(\[\d+\])* is .+; the \1 must be "
 # every squared distance the edge's: the spectrum has no third-smallest distance
 @example(field="squared_distances", edit="fill", inner=True, v=0, w=1, value=None, i=0,
          g=COLOUR_SWAP)
-# a dropped face leaves face ids past the end of `faces` in `vertex_faces`
+# a dropped face leaves face ids past the end of `faces` in `icosa_faces`
 @example(field="faces", edit="drop", inner=False, v=11, w=0, value=None, i=0, g=COLOUR_SWAP)
-# vertex 13 takes vertex 11's faces, and the search finds no colouring
-@example(field="vertex_faces", edit="duplicate", inner=False, v=13, w=11, value=None, i=0,
+# face 0 made a copy of face 1: its other vertices are then on 2 faces, and
+# the readers of the colourings name vertex 1
+@example(field="faces", edit="duplicate", inner=False, v=0, w=1, value=None, i=0,
          g=COLOUR_SWAP)
 # ring 1 loses vertex 0: the turn maps and the zigzags from 0 -> 1 name it
 @example(field="adjacency", edit="replace", inner=True, v=1, w=0, value=5, i=0, g=COLOUR_SWAP)

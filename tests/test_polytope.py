@@ -153,8 +153,6 @@ _SHAPE_FAULTS = [
                  r"faces is \[\(0, 1, 6, 7, 2\), .*\], not a tuple", id="faces-a-list"),
     pytest.param(lambda m: {"adjacency": _with(m.adjacency, 3, (0, 7, 20))},
                  r"adjacency\[3\]\[2\] is 20", id="adjacency-3-out-of-range"),
-    pytest.param(lambda m: {"vertex_faces": _with(m.vertex_faces, 0, (12, 1, 2))},
-                 r"vertex_faces\[0\]\[0\] is 12", id="vertex-faces-0-no-face"),
     pytest.param(lambda m: {"icosa_faces": _with(m.icosa_faces, 0, (True, 1, 2))},
                  r"icosa_faces\[0\]\[0\] is True", id="icosa-faces-0-a-bool"),
     pytest.param(lambda m: {"dual_faces": m.dual_faces[:19]}, r"dual_faces\[19\] is missing",
@@ -187,9 +185,15 @@ _SHAPE_FAULTS = [
     pytest.param(lambda m: {"squared_distances": _with(
                      m.squared_distances, 0, _with(m.squared_distances[0], 1, ZPhi([8])))},
                  r"squared_distances\[0\]\[1\] is \(\[8\], 0\)", id="distance-0-1-a-list"),
-    # face 11 is gone, so the face triples that name it index past `faces`
-    pytest.param(lambda m: {"faces": m.faces[:-1]}, r"vertex_faces\[14\]\[2\] is 11",
+    # face 11 is gone, so the icosahedron faces that name it index past `faces`
+    pytest.param(lambda m: {"faces": m.faces[:-1]}, r"icosa_faces\[14\]\[2\] is 11",
                  id="face-11-dropped"),
+    pytest.param(lambda m: {"antipode": m.antipode[:19]}, r"antipode\[19\] is missing",
+                 id="antipode-19-entries"),
+    pytest.param(lambda m: {"antipode": (*m.antipode, 0)}, r"antipode\[20\] is 0",
+                 id="antipode-21-entries"),
+    pytest.param(lambda m: {"antipode": _with(m.antipode, 3, 20)}, r"antipode\[3\] is 20",
+                 id="antipode-entry-20"),
     pytest.param(lambda m: {"antipode": _with(m.antipode, 3, -1)}, r"antipode\[3\] is -1",
                  id="antipode-3-is-minus-1"),
     pytest.param(lambda m: {"antipode": _with(m.antipode, 3, True)}, r"antipode\[3\] is True",
@@ -215,8 +219,9 @@ def test_the_shape_faults_cover_every_field(model):
     assert named == set(polytope.PolytopeModel._fields)
 
 
-def _refused_by_every_maker(model, fault, refused):
-    """Each of the seven ways to make a model refuses the fault, naming it."""
+@pytest.mark.parametrize("fault,refused", _SHAPE_FAULTS)
+def test_a_model_refuses_a_shape_fault_in_any_field(model, fault, refused):
+    # each of the seven ways to make a model refuses the fault, naming it
     ((field, bad),) = fault(model).items()
     # the message names the field its index path starts with, and that field's rule
     named = re.match(r"\w+", refused)[0]
@@ -232,22 +237,6 @@ def _refused_by_every_maker(model, fault, refused):
                  lambda: pickle.loads(data)):
         with pytest.raises(ValueError, match=message):
             make()
-
-
-@pytest.mark.parametrize("fault,refused", _SHAPE_FAULTS)
-def test_a_model_refuses_a_shape_fault_in_any_field(model, fault, refused):
-    _refused_by_every_maker(model, fault, refused)
-
-
-# the antipode's faults of length and one id past the last; the table above
-# holds its other faults
-@pytest.mark.parametrize("fault,refused", [
-    (lambda m: {"antipode": m.antipode[:19]}, r"antipode\[19\] is missing"),
-    (lambda m: {"antipode": (*m.antipode, 0)}, r"antipode\[20\] is 0"),
-    (lambda m: {"antipode": _with(m.antipode, 3, 20)}, r"antipode\[3\] is 20"),
-], ids=["19-entries", "21-entries", "entry-20"])
-def test_a_model_refuses_an_antipode_of_other_than_20_vertex_ids(model, fault, refused):
-    _refused_by_every_maker(model, fault, refused)
 
 
 def test_build_polytope_makes_its_model_through_the_contract(model, monkeypatch):

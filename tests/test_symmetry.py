@@ -10,7 +10,7 @@ import pytest
 from pentachrome import compound as compound_mod
 from pentachrome import symmetry
 from pentachrome.chroma import canonical_cycle
-from pentachrome.polytope import positions
+from pentachrome.polytope import _vertex_faces, positions
 from pentachrome.symmetry import (
     COLOUR_IDENTITY,
     COLOUR_SWAP,
@@ -116,7 +116,7 @@ def test_generator_independence(model, rotations):
     # same group as the turn maps
     pos = positions(model)
     r3 = rotation_permutation(model, pos[7], 2.0 * math.pi / 3.0)
-    face = model.faces[model.vertex_faces[19][-1]]
+    face = model.faces[_vertex_faces(model.faces)[19][-1]]
     centre = np.mean([pos[v] for v in face], axis=0)
     r5 = rotation_permutation(model, centre, 2.0 * math.pi / 5.0)
     assert symmetry._closure([r3, r5], tuple(range(20)), compose) == frozenset(rotations)
