@@ -781,6 +781,28 @@ def test_verify_reports_a_single_fault_model(model, mutate, failed):
     assert {c.name: c.detail for c in checks if not c.ok} == failed
 
 
+# Single faults that no check reads: the model refuses them where it is made,
+# naming the first bad entry
+@pytest.mark.parametrize("edit,refused", [
+    (lambda a: a[:19], r"antipode\[19\] is missing"),
+    (lambda a: (*a, 5), r"antipode\[20\] is 5"),
+    (lambda a: (20, *a[1:]), r"antipode\[0\] is 20"),
+], ids=["antipode-19-dropped", "antipode-20-added", "antipode-0-out-of-range"])
+def test_a_single_fault_antipode_is_refused_at_replace(model, edit, refused):
+    with pytest.raises(ValueError, match=f"^{refused}; the antipode must be 20 vertex ids$"):
+        model._replace(antipode=edit(model.antipode))
+
+
+@pytest.mark.parametrize("mutate,refused", [
+    (lambda m: m._replace(exact_positions=m.exact_positions[:-1]),
+     r"exact_positions\[19\] is missing; the exact_positions must be at least 20 triples of "
+     r"ZPhi, each 0, \+-1, \+-phi or \+-1/phi"),
+], ids=["vertex-19-dropped"])
+def test_a_single_shape_fault_is_refused_at_replace(model, mutate, refused):
+    with pytest.raises(ValueError, match=f"^{refused}$"):
+        mutate(model)
+
+
 def test_verify_computes_a_fact_that_raises_once(model, census):
     # eleven checks read the groups of this model, whose derivation raises:
     # the rotation group is derived once, the full group is built on it, and

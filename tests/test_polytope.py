@@ -188,12 +188,6 @@ _SHAPE_FAULTS = [
     # face 11 is gone, so the icosahedron faces that name it index past `faces`
     pytest.param(lambda m: {"faces": m.faces[:-1]}, r"icosa_faces\[14\]\[2\] is 11",
                  id="face-11-dropped"),
-    pytest.param(lambda m: {"antipode": m.antipode[:19]}, r"antipode\[19\] is missing",
-                 id="antipode-19-entries"),
-    pytest.param(lambda m: {"antipode": (*m.antipode, 0)}, r"antipode\[20\] is 0",
-                 id="antipode-21-entries"),
-    pytest.param(lambda m: {"antipode": _with(m.antipode, 3, 20)}, r"antipode\[3\] is 20",
-                 id="antipode-entry-20"),
     pytest.param(lambda m: {"antipode": _with(m.antipode, 3, -1)}, r"antipode\[3\] is -1",
                  id="antipode-3-is-minus-1"),
     pytest.param(lambda m: {"antipode": _with(m.antipode, 3, True)}, r"antipode\[3\] is True",
@@ -219,9 +213,8 @@ def test_the_shape_faults_cover_every_field(model):
     assert named == set(polytope.PolytopeModel._fields)
 
 
-@pytest.mark.parametrize("fault,refused", _SHAPE_FAULTS)
-def test_a_model_refuses_a_shape_fault_in_any_field(model, fault, refused):
-    # each of the seven ways to make a model refuses the fault, naming it
+def _refused_by_every_maker(model, fault, refused):
+    """Each of the seven ways to make a model refuses the fault, naming it."""
     ((field, bad),) = fault(model).items()
     # the message names the field its index path starts with, and that field's rule
     named = re.match(r"\w+", refused)[0]
@@ -237,6 +230,22 @@ def test_a_model_refuses_a_shape_fault_in_any_field(model, fault, refused):
                  lambda: pickle.loads(data)):
         with pytest.raises(ValueError, match=message):
             make()
+
+
+@pytest.mark.parametrize("fault,refused", _SHAPE_FAULTS)
+def test_a_model_refuses_a_shape_fault_in_any_field(model, fault, refused):
+    _refused_by_every_maker(model, fault, refused)
+
+
+# the antipode's faults of length and one id past the last; the table above
+# holds its other faults
+@pytest.mark.parametrize("fault,refused", [
+    (lambda m: {"antipode": m.antipode[:19]}, r"antipode\[19\] is missing"),
+    (lambda m: {"antipode": (*m.antipode, 0)}, r"antipode\[20\] is 0"),
+    (lambda m: {"antipode": _with(m.antipode, 3, 20)}, r"antipode\[3\] is 20"),
+], ids=["19-entries", "21-entries", "entry-20"])
+def test_a_model_refuses_an_antipode_of_other_than_20_vertex_ids(model, fault, refused):
+    _refused_by_every_maker(model, fault, refused)
 
 
 def test_build_polytope_makes_its_model_through_the_contract(model, monkeypatch):
