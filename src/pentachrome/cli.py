@@ -146,10 +146,8 @@ def cmd_classify(args, model) -> int:
     if c is None:
         return 1
 
-    try:
-        c = chroma.check_rainbow(model, c)  # the one face read on the valid path
-    except ValueError:  # c has 20 colours in 1..5, so a face is not rainbow
-        face = chroma.first_violated_face(model, c)
+    face = chroma.first_violated_face(model, c)  # the one face read; the calls below find it kept
+    if face is not None:
         if args.json:
             print(json.dumps({"valid": False, "first_violated_face": face}))
         else:

@@ -95,17 +95,15 @@ _FLOATS = {ZPhi(0): 0.0, **dict(_MAGNITUDES), **{-x: -f for x, f in _MAGNITUDES}
 
 
 # The model's fields, in order, each with its shape and the rule a fault
-# message states.  A spec is "vertex" (an int, not a bool, in 0..19),
-# "face" (one that indexes `faces`), ZPhi (a ZPhi of two int parts), a dict
-# (such a ZPhi among its keys), or (lo, hi, entry): a tuple of lo to hi
-# entries, each of shape entry.
+# message states.  A spec is "vertex" (an int, not a bool, in 0..19), ZPhi
+# (a ZPhi of two int parts), a dict (such a ZPhi among its keys), or
+# (lo, hi, entry): a tuple of lo to hi entries, each of shape entry.  Each
+# field's shape is read from that field alone.
 _ANY = math.inf
 _SHAPE = {
     "faces": ((0, _ANY, (5, 5, "vertex")), "5-tuples of vertex ids"),
     "antipode": ((20, 20, "vertex"), "20 vertex ids"),
     "adjacency": ((20, 20, (0, _ANY, "vertex")), "20 tuples of vertex ids"),
-    "icosa_faces": ((20, 20, (0, _ANY, "face")), "20 tuples of face ids"),
-    "dual_faces": ((20, 20, "vertex"), "20 vertex ids"),
     "compounds": ((2, 2, (0, _ANY, (0, _ANY, "vertex"))), "a pair of tuples of vertex-id tuples"),
     "exact_positions": ((20, _ANY, (3, 3, _FLOATS)),
                         "at least 20 triples of ZPhi, each 0, +-1, +-phi or +-1/phi"),
@@ -114,7 +112,7 @@ _SHAPE = {
 _ModelFields = NamedTuple("_ModelFields", [(name, tuple) for name in _SHAPE])
 
 
-def _shape_fault(x, spec, faces):
+def _shape_fault(x, spec):
     """None if x has the shape spec, else the index path to its first bad
     entry and what is there."""
     if type(spec) is tuple:
@@ -124,11 +122,11 @@ def _shape_fault(x, spec, faces):
         for i in range(max(len(x), lo)):
             if i >= len(x) or i >= hi:
                 return (i,), "missing" if i >= len(x) else repr(x[i])
-            if fault := _shape_fault(x[i], entry, faces):
+            if fault := _shape_fault(x[i], entry):
                 return (i, *fault[0]), fault[1]
         return None
-    if type(spec) is str:  # bool is a subclass of int, but True is not id 1
-        ok = type(x) is int and 0 <= x < (20 if spec == "vertex" else len(faces))
+    if spec == "vertex":  # bool is a subclass of int, but True is not id 1
+        ok = type(x) is int and 0 <= x < 20
     else:  # a ZPhi of ints, not an equal plain tuple
         ok = type(x) is ZPhi and type(x[0]) is type(x[1]) is int and (spec is ZPhi or x in spec)
     return None if ok else ((), repr(x))
@@ -139,28 +137,27 @@ class PolytopeModel(_ModelFields):
 
     Wherever a model is made (`build_polytope`, the constructor, `_make`,
     `_replace`, a copy, an unpickled one) it has the shape `_SHAPE`
-    declares, or ValueError names the field and its first bad index path,
-    as in ``icosa_faces[14][2] is 11; the icosa_faces must be 20 tuples of
-    face ids``.  Each field and entry is a tuple, every vertex id an int,
-    not a bool, in 0..19, every face id indexes ``faces``, each table
-    indexed by vertex id has 20 entries (``exact_positions`` at least 20,
-    each coordinate 0, +-1, +-phi or +-1/phi), and an entry a reader
-    unpacks has its arity, so readers trust all of that.
+    declares, each field checked on its own, or ValueError names the field
+    and its first bad index path, as in ``antipode[19] is missing; the
+    antipode must be 20 vertex ids``.  Each field and entry is a tuple,
+    every vertex id an int, not a bool, in 0..19, each table indexed by
+    vertex id has 20 entries (``exact_positions`` at least 20, each
+    coordinate 0, +-1, +-phi or +-1/phi), and an entry a reader unpacks
+    has its arity, so readers trust all of that.
     Counts and structure are left to `verify`, which measures them: how
     many vertices, faces, edges and tetrahedra there are, the adjacency's
     arity, and every fact such as an involutive antipode.  Which faces
     meet at a vertex is a fact of ``faces`` alone: `_vertex_faces` works it
-    out, and names a vertex on other than 3 faces.
+    out, and names a vertex on other than 3 faces.  It is also the dual
+    icosahedron: icosahedron face v is the triple of dodecahedron faces
+    through vertex v (icosahedron vertex i is the centre of dodecahedron
+    face i), so the dual face map is the identity on vertex ids.
 
     ``faces`` are oriented pentagons (positive sense = counterclockwise seen
     from outside), ``adjacency[v]`` is v's ring, its 3 neighbours
     counterclockwise as seen from outside from the smallest (which one a
     ring starts at is no part of the contract).  The rings are the graph:
     its edges are the pairs (u, w), u < w, with w in u's ring.
-    ``icosa_faces`` lists the 20 faces of the dual icosahedron as sorted
-    triples of dodecahedron face ids (icosahedron vertex i is the centre of
-    dodecahedron face i); ``dual_faces[k]`` is the dodecahedron vertex
-    corresponding to icosahedron face k.
     ``compounds`` are the two partitions of the vertices into five of the 10
     inscribed regular tetrahedra, each a sorted 4-tuple: compound A first,
     the one whose tetrahedron at vertex 0 is the lexicographically smaller.
@@ -178,7 +175,7 @@ class PolytopeModel(_ModelFields):
     def __new__(cls, *fields, **named):
         model = super().__new__(cls, *fields, **named)
         for name, (spec, rule) in _SHAPE.items():
-            if fault := _shape_fault(getattr(model, name), spec, model.faces):
+            if fault := _shape_fault(getattr(model, name), spec):
                 path = name + "".join(f"[{i}]" for i in fault[0])
                 raise ValueError(f"{path} is {fault[1]}; the {name} must be {rule}")
         return model
@@ -313,9 +310,9 @@ def build_polytope() -> PolytopeModel:
     sphere, malformed latitude bands, vertex 0 off the north pole, a graph
     that is not 3-regular, a zero turn determinant, right turns that do not
     close a pentagon, a face that is not coplanar, other than 10 tetrahedra
-    or than 2 through a vertex, two vertices on the same face triple, and
-    other than 2 compounds.  A vertex without an antipodal one leaves None
-    in ``antipode``, which the model's shape contract names with ValueError.
+    or than 2 through a vertex, and other than 2 compounds.  A vertex
+    without an antipodal one leaves None in ``antipode``, which the model's
+    shape contract names with ValueError.
     """
     exact = _exact_coordinates()
     pos = _embedding(exact)
@@ -389,12 +386,6 @@ def build_polytope() -> PolytopeModel:
         if sum(v in t for t in tetrahedra) != 2:
             raise AssertionError(f"vertex {v} is not on exactly 2 tetrahedra")
 
-    # v is on 3 faces: one per outgoing edge, and a face visits v once
-    vertex_faces = _vertex_faces(faces)
-    if len(set(vertex_faces)) != 20:
-        raise AssertionError("two vertices share their face triple")
-    dual_faces = tuple(sorted(range(20), key=vertex_faces.__getitem__))
-    icosa_faces = tuple(vertex_faces[v] for v in dual_faces)
     # as every directed edge is on a face, right turns cycle w's neighbours
     rings = tuple((p, right[right[p, w], w], right[p, w]) for w, p in enumerate(map(min, adj)))
 
@@ -402,8 +393,6 @@ def build_polytope() -> PolytopeModel:
         faces=faces,
         antipode=antipode,
         adjacency=rings,
-        icosa_faces=icosa_faces,
-        dual_faces=dual_faces,
         compounds=_compounds(tetrahedra),
         exact_positions=exact,
         squared_distances=tuple(tuple(row) for row in d2),

@@ -177,6 +177,31 @@ def _face_12_added(model):
     return model._replace(faces=model.faces + model.faces[:1])
 
 
+def _trade_vertices(model, u, i, w, j):
+    """model with vertex u of face i and vertex w of face j exchanged."""
+    faces = list(model.faces)
+    faces[i] = tuple(w if v == u else v for v in faces[i])
+    faces[j] = tuple(u if v == w else v for v in faces[j])
+    return model._replace(faces=tuple(faces))
+
+
+def _face_0_turned(model):
+    """model with face 0 listed with its first two vertices swapped: still
+    rainbow under every colouring, but with its cyclic order changed."""
+    (a, b, *rest), *others = model.faces
+    return model._replace(faces=((b, a, *rest), *others))
+
+
+def _handedness_on_relabelled_faces(model):
+    """working_handedness with the faces and a seed both relabelled by the
+    swap (0 1), and the rings not: the seed is rainbow on those faces, but
+    no zigzag from vertex 0 traces its colour class."""
+    s = {0: 1, 1: 0}
+    c = seed_colourings(model)[0]
+    faces = tuple(tuple(s.get(v, v) for v in f) for f in model.faces)
+    return working_handedness(model._replace(faces=faces), (c[1], c[0], *c[2:]))
+
+
 _ON_2_FACES = "^vertex 1 is on 2 faces, expected 3$"
 _ON_4_FACES = "^vertex 0 is on 4 faces, expected 3$"
 
@@ -228,6 +253,16 @@ _ON_4_FACES = "^vertex 0 is on 4 faces, expected 3$"
     (lambda model: enumerate_by_propagation(_face_12_added(model)), _ON_4_FACES),
     (lambda model: frame_completions(_face_12_added(model), (1, 2, 3, 4)), _ON_4_FACES),
     (lambda model: seed_colourings(_face_12_added(model)), _ON_4_FACES),
+    # face 11 dropped: the model is made, and the faces through vertex 14 are read
+    (lambda model: enumerate_colourings(model._replace(faces=model.faces[:-1])),
+     "^vertex 14 is on 2 faces, expected 3$"),
+    (lambda model: parity_class(_face_0_turned(model), seed_colourings(model)[0]),
+     "^face parities are not uniform$"),
+    (_handedness_on_relabelled_faces, "^exactly one handedness must reproduce the class$"),
+    (lambda model: frame_completions(_trade_vertices(model, 1, 0, 8, 1), (1, 2, 3, 4)),
+     "^frame leaves 3 open vertices on the first face$"),
+    (lambda model: frame_completions(_trade_vertices(model, 6, 0, 3, 1), (1, 2, 3, 4)),
+     "^frame leaves 1 open vertices on the first face$"),
 ], ids=[
     "frame-repeats-a-colour", "frame-pole-7", "frame-pole-0", "frame-float", "frame-bool",
     "frame-short-triple", "frame-no-triple", "parity-None", "parity-str", "parity-bool",
@@ -237,7 +272,8 @@ _ON_4_FACES = "^vertex 0 is on 4 faces, expected 3$"
     "perm-parity-repeat", "perm-parity-None", "perm-order-negative", "perm-order-dict",
     "spec-None", "enumerate-on-2-faces", "propagation-on-2-faces", "frame-on-2-faces",
     "seeds-on-2-faces", "enumerate-on-4-faces", "propagation-on-4-faces", "frame-on-4-faces",
-    "seeds-on-4-faces",
+    "seeds-on-4-faces", "enumerate-face-11-dropped", "parity-face-0-turned",
+    "handedness-faces-relabelled", "frame-3-open", "frame-1-open",
 ])
 def test_entry_points_raise_value_error_on_bad_input(model, call, match):
     with pytest.raises(ValueError, match=match):
@@ -497,7 +533,8 @@ _REFUSED = r"^(\w+)(\[\d+\])* is .+; the \1 must be "
 # every squared distance the edge's: the spectrum has no third-smallest distance
 @example(field="squared_distances", edit="fill", inner=True, v=0, w=1, value=None, i=0,
          g=COLOUR_SWAP)
-# a dropped face leaves face ids past the end of `faces` in `icosa_faces`
+# face 11 dropped: the model is made, and every reader of the faces through
+# a vertex names vertex 14, then on 2 faces
 @example(field="faces", edit="drop", inner=False, v=11, w=0, value=None, i=0, g=COLOUR_SWAP)
 # face 0 made a copy of face 1: its other vertices are then on 2 faces, and
 # the readers of the colourings name vertex 1

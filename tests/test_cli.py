@@ -419,7 +419,6 @@ def _relabel(model, u, w):
         adjacency=_swap(tuple(tuple(map(s, ring)) for ring in model.adjacency), u, w),
         faces=tuple(tuple(map(s, f)) for f in model.faces),
         antipode=_swap(tuple(map(s, model.antipode)), u, w),
-        dual_faces=tuple(map(s, model.dual_faces)),
         compounds=tuple(tuple(tuple(sorted(map(s, t))) for t in c) for c in model.compounds),
         squared_distances=_swap(tuple(_swap(row, u, w) for row in model.squared_distances),
                                 u, w))
@@ -495,6 +494,8 @@ _READ_FRAMES = (
     "propagation enumerator matches backtracking",
     "canonical seeds valid, distinct, classified A and B",
 )
+# the checks that read the dual icosahedron, the faces through each vertex
+_READ_DUAL = ("dual face map is a bijection", "dual face adjacency preserved both ways")
 # the checks that read the antipode itself, not through the colour action
 _READ_ANTIPODE = (
     "antipode negates positions, involutive, fixed-point free",
@@ -632,10 +633,11 @@ _SINGLE_FAULTS = [
                               "zigzag walk from 0 -> 1 failed to close after 12 edges")},
              "turn-pair-0-1"),
     # vertices 0 and 18 trade faces 0 and 11, so each vertex is still on
-    # three faces: the search finds no colouring at all, so no check that
-    # reads the colourings measures one, the propagation forces vertex 14
-    # off every colour, the rotations no longer permute the faces, and the
-    # antipode maps face 0 onto no face
+    # three faces, and on its own triple: the search finds no colouring at
+    # all, so no check that reads the colourings measures one, the
+    # propagation forces vertex 14 off every colour, the rotations no longer
+    # permute the faces, ring neighbours 0 and 1 share one face, not two,
+    # and the antipode maps face 0 onto no face
     _reports(lambda m: _trade_vertices(m, 0, 0, 18, 11),
              {**dict.fromkeys(set(_READ_COLOURINGS) - {"backtracking enumeration under 1 s"},
                               "ValueError: the backtracking enumeration found no colouring"),
@@ -644,13 +646,30 @@ _SINGLE_FAULTS = [
                   "ValueError: the antipode maps face 0 onto no face",
               "faces are 5-cycles in the edge set": "",
               "each edge on 2 faces with opposite senses": "",
+              "dual face adjacency preserved both ways": "",
               "rotations transitive on vertices, edges, faces": "orbit sizes 20/30/60",
               "stabilizer orders vertex/face/edge = 3/5/2": "3/1/2"},
              "face-0-trades-vertex-0-for-18"),
-    # vertex 1 is then on 2 faces, which every reader of the colourings
-    # names, and face 11's antipodal image, face 0, is gone
+    # vertices 0 and 9 trade faces 0 and 5: vertex 0 is then on faces 1, 2
+    # and 5, as vertex 3 is, so the dual face map is no bijection, and the
+    # propagation stalls
+    _reports(lambda m: _trade_vertices(m, 0, 0, 9, 5),
+             {**dict.fromkeys(set(_READ_COLOURINGS) - {"backtracking enumeration under 1 s"},
+                              "ValueError: the backtracking enumeration found no colouring"),
+              **dict.fromkeys(_READ_FRAMES, "ValueError: propagation stalled before completion"),
+              "P2: opposite faces carry inverse cyclic orders":
+                  "ValueError: the antipode maps face 0 onto no face",
+              "faces are 5-cycles in the edge set": "",
+              "each edge on 2 faces with opposite senses": "",
+              "dual face map is a bijection": "",
+              "dual face adjacency preserved both ways": "",
+              "rotations transitive on vertices, edges, faces": "orbit sizes 20/30/60",
+              "stabilizer orders vertex/face/edge = 3/5/2": "3/1/2"},
+             "face-0-trades-vertex-0-for-9"),
+    # vertex 1 is then on 2 faces, which every reader of the colourings or
+    # of the dual names, and face 11's antipodal image, face 0, is gone
     _reports(lambda m: m._replace(faces=(m.faces[1],) + m.faces[1:]),
-             {**dict.fromkeys((*_READ_COLOURINGS, *_READ_FRAMES),
+             {**dict.fromkeys((*_READ_COLOURINGS, *_READ_FRAMES, *_READ_DUAL),
                               "ValueError: vertex 1 is on 2 faces, expected 3"),
               "each edge on 2 faces with opposite senses": "",
               "P2: opposite faces carry inverse cyclic orders":
@@ -674,10 +693,6 @@ _SINGLE_FAULTS = [
               "antipodal colour rule at all 20 vertices of all 240":
                   "ValueError: vertex 0 has 2 neighbours, expected 3"},
              "edge-0-dropped"),
-    _reports(lambda m: m._replace(icosa_faces=_swap(m.icosa_faces, 0, 1)),
-             {"dual face adjacency preserved both ways": ""}, "icosa-faces-0-1"),
-    _reports(lambda m: m._replace(dual_faces=_swap(m.dual_faces, 0, 1)),
-             {"dual face adjacency preserved both ways": ""}, "dual-faces-0-1"),
     # compound B's tetrahedron at 0 gone: 9 tetrahedra, and no colouring of
     # compound B classifies
     _reports(lambda m: m._replace(compounds=(m.compounds[0], m.compounds[1][1:])),
@@ -694,9 +709,10 @@ _SINGLE_FAULTS = [
                   "[('A', 'left'), (None, 'right')]"},
              "tetrahedra-0-dropped"),
     # a repeated face: the counts and the OFF export's count line measure it,
-    # and vertex 0 is then on 4 faces, which every reader of the colourings names
+    # and vertex 0 is then on 4 faces, which every reader of the colourings or
+    # of the dual names
     _reports(lambda m: m._replace(faces=m.faces + m.faces[:1]),
-             {**dict.fromkeys((*_READ_COLOURINGS, *_READ_FRAMES),
+             {**dict.fromkeys((*_READ_COLOURINGS, *_READ_FRAMES, *_READ_DUAL),
                               "ValueError: vertex 0 is on 4 faces, expected 3"),
               "face count": "13",
               "Euler characteristic V-E+F": "3",
@@ -738,10 +754,6 @@ _SINGLE_FAULTS = [
               "antipodal colour rule at all 20 vertices of all 240":
                   "ValueError: vertex 19 has 2 neighbours, expected 3"},
              "adjacency-19-short"),
-    _reports(lambda m: m._replace(dual_faces=m.dual_faces[1:2] + m.dual_faces[1:]),
-             {"dual face map is a bijection": "",
-              "dual face adjacency preserved both ways": ""},
-             "dual-face-0-is-dual-face-1"),
     # 20 vertex ids, but not a permutation: the checks measure it
     _reports(lambda m: m._replace(antipode=(m.antipode[1], *m.antipode[1:])),
              {**_ANTIPODE_NO_INVOLUTION, "P2: opposite faces carry inverse cyclic orders":

@@ -153,10 +153,6 @@ _SHAPE_FAULTS = [
                  r"faces is \[\(0, 1, 6, 7, 2\), .*\], not a tuple", id="faces-a-list"),
     pytest.param(lambda m: {"adjacency": _with(m.adjacency, 3, (0, 7, 20))},
                  r"adjacency\[3\]\[2\] is 20", id="adjacency-3-out-of-range"),
-    pytest.param(lambda m: {"icosa_faces": _with(m.icosa_faces, 0, (True, 1, 2))},
-                 r"icosa_faces\[0\]\[0\] is True", id="icosa-faces-0-a-bool"),
-    pytest.param(lambda m: {"dual_faces": m.dual_faces[:19]}, r"dual_faces\[19\] is missing",
-                 id="dual-faces-19-entries"),
     pytest.param(lambda m: {"compounds": m.compounds + m.compounds[:1]},
                  r"compounds\[2\] is \(\(0, 10, 12, 14\), .*\)", id="compounds-3-entries"),
     pytest.param(lambda m: {"exact_positions": _with(m.exact_positions, 0,
@@ -185,9 +181,6 @@ _SHAPE_FAULTS = [
     pytest.param(lambda m: {"squared_distances": _with(
                      m.squared_distances, 0, _with(m.squared_distances[0], 1, ZPhi([8])))},
                  r"squared_distances\[0\]\[1\] is \(\[8\], 0\)", id="distance-0-1-a-list"),
-    # face 11 is gone, so the icosahedron faces that name it index past `faces`
-    pytest.param(lambda m: {"faces": m.faces[:-1]}, r"icosa_faces\[14\]\[2\] is 11",
-                 id="face-11-dropped"),
     pytest.param(lambda m: {"antipode": _with(m.antipode, 3, -1)}, r"antipode\[3\] is -1",
                  id="antipode-3-is-minus-1"),
     pytest.param(lambda m: {"antipode": _with(m.antipode, 3, True)}, r"antipode\[3\] is True",
@@ -307,28 +300,29 @@ def test_edge_length_closed_form(model):
     assert abs(spectrum[0][0] - (math.sqrt(5.0) - 1.0) / math.sqrt(3.0)) < TOL
 
 
+# icosahedron face v is the triple of dodecahedron faces through vertex v
 def test_dual_face_map_is_bijection(model):
-    assert sorted(model.dual_faces) == list(range(20))
+    assert len(set(polytope._vertex_faces(model.faces))) == 20
 
 
 def test_dual_adjacency_preserved_exhaustively(model):
     # two icosahedron faces share an edge (2 common icosa vertices, i.e.
     # 2 common dodecahedron faces) iff their dodecahedron vertices are adjacent
-    for i, j in combinations(range(20), 2):
-        share = len(set(model.icosa_faces[i]) & set(model.icosa_faces[j])) == 2
-        adjacent = model.dual_faces[j] in model.adjacency[model.dual_faces[i]]
-        assert share == adjacent
+    icosa_faces = polytope._vertex_faces(model.faces)
+    for u, w in combinations(range(20), 2):
+        share = len(set(icosa_faces[u]) & set(icosa_faces[w])) == 2
+        assert share == (w in model.adjacency[u])
 
 
 def test_dual_pullback_gives_vertex_rainbow_icosahedron(model, colourings):
     # a valid vertex colouring, pulled back to icosahedron faces, puts all
     # five colours around every icosahedron vertex (= dodecahedron face)
     c = colourings[0]
-    face_colour = {k: c[model.dual_faces[k]] for k in range(20)}
+    icosa_faces = polytope._vertex_faces(model.faces)
     for dodeca_face in range(12):
-        incident = [k for k in range(20) if dodeca_face in model.icosa_faces[k]]
+        incident = [v for v in range(20) if dodeca_face in icosa_faces[v]]
         assert len(incident) == 5
-        assert {face_colour[k] for k in incident} == {1, 2, 3, 4, 5}
+        assert {c[v] for v in incident} == {1, 2, 3, 4, 5}
 
 
 def test_off_export(model):
